@@ -32,24 +32,21 @@ from .kernels import (
     DELTA,
     DiscretizedKernel,
     GridSpec,
-    IndexBand,
     cross_covariance,
     interaction_kernel,
     project_kernel,
 )
 from .likelihood import SensorModel
-from .ppp_filter import BirthScheme, SurvivalModel, birth_count, poisson_weight_update
+from .ppp_filter import SurvivalModel, poisson_weight_update
 from .scenario import Region, Scan, Window, step_dynamics
-from .kernels import MaskBand, band_allowed
 from .smc import (
-    BIRTH,
+    BirthScheme,
     ParticleSet,
     SmcConfig,
-    banded_block,
     init_particles,
+    inject_births,
+    phd_step,
     rebuild_kernel,
-    roughening_sd,
-    select_ids,
 )
 
 
@@ -65,15 +62,15 @@ class FilterState:
         if len(self.particles) != len(self.kernel):
             raise ValueError("kernel dimension must equal particle count")
 
+    @property
+    def states(self) -> np.ndarray:
+        return self.particles.states
+
 
 @dataclass
 class UpdateDiagnostics:
     clamp_events: int = 0
     offdiag_entries: int = 0
-
-    def merge(self, other: "UpdateDiagnostics") -> None:
-        self.clamp_events += other.clamp_events
-        self.offdiag_entries += other.offdiag_entries
 
 
 def s_c(
@@ -223,7 +220,6 @@ def predict(
     smc: SmcConfig,
     window: Window,
     rng: np.random.Generator,
-    poisson_equivalent: bool = False,
 ) -> FilterState:
     """Prediction step: move particles, scale the kernel, append births.
 
@@ -240,44 +236,9 @@ def predict(
     entries = survival.p_s * state.kernel.entries
     kernel = DiscretizedKernel(particles.grid(), entries, CORRELATION, state.kernel.band)
     gamma_pred = float(np.sum(kernel.diagonal * kernel.grid.weights))
-    n_birth, mass = birth_count(birth, gamma_pred)
-    if n_birth > 0:
-        alpha = 0.0 if poisson_equivalent else smc.alpha
-        particles, kernel = _extend_with_births(
-            particles, kernel, mass, n_birth, alpha, smc.band_eta, window, rng
-        )
+    particles, kernel = inject_births(particles, kernel, smc, birth, gamma_pred, window, rng)
     gamma = float(np.sum(kernel.diagonal * kernel.grid.weights))
     return FilterState(particles, kernel, gamma)
-
-
-def _extend_with_births(particles, kernel, mass, n_birth, alpha, eta, window, rng):
-    """Append birth particles and the birth kernel block.
-
-    Cross-blocks are zero, so the extended spectrum is the union of the two
-    block spectra; only the (small) birth block needs projecting, and the
-    already-valid surviving block is spliced through untouched.
-    """
-    born = window.sample_states(n_birth, rng)
-    states = np.vstack([particles.states, born]) if len(particles) else born
-    origin = np.concatenate([particles.origin, np.full(n_birth, BIRTH, dtype=np.int8)])
-    merged = ParticleSet(states, origin)
-    raw_block = banded_block(n_birth, mass / n_birth, alpha * mass / n_birth, eta)
-    birth_grid = GridSpec.unit(born)
-    birth_kernel = project_kernel(
-        raw_block, birth_grid, CORRELATION, IndexBand(eta) if alpha else None
-    )
-    n_old = len(particles)
-    n_tot = n_old + n_birth
-    extended = np.zeros((n_tot, n_tot))
-    extended[:n_old, :n_old] = kernel.entries
-    extended[n_old:, n_old:] = birth_kernel.entries
-    allowed = np.zeros((n_tot, n_tot), dtype=bool)
-    old_allowed = band_allowed(kernel.band, kernel.grid)
-    allowed[:n_old, :n_old] = True if old_allowed is None else old_allowed
-    idx = np.arange(n_birth)
-    allowed[n_old:, n_old:] = np.abs(idx[:, None] - idx[None, :]) <= eta * n_birth
-    new_kernel = DiscretizedKernel(merged.grid(), extended, CORRELATION, MaskBand(allowed))
-    return merged, new_kernel
 
 
 @dataclass
@@ -288,12 +249,14 @@ class DppStepRecord:
 
 
 class DppPhdFilter:
-    """Stateful filter running the full per-step pipeline.
+    """Stateful filter: ``smc.phd_step`` on the dense banded kernel.
 
-    Per step: predict (move + p_s scaling + adaptive birth, projected),
-    update, resample by the posterior diagonal with roughening, rebuild the
-    banded kernel on the resampled particles, and (by default) re-update it
-    against the same scan, which is the literal double-update pipeline.
+    Per step: predict (move + p_s scaling + adaptive birth), resample by the
+    posterior diagonal with roughening, rebuild the banded kernel on the
+    resampled particles, and update it against the scan.  With
+    ``poisson_equivalent`` (which needs alpha = 0) the kernel stays diagonal
+    and the update is the classical Poisson corrector, so the filter
+    reproduces PppPhdFilter bit for bit.
     """
 
     def __init__(
@@ -304,7 +267,6 @@ class DppPhdFilter:
         sensor: SensorModel,
         window: Window,
         rng: np.random.Generator,
-        double_update: bool = True,
         poisson_equivalent: bool = False,
         delta: float = DELTA,
     ):
@@ -316,74 +278,43 @@ class DppPhdFilter:
         self.sensor = sensor
         self.window = window
         self.rng = rng
-        self.double_update = double_update
         self.poisson_equivalent = poisson_equivalent
         self.delta = delta
         particles, kernel = init_particles(smc, window, rng)
         gamma = float(np.sum(kernel.diagonal))
         self.state = FilterState(particles, kernel, gamma)
 
-    def _resample_rebuild(
-        self, state: FilterState, intensity: np.ndarray, gamma: float, size: int
-    ) -> FilterState:
-        ids = select_ids(intensity, size, self.smc.resample_mode, self.rng)
-        states = state.particles.states[ids].copy()
-        sd = roughening_sd(self.window.extents(), self.smc.roughening_scale, size)
-        if np.any(sd > 0):
-            states += self.rng.standard_normal(states.shape) * sd
-        particles = ParticleSet(states, np.zeros(size, dtype=np.int8))
+    def step(self, scan: Scan) -> DppStepRecord:
+        self.state, diag = phd_step(self, scan)
+        return DppStepRecord(self.state.gamma, self.state, diag)
+
+    # the dense-kernel half of smc.phd_step
+
+    def predicted(self) -> FilterState:
+        return predict(self.state, self.survival, self.birth, self.smc, self.window, self.rng)
+
+    def posterior_intensity(self, pred: FilterState, scan: Scan) -> np.ndarray:
+        # the resampler only consumes the diagonal; the full posterior
+        # kernel is computed after the rebuild
+        mu = posterior_diagonal(pred, scan, self.sensor, self.delta, self.poisson_equivalent)
+        return mu * pred.kernel.grid.weights
+
+    def kept(self, pred: FilterState, intensity: np.ndarray, scan: Scan):
+        return self.updated(pred, scan)
+
+    def rebuilt(self, particles: ParticleSet, gamma: float) -> FilterState:
         if self.poisson_equivalent:
+            size = len(particles)
             entries = np.diag(np.full(size, gamma / size))
             kernel = DiscretizedKernel(particles.grid(), entries, CORRELATION, None)
         else:
             kernel = rebuild_kernel(particles, self.smc, gamma)
         return FilterState(particles, kernel, gamma)
 
-    def step(self, scan: Scan) -> DppStepRecord:
-        diag = UpdateDiagnostics()
-        pred = predict(
-            self.state,
-            self.survival,
-            self.birth,
-            self.smc,
-            self.window,
-            self.rng,
-            poisson_equivalent=self.poisson_equivalent,
-        )
-        if self.double_update:
-            # the resampler only consumes the diagonal; the full posterior
-            # kernel is recomputed after the rebuild anyway
-            mu = posterior_diagonal(
-                pred, scan, self.sensor, self.delta, self.poisson_equivalent
-            )
-            mid = None
-        else:
-            mid, d1 = dpp_update(
-                pred, scan, self.sensor, self.delta, self.poisson_equivalent
-            )
-            diag.merge(d1)
-            mu = mid.kernel.diagonal
-        intensity = mu * pred.kernel.grid.weights
-        gamma_post = float(np.sum(intensity))
-        size = min(
-            self.smc.resample_per_target * int(math.floor(gamma_post)), self.smc.cap
-        )
-        if size <= 0:
-            final = mid if mid is not None else dpp_update(
-                pred, scan, self.sensor, self.delta, self.poisson_equivalent
-            )[0]
-            self.state = final
-            return DppStepRecord(final.gamma, final, diag)
-        resampled = self._resample_rebuild(pred, intensity, gamma_post, size)
-        if self.double_update:
-            final, d2 = dpp_update(
-                resampled, scan, self.sensor, self.delta, self.poisson_equivalent
-            )
-            diag.merge(d2)
-        else:
-            final = resampled
-        self.state = final
-        return DppStepRecord(final.gamma, final, diag)
+    def updated(
+        self, state: FilterState, scan: Scan
+    ) -> tuple[FilterState, UpdateDiagnostics]:
+        return dpp_update(state, scan, self.sensor, self.delta, self.poisson_equivalent)
 
     def count_in(self, region: Region) -> float:
         inside = region.contains_states(self.state.particles.states)
@@ -457,25 +388,6 @@ def approx_count_covariance(
     return float(math.fsum(terms))
 
 
-def posterior_covariance_approx(
-    state: FilterState,
-    scan: Scan,
-    sensor: SensorModel,
-    region_a: Region,
-    region_b: Region,
-    delta: float = DELTA,
-) -> float:
-    """approx_count_covariance with regions mapped to particle index sets."""
-    a = region_indices(state.particles, region_a)
-    b = region_indices(state.particles, region_b)
-    if a.size == 0 or b.size == 0:
-        return 0.0
-    j = interaction_kernel(state.kernel, delta)
-    like = sensor.tilde_matrix(scan.detections, state.particles.states)
-    clutter = sensor.clutter_density(scan.detections)
-    return approx_count_covariance(j, like, clutter, sensor.q_d, a, b)
-
-
 def correlation_estimate(state: FilterState, region_a: Region, region_b: Region) -> float:
     """Cross-domain correlation: rescaled determinantal covariance.
 
@@ -538,16 +450,3 @@ def reconstruct_kernel_from_moments(
     diag = UpdateDiagnostics()
     entries = posterior_kernel_entries(np.asarray(mu, dtype=float), rho, diag)
     return project_kernel(entries, grid, CORRELATION, None, delta)
-
-
-def export_dpp_state_csv(path, run: int, t: int, state: FilterState) -> None:
-    """Per-step snapshot: particles plus kernel diagonal plus gamma."""
-    with open(path, "w") as fh:
-        fh.write("run,t,particle,x,xdot,y,ydot,theta,intensity,gamma\n")
-        d = state.kernel.diagonal
-        for i in range(len(state.particles)):
-            x, xd, y, yd, th = (float(v) for v in state.particles.states[i])
-            fh.write(
-                f"{run},{t},{i},{x!r},{xd!r},{y!r},{yd!r},{th!r},"
-                f"{float(d[i])!r},{float(state.gamma)!r}\n"
-            )

@@ -29,7 +29,7 @@ from .dpp_filter import DppPhdFilter, correlation_estimate
 from .errors import ConfigError, DegenerateVariance, UnknownPreset
 from .likelihood import SensorModel
 from .metrics import MetricRecord, extract_estimates, good_estimate_stats, omat, ospa
-from .ppp_filter import BirthScheme, PppPhdFilter, SurvivalModel
+from .ppp_filter import PppPhdFilter, SurvivalModel
 from .rng import stream
 from .scenario import (
     DynamicsConfig,
@@ -39,7 +39,7 @@ from .scenario import (
     TruthSimulator,
     Window,
 )
-from .smc import SmcConfig
+from .smc import BirthScheme, SmcConfig
 
 PRESET_NAMES = ("spooky", "death", "birth", "repulsion-bias", "good-ratio")
 
@@ -68,7 +68,6 @@ class ExperimentConfig:
     schedule: EventSchedule
     smc: SmcConfig
     p_s: float = 1.0
-    double_update: bool = True
     birth_mass: Optional[float] = None  # None = adaptive rule
     min_birth_particles: int = -1  # -1 = one target's worth (P_b)
     domains: Optional[tuple[Region, Region]] = None
@@ -354,7 +353,6 @@ def _make_filters(cfg: ExperimentConfig, run: int, sensor_model: SensorModel) ->
             sensor_model,
             cfg.sensor.window,
             stream(cfg.seed, run, "filter-dpp"),
-            double_update=cfg.double_update,
         )
     if cfg.filter in ("ppp", "both"):
         filters["ppp"] = PppPhdFilter(
@@ -364,7 +362,6 @@ def _make_filters(cfg: ExperimentConfig, run: int, sensor_model: SensorModel) ->
             sensor_model,
             cfg.sensor.window,
             stream(cfg.seed, run, "filter-ppp"),
-            double_update=cfg.double_update,
         )
     return filters
 
@@ -658,6 +655,7 @@ def _write_meta(path, result: ExperimentResult) -> None:
         fh.write(f"sqrt clamp events = {result.clamp_events}\n")
         fh.write(f"offdiag entries updated = {result.offdiag_entries}\n")
         fh.write(f"wall seconds = {result.wall_seconds:.3f}\n")
+        fh.write(f"openblas libraries pinned = {len(_blas_thread_controls())}\n")
         fh.write("\n# config echo\n")
         fh.write(config_to_ini(cfg))
 
@@ -702,7 +700,6 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
         "seed": str(cfg.seed),
         "filter": cfg.filter,
         "p_s": repr(cfg.p_s),
-        "double_update": str(cfg.double_update).lower(),
         "birth_mass": "adaptive" if cfg.birth_mass is None else repr(cfg.birth_mass),
         "min_birth_particles": str(cfg.min_birth_particles),
         "ospa_c": repr(cfg.ospa_c),
@@ -738,7 +735,6 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
         "alpha": repr(cfg.smc.alpha),
         "band_eta": repr(cfg.smc.band_eta),
         "gamma0": repr(cfg.smc.gamma0),
-        "resample_mode": cfg.smc.resample_mode,
     }
     cp["truth"] = {
         "groups": ";".join(f"{_region_str(r)}:{n}" for r, n in cfg.truth.groups),
@@ -766,9 +762,20 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
+# Keys older configs wrote, each with the one value the filters implement.
+_FIXED_KEYS = (
+    ("experiment", "double_update", "true"),
+    ("smc", "resample_mode", "multinomial"),
+)
+
+
 def config_from_ini(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     cp.read_string(text)
+    for section, key, only in _FIXED_KEYS:
+        value = cp.get(section, key, fallback=only)
+        if value.lower() != only:
+            raise ConfigError(f"{key} = {value!r} is not supported; the only value is {only}")
     try:
         exp = cp["experiment"]
 
@@ -805,7 +812,6 @@ def config_from_ini(text: str) -> ExperimentConfig:
             alpha=smc_s.getfloat("alpha"),
             band_eta=smc_s.getfloat("band_eta"),
             gamma0=smc_s.getfloat("gamma0"),
-            resample_mode=smc_s.get("resample_mode", "multinomial"),
         )
         tr = cp["truth"]
         groups = []
@@ -849,7 +855,6 @@ def config_from_ini(text: str) -> ExperimentConfig:
             schedule=schedule,
             smc=smc,
             p_s=exp.getfloat("p_s", 1.0),
-            double_update=exp.getboolean("double_update", True),
             birth_mass=None if birth_mass_text == "adaptive" else float(birth_mass_text),
             min_birth_particles=exp.getint("min_birth_particles", -1),
             domains=domains,

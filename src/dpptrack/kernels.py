@@ -280,12 +280,6 @@ def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
     return first - second
 
 
-def fredholm_determinant(kernel: DiscretizedKernel) -> float:
-    """det(Id - K) of the operator, i.e. the void probability of the DPP."""
-    lam = operator_spectrum(kernel)
-    return float(np.prod(1.0 - lam))
-
-
 def janossy_density_dpp(
     kernel: DiscretizedKernel, subset, delta: float = DELTA
 ) -> float:
@@ -412,11 +406,3 @@ def validate_kernel(kernel: DiscretizedKernel, delta: float = DELTA, tol: float 
         raise AssertionError(f"spectrum has negative eigenvalue {lam.min():.3e}")
     if kernel.kind == CORRELATION and lam.max(initial=0.0) > 1.0 - delta + tol:
         raise AssertionError(f"spectrum reaches {lam.max():.6g} > 1 - delta")
-
-
-def dump_kernel_csv(kernel: DiscretizedKernel, path) -> None:
-    """Debug dump: dense row-major CSV with 17 significant digits."""
-    with open(path, "w") as fh:
-        for row in kernel.entries:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")

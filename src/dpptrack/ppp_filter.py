@@ -1,23 +1,20 @@
 """Classical SMC Poisson PHD filter: the zero-interaction baseline.
 
 Particles carry intensity weights whose sum is the expected target count.
-The step pipeline (predict, adaptive birth, update, resample with
-roughening, optional post-resampling re-update) deliberately mirrors the
-determinantal filter so that only the weight update differs between the
-two.
+Each step runs the SMC-PHD pipeline shared with the determinantal filter
+(``smc.phd_step``) on this O(N) weight-vector representation, so only the
+weight update differs between the two.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .likelihood import SensorModel
 from .scenario import DynamicsConfig, Scan, Window, step_dynamics
-from .smc import SmcConfig, roughening_sd, select_ids
+from .smc import BirthScheme, ParticleSet, SmcConfig, birth_count, phd_step
 
 
 @dataclass(frozen=True)
@@ -30,21 +27,6 @@ class SurvivalModel:
     def __post_init__(self):
         if not (0.0 <= self.p_s <= 1.0):
             raise ValueError("p_s must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class BirthScheme:
-    """How birth particles are injected each step.
-
-    mass None means the adaptive pseudocode rule (birth mass equals the
-    predicted count); a float fixes the per-step birth mass.  When the
-    floored target count is zero, min_particles are injected instead so the
-    filter cannot die out.
-    """
-
-    particles_per_target: int
-    mass: Optional[float] = None
-    min_particles: int = 0
 
 
 @dataclass(frozen=True)
@@ -72,15 +54,6 @@ class WeightedParticles:
     @property
     def positions(self) -> np.ndarray:
         return self.states[:, [0, 2]]
-
-
-def birth_count(scheme: BirthScheme, gamma: float) -> tuple[int, float]:
-    """(number of birth particles, total birth mass) for the current step."""
-    mass = gamma if scheme.mass is None else scheme.mass
-    n = scheme.particles_per_target * int(math.floor(mass))
-    if n == 0:
-        n = max(scheme.min_particles, 0)
-    return n, mass
 
 
 def ppp_predict(
@@ -134,7 +107,7 @@ class PppStepRecord:
 
 
 class PppPhdFilter:
-    """Stateful SMC-PHD filter following the shared step pipeline."""
+    """Stateful SMC-PHD filter: ``smc.phd_step`` on a weight vector."""
 
     def __init__(
         self,
@@ -144,7 +117,6 @@ class PppPhdFilter:
         sensor: SensorModel,
         window: Window,
         rng: np.random.Generator,
-        double_update: bool = True,
     ):
         self.smc = smc
         self.survival = survival
@@ -152,52 +124,36 @@ class PppPhdFilter:
         self.sensor = sensor
         self.window = window
         self.rng = rng
-        self.double_update = double_update
         states = window.sample_states(smc.n_init, rng)
         weights = np.full(smc.n_init, smc.gamma0 / smc.n_init)
         self.particles = WeightedParticles(states, weights)
         self.gamma = smc.gamma0
 
-    def _resample(self, p: WeightedParticles, gamma: float, size: int) -> WeightedParticles:
-        ids = select_ids(p.weights, size, self.smc.resample_mode, self.rng)
-        states = p.states[ids].copy()
-        sd = roughening_sd(self.window.extents(), self.smc.roughening_scale, size)
-        if np.any(sd > 0):
-            states += self.rng.standard_normal(states.shape) * sd
-        return WeightedParticles(states, np.full(size, gamma / size))
-
     def step(self, scan: Scan) -> PppStepRecord:
-        pred = ppp_predict(self.particles, self.survival, self.birth, self.window, self.rng)
-        post = ppp_update(pred, scan, self.sensor)
-        gamma = post.mass
-        size = min(self.smc.resample_per_target * int(math.floor(gamma)), self.smc.cap)
-        if size <= 0:
-            # filter nearly empty: keep the cloud, let births re-seed it
-            self.particles = post
-            self.gamma = gamma
-            return PppStepRecord(self.gamma, self.particles)
-        resampled = self._resample(post, gamma, size)
-        if self.double_update:
-            post2 = ppp_update(resampled, scan, self.sensor)
-            self.particles = post2
-            self.gamma = post2.mass
-        else:
-            self.particles = resampled
-            self.gamma = gamma
+        self.particles = phd_step(self, scan)
+        self.gamma = self.particles.mass
         return PppStepRecord(self.gamma, self.particles)
+
+    # the weight-vector half of smc.phd_step
+
+    def predicted(self) -> WeightedParticles:
+        return ppp_predict(self.particles, self.survival, self.birth, self.window, self.rng)
+
+    def posterior_intensity(self, pred: WeightedParticles, scan: Scan) -> np.ndarray:
+        return ppp_update(pred, scan, self.sensor).weights
+
+    def kept(
+        self, pred: WeightedParticles, intensity: np.ndarray, scan: Scan
+    ) -> WeightedParticles:
+        return WeightedParticles(pred.states, intensity)
+
+    def rebuilt(self, particles: ParticleSet, gamma: float) -> WeightedParticles:
+        size = len(particles)
+        return WeightedParticles(particles.states, np.full(size, gamma / size))
+
+    def updated(self, p: WeightedParticles, scan: Scan) -> WeightedParticles:
+        return ppp_update(p, scan, self.sensor)
 
     def count_in(self, region) -> float:
         inside = region.contains_states(self.particles.states)
         return float(np.sum(self.particles.weights[inside]))
-
-
-def export_ppp_state_csv(path, run: int, t: int, p: WeightedParticles, gamma: float) -> None:
-    """Per-step snapshot: particles plus weights plus the count estimate."""
-    with open(path, "w") as fh:
-        fh.write("run,t,particle,x,xdot,y,ydot,theta,weight,gamma\n")
-        for i in range(len(p)):
-            x, xd, y, yd, th = (float(v) for v in p.states[i])
-            fh.write(
-                f"{run},{t},{i},{x!r},{xd!r},{y!r},{yd!r},{th!r},"
-                f"{float(p.weights[i])!r},{float(gamma)!r}\n"
-            )

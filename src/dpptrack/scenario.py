@@ -396,27 +396,3 @@ class TruthSimulator:
             self.states, self.ids, self.sensor, forced, self.rng_scan, time=self.t
         )
         return self.states.copy(), list(self.ids), scan
-
-
-def export_truth_csv(path, rows) -> None:
-    """rows: iterables of (run, t, target_id, x, xdot, y, ydot, theta)."""
-    with open(path, "w") as fh:
-        fh.write("run,t,target_id,x,xdot,y,ydot,theta\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    repr(float(v)) if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
-
-
-def export_scans_csv(path, scans_by_run) -> None:
-    """scans_by_run: iterable of (run, scan) pairs."""
-    with open(path, "w") as fh:
-        fh.write("run,t,det_index,range,bearing,truth_link\n")
-        for run, scan in scans_by_run:
-            links = scan.truth_links if scan.truth_links is not None else [-1] * len(scan)
-            for k in range(len(scan)):
-                r, b = (float(v) for v in scan.detections[k])
-                fh.write(f"{run},{scan.time},{k},{r!r},{b!r},{links[k]}\n")

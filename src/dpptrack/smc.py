@@ -1,6 +1,6 @@
 """Particle lifecycle shared by both filters: initialization, birth
-injection, multinomial resampling with roughening, and kernel
-(re-)initialization.
+injection, multinomial resampling with roughening, kernel
+(re-)initialization, and the SMC-PHD step that strings them together.
 
 Particle grids carry unit measure weights, matching the pseudocode
 convention in which kernel diagonals are per-particle masses and weighted
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .kernels import (
     band_allowed,
     project_kernel,
 )
-from .scenario import Window
+from .scenario import Scan, Window
 
 SURVIVOR = 0
 BIRTH = 1
@@ -54,9 +55,6 @@ class ParticleSet:
         return GridSpec.unit(self.states)
 
 
-RESAMPLE_MODES = ("multinomial", "systematic", "topk")
-
-
 @dataclass(frozen=True)
 class SmcConfig:
     n_init: int = 800                # N_{Phi,0}
@@ -67,7 +65,6 @@ class SmcConfig:
     alpha: float = 4.0               # off-diagonal init coefficient
     band_eta: float = 0.1            # index-band fraction
     gamma0: float = 2.0              # prior intensity at t = 0
-    resample_mode: str = "multinomial"  # or "systematic" / "topk"
 
     def __post_init__(self):
         if min(self.n_init, self.resample_per_target, self.birth_per_target, self.cap) <= 0:
@@ -76,8 +73,30 @@ class SmcConfig:
             raise ValueError("band_eta must lie in (0, 1)")
         if self.roughening_scale < 0 or self.alpha < 0 or self.gamma0 <= 0:
             raise ValueError("roughening_scale, alpha must be >= 0 and gamma0 > 0")
-        if self.resample_mode not in RESAMPLE_MODES:
-            raise ValueError(f"resample_mode must be one of {RESAMPLE_MODES}")
+
+
+@dataclass(frozen=True)
+class BirthScheme:
+    """How birth particles are injected each step.
+
+    mass None means the adaptive pseudocode rule (birth mass equals the
+    predicted count); a float fixes the per-step birth mass.  When the
+    floored target count is zero, min_particles are injected instead so the
+    filter cannot die out.
+    """
+
+    particles_per_target: int
+    mass: Optional[float] = None
+    min_particles: int = 0
+
+
+def birth_count(scheme: BirthScheme, gamma: float) -> tuple[int, float]:
+    """(number of birth particles, total birth mass) for the current step."""
+    mass = gamma if scheme.mass is None else scheme.mass
+    n = scheme.particles_per_target * int(math.floor(mass))
+    if n == 0:
+        n = max(scheme.min_particles, 0)
+    return n, mass
 
 
 def banded_block(n: int, diag: float, offdiag: float, eta: float) -> np.ndarray:
@@ -117,54 +136,32 @@ def roughening_sd(extents: np.ndarray, scale: float, count: int) -> np.ndarray:
 
 
 def select_ids(
-    intensity: np.ndarray, size: int, mode: str, rng: np.random.Generator
+    intensity: np.ndarray, size: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Source indices for the resampled particles under the chosen mode.
-
-    multinomial: independent draws proportional to intensity (default).
-    systematic: one uniform offset, stratified cumulative selection.
-    topk: deterministic, copies allocated to the largest intensities
-    (a literal reading of selecting the maximizing diagonal entries; for
-    sensitivity studies only).
-    """
+    """Source indices of ``size`` independent draws proportional to intensity."""
     intensity = np.clip(np.asarray(intensity, dtype=float), 0.0, None)
     probs = intensity / intensity.sum()
-    n = probs.shape[0]
-    if mode == "multinomial":
-        counts = rng.multinomial(size, probs)
-        return np.repeat(np.arange(n), counts)
-    if mode == "systematic":
-        edges = np.cumsum(probs)
-        edges[-1] = 1.0
-        points = (rng.uniform() + np.arange(size)) / size
-        return np.searchsorted(edges, points, side="right").clip(0, n - 1)
-    if mode == "topk":
-        order = np.argsort(-intensity, kind="stable")
-        reps = np.zeros(n, dtype=int)
-        expected = probs * size
-        base = np.floor(expected).astype(int)
-        reps[:] = base
-        short = size - int(base.sum())
-        for idx in order:
-            if short == 0:
-                break
-            reps[idx] += 1
-            short -= 1
-        return np.repeat(np.arange(n), reps)
-    raise ValueError(f"unknown resample mode {mode!r}")
+    counts = rng.multinomial(size, probs)
+    return np.repeat(np.arange(probs.shape[0]), counts)
+
+
+def resample_size(cfg: SmcConfig, gamma: float) -> int:
+    """Particles after resampling at count gamma: min(P_p * floor(gamma), cap)."""
+    return min(cfg.resample_per_target * int(math.floor(gamma)), cfg.cap)
 
 
 def resample(
     intensity: np.ndarray,
-    particles: ParticleSet,
+    states: np.ndarray,
     cfg: SmcConfig,
     window: Window,
     rng: np.random.Generator,
     size: int | None = None,
 ) -> ParticleSet:
-    """Multinomial draw proportional to intensity, then Gaussian roughening.
+    """Multinomial draw of states proportional to intensity, then Gaussian
+    roughening.
 
-    Output size defaults to min(P_p * floor(total intensity), cap).  Raises
+    Output size defaults to resample_size(cfg, total intensity).  Raises
     DegenerateIntensity when nothing has mass (the harness records the run
     as lost and reinitializes).
     """
@@ -173,57 +170,58 @@ def resample(
     if total <= 0.0 or not np.any(intensity > 0):
         raise DegenerateIntensity("all particle intensities are zero")
     if size is None:
-        size = min(cfg.resample_per_target * int(math.floor(total)), cfg.cap)
+        size = resample_size(cfg, total)
     if size <= 0:
         return ParticleSet(np.zeros((0, 5)), np.zeros(0, dtype=np.int8))
-    ids = select_ids(intensity, size, cfg.resample_mode, rng)
-    states = particles.states[ids].copy()
+    ids = select_ids(intensity, size, rng)
+    resampled = states[ids].copy()
     sd = roughening_sd(window.extents(), cfg.roughening_scale, size)
     if np.any(sd > 0):
-        states += rng.standard_normal(states.shape) * sd
-    return ParticleSet(states, np.zeros(size, dtype=np.int8))
+        resampled += rng.standard_normal(resampled.shape) * sd
+    return ParticleSet(resampled, np.zeros(size, dtype=np.int8))
 
 
 def inject_births(
     particles: ParticleSet,
     kernel: DiscretizedKernel,
     cfg: SmcConfig,
-    gamma_birth: float,
+    birth: BirthScheme,
+    gamma: float,
     window: Window,
     rng: np.random.Generator,
-    min_particles: int = 0,
 ) -> tuple[ParticleSet, DiscretizedKernel]:
-    """Append uniform birth particles and extend the kernel.
+    """Append uniform birth particles and the birth kernel block.
 
-    The birth block carries diagonal gamma_birth/N_b and off-diagonal
-    alpha*gamma_birth/N_b inside its own index band; cross-blocks between
-    old and new particles are zero.  The extended kernel is re-projected.
+    birth_count(birth, gamma) gives the number N_b and total mass of the
+    births.  The birth block carries diagonal mass/N_b and off-diagonal
+    alpha*mass/N_b inside its own index band; cross-blocks between old and
+    new particles are zero, so the extended spectrum is the union of the two
+    block spectra.  Only the (small) birth block is projected; the
+    already-valid old block is spliced through untouched.
     """
-    n_birth = cfg.birth_per_target * int(math.floor(gamma_birth))
-    if n_birth == 0:
-        n_birth = max(int(min_particles), 0)
-    if n_birth == 0:
+    n_birth, mass = birth_count(birth, gamma)
+    if n_birth <= 0:
         return particles, kernel
     born = window.sample_states(n_birth, rng)
-    states = np.vstack([particles.states, born])
+    states = np.vstack([particles.states, born]) if len(particles) else born
     origin = np.concatenate([particles.origin, np.full(n_birth, BIRTH, dtype=np.int8)])
     merged = ParticleSet(states, origin)
-
+    alpha, eta = cfg.alpha, cfg.band_eta
+    raw_block = banded_block(n_birth, mass / n_birth, alpha * mass / n_birth, eta)
+    birth_kernel = project_kernel(
+        raw_block, GridSpec.unit(born), CORRELATION, IndexBand(eta) if alpha else None
+    )
     n_old = len(particles)
     n_tot = n_old + n_birth
     extended = np.zeros((n_tot, n_tot))
     extended[:n_old, :n_old] = kernel.entries
-    extended[n_old:, n_old:] = banded_block(
-        n_birth, gamma_birth / n_birth, cfg.alpha * gamma_birth / n_birth, cfg.band_eta
-    )
+    extended[n_old:, n_old:] = birth_kernel.entries
     allowed = np.zeros((n_tot, n_tot), dtype=bool)
     old_allowed = band_allowed(kernel.band, kernel.grid)
     allowed[:n_old, :n_old] = True if old_allowed is None else old_allowed
     idx = np.arange(n_birth)
-    allowed[n_old:, n_old:] = np.abs(idx[:, None] - idx[None, :]) <= cfg.band_eta * n_birth
-    new_kernel = project_kernel(
-        extended, merged.grid(), CORRELATION, band=MaskBand(allowed)
-    )
+    allowed[n_old:, n_old:] = np.abs(idx[:, None] - idx[None, :]) <= eta * n_birth
+    new_kernel = DiscretizedKernel(merged.grid(), extended, CORRELATION, MaskBand(allowed))
     return merged, new_kernel
 
 
@@ -234,3 +232,36 @@ def rebuild_kernel(
     n = len(particles)
     raw = banded_block(n, gamma / n, cfg.alpha * gamma / n, cfg.band_eta)
     return project_kernel(raw, particles.grid(), CORRELATION, band=IndexBand(cfg.band_eta))
+
+
+def phd_step(rep, scan: Scan):
+    """One SMC-PHD step (Vo, Singh & Doucet 2005), shared by both filters.
+
+    Predict; compute the posterior intensity per particle and its total
+    gamma; draw resample_size(gamma) particles with roughening; rebuild the
+    representation on them at mass gamma; update it again against the same
+    scan.  When the size is 0 the filter is nearly empty: the predicted cloud
+    is kept with its posterior and births re-seed it.  The two filters
+    differ only in ``rep``, which carries ``smc``, ``window`` and ``rng`` and
+    the kernel representation's half of the step:
+
+    - ``rep.predicted()``: the predicted state, with ``states`` per particle;
+    - ``rep.posterior_intensity(pred, scan)``: the posterior intensity of
+      each predicted particle;
+    - ``rep.kept(pred, intensity, scan)``: the step's result without
+      resampling;
+    - ``rep.rebuilt(particles, gamma)``: a state on the resampled particles;
+    - ``rep.updated(state, scan)``: the step's result after the re-update.
+
+    Raises DegenerateIntensity when gamma is not finite.
+    """
+    pred = rep.predicted()
+    intensity = rep.posterior_intensity(pred, scan)
+    gamma = float(np.sum(intensity))
+    if not math.isfinite(gamma):
+        raise DegenerateIntensity(f"posterior count is {gamma}")
+    size = resample_size(rep.smc, gamma)
+    if size <= 0:
+        return rep.kept(pred, intensity, scan)
+    resampled = resample(intensity, pred.states, rep.smc, rep.window, rep.rng, size)
+    return rep.updated(rep.rebuilt(resampled, gamma), scan)

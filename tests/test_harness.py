@@ -117,6 +117,8 @@ class TestRunExperiment:
         assert float(first[i_mean]) == pytest.approx(float(np.mean(vals)), rel=1e-12)
         meta = (tmp_path / "out" / "meta.txt").read_text()
         assert "build id" in meta and "seed = 99" in meta
+        # 0 would mean BLAS ran unpinned: no OpenBLAS thread control was found
+        assert f"openblas libraries pinned = {len(blas_thread_counts())}\n" in meta
 
     @pytest.mark.parametrize(
         "cfg",
@@ -177,50 +179,3 @@ class TestCli:
 
     def test_run_requires_source(self, capsys):
         assert cli_main(["run", "--out", "/tmp/nowhere"]) == 2
-
-
-def test_state_snapshot_exports(tmp_path):
-    import numpy as np
-
-    from dpptrack.dpp_filter import export_dpp_state_csv, FilterState
-    from dpptrack.kernels import CORRELATION, DiscretizedKernel
-    from dpptrack.ppp_filter import WeightedParticles, export_ppp_state_csv
-    from dpptrack.smc import ParticleSet
-
-    states = np.arange(10, dtype=float).reshape(2, 5)
-    particles = ParticleSet(states, np.zeros(2, dtype=np.int8))
-    kernel = DiscretizedKernel(particles.grid(), np.diag([0.2, 0.3]), CORRELATION)
-    st = FilterState(particles, kernel, 0.5)
-    p1 = tmp_path / "dpp.csv"
-    export_dpp_state_csv(p1, 0, 3, st)
-    lines = p1.read_text().strip().split("\n")
-    assert lines[0] == "run,t,particle,x,xdot,y,ydot,theta,intensity,gamma"
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[8]) == 0.2
-
-    wp = WeightedParticles(states, np.array([0.4, 0.6]))
-    p2 = tmp_path / "ppp.csv"
-    export_ppp_state_csv(p2, 1, 4, wp, 1.0)
-    lines = p2.read_text().strip().split("\n")
-    assert lines[0] == "run,t,particle,x,xdot,y,ydot,theta,weight,gamma"
-    assert float(lines[2].split(",")[8]) == 0.6
-
-
-def test_truth_and_scan_exports(tmp_path):
-    import numpy as np
-
-    from dpptrack.scenario import Scan, export_scans_csv, export_truth_csv
-
-    rows = [(0, 1, 7, 1.0, 0.1, 2.0, -0.1, 0.0)]
-    p = tmp_path / "truth.csv"
-    export_truth_csv(p, rows)
-    text = p.read_text().strip().split("\n")
-    assert text[0] == "run,t,target_id,x,xdot,y,ydot,theta"
-    assert text[1].startswith("0,1,7,")
-
-    scan = Scan(2, np.array([[5.0, 0.5]]), np.array([3]))
-    p2 = tmp_path / "scans.csv"
-    export_scans_csv(p2, [(0, scan)])
-    text = p2.read_text().strip().split("\n")
-    assert text[0] == "run,t,det_index,range,bearing,truth_link"
-    assert text[1] == "0,2,0,5.0,0.5,3"

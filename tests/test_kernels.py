@@ -15,7 +15,6 @@ from dpptrack.kernels import (
     correlation_from_interaction,
     cross_covariance,
     determinantal_moments,
-    dump_kernel_csv,
     interaction_kernel,
     janossy_density_dpp,
     operator_spectrum,
@@ -271,15 +270,6 @@ class TestBands:
         m = np.full((4, 4), 0.1)
         with pytest.raises(ValueError):
             DiscretizedKernel(grid, m, CORRELATION, band=IndexBand(0.25))
-
-
-def test_dump_kernel_csv(tmp_path):
-    k = random_correlation(3, seed=23)
-    path = tmp_path / "kernel.csv"
-    dump_kernel_csv(k, path)
-    rows = [line.split(",") for line in path.read_text().strip().split("\n")]
-    back = np.array([[float(v) for v in row] for row in rows])
-    np.testing.assert_array_equal(back, k.entries)
 
 
 def test_twelve_point_masses_sum_to_one():

@@ -23,7 +23,6 @@ from dpptrack.oracle import (
     posterior_pair_exact,
     single_config_process,
 )
-from dpptrack.oracle_io import OracleCase, read_case, write_case
 
 
 def small_grid(weights=(0.7, 1.3, 0.9)):
@@ -384,26 +383,3 @@ def test_bayes_consistency_property(seed):
     b = [i for i in range(g) if rng.uniform() < 0.6]
     got = posterior_covariance_exact(prior, obs, meas, a, b)
     assert got == pytest.approx(post.count_covariance(a, b), abs=1e-9)
-
-
-def test_oracle_case_roundtrip(tmp_path):
-    grid = small_grid()
-    rng = np.random.default_rng(25)
-    prior = random_simple_prior(grid, rng)
-    obs = random_obs(3, 2, rng)
-    case = OracleCase(prior, obs, (1, 0))
-    path = tmp_path / "case.txt"
-    write_case(path, case)
-    back = read_case(path)
-    assert back.meas == (1, 0)
-    np.testing.assert_array_equal(back.prior.grid.points, grid.points)
-    np.testing.assert_array_equal(back.prior.grid.weights, grid.weights)
-    assert back.prior.janossy == prior.janossy
-    np.testing.assert_array_equal(back.obs.l_d, obs.l_d)
-    np.testing.assert_array_equal(back.obs.p_d, obs.p_d)
-    np.testing.assert_array_equal(back.obs.l_c, obs.l_c)
-    # identical posterior from the reloaded case
-    np.testing.assert_array_equal(
-        posterior_intensity_exact(back.prior, back.obs, back.meas),
-        posterior_intensity_exact(prior, obs, (1, 0)),
-    )

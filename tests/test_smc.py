@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from dpptrack.errors import DegenerateIntensity
+from dpptrack.dpp_filter import DppPhdFilter
+from dpptrack.errors import ConfigError, DegenerateIntensity
+from dpptrack.harness import config_from_ini, config_to_ini, preset
 from dpptrack.kernels import IndexBand, band_allowed, validate_kernel
-from dpptrack.scenario import Region, Window
+from dpptrack.likelihood import SensorModel
+from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel
+from dpptrack.scenario import DynamicsConfig, Region, Scan, SensorConfig, Window
 from dpptrack.smc import (
+    BirthScheme,
     ParticleSet,
     SmcConfig,
     banded_block,
@@ -60,28 +67,28 @@ class TestResample:
         states = np.arange(50, dtype=float).reshape(10, 5)
         intensity = np.zeros(10)
         intensity[3] = 2.0
-        out = resample(intensity, particles_of(states), cfg, WINDOW, np.random.default_rng(0))
+        out = resample(intensity, states, cfg, WINDOW, np.random.default_rng(0))
         assert len(out) == 10  # 5 per target, floor(2.0) = 2 targets
         assert np.all(out.states == states[3])
 
     def test_output_size_formula(self):
         cfg = SmcConfig(n_init=10, resample_per_target=30, cap=1000)
         intensity = np.full(10, 1.07)  # total 10.7
-        out = resample(intensity, particles_of(np.zeros((10, 5))), cfg, WINDOW,
+        out = resample(intensity, np.zeros((10, 5)), cfg, WINDOW,
                        np.random.default_rng(1))
         assert len(out) == 300
 
     def test_cap_applies(self):
         cfg = SmcConfig(n_init=10, resample_per_target=300, cap=100)
         intensity = np.full(10, 1.0)
-        out = resample(intensity, particles_of(np.zeros((10, 5))), cfg, WINDOW,
+        out = resample(intensity, np.zeros((10, 5)), cfg, WINDOW,
                        np.random.default_rng(2))
         assert len(out) == 100
 
     def test_degenerate_intensity_raises(self):
         cfg = SmcConfig(n_init=4)
         with pytest.raises(DegenerateIntensity):
-            resample(np.zeros(4), particles_of(np.zeros((4, 5))), cfg, WINDOW,
+            resample(np.zeros(4), np.zeros((4, 5)), cfg, WINDOW,
                      np.random.default_rng(3))
 
     def test_multinomial_frequencies_uniform(self):
@@ -92,7 +99,7 @@ class TestResample:
         counts = np.zeros(4)
         reps = 10_000
         for _ in range(reps):
-            out = resample(intensity, particles_of(states), cfg, WINDOW, rng, size=1)
+            out = resample(intensity, states, cfg, WINDOW, rng, size=1)
             counts[int(out.states[0, 0] // 5)] += 1
         freq = counts / reps
         # 3 sigma multinomial band around 0.25
@@ -107,7 +114,7 @@ class TestResample:
         total = np.zeros(3)
         reps = 10_000
         for _ in range(reps):
-            out = resample(intensity, particles_of(states), cfg, WINDOW, rng, size=12)
+            out = resample(intensity, states, cfg, WINDOW, rng, size=12)
             ids = (out.states[:, 0] // 5).astype(int)
             total += np.bincount(ids, minlength=3)
         expected = 12 * intensity / intensity.sum()
@@ -118,7 +125,7 @@ class TestResample:
     def test_roughening_zero_is_pure_multinomial(self):
         cfg = SmcConfig(n_init=5, resample_per_target=10, roughening_scale=0.0)
         states = np.random.default_rng(6).uniform(-50, 50, (5, 5))
-        out = resample(np.ones(5) * 2, particles_of(states), cfg, WINDOW,
+        out = resample(np.ones(5) * 2, states, cfg, WINDOW,
                        np.random.default_rng(7))
         source_rows = {tuple(row) for row in states}
         assert all(tuple(row) in source_rows for row in out.states)
@@ -136,17 +143,20 @@ class TestInjectBirths:
         self.particles, self.kernel = init_particles(
             self.cfg, WINDOW, np.random.default_rng(0)
         )
+        self.birth = BirthScheme(self.cfg.birth_per_target)
 
     def test_gamma_below_one_no_minimum_injects_nothing(self):
         p, k = inject_births(
-            self.particles, self.kernel, self.cfg, 0.9, WINDOW, np.random.default_rng(1)
+            self.particles, self.kernel, self.cfg, self.birth, 0.9, WINDOW,
+            np.random.default_rng(1),
         )
         assert len(p) == len(self.particles)
         assert k is self.kernel
 
     def test_gamma_three_gives_thirty_particles(self):
         p, k = inject_births(
-            self.particles, self.kernel, self.cfg, 3.0, WINDOW, np.random.default_rng(2)
+            self.particles, self.kernel, self.cfg, self.birth, 3.0, WINDOW,
+            np.random.default_rng(2),
         )
         assert len(p) == 40 + 30
         assert len(k) == 70
@@ -154,21 +164,24 @@ class TestInjectBirths:
 
     def test_minimum_override(self):
         p, k = inject_births(
-            self.particles, self.kernel, self.cfg, 0.5, WINDOW,
-            np.random.default_rng(3), min_particles=10,
+            self.particles, self.kernel, self.cfg,
+            BirthScheme(self.cfg.birth_per_target, min_particles=10), 0.5, WINDOW,
+            np.random.default_rng(3),
         )
         assert len(p) == 50
 
     def test_cross_block_zero(self):
         p, k = inject_births(
-            self.particles, self.kernel, self.cfg, 2.0, WINDOW, np.random.default_rng(4)
+            self.particles, self.kernel, self.cfg, self.birth, 2.0, WINDOW,
+            np.random.default_rng(4),
         )
         n_old = len(self.particles)
         assert np.all(k.entries[:n_old, n_old:] == 0.0)
 
     def test_kernel_dimension_tracks_particles(self):
         p, k = inject_births(
-            self.particles, self.kernel, self.cfg, 4.0, WINDOW, np.random.default_rng(5)
+            self.particles, self.kernel, self.cfg, self.birth, 4.0, WINDOW,
+            np.random.default_rng(5),
         )
         assert len(p) == len(k)
 
@@ -183,24 +196,50 @@ def test_rebuild_kernel_valid_and_banded():
 
 
 class TestResampleModes:
-    def test_systematic_mode_exact_proportions_for_uniform(self):
-        from dpptrack.smc import select_ids
-
-        ids = select_ids(np.full(4, 1.0), 8, "systematic", np.random.default_rng(0))
-        counts = np.bincount(ids, minlength=4)
-        np.testing.assert_array_equal(counts, [2, 2, 2, 2])
-
-    def test_topk_mode_deterministic(self):
-        from dpptrack.smc import select_ids
-
-        intensity = np.array([0.1, 3.0, 0.2, 1.0])
-        a = select_ids(intensity, 6, "topk", np.random.default_rng(0))
-        b = select_ids(intensity, 6, "topk", np.random.default_rng(99))
-        np.testing.assert_array_equal(a, b)
-        counts = np.bincount(a, minlength=4)
-        assert counts[1] == counts.max()
-        assert counts.sum() == 6
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SmcConfig(resample_mode="bogus")
+        # multinomial resampling and the double update are the only modes;
+        # config echoes that name them still load, other values are refused
+        text = config_to_ini(preset("spooky"))
+        old = text.replace("[smc]\n", "[smc]\nresample_mode = multinomial\n").replace(
+            "[experiment]\n", "[experiment]\ndouble_update = true\n"
+        )
+        assert config_from_ini(old) == preset("spooky")
+        for section, line in (
+            ("smc", "resample_mode = systematic"),
+            ("smc", "resample_mode = topk"),
+            ("experiment", "double_update = false"),
+        ):
+            bad = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+            with pytest.raises(ConfigError):
+                config_from_ini(bad)
+
+
+@pytest.mark.parametrize("filter_cls", [PppPhdFilter, DppPhdFilter])
+def test_unexplained_detection_raises_degenerate_intensity(filter_cls):
+    # good-ratio sensor: p_d = 1 and no clutter, so a detection 140 m in
+    # range from every particle has likelihood 0 everywhere and the
+    # corrector divides 0 by 0
+    window = Window(Region(-20.0, 20.0, -20.0, 20.0), -2.0, 2.0, -math.pi, math.pi)
+    sensor = SensorModel(
+        SensorConfig(sigma_range=2.0 * math.sqrt(2.0), sigma_bearing=math.pi,
+                     p_d=1.0, clutter_mean=0.0, window=window)
+    )
+    smc = SmcConfig(n_init=60, resample_per_target=10, birth_per_target=10, cap=100)
+    filt = filter_cls(smc, SurvivalModel(1.0, DynamicsConfig()), BirthScheme(10),
+                      sensor, window, np.random.default_rng(0))
+    with pytest.raises(DegenerateIntensity):
+        filt.step(Scan(1, np.array([[140.0, 0.0]])))
+
+
+@pytest.mark.parametrize("filter_cls", [PppPhdFilter, DppPhdFilter])
+def test_nearly_empty_filter_keeps_its_cloud(filter_cls):
+    # posterior count 0.8 * q_d < 1 gives resample size 0: the predicted
+    # particles stay and carry the posterior intensity
+    sensor = SensorModel(SensorConfig(p_d=0.5, clutter_mean=1.0, window=WINDOW))
+    smc = SmcConfig(n_init=40, gamma0=0.8, alpha=0.0)
+    filt = filter_cls(smc, SurvivalModel(1.0, DynamicsConfig()), BirthScheme(10, mass=0.0),
+                      sensor, WINDOW, np.random.default_rng(0))
+    rec = filt.step(Scan(1, np.zeros((0, 2))))
+    assert rec.gamma == pytest.approx(0.4)
+    particles = rec.particles if filter_cls is PppPhdFilter else rec.state.particles
+    assert len(particles) == 40
