@@ -15,8 +15,9 @@ J = (Id - K)^{-1} K:
   (clamp events are a health diagnostic),
 
 with s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) w_v and D the pairwise
-interaction integral.  Each step ends with a spectral projection so the
-kernel stays a valid correlation kernel.
+interaction integral.  The posterior kernel is projected back onto the valid
+correlation kernels; the prior, birth and rebuilt kernels are valid by
+construction (``smc.banded_kernel``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance
+from .errors import DegenerateIntensity, DegenerateVariance
 from .kernels import (
     CORRELATION,
     DELTA,
@@ -99,7 +100,12 @@ def posterior_moments(
     clutter: np.ndarray,
     q_d: float,
 ) -> tuple[np.ndarray, np.ndarray, UpdateDiagnostics]:
-    """First moment and pair factorial moment of the approximate posterior."""
+    """First moment and pair factorial moment of the approximate posterior.
+
+    Raises DegenerateIntensity when a pair denominator
+    s_c(z) s_c(z') - D(z, z') is not positive (it is 0 when one particle
+    explains two detections with no clutter) or a moment is not finite.
+    """
     w = kernel.grid.weights
     kd = kernel.diagonal
     jd = j.diagonal
@@ -119,10 +125,19 @@ def posterior_moments(
         denom = pair_denominators(jm, like, sc, w)
         inv = np.zeros_like(denom)
         off = ~np.eye(m, dtype=bool)
-        inv[off] = 1.0 / denom[off]
+        if np.any(denom[off] <= 0.0):
+            raise DegenerateIntensity(
+                f"pair denominator reaches {denom[off].min():.3e}; it must be positive"
+            )
+        with np.errstate(over="ignore"):  # an overflow is raised typed below
+            inv[off] = 1.0 / denom[off]
+        if not np.all(np.isfinite(inv)):
+            raise DegenerateIntensity("pair denominator inverse is not finite")
         cross = like.T @ inv @ like
         factor = q_d**2 + q_d * (per_point[:, None] + per_point[None, :]) + cross
         rho = pair_j * factor
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
+        raise DegenerateIntensity("posterior moments are not finite")
     np.fill_diagonal(rho, 0.0)
     return mu, rho, diag
 
@@ -303,13 +318,8 @@ class DppPhdFilter:
         return self.updated(pred, scan)
 
     def rebuilt(self, particles: ParticleSet, gamma: float) -> FilterState:
-        if self.poisson_equivalent:
-            size = len(particles)
-            entries = np.diag(np.full(size, gamma / size))
-            kernel = DiscretizedKernel(particles.grid(), entries, CORRELATION, None)
-        else:
-            kernel = rebuild_kernel(particles, self.smc, gamma)
-        return FilterState(particles, kernel, gamma)
+        # alpha = 0 in poisson_equivalent mode, so this is diagonal there
+        return FilterState(particles, rebuild_kernel(particles, self.smc, gamma), gamma)
 
     def updated(
         self, state: FilterState, scan: Scan

@@ -15,15 +15,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateIntensity
+from .errors import DegenerateIntensity, SpectrumError
 from .kernels import (
     CORRELATION,
+    DELTA,
     DiscretizedKernel,
     GridSpec,
     IndexBand,
     MaskBand,
     band_allowed,
-    project_kernel,
 )
 from .scenario import Scan, Window
 
@@ -62,7 +62,7 @@ class SmcConfig:
     birth_per_target: int = 10       # P_b
     cap: int = 1000                  # hard particle cap
     roughening_scale: float = 0.05   # jitter s.d. fraction of domain extent
-    alpha: float = 4.0               # off-diagonal init coefficient
+    alpha: float = 4.0               # band strength rho = alpha / (1 + alpha)
     band_eta: float = 0.1            # index-band fraction
     gamma0: float = 2.0              # prior intensity at t = 0
 
@@ -99,32 +99,53 @@ def birth_count(scheme: BirthScheme, gamma: float) -> tuple[int, float]:
     return n, mass
 
 
-def banded_block(n: int, diag: float, offdiag: float, eta: float) -> np.ndarray:
-    """diag on the diagonal, offdiag where |i - j| <= eta * n, zero outside."""
+def banded_kernel(
+    points: np.ndarray, gamma: float, alpha: float, eta: float
+) -> DiscretizedKernel:
+    """Correlation kernel of mass gamma on the unit-weight grid of points,
+    feasible by construction.
+
+    K = (gamma/n) [(1 - rho) I + rho F] inside the index band
+    |i - j| <= b = floor(eta * n), zero outside, with the triangular (Fejer)
+    profile F[i, j] = 1 - |i - j| / (b + 1).  F is positive semidefinite for
+    every b (its symbol is the Fejer kernel, nonnegative by Herglotz/Bochner)
+    and its row sums are at most 1 + b, so with
+
+        rho = min(alpha / (1 + alpha), ((1 - DELTA) n / gamma - 1) / b)
+
+    the operator spectrum lies in [0, 1 - DELTA] by Gershgorin.  The
+    diagonal is exactly gamma/n, so the trace is the count gamma, and
+    alpha = 0 gives the diagonal kernel; no eigendecomposition is needed.
+
+    Raises SpectrumError when gamma/n lies outside [0, 1 - DELTA], where no
+    kernel with that diagonal is a valid correlation kernel.
+    """
+    grid = GridSpec.unit(points)
+    n = len(grid)
+    if not 0.0 <= gamma <= (1.0 - DELTA) * n:
+        raise SpectrumError(
+            f"diagonal gamma/n = {gamma / n:.6g} lies outside [0, 1 - delta] (delta={DELTA:g})"
+        )
+    scale = gamma / n
+    b = math.floor(eta * n)
+    profile = np.zeros(n)
+    profile[0] = scale
+    if alpha > 0.0 and b > 0 and gamma > 0.0:
+        rho = min(alpha / (1.0 + alpha), ((1.0 - DELTA) * n / gamma - 1.0) / b)
+        lags = np.arange(1, b + 1)
+        profile[1 : b + 1] = scale * rho * (1.0 - lags / (b + 1))
     idx = np.arange(n)
-    inside = np.abs(idx[:, None] - idx[None, :]) <= eta * n
-    block = np.where(inside, offdiag, 0.0)
-    np.fill_diagonal(block, diag)
-    return block
+    entries = profile[np.abs(idx[:, None] - idx[None, :])]
+    return DiscretizedKernel(grid, entries, CORRELATION, IndexBand(eta))
 
 
 def init_particles(
     cfg: SmcConfig, window: Window, rng: np.random.Generator
 ) -> tuple[ParticleSet, DiscretizedKernel]:
-    """Uniform initial particles plus the projected prior kernel.
-
-    Kernel entries start at gamma0/N on the diagonal and alpha*gamma0/N
-    inside the index band; with alpha > 1 this is far from positive
-    semidefinite, so the spectral projection is part of initialization.
-    """
+    """Uniform initial particles plus the prior kernel at mass gamma0."""
     states = window.sample_states(cfg.n_init, rng)
     particles = ParticleSet(states, np.zeros(cfg.n_init, dtype=np.int8))
-    n = cfg.n_init
-    raw = banded_block(n, cfg.gamma0 / n, cfg.alpha * cfg.gamma0 / n, cfg.band_eta)
-    kernel = project_kernel(
-        raw, particles.grid(), CORRELATION, band=IndexBand(cfg.band_eta)
-    )
-    return particles, kernel
+    return particles, rebuild_kernel(particles, cfg, cfg.gamma0)
 
 
 def roughening_sd(extents: np.ndarray, scale: float, count: int) -> np.ndarray:
@@ -193,10 +214,9 @@ def inject_births(
     """Append uniform birth particles and the birth kernel block.
 
     birth_count(birth, gamma) gives the number N_b and total mass of the
-    births.  The birth block carries diagonal mass/N_b and off-diagonal
-    alpha*mass/N_b inside its own index band; cross-blocks between old and
-    new particles are zero, so the extended spectrum is the union of the two
-    block spectra.  Only the (small) birth block is projected; the
+    births.  The birth block is banded_kernel at that mass on the births'
+    own index band; cross-blocks between old and new particles are zero, so
+    the extended spectrum is the union of the two block spectra and the
     already-valid old block is spliced through untouched.
     """
     n_birth, mass = birth_count(birth, gamma)
@@ -206,11 +226,7 @@ def inject_births(
     states = np.vstack([particles.states, born]) if len(particles) else born
     origin = np.concatenate([particles.origin, np.full(n_birth, BIRTH, dtype=np.int8)])
     merged = ParticleSet(states, origin)
-    alpha, eta = cfg.alpha, cfg.band_eta
-    raw_block = banded_block(n_birth, mass / n_birth, alpha * mass / n_birth, eta)
-    birth_kernel = project_kernel(
-        raw_block, GridSpec.unit(born), CORRELATION, IndexBand(eta) if alpha else None
-    )
+    birth_kernel = banded_kernel(born, mass, cfg.alpha, cfg.band_eta)
     n_old = len(particles)
     n_tot = n_old + n_birth
     extended = np.zeros((n_tot, n_tot))
@@ -219,8 +235,7 @@ def inject_births(
     allowed = np.zeros((n_tot, n_tot), dtype=bool)
     old_allowed = band_allowed(kernel.band, kernel.grid)
     allowed[:n_old, :n_old] = True if old_allowed is None else old_allowed
-    idx = np.arange(n_birth)
-    allowed[n_old:, n_old:] = np.abs(idx[:, None] - idx[None, :]) <= eta * n_birth
+    allowed[n_old:, n_old:] = band_allowed(birth_kernel.band, birth_kernel.grid)
     new_kernel = DiscretizedKernel(merged.grid(), extended, CORRELATION, MaskBand(allowed))
     return merged, new_kernel
 
@@ -228,10 +243,8 @@ def inject_births(
 def rebuild_kernel(
     particles: ParticleSet, cfg: SmcConfig, gamma: float
 ) -> DiscretizedKernel:
-    """Fresh post-resampling kernel: diag gamma/N, banded alpha*gamma/N."""
-    n = len(particles)
-    raw = banded_block(n, gamma / n, cfg.alpha * gamma / n, cfg.band_eta)
-    return project_kernel(raw, particles.grid(), CORRELATION, band=IndexBand(cfg.band_eta))
+    """Fresh kernel of mass gamma on the particles (see banded_kernel)."""
+    return banded_kernel(particles.states, gamma, cfg.alpha, cfg.band_eta)
 
 
 def phd_step(rep, scan: Scan):

@@ -1,4 +1,6 @@
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from dpptrack.dpp_filter import (
     reconstruct_kernel_from_moments,
     s_c,
 )
-from dpptrack.errors import DegenerateVariance
+from dpptrack.errors import DegenerateIntensity, DegenerateVariance
+from dpptrack.harness import preset, run_single
 from dpptrack.kernels import (
     CORRELATION,
     DiscretizedKernel,
@@ -236,6 +239,15 @@ class TestUpdate:
         sc = clutter + like @ jd
         expect = q_d * kd + jd * (like / sc[:, None]).sum(axis=0)
         np.testing.assert_allclose(mu, expect, atol=1e-12)
+
+    def test_zero_pair_denominator_raises_degenerate_intensity(self):
+        # one particle explains both detections and there is no clutter, so
+        # s_c(z) s_c(z') - D(z, z') = J^2 l l' - J^2 l l' is exactly 0
+        grid = GridSpec(np.zeros((1, 2)), np.ones(1))
+        kernel = DiscretizedKernel(grid, np.array([[0.5]]), CORRELATION)
+        like = np.array([[0.3], [0.7]])
+        with pytest.raises(DegenerateIntensity):
+            posterior_moments(kernel, interaction_kernel(kernel), like, np.zeros(2), 0.1)
 
     def test_update_against_exact_oracle_second_order(self):
         obs = abstract_obs()
@@ -468,3 +480,34 @@ def test_filter_steps_keep_kernel_valid():
         rec = filt.step(scan)
         validate_kernel(rec.state.kernel)
         assert len(rec.state.particles) == len(rec.state.kernel)
+
+
+def test_spooky_step_eigh_budget(monkeypatch):
+    # the prior, birth and rebuilt kernels need no eigendecomposition, so a
+    # step is the posterior-diagonal J, the update's J and the projection
+    # (at most max_iter iterations and its closing move)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    per_step = []
+    step = DppPhdFilter.step
+
+    def counted_step(self, scan):
+        before = len(calls)
+        rec = step(self, scan)
+        per_step.append(len(calls) - before)
+        return rec
+
+    monkeypatch.setattr(DppPhdFilter, "step", counted_step)
+    run_single(replace(preset("spooky"), filter="dpp", steps=3), 0)
+    max_iter = inspect.signature(project_kernel).parameters["max_iter"].default
+    assert len(per_step) == 3
+    assert max(per_step) <= max_iter + 3

@@ -240,12 +240,12 @@ class TestProjectKernel:
         assert np.all(out.entries[outside] == 0.0)
 
     def test_hard_banded_case_feasible(self):
-        # the alpha=4 initialization pattern, far from PSD
-        from dpptrack.smc import banded_block
-
+        # diagonal 2/n and 8/n inside the index band: far from PSD
         n = 120
         grid = unit_grid(n)
-        raw = banded_block(n, 2.0 / n, 8.0 / n, 0.1)
+        idx = np.arange(n)
+        raw = np.where(np.abs(idx[:, None] - idx[None, :]) <= 0.1 * n, 8.0 / n, 0.0)
+        np.fill_diagonal(raw, 2.0 / n)
         out = project_kernel(raw, grid, CORRELATION, band=IndexBand(0.1))
         validate_kernel(out)
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpptrack.dpp_filter import DppPhdFilter
-from dpptrack.errors import ConfigError, DegenerateIntensity
+from dpptrack.errors import ConfigError, DegenerateIntensity, SpectrumError
 from dpptrack.harness import config_from_ini, config_to_ini, preset
-from dpptrack.kernels import IndexBand, band_allowed, validate_kernel
+from dpptrack.kernels import DELTA, IndexBand, band_allowed, validate_kernel
 from dpptrack.likelihood import SensorModel
 from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel
 from dpptrack.scenario import DynamicsConfig, Region, Scan, SensorConfig, Window
@@ -14,7 +16,7 @@ from dpptrack.smc import (
     BirthScheme,
     ParticleSet,
     SmcConfig,
-    banded_block,
+    banded_kernel,
     init_particles,
     inject_births,
     rebuild_kernel,
@@ -31,13 +33,17 @@ def particles_of(states):
 
 
 class TestInit:
-    def test_paper_initialization_values_before_projection(self):
-        # N=800, gamma0=2, alpha=4, eta=0.1: diagonal 0.0025, banded 0.01
-        block = banded_block(800, 2.0 / 800, 4 * 2.0 / 800, 0.1)
-        assert block[0, 0] == pytest.approx(0.0025)
-        assert block[0, 1] == pytest.approx(0.01)
-        assert block[0, 80] == pytest.approx(0.01)
-        assert block[0, 81] == 0.0
+    def test_paper_initialization_values(self):
+        # N=800, gamma0=2, alpha=4, eta=0.1: diagonal 0.0025, band 80 and
+        # rho = 4/5, so lag 1 is 0.0025 * 0.8 * 80/81 and lag 81 is outside
+        cfg = SmcConfig(n_init=800, gamma0=2.0, alpha=4.0, band_eta=0.1)
+        _, kernel = init_particles(cfg, WINDOW, np.random.default_rng(0))
+        k = kernel.entries
+        assert np.all(np.diag(k) == 0.0025)
+        assert k[0, 1] == pytest.approx(0.0025 * 0.8 * 80 / 81, rel=1e-14)
+        assert k[0, 80] == pytest.approx(0.0025 * 0.8 / 81, rel=1e-14)
+        assert k[0, 81] == 0.0
+        assert np.trace(k) == pytest.approx(2.0, rel=1e-12)
 
     def test_init_projected_kernel_is_valid(self):
         cfg = SmcConfig(n_init=120, gamma0=2.0, alpha=4.0, band_eta=0.1)
@@ -184,6 +190,75 @@ class TestInjectBirths:
             np.random.default_rng(5),
         )
         assert len(p) == len(k)
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=1000))
+    # gamma/n has to be a normal float for the trace to keep 12 digits
+    gamma = draw(st.just(0.0) | st.floats(min_value=1e-300, max_value=(1.0 - DELTA) * n))
+    alpha = draw(st.floats(min_value=0.0, max_value=10.0))
+    eta = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    return n, gamma, alpha, eta
+
+
+class TestBandedKernel:
+    @given(kernel_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_feasible_by_construction(self, inputs):
+        n, gamma, alpha, eta = inputs
+        kernel = banded_kernel(np.zeros((n, 5)), gamma, alpha, eta)
+        k = kernel.entries
+        assert np.array_equal(k, k.T)
+        assert np.all(np.diag(k) == gamma / n)
+        assert math.isclose(np.trace(k), gamma, rel_tol=1e-12, abs_tol=0.0)
+        assert kernel.band == IndexBand(eta)
+        assert np.all(k[~band_allowed(IndexBand(eta), kernel.grid)] == 0.0)
+        validate_kernel(kernel)
+
+    @given(
+        st.integers(min_value=1, max_value=1000),
+        st.floats(min_value=1e-9, max_value=10.0),
+        st.floats(min_value=0.0, max_value=10.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_diagonal_above_one_minus_delta_raises(self, n, excess, alpha):
+        with pytest.raises(SpectrumError):
+            banded_kernel(np.zeros((n, 5)), (1.0 - DELTA) * n * (1.0 + excess), alpha, 0.1)
+
+    def test_largest_mass_is_accepted(self):
+        # (1 - DELTA) * n / n can round above 1 - DELTA; the bound is on gamma
+        for n in range(1, 60):
+            validate_kernel(banded_kernel(np.zeros((n, 5)), (1.0 - DELTA) * n, 4.0, 0.1))
+
+    def test_zero_mass_gives_zero_block(self):
+        kernel = banded_kernel(np.zeros((30, 5)), 0.0, 4.0, 0.1)
+        assert np.all(kernel.entries == 0.0)
+
+    def test_gershgorin_cap_keeps_heavy_kernels_feasible(self):
+        # gamma/n = 0.8 with rho = 0.8 would put the row sums far above 1
+        kernel = banded_kernel(np.zeros((300, 5)), 240.0, 4.0, 0.1)
+        validate_kernel(kernel)
+        assert np.trace(kernel.entries) == pytest.approx(240.0, rel=1e-12)
+
+
+def test_kernel_constructors_make_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition called")
+
+    cfg = SmcConfig(n_init=300, birth_per_target=10, gamma0=2.0, alpha=4.0, band_eta=0.1)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    particles, kernel = init_particles(cfg, WINDOW, np.random.default_rng(0))
+    particles, kernel = inject_births(
+        particles, kernel, cfg, BirthScheme(cfg.birth_per_target), 3.0, WINDOW,
+        np.random.default_rng(1),
+    )
+    rebuilt = rebuild_kernel(particles, cfg, 6.5)
+    monkeypatch.undo()
+    assert len(kernel) == 330
+    validate_kernel(kernel)
+    validate_kernel(rebuilt)
 
 
 def test_rebuild_kernel_valid_and_banded():
