@@ -15,9 +15,11 @@ J = (Id - K)^{-1} K:
   (clamp events are a health diagnostic),
 
 with s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) w_v and D the pairwise
-interaction integral.  The posterior kernel is projected back onto the valid
-correlation kernels; the prior, birth and rebuilt kernels are valid by
-construction (``smc.banded_kernel``).
+interaction integral.  The posterior kernel keeps mu as its diagonal; its
+off-diagonal is scaled by the largest factor that keeps the spectrum in
+[0, 1 - delta], and a diagonal above 1 - delta is clipped there
+(``kernels.shrink_to_feasible``).  The prior, birth and rebuilt kernels are
+valid by construction (``smc.banded_kernel``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .kernels import (
     GridSpec,
     cross_covariance,
     interaction_kernel,
-    project_kernel,
+    shrink_to_feasible,
 )
 from .likelihood import SensorModel
 from .ppp_filter import SurvivalModel, poisson_weight_update
@@ -72,6 +74,8 @@ class FilterState:
 class UpdateDiagnostics:
     clamp_events: int = 0
     offdiag_entries: int = 0
+    offdiag_scale: float = 1.0  # t of shrink_to_feasible; 1 leaves the off-diagonal as it is
+    clipped_mass: float = 0.0  # posterior diagonal mass clipped at 1 - delta
 
 
 def s_c(
@@ -110,7 +114,6 @@ def posterior_moments(
     kd = kernel.diagonal
     jd = j.diagonal
     jm = j.entries
-    n = len(kernel)
     diag = UpdateDiagnostics()
     pair_j = np.outer(jd, jd) - jm**2
     np.clip(pair_j, 0.0, None, out=pair_j)  # PSD minors; negatives are roundoff
@@ -169,7 +172,12 @@ def dpp_update(
     delta: float = DELTA,
     poisson_equivalent: bool = False,
 ) -> tuple[FilterState, UpdateDiagnostics]:
-    """One measurement update; returns the projected posterior state.
+    """One measurement update; returns the posterior state.
+
+    The posterior kernel has the posterior intensity mu as its diagonal
+    (clipped at 1 - delta), so its trace is the posterior count; its
+    off-diagonal is scaled into the valid kernels by ``shrink_to_feasible``,
+    whose scale and clipped mass are recorded in the diagnostics.
 
     With ``poisson_equivalent`` the interaction transform is the identity
     (J := K, exact in the vanishing-interaction limit) and the diagonal is
@@ -191,8 +199,8 @@ def dpp_update(
         j = interaction_kernel(state.kernel, delta)
         mu, rho, diag = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
         entries = posterior_kernel_entries(mu, rho, diag)
-        new_kernel = project_kernel(
-            entries, state.kernel.grid, CORRELATION, state.kernel.band, delta
+        new_kernel, diag.offdiag_scale, diag.clipped_mass = shrink_to_feasible(
+            entries, state.kernel.grid, state.kernel.band, delta
         )
     gamma = float(np.sum(new_kernel.diagonal * new_kernel.grid.weights))
     return FilterState(state.particles, new_kernel, gamma), diag
@@ -456,7 +464,8 @@ def prediction_moments(
 def reconstruct_kernel_from_moments(
     mu: np.ndarray, rho: np.ndarray, grid: GridSpec, delta: float = DELTA
 ) -> DiscretizedKernel:
-    """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho), projected."""
+    """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho), made
+    valid by the filter's own map, ``shrink_to_feasible``."""
     diag = UpdateDiagnostics()
     entries = posterior_kernel_entries(np.asarray(mu, dtype=float), rho, diag)
-    return project_kernel(entries, grid, CORRELATION, None, delta)
+    return shrink_to_feasible(entries, grid, None, delta)[0]

@@ -92,6 +92,9 @@ class RunRecord:
     clamp_events: int = 0
     offdiag_entries: int = 0
     wall_seconds: float = 0.0
+    dpp_updates: int = 0
+    offdiag_scale_sum: float = 0.0
+    clipped_mass: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +402,12 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
         for name, filt in filters.items():
             step_rec = filt.step(scan)
             if name == "dpp":
-                rec.clamp_events += step_rec.diagnostics.clamp_events
-                rec.offdiag_entries += step_rec.diagnostics.offdiag_entries
+                diag = step_rec.diagnostics
+                rec.clamp_events += diag.clamp_events
+                rec.offdiag_entries += diag.offdiag_entries
+                rec.dpp_updates += 1
+                rec.offdiag_scale_sum += diag.offdiag_scale
+                rec.clipped_mass += diag.clipped_mass
                 intensity = step_rec.state.kernel.diagonal * step_rec.state.kernel.grid.weights
                 positions = step_rec.state.particles.positions
             else:
@@ -486,6 +493,8 @@ class ExperimentResult:
     offdiag_entries: int
     wall_seconds: float
     out_dir: Optional[Path]
+    offdiag_scale_mean: Optional[float] = None  # None: no DPP update ran
+    clipped_mass: float = 0.0
 
 
 # (set, get) thread-count entry points of the OpenBLAS builds numpy and
@@ -575,13 +584,18 @@ def run_experiment(
         else:
             records = [run_single(cfg, r) for r in runs]
     rows = []
-    clamps = off = 0
+    clamps = off = updates = 0
+    scale_sum = clipped = 0.0
     for r in records:
         rows.extend(r.rows)
         clamps += r.clamp_events
         off += r.offdiag_entries
+        updates += r.dpp_updates
+        scale_sum += r.offdiag_scale_sum
+        clipped += r.clipped_mass
     wall = time.perf_counter() - t0
-    result = ExperimentResult(cfg, rows, clamps, off, wall, None)
+    scale_mean = scale_sum / updates if updates else None
+    result = ExperimentResult(cfg, rows, clamps, off, wall, None, scale_mean, clipped)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -654,6 +668,9 @@ def _write_meta(path, result: ExperimentResult) -> None:
         fh.write(f"scale notes = {cfg.notes}\n")
         fh.write(f"sqrt clamp events = {result.clamp_events}\n")
         fh.write(f"offdiag entries updated = {result.offdiag_entries}\n")
+        scale = result.offdiag_scale_mean
+        fh.write(f"mean offdiag scale = {'n/a' if scale is None else f'{scale:.6f}'}\n")
+        fh.write(f"clipped diagonal mass = {result.clipped_mass:.6g}\n")
         fh.write(f"wall seconds = {result.wall_seconds:.3f}\n")
         fh.write(f"openblas libraries pinned = {len(_blas_thread_controls())}\n")
         fh.write("\n# config echo\n")

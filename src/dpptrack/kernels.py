@@ -393,6 +393,63 @@ def project_kernel(
     return DiscretizedKernel(grid, m, kind, band)
 
 
+def shrink_to_feasible(
+    entries: np.ndarray, grid: GridSpec, band: Band = None, delta: float = DELTA
+) -> tuple[DiscretizedKernel, float, float]:
+    """Make a symmetric matrix a valid correlation kernel by scaling its
+    off-diagonal part and leaving its diagonal alone.
+
+    In the symmetrized operator S = W^{1/2} M W^{1/2}, with the band applied,
+    split S into its diagonal D and off-diagonal O.  D is clipped into
+    [0, 1 - delta], and O loses the rows and columns of every point whose
+    diagonal was clipped or sits on a bound.  On the other points D + tO is
+    positive semidefinite iff t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and has
+    spectrum at most 1 - delta iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
+    with E = (1 - delta) I - D, so the largest such t in [0, 1] is taken: two
+    eigvalsh calls and no iteration.  The weights cancel in both matrices, so
+    they are formed from the kernel entries directly.
+
+    The diagonal is kept bit for bit wherever its operator value lies in
+    [0, 1 - delta], so the trace is the input's; a feasible input comes back
+    unchanged.  Returns the kernel, the off-diagonal scale t and the diagonal
+    mass the clip removed, sum_i w_i (M_ii - K_ii).
+    """
+    m = np.asarray(entries, dtype=float)
+    m = 0.5 * (m + m.T)
+    allowed = band_allowed(band, grid)
+    if allowed is not None:
+        m = np.where(allowed, m, 0.0)
+    _sqrt_weights(grid)  # the operator needs strictly positive weights
+    mu = np.diag(m)
+    cap = (1.0 - delta) / grid.weights  # kernel diagonal of operator value 1 - delta
+    diagonal = np.clip(mu, 0.0, cap)
+    clipped_mass = float(np.sum((mu - diagonal) * grid.weights))
+    off = m.copy()
+    np.fill_diagonal(off, 0.0)
+    free = (mu > 0.0) & (mu < cap)
+    off[~free, :] = 0.0
+    off[:, ~free] = 0.0
+    t = 1.0
+    if np.any(off):
+        sub = off[np.ix_(free, free)]
+        root_d = np.sqrt(mu[free])
+        root_e = np.sqrt(cap[free] - mu[free])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = sub / root_d[:, None] / root_d[None, :]
+            b = sub / root_e[:, None] / root_e[None, :]
+        if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+            lowest = float(np.linalg.eigvalsh(a)[0])
+            highest = float(np.linalg.eigvalsh(b)[-1])
+            if lowest < 0.0:
+                t = min(t, -1.0 / lowest)
+            if highest > 0.0:
+                t = min(t, 1.0 / highest)
+        else:
+            t = 0.0  # a diagonal too close to a bound to scale against
+    out = t * off + np.diag(diagonal)
+    return DiscretizedKernel(grid, out, CORRELATION, band), t, clipped_mass
+
+
 def validate_kernel(kernel: DiscretizedKernel, delta: float = DELTA, tol: float = 1e-9) -> None:
     """Raise if any DiscretizedKernel invariant fails (used by test rigs)."""
     m = kernel.entries

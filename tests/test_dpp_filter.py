@@ -1,4 +1,3 @@
-import inspect
 import math
 from dataclasses import replace
 
@@ -25,6 +24,7 @@ from dpptrack.errors import DegenerateIntensity, DegenerateVariance
 from dpptrack.harness import preset, run_single
 from dpptrack.kernels import (
     CORRELATION,
+    DELTA,
     DiscretizedKernel,
     GridSpec,
     interaction_kernel,
@@ -48,7 +48,7 @@ from dpptrack.scenario import (
     Window,
     generate_scan,
 )
-from dpptrack.smc import ParticleSet, SmcConfig
+from dpptrack.smc import ParticleSet, SmcConfig, banded_kernel
 
 WINDOW = Window(Region(-100.0, 100.0, -100.0, 100.0))
 QUIET = DynamicsConfig(sigma_vx=0.0, sigma_vy=0.0, sigma_vtheta=0.0)
@@ -301,6 +301,53 @@ class TestUpdate:
             out, _ = dpp_update(st, scan, sensor)
             validate_kernel(out.kernel)
 
+    def test_posterior_trace_is_posterior_count(self):
+        # the posterior kernel keeps mu as its diagonal, so its trace is the
+        # posterior count sum(mu) whenever no mu reaches 1 - delta
+        sensor = self.sensor(clutter=4.0)
+        rng = np.random.default_rng(14)
+        for trial in range(4):
+            points = rng.uniform(-60, 60, (120, 5))
+            kernel = banded_kernel(points, 3.0, 4.0, 0.1)
+            st = FilterState(particles_of(points), kernel, 3.0)
+            truth = points[rng.choice(120, 3, replace=False)]
+            scan = generate_scan(truth, [0, 1, 2], sensor.cfg, frozenset(), rng, time=trial)
+            like = sensor.tilde_matrix(scan.detections, points)
+            clutter = sensor.clutter_density(scan.detections)
+            j = interaction_kernel(kernel)
+            mu, _, _ = posterior_moments(kernel, j, like, clutter, sensor.q_d)
+            assert mu.max() <= 1.0 - DELTA
+            out, diag = dpp_update(st, scan, sensor)
+            count = float(np.sum(mu))
+            assert out.gamma == pytest.approx(count, rel=1e-12)
+            assert float(np.trace(out.kernel.entries)) == pytest.approx(count, rel=1e-12)
+            assert diag.clipped_mass == 0.0
+            assert 0.0 <= diag.offdiag_scale <= 1.0
+
+    def test_posterior_diagonal_above_ceiling_is_clipped(self):
+        # a posterior intensity above 1 - delta (seen on the death preset)
+        # is clipped there, and its point loses its off-diagonal entries
+        st = small_state(seed=15, scale=0.3)
+        sensor = self.sensor(clutter=0.01, sigma_range=0.5)
+        target = st.particles.states[:1]
+        scan = generate_scan(target, [0], replace(sensor.cfg, p_d=1.0), frozenset(),
+                             np.random.default_rng(5), time=0)
+        like = sensor.tilde_matrix(scan.detections, st.particles.states)
+        clutter = sensor.clutter_density(scan.detections)
+        j = interaction_kernel(st.kernel)
+        mu, _, _ = posterior_moments(st.kernel, j, like, clutter, sensor.q_d)
+        out, diag = dpp_update(st, scan, sensor)
+        over = mu > 1.0 - DELTA
+        assert over.any()
+        assert np.all(out.kernel.diagonal[over] == 1.0 - DELTA)
+        np.testing.assert_array_equal(out.kernel.diagonal[~over], mu[~over])
+        off = out.kernel.entries.copy()
+        np.fill_diagonal(off, 0.0)
+        assert np.all(off[over] == 0.0)
+        assert diag.clipped_mass == pytest.approx(float(np.sum(mu[over] - (1.0 - DELTA))))
+        assert out.gamma == pytest.approx(float(np.sum(mu)) - diag.clipped_mass, rel=1e-12)
+        validate_kernel(out.kernel)
+
     def test_posterior_diagonal_matches_full_update_before_projection(self):
         st = small_state(seed=12, scale=0.04)
         sensor = self.sensor()
@@ -484,8 +531,8 @@ def test_filter_steps_keep_kernel_valid():
 
 def test_spooky_step_eigh_budget(monkeypatch):
     # the prior, birth and rebuilt kernels need no eigendecomposition, so a
-    # step is the posterior-diagonal J, the update's J and the projection
-    # (at most max_iter iterations and its closing move)
+    # step is the posterior-diagonal J, the update's J and the two eigvalsh
+    # calls of shrink_to_feasible
     calls = []
 
     def counted(fn):
@@ -508,6 +555,5 @@ def test_spooky_step_eigh_budget(monkeypatch):
 
     monkeypatch.setattr(DppPhdFilter, "step", counted_step)
     run_single(replace(preset("spooky"), filter="dpp", steps=3), 0)
-    max_iter = inspect.signature(project_kernel).parameters["max_iter"].default
     assert len(per_step) == 3
-    assert max(per_step) <= max_iter + 3
+    assert max(per_step) <= 4

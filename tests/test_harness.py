@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dpptrack.cli import main as cli_main
+from dpptrack.dpp_filter import DppPhdFilter
 from dpptrack.errors import ConfigError, UnknownPreset
 from dpptrack.harness import (
     ExperimentConfig,
@@ -119,6 +120,29 @@ class TestRunExperiment:
         assert "build id" in meta and "seed = 99" in meta
         # 0 would mean BLAS ran unpinned: no OpenBLAS thread control was found
         assert f"openblas libraries pinned = {len(blas_thread_counts())}\n" in meta
+        # no DPP update ran, so there is no off-diagonal scale to average
+        assert "mean offdiag scale = n/a\n" in meta
+        assert "clipped diagonal mass = 0\n" in meta
+
+    def test_meta_aggregates_the_posterior_map(self, tmp_path, monkeypatch):
+        scales, clipped = [], []
+        step = DppPhdFilter.step
+
+        def recorded_step(self, scan):
+            rec = step(self, scan)
+            scales.append(rec.diagnostics.offdiag_scale)
+            clipped.append(rec.diagnostics.clipped_mass)
+            return rec
+
+        monkeypatch.setattr(DppPhdFilter, "step", recorded_step)
+        res = run_experiment(tiny_config("dpp"), out_dir=tmp_path / "out")
+        assert len(scales) == 2 * 3
+        assert all(0.0 <= t <= 1.0 for t in scales)
+        assert res.offdiag_scale_mean == pytest.approx(float(np.mean(scales)), rel=1e-12)
+        assert res.clipped_mass == pytest.approx(sum(clipped), abs=1e-15)
+        meta = (tmp_path / "out" / "meta.txt").read_text()
+        assert f"mean offdiag scale = {res.offdiag_scale_mean:.6f}\n" in meta
+        assert f"clipped diagonal mass = {res.clipped_mass:.6g}\n" in meta
 
     @pytest.mark.parametrize(
         "cfg",

@@ -7,10 +7,13 @@ from dpptrack.errors import SpectrumError
 from dpptrack.kernels import (
     CORRELATION,
     INTERACTION,
+    DELTA,
     DiscretizedKernel,
     GridSpec,
     IndexBand,
+    MaskBand,
     SpatialBand,
+    band_allowed,
     all_subset_masses,
     correlation_from_interaction,
     cross_covariance,
@@ -19,6 +22,7 @@ from dpptrack.kernels import (
     janossy_density_dpp,
     operator_spectrum,
     project_kernel,
+    shrink_to_feasible,
     validate_kernel,
 )
 
@@ -254,6 +258,92 @@ class TestProjectKernel:
         m = np.diag([5.0, 0.1, 2.0])
         out = project_kernel(m, grid, INTERACTION)
         np.testing.assert_allclose(out.entries, m, atol=1e-12)
+
+
+@st.composite
+def shrink_inputs(draw):
+    """A symmetric matrix (diagonal in [-0.2, 1.5], off-diagonal scale up to
+    2), a grid with unit or random weights and a band of each kind."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    weights = np.ones(n) if draw(st.booleans()) else rng.uniform(0.5, 2.0, n)
+    grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
+    off = rng.standard_normal((n, n)) * draw(st.floats(min_value=0.0, max_value=2.0))
+    m = 0.5 * (off + off.T)
+    np.fill_diagonal(m, rng.uniform(-0.2, 1.5, n))
+    kind = draw(st.sampled_from(("none", "index", "mask")))
+    if kind == "index":
+        band = IndexBand(draw(st.floats(min_value=0.05, max_value=1.0)))
+    elif kind == "mask":
+        mask = rng.random((n, n)) < 0.5
+        band = MaskBand(mask | mask.T)
+    else:
+        band = None
+    return m, grid, band
+
+
+class TestShrinkToFeasible:
+    @given(shrink_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_valid_banded_and_diagonal_kept(self, case):
+        m, grid, band = case
+        out, t, clipped = shrink_to_feasible(m, grid, band)
+        validate_kernel(out)
+        assert 0.0 <= t <= 1.0
+        allowed = band_allowed(band, grid)
+        if allowed is not None:
+            assert np.all(out.entries[~allowed] == 0.0)
+        mu = np.diag(m)
+        cap = (1.0 - DELTA) / grid.weights
+        inside = (mu >= 0.0) & (mu <= cap)
+        np.testing.assert_array_equal(out.diagonal[inside], mu[inside])
+        # points clipped to (or sitting on) a bound keep no off-diagonal entry
+        off = out.entries.copy()
+        np.fill_diagonal(off, 0.0)
+        assert np.all(off[~((mu > 0.0) & (mu < cap))] == 0.0)
+        assert clipped == pytest.approx(float(np.sum((mu - out.diagonal) * grid.weights)))
+
+    @given(shrink_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_feasible_input_is_a_fixed_point(self, case):
+        m, grid, band = case
+        once = shrink_to_feasible(m, grid, band)[0]
+        # shrink the valid output's spectrum into [0.1, 0.6]: strictly feasible
+        inner = 0.5 * once.entries + np.diag(0.1 / grid.weights)
+        out, t, clipped = shrink_to_feasible(inner, grid, band)
+        assert t == 1.0 and clipped == 0.0
+        np.testing.assert_array_equal(out.entries, inner)
+
+    def test_two_point_scale_closed_form(self):
+        # diagonal (a, a), off-diagonal c: D + tO is PSD up to t = a/c and
+        # below 1 - delta up to t = (1 - delta - a)/c
+        grid = unit_grid(2)
+        out, t, clipped = shrink_to_feasible(np.array([[0.5, 0.8], [0.8, 0.5]]), grid)
+        assert t == pytest.approx((1.0 - DELTA - 0.5) / 0.8, rel=1e-12)
+        assert out.entries[0, 1] == pytest.approx(1.0 - DELTA - 0.5, rel=1e-12)
+        np.testing.assert_array_equal(out.diagonal, [0.5, 0.5])
+        assert clipped == 0.0
+        out, t, _ = shrink_to_feasible(np.array([[0.2, 0.8], [0.8, 0.45]]), grid)
+        assert t == pytest.approx(0.3 / 0.8, rel=1e-12)  # sqrt(0.2 * 0.45) / 0.8
+
+    def test_diagonal_above_ceiling_clipped(self):
+        grid = unit_grid(3)
+        m = np.array([[1.06, 0.1, 0.05], [0.1, 0.3, 0.02], [0.05, 0.02, 0.2]])
+        out, t, clipped = shrink_to_feasible(m, grid)
+        np.testing.assert_array_equal(out.diagonal, [1.0 - DELTA, 0.3, 0.2])
+        assert out.entries[0, 1] == out.entries[0, 2] == 0.0
+        assert t == 1.0 and out.entries[1, 2] == 0.02
+        assert clipped == pytest.approx(1.06 - (1.0 - DELTA), rel=1e-12)
+
+    def test_no_eigendecomposition_for_diagonal_input(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("eigendecomposition of a diagonal kernel")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        out, t, _ = shrink_to_feasible(np.diag([0.2, 0.4, 0.0]), unit_grid(3))
+        np.testing.assert_array_equal(out.diagonal, [0.2, 0.4, 0.0])
+        assert t == 1.0
 
 
 class TestBands:
