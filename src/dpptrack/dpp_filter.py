@@ -40,7 +40,7 @@ from .kernels import (
     shrink_to_feasible,
 )
 from .likelihood import SensorModel
-from .ppp_filter import SurvivalModel, poisson_weight_update
+from .ppp_filter import SurvivalModel, corrector_denominators, poisson_weight_update
 from .scenario import Region, Scan, Window, step_dynamics
 from .smc import (
     BirthScheme,
@@ -84,8 +84,11 @@ def s_c(
     clutter: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Clutter-plus-detected-interaction denominators, one per measurement."""
-    return clutter + like @ (j_diagonal * weights)
+    """Clutter-plus-detected-interaction denominators, one per measurement.
+
+    Raises DegenerateIntensity when one is 0 (see corrector_denominators).
+    """
+    return corrector_denominators(clutter, like, j_diagonal * weights)
 
 
 def pair_denominators(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateIntensity
 from .likelihood import SensorModel
 from .scenario import DynamicsConfig, Scan, Window, step_dynamics
 from .smc import BirthScheme, ParticleSet, SmcConfig, birth_count, phd_step
@@ -79,17 +80,38 @@ def ppp_predict(
     return WeightedParticles(states, weights)
 
 
+def corrector_denominators(
+    clutter: np.ndarray, like: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """l_c(z) + sum_u l~_d(z|x_u) w_u, one per detection.
+
+    Raises DegenerateIntensity when one is 0: nothing explains that
+    detection (no clutter there and zero likelihood under every weighted
+    particle), so the corrector would divide 0 by 0 and every particle's
+    posterior weight would be NaN or inf.
+    """
+    denom = clutter + like @ weights
+    unexplained = np.flatnonzero(denom == 0.0)
+    if unexplained.size:
+        raise DegenerateIntensity(
+            f"detection {unexplained[0]} has zero clutter density and zero"
+            " likelihood under every weighted particle"
+        )
+    return denom
+
+
 def poisson_weight_update(
     weights: np.ndarray, like: np.ndarray, clutter: np.ndarray, q_d: float
 ) -> np.ndarray:
     """Classical PHD corrector.
 
     w_i <- w_i * (q_d + sum_z l~_d(z|x_i) / (l_c(z) + sum_u l~_d(z|x_u) w_u)).
+    Raises DegenerateIntensity when a denominator is 0.
     """
     weights = np.asarray(weights, dtype=float)
     if like.shape[0] == 0:
         return weights * q_d
-    denom = clutter + like @ weights
+    denom = corrector_denominators(clutter, like, weights)
     corrector = q_d + (like / denom[:, None]).sum(axis=0)
     return weights * corrector
 

@@ -364,7 +364,7 @@ def test_criterion_7_kernel_invariants():
 
 def test_criterion_8_metric_correctness():
     t0 = time.perf_counter()
-    from test_metrics import brute_ospa, lcm_omat
+    from test_metrics import brute_ospa, lp_omat
 
     rng = np.random.default_rng(88)
     worst = 0.0
@@ -376,7 +376,7 @@ def test_criterion_8_metric_correctness():
         c = float(rng.uniform(10, 100))
         worst = max(worst, abs(ospa(x, y, c, 2.0) - brute_ospa(x, y, c, 2.0)))
         if n and m:
-            worst = max(worst, abs(omat(x, y) - lcm_omat(x, y, 2.0)))
+            worst = max(worst, abs(omat(x, y) - lp_omat(x, y, 2.0)))
     axiom_ok = True
     for _ in range(1000):
         a = rng.uniform(-20, 20, (int(rng.integers(1, 6)), 2))

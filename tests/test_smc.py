@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,8 +303,10 @@ def test_unexplained_detection_raises_degenerate_intensity(filter_cls):
     smc = SmcConfig(n_init=60, resample_per_target=10, birth_per_target=10, cap=100)
     filt = filter_cls(smc, SurvivalModel(1.0, DynamicsConfig()), BirthScheme(10),
                       sensor, window, np.random.default_rng(0))
-    with pytest.raises(DegenerateIntensity):
-        filt.step(Scan(1, np.array([[140.0, 0.0]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no 0/0 before the raise
+        with pytest.raises(DegenerateIntensity, match="detection 0"):
+            filt.step(Scan(1, np.array([[140.0, 0.0]])))
 
 
 @pytest.mark.parametrize("filter_cls", [PppPhdFilter, DppPhdFilter])
