@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import CORRELATION, GridSpec, project_kernel
+from .kernels import (
+    CORRELATION,
+    DELTA,
+    GridSpec,
+    interaction_kernel,
+    project_kernel,
+    shrink_to_feasible,
+)
 from .oracle import (
     FiniteProcess,
     ObservationModel,
@@ -111,10 +118,48 @@ def check_dpp_normalization(tol: float = 1e-8) -> tuple[bool, str]:
     return abs(total - 1.0) < tol, f"dpp janossy normalization: total mass {total:.12f}"
 
 
+def spectral_interaction(kernel) -> np.ndarray:
+    """J by its spectral definition, the reference for the Cholesky
+    transform: S = U diag(lam) U^T and J_S = U diag(lam / (1 - lam)) U^T."""
+    rw = np.sqrt(kernel.grid.weights)
+    lam, u = np.linalg.eigh(kernel.entries * rw[:, None] * rw[None, :])
+    return (u * (lam / (1.0 - lam))) @ u.T / rw[:, None] / rw[None, :]
+
+
+def ceiling_bound_kernel(rng: np.random.Generator, n: int, band=None):
+    """A ``shrink_to_feasible`` output on a weighted n-point grid whose
+    spectrum sits at the 1 - delta ceiling.  The diagonal is 0.6-0.99 of the
+    cap and the off-diagonal entries are at least 1, so the Perron root of
+    E^-1/2 O E^-1/2 exceeds 1 and the one of D^-1/2 O D^-1/2: the ceiling
+    sets the off-diagonal scale t < 1, which is returned with the kernel."""
+    weights = rng.uniform(0.5, 2.0, n)
+    grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
+    raw = rng.uniform(1.0, 2.0, (n, n))
+    raw = 0.5 * (raw + raw.T)
+    np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
+    kernel, t, _ = shrink_to_feasible(raw, grid, band)
+    return kernel, t
+
+
+def check_interaction_transform(rtol: float = 1e-10) -> tuple[bool, str]:
+    """J = (Id - K)^{-1} K by Cholesky against its spectral definition, on a
+    weighted kernel whose spectrum sits at the 1 - delta ceiling: the case
+    where the LAPACK build's rounding matters most."""
+    kernel, _ = ceiling_bound_kernel(np.random.default_rng(5), 60)
+    spectral = spectral_interaction(kernel)
+    err = float(np.abs(interaction_kernel(kernel).entries - spectral).max())
+    scale = float(np.abs(spectral).max())
+    return err <= rtol * scale, (
+        f"interaction transform: max |J - J_spectral| {err / scale:.2e} of max |J| "
+        f"(tol {rtol:g})"
+    )
+
+
 ALL_CHECKS = (
     check_poisson_reduction,
     check_oracle_equivalence,
     check_dpp_normalization,
+    check_interaction_transform,
 )
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import SpectrumError
 
@@ -133,8 +134,9 @@ class DiscretizedKernel:
     """Symmetric kernel matrix over a weighted grid.
 
     Cheap structural invariants (symmetry, band zeros) are enforced at
-    construction; spectral invariants are checked by :func:`validate_kernel`
-    or restored by :func:`project_kernel`.
+    construction; spectral invariants are checked by :func:`validate_kernel`.
+    Kernels are built valid (``smc.banded_kernel``) or made valid by
+    :func:`shrink_to_feasible`.
     """
 
     grid: GridSpec
@@ -187,47 +189,75 @@ def operator_spectrum(kernel: DiscretizedKernel) -> np.ndarray:
     return np.linalg.eigvalsh(operator_matrix(kernel))
 
 
-def _spectral_transform(kernel, fn, out_kind, delta=DELTA):
-    rw = _sqrt_weights(kernel.grid)
-    s = kernel.entries * rw[:, None] * rw[None, :]
-    lam, u = np.linalg.eigh(s)
-    if lam.max(initial=0.0) > 1.0 - delta + 1e-12:
-        raise SpectrumError(
-            f"correlation spectrum reaches {lam.max():.6g} >= 1 - delta "
-            f"(delta={delta:g}); project the kernel first"
-        )
-    lam = np.clip(lam, 0.0, None)  # roundoff guard; material negativity is a projection bug
-    t = (u * fn(lam)) @ u.T
-    entries = t / rw[:, None] / rw[None, :]
-    entries = 0.5 * (entries + entries.T)
-    return DiscretizedKernel(kernel.grid, entries, out_kind, band=None)
+def _spd_inverse(a: np.ndarray) -> Optional[np.ndarray]:
+    """Inverse of a symmetric positive definite matrix from its Cholesky
+    factor (LAPACK dpotrf, then dpotri), or None if ``a`` has no Cholesky
+    factor.  ``a`` must be nonempty: LAPACK rejects a 0 x 0 matrix."""
+    factor, info = lapack.dpotrf(a, lower=False, clean=True)
+    if info > 0:
+        return None
+    if info == 0:
+        inv, info = lapack.dpotri(factor, lower=False, overwrite_c=True)
+    if info != 0:
+        raise ValueError(f"LAPACK Cholesky inverse failed with info={info}")
+    # dpotri fills the upper triangle and leaves the strict lower one as the
+    # zeros dpotrf's clean wrote, so this mirrors it: exactly symmetric
+    full = inv + inv.T
+    np.fill_diagonal(full, np.diagonal(inv))
+    return full
 
 
 def interaction_kernel(kernel: DiscretizedKernel, delta: float = DELTA) -> DiscretizedKernel:
     """Interaction kernel J = (Id - K)^{-1} K of a correlation kernel.
 
-    Computed through the eigendecomposition of the symmetrized operator, so
-    the spectrum comes for free for the domain check.  Raises
-    :class:`SpectrumError` if any operator eigenvalue is at or above
-    1 - delta.
+    In the symmetrized operator S = W^{1/2} K W^{1/2} this is
+    J_S = (I - S)^{-1} - I, computed from a Cholesky factorization of I - S;
+    no eigendecomposition is taken.  Raises :class:`SpectrumError` unless
+    the operator spectrum lies at or below 1 - delta, with a slack of 1e-12,
+    which holds iff (1 - delta + 1e-12) I - S has a Cholesky factor.  I - S
+    then has condition number at most about 1/delta.  An empty grid gives
+    an empty kernel.
     """
     if kernel.kind != CORRELATION:
         raise ValueError("interaction_kernel expects a correlation kernel")
-    return _spectral_transform(kernel, lambda lam: lam / (1.0 - lam), INTERACTION, delta)
+    n = len(kernel)
+    if n == 0:
+        return DiscretizedKernel(kernel.grid, np.zeros((0, 0)), INTERACTION)
+    rw = _sqrt_weights(kernel.grid)
+    scale = np.outer(rw, rw)
+    s = kernel.entries * scale
+    eye = np.eye(n)
+    if lapack.dpotrf((1.0 - delta + 1e-12) * eye - s, lower=False)[1] != 0:
+        top = float(operator_spectrum(kernel).max())
+        raise SpectrumError(
+            f"correlation spectrum reaches {top:.12g} > 1 - delta (delta={delta:g}); "
+            "make the kernel valid first"
+        )
+    j = _spd_inverse(eye - s)
+    if j is None:  # unreachable once the domain check has passed
+        raise SpectrumError("Id - K has no Cholesky factor")
+    np.fill_diagonal(j, np.diagonal(j) - 1.0)
+    j /= scale
+    return DiscretizedKernel(kernel.grid, j, INTERACTION)
 
 
 def correlation_from_interaction(kernel: DiscretizedKernel) -> DiscretizedKernel:
-    """Inverse map K = (Id + J)^{-1} J, used to round-trip the transform."""
+    """Inverse map K = (Id + J)^{-1} J, used to round-trip the transform:
+    K_S = I - (I + J_S)^{-1} by the same Cholesky inverse.  Raises
+    :class:`SpectrumError` if I + J_S is not positive definite (an operator
+    eigenvalue of J at or below -1)."""
     if kernel.kind != INTERACTION:
         raise ValueError("expects an interaction kernel")
+    n = len(kernel)
+    if n == 0:
+        return DiscretizedKernel(kernel.grid, np.zeros((0, 0)), CORRELATION)
     rw = _sqrt_weights(kernel.grid)
-    s = kernel.entries * rw[:, None] * rw[None, :]
-    lam, u = np.linalg.eigh(s)
-    lam = np.clip(lam, 0.0, None)
-    t = (u * (lam / (1.0 + lam))) @ u.T
-    entries = t / rw[:, None] / rw[None, :]
-    entries = 0.5 * (entries + entries.T)
-    return DiscretizedKernel(kernel.grid, entries, CORRELATION, band=None)
+    scale = np.outer(rw, rw)
+    eye = np.eye(n)
+    inv = _spd_inverse(eye + kernel.entries * scale)
+    if inv is None:
+        raise SpectrumError("Id + J is not positive definite")
+    return DiscretizedKernel(kernel.grid, (eye - inv) / scale, CORRELATION)
 
 
 def determinantal_moments(kernel: DiscretizedKernel) -> MomentPair:

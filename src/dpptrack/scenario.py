@@ -35,29 +35,28 @@ class DynamicsConfig:
             raise ValueError("repulsion_norm must be 'state' or 'position'")
 
 
-def turn_transition(theta: float, tau: float) -> np.ndarray:
-    """Nearly-constant-turn transition matrix for one target.
+def turn_transitions(theta: np.ndarray, tau: float) -> np.ndarray:
+    """Nearly-constant-turn transition matrices, one (5, 5) matrix per turn
+    rate in ``theta``.
 
     The sin(tau*theta)/theta entries are replaced by their theta -> 0 limits
     (tau and 0) below 1e-9 to keep the straight-line case exact.
     """
-    if abs(theta) < 1e-9:
-        s_over, c_over = tau, 0.0
-        c, s = 1.0, 0.0
-    else:
-        c = math.cos(tau * theta)
-        s = math.sin(tau * theta)
-        s_over = s / theta
-        c_over = (c - 1.0) / theta
-    return np.array(
-        [
-            [1.0, s_over, 0.0, c_over, 0.0],
-            [0.0, c, 0.0, -s, 0.0],
-            [0.0, c_over, 1.0, s_over, 0.0],
-            [0.0, s, 0.0, c, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+    theta = np.asarray(theta, dtype=float)
+    straight = np.abs(theta) < 1e-9
+    safe = np.where(straight, 1.0, theta)
+    c = np.where(straight, 1.0, np.cos(tau * theta))
+    s = np.where(straight, 0.0, np.sin(tau * theta))
+    s_over = np.where(straight, tau, s / safe)
+    c_over = np.where(straight, 0.0, (c - 1.0) / safe)
+    f = np.zeros(theta.shape + (5, 5))
+    f[..., 0, 0] = f[..., 2, 2] = f[..., 4, 4] = 1.0
+    f[..., 0, 1] = f[..., 2, 3] = s_over
+    f[..., 0, 3] = f[..., 2, 1] = c_over
+    f[..., 1, 1] = f[..., 3, 3] = c
+    f[..., 1, 3] = -s
+    f[..., 3, 1] = s
+    return f
 
 
 def noise_gain(tau: float) -> np.ndarray:
@@ -107,15 +106,13 @@ def step_dynamics(
     """Advance every target one step: F(theta) x + G v + repulsion."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     n = states.shape[0]
-    out = np.empty_like(states)
     gmat = noise_gain(cfg.tau)
     sig = np.array([cfg.sigma_vx, cfg.sigma_vy, cfg.sigma_vtheta])
     noise = rng.standard_normal((n, 3)) * sig
     rep = repulsion_term(states, cfg)
-    for i in range(n):
-        f = turn_transition(states[i, 4], cfg.tau)
-        out[i] = f @ states[i] + gmat @ noise[i] + rep[i]
-    return out
+    f = turn_transitions(states[:, 4], cfg.tau)
+    moved = (f @ states[:, :, None])[:, :, 0]
+    return moved + (gmat @ noise[:, :, None])[:, :, 0] + rep
 
 
 # ---------------------------------------------------------------------------

@@ -530,9 +530,9 @@ def test_filter_steps_keep_kernel_valid():
 
 
 def test_spooky_step_eigh_budget(monkeypatch):
-    # the prior, birth and rebuilt kernels need no eigendecomposition, so a
-    # step is the posterior-diagonal J, the update's J and the two eigvalsh
-    # calls of shrink_to_feasible
+    # the prior, birth and rebuilt kernels need no eigendecomposition and
+    # both interaction transforms are Cholesky inverses, so a step is the
+    # two eigvalsh calls of shrink_to_feasible
     calls = []
 
     def counted(fn):
@@ -556,4 +556,5 @@ def test_spooky_step_eigh_budget(monkeypatch):
     monkeypatch.setattr(DppPhdFilter, "step", counted_step)
     run_single(replace(preset("spooky"), filter="dpp", steps=3), 0)
     assert len(per_step) == 3
-    assert max(per_step) <= 4
+    assert max(per_step) <= 2
+    assert "eigh" not in calls

@@ -188,6 +188,20 @@ class TestCli:
         assert cli_main(["oracle-check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "interaction transform" in out
+
+    def test_interaction_check_catches_a_perturbed_transform(self, monkeypatch):
+        from dpptrack import checks
+
+        exact = checks.interaction_kernel
+
+        def perturbed(kernel, *args):
+            j = exact(kernel, *args)
+            return replace(j, entries=j.entries * (1.0 + 1e-8))
+
+        monkeypatch.setattr(checks, "interaction_kernel", perturbed)
+        passed, msg = checks.check_interaction_transform()
+        assert not passed and "interaction transform" in msg
 
     def test_run_with_config_file(self, tmp_path, capsys):
         cfg = tiny_config()

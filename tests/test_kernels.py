@@ -25,6 +25,7 @@ from dpptrack.kernels import (
     shrink_to_feasible,
     validate_kernel,
 )
+from dpptrack.checks import ceiling_bound_kernel, spectral_interaction
 
 
 def unit_grid(n, seed=0):
@@ -40,6 +41,34 @@ def random_correlation(n, seed=0, scale=0.3, weights=None):
     a = rng.standard_normal((n, n)) * 0.25
     raw = scale * np.eye(n) + 0.5 * (a + a.T)
     return project_kernel(raw, grid, CORRELATION)
+
+
+def kernel_with_top_eigenvalue(n, top, weights, seed):
+    """Correlation kernel whose operator spectrum has its maximum at ``top``,
+    in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.0, 0.9, n)
+    lam[0] = top
+    s = (u * lam) @ u.T
+    rw = np.sqrt(weights)
+    m = s / rw[:, None] / rw[None, :]
+    grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
+    return DiscretizedKernel(grid, 0.5 * (m + m.T), CORRELATION)
+
+
+@st.composite
+def ceiling_bound_kernels(draw):
+    """``shrink_to_feasible`` outputs whose spectrum ceiling binds, on
+    weighted grids of up to 150 points, with or without an index band."""
+    n = draw(st.integers(min_value=2, max_value=150))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    band = None
+    if draw(st.booleans()):  # a band of at least one neighbour
+        band = IndexBand(max(draw(st.floats(min_value=0.02, max_value=0.5)), 1.0 / n))
+    kernel, t = ceiling_bound_kernel(rng, n, band)
+    assert t < 1.0
+    return kernel
 
 
 class TestInteractionKernel:
@@ -90,6 +119,55 @@ class TestInteractionKernel:
         k = DiscretizedKernel(grid, np.diag([0.9995, 0.5]), CORRELATION)
         with pytest.raises(SpectrumError):
             interaction_kernel(k)
+
+    def test_empty_kernel_calls_no_lapack(self, capfd):
+        grid = GridSpec(np.zeros((0, 2)), np.zeros(0))
+        j = interaction_kernel(DiscretizedKernel(grid, np.zeros((0, 0)), CORRELATION))
+        assert j.kind == INTERACTION and j.entries.shape == (0, 0)
+        back = correlation_from_interaction(j)
+        assert back.kind == CORRELATION and back.entries.shape == (0, 0)
+        out, err = capfd.readouterr()
+        assert out == "" and err == ""
+
+    @pytest.mark.parametrize("d", [0.0, 0.3, 0.9, 1.0 - DELTA])
+    def test_single_point(self, d):
+        j = interaction_kernel(DiscretizedKernel(unit_grid(1), np.array([[d]]), CORRELATION))
+        assert j.entries[0, 0] == pytest.approx(d / (1.0 - d), rel=1e-12, abs=1e-15)
+        # operator value K w: J = K / (1 - K w)
+        grid = GridSpec(np.zeros((1, 2)), np.array([2.5]))
+        k = DiscretizedKernel(grid, np.array([[d / 2.5]]), CORRELATION)
+        j = interaction_kernel(k)
+        assert j.entries[0, 0] == pytest.approx(d / 2.5 / (1.0 - d), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("excess, valid", [(0.0, True), (1e-13, True), (1e-11, False)])
+    def test_domain_check_boundary(self, weighted, excess, valid):
+        n = 40
+        rng = np.random.default_rng(23)
+        weights = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
+        top = 1.0 - DELTA + excess
+        k = kernel_with_top_eigenvalue(n, top, weights, seed=29)
+        assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
+        diag = DiscretizedKernel(
+            GridSpec(np.zeros((2, 1)), weights[:2]),
+            np.diag([top, 0.5] / weights[:2]),
+            CORRELATION,
+        )
+        for kernel in (k, diag):
+            if valid:
+                assert np.all(np.isfinite(interaction_kernel(kernel).entries))
+            else:
+                with pytest.raises(SpectrumError, match=r"reaches 0\.99900000001"):
+                    interaction_kernel(kernel)
+
+    @given(ceiling_bound_kernels())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_spectral_definition(self, kernel):
+        assert operator_spectrum(kernel).max() > 1.0 - DELTA - 1e-9
+        j = interaction_kernel(kernel).entries
+        expect = spectral_interaction(kernel)
+        np.testing.assert_allclose(j, expect, rtol=0.0, atol=1e-10 * np.abs(expect).max())
+        np.testing.assert_array_equal(j, j.T)
 
     def test_weighted_operator_convention(self):
         # with weights, the operator is K W; J solves (I - KW)^{-1} K

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpptrack.errors import DegenerateGeometry, ScheduleError
 from dpptrack.rng import stream
@@ -17,10 +19,48 @@ from dpptrack.scenario import (
     repulsion_term,
     scripted_events,
     step_dynamics,
+    noise_gain,
     to_polar,
-    turn_transition,
+    turn_transitions,
     wrap_angle,
 )
+
+
+def turn_transition(theta, tau):
+    """reference: the nearly-constant-turn matrix of one target, built
+    entry by entry with the math module"""
+    if abs(theta) < 1e-9:
+        s_over, c_over = tau, 0.0
+        c, s = 1.0, 0.0
+    else:
+        c = math.cos(tau * theta)
+        s = math.sin(tau * theta)
+        s_over = s / theta
+        c_over = (c - 1.0) / theta
+    return np.array(
+        [
+            [1.0, s_over, 0.0, c_over, 0.0],
+            [0.0, c, 0.0, -s, 0.0],
+            [0.0, c_over, 1.0, s_over, 0.0],
+            [0.0, s, 0.0, c, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def loop_step_dynamics(states, cfg, rng):
+    """reference: step_dynamics one target at a time"""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    n = states.shape[0]
+    out = np.empty_like(states)
+    gmat = noise_gain(cfg.tau)
+    sig = np.array([cfg.sigma_vx, cfg.sigma_vy, cfg.sigma_vtheta])
+    noise = rng.standard_normal((n, 3)) * sig
+    rep = repulsion_term(states, cfg)
+    for i in range(n):
+        f = turn_transition(states[i, 4], cfg.tau)
+        out[i] = f @ states[i] + gmat @ noise[i] + rep[i]
+    return out
 
 
 def quiet(zeta=0.0):
@@ -37,9 +77,38 @@ class TestDynamics:
         np.testing.assert_allclose(out, [[12.0, 2.0, -4.0, 1.0, 0.0]], atol=1e-12)
 
     def test_turn_matrix_continuity_at_zero(self):
-        near = turn_transition(1e-10, 1.0)
-        exact = turn_transition(0.0, 1.0)
+        near, exact = turn_transitions(np.array([1e-10, 0.0]), 1.0)
         np.testing.assert_allclose(near, exact, atol=1e-9)
+
+    def test_turn_matrices_match_reference(self):
+        theta = np.array([0.0, -0.0, 5e-10, -9.9e-10, 1e-9, 0.3, -2.5, 1e-6])
+        for tau in (1.0, 0.5):
+            stack = turn_transitions(theta, tau)
+            for f, th in zip(stack, theta):
+                np.testing.assert_array_equal(f, turn_transition(th, tau))
+
+    @given(
+        st.integers(min_value=0, max_value=60),
+        st.sampled_from(("uniform", "zero", "tiny", "mixed")),
+        st.sampled_from((1.0, 0.5, 2.0)),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_reference_bitwise(self, n, turns, tau, zeta, seed):
+        rng = np.random.default_rng(seed)
+        states = rng.normal(0.0, 50.0, (n, 5))
+        if turns == "zero":
+            states[:, 4] = 0.0
+        elif turns == "tiny":
+            states[:, 4] = rng.normal(0.0, 1e-9, n)
+        elif turns == "mixed":
+            states[::2, 4] = 0.0
+        cfg = DynamicsConfig(tau=tau, zeta_x=zeta, zeta_y=0.5 * zeta)
+        got = step_dynamics(states, cfg, np.random.default_rng(seed))
+        expect = loop_step_dynamics(states, cfg, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))
 
     def test_single_target_has_no_repulsion(self):
         rng = np.random.default_rng(1)
