@@ -126,7 +126,7 @@ def spectral_interaction(kernel) -> np.ndarray:
     return (u * (lam / (1.0 - lam))) @ u.T / rw[:, None] / rw[None, :]
 
 
-def ceiling_bound_kernel(rng: np.random.Generator, n: int, band=None):
+def ceiling_bound_kernel(rng: np.random.Generator, n: int, support=None):
     """A ``shrink_to_feasible`` output on a weighted n-point grid whose
     spectrum sits at the 1 - delta ceiling.  The diagonal is 0.6-0.99 of the
     cap and the off-diagonal entries are at least 1, so the Perron root of
@@ -137,7 +137,7 @@ def ceiling_bound_kernel(rng: np.random.Generator, n: int, band=None):
     raw = rng.uniform(1.0, 2.0, (n, n))
     raw = 0.5 * (raw + raw.T)
     np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
-    kernel, t, _ = shrink_to_feasible(raw, grid, band)
+    kernel, t, _ = shrink_to_feasible(raw, grid, support)
     return kernel, t
 
 

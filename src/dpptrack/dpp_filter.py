@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DegenerateIntensity, DegenerateVariance
 from .kernels import (
     CORRELATION,
-    DELTA,
     DiscretizedKernel,
     GridSpec,
     cross_covariance,
@@ -78,19 +77,6 @@ class UpdateDiagnostics:
     clipped_mass: float = 0.0  # posterior diagonal mass clipped at 1 - delta
 
 
-def s_c(
-    j_diagonal: np.ndarray,
-    like: np.ndarray,
-    clutter: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Clutter-plus-detected-interaction denominators, one per measurement.
-
-    Raises DegenerateIntensity when one is 0 (see corrector_denominators).
-    """
-    return corrector_denominators(clutter, like, j_diagonal * weights)
-
-
 def pair_denominators(
     j: np.ndarray, like: np.ndarray, sc: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -125,7 +111,7 @@ def posterior_moments(
         mu = q_d * kd
         rho = q_d**2 * pair_j
     else:
-        sc = s_c(jd, like, clutter, w)
+        sc = corrector_denominators(clutter, like, jd * w)
         per_point = (like / sc[:, None]).sum(axis=0)
         mu = q_d * kd + jd * per_point
         denom = pair_denominators(jm, like, sc, w)
@@ -172,13 +158,12 @@ def dpp_update(
     state: FilterState,
     scan: Scan,
     sensor: SensorModel,
-    delta: float = DELTA,
     poisson_equivalent: bool = False,
 ) -> tuple[FilterState, UpdateDiagnostics]:
     """One measurement update; returns the posterior state.
 
     The posterior kernel has the posterior intensity mu as its diagonal
-    (clipped at 1 - delta), so its trace is the posterior count; its
+    (clipped at 1 - kernels.DELTA), so its trace is the posterior count; its
     off-diagonal is scaled into the valid kernels by ``shrink_to_feasible``,
     whose scale and clipped mass are recorded in the diagnostics.
 
@@ -196,14 +181,14 @@ def dpp_update(
         # Poisson filter's weight trajectory
         mu = poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
         new_kernel = DiscretizedKernel(
-            state.kernel.grid, np.diag(mu), CORRELATION, state.kernel.band
+            state.kernel.grid, np.diag(mu), CORRELATION, state.kernel.support
         )
     else:
-        j = interaction_kernel(state.kernel, delta)
+        j = interaction_kernel(state.kernel)
         mu, rho, diag = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
         entries = posterior_kernel_entries(mu, rho, diag)
         new_kernel, diag.offdiag_scale, diag.clipped_mass = shrink_to_feasible(
-            entries, state.kernel.grid, state.kernel.band, delta
+            entries, state.kernel.grid, state.kernel.support
         )
     gamma = float(np.sum(new_kernel.diagonal * new_kernel.grid.weights))
     return FilterState(state.particles, new_kernel, gamma), diag
@@ -213,7 +198,6 @@ def posterior_diagonal(
     state: FilterState,
     scan: Scan,
     sensor: SensorModel,
-    delta: float = DELTA,
     poisson_equivalent: bool = False,
 ) -> np.ndarray:
     """Posterior intensity per particle without assembling off-diagonals.
@@ -227,16 +211,11 @@ def posterior_diagonal(
     if poisson_equivalent:
         return poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
     kd = state.kernel.diagonal
-    jd = interaction_kernel(state.kernel, delta).diagonal
+    jd = interaction_kernel(state.kernel).diagonal
     if like.shape[0] == 0:
         return sensor.q_d * kd
-    sc = s_c(jd, like, clutter, state.kernel.grid.weights)
+    sc = corrector_denominators(clutter, like, jd * state.kernel.grid.weights)
     return sensor.q_d * kd + jd * (like / sc[:, None]).sum(axis=0)
-
-
-def estimate_count(state: FilterState) -> float:
-    """gamma = weighted trace of the posterior kernel."""
-    return float(np.sum(state.kernel.diagonal * state.kernel.grid.weights))
 
 
 def predict(
@@ -258,9 +237,9 @@ def predict(
         moved = step_dynamics(state.particles.states, survival.dynamics, rng)
     else:
         moved = state.particles.states
-    particles = ParticleSet(moved, np.zeros(len(state.particles), dtype=np.int8))
+    particles = ParticleSet(moved)
     entries = survival.p_s * state.kernel.entries
-    kernel = DiscretizedKernel(particles.grid(), entries, CORRELATION, state.kernel.band)
+    kernel = DiscretizedKernel(particles.grid(), entries, CORRELATION, state.kernel.support)
     gamma_pred = float(np.sum(kernel.diagonal * kernel.grid.weights))
     particles, kernel = inject_births(particles, kernel, smc, birth, gamma_pred, window, rng)
     gamma = float(np.sum(kernel.diagonal * kernel.grid.weights))
@@ -294,7 +273,6 @@ class DppPhdFilter:
         window: Window,
         rng: np.random.Generator,
         poisson_equivalent: bool = False,
-        delta: float = DELTA,
     ):
         if poisson_equivalent and smc.alpha != 0.0:
             raise ValueError("poisson_equivalent mode requires alpha = 0")
@@ -305,7 +283,6 @@ class DppPhdFilter:
         self.window = window
         self.rng = rng
         self.poisson_equivalent = poisson_equivalent
-        self.delta = delta
         particles, kernel = init_particles(smc, window, rng)
         gamma = float(np.sum(kernel.diagonal))
         self.state = FilterState(particles, kernel, gamma)
@@ -322,7 +299,7 @@ class DppPhdFilter:
     def posterior_intensity(self, pred: FilterState, scan: Scan) -> np.ndarray:
         # the resampler only consumes the diagonal; the full posterior
         # kernel is computed after the rebuild
-        mu = posterior_diagonal(pred, scan, self.sensor, self.delta, self.poisson_equivalent)
+        mu = posterior_diagonal(pred, scan, self.sensor, self.poisson_equivalent)
         return mu * pred.kernel.grid.weights
 
     def kept(self, pred: FilterState, intensity: np.ndarray, scan: Scan):
@@ -335,7 +312,7 @@ class DppPhdFilter:
     def updated(
         self, state: FilterState, scan: Scan
     ) -> tuple[FilterState, UpdateDiagnostics]:
-        return dpp_update(state, scan, self.sensor, self.delta, self.poisson_equivalent)
+        return dpp_update(state, scan, self.sensor, self.poisson_equivalent)
 
     def count_in(self, region: Region) -> float:
         inside = region.contains_states(self.state.particles.states)
@@ -384,7 +361,7 @@ def approx_count_covariance(
     wa, wb = w[a], w[b]
     terms.append(float(-(q_d**2) * np.sum(wa[:, None] * jab**2 * wb[None, :])))
     if m:
-        sc = s_c(jd, like, clutter, w)
+        sc = corrector_denominators(clutter, like, jd * w)
         la, lb = like[:, a], like[:, b]
         for z in range(m):
             cross = (la[z][:, None] + lb[z][None, :]) * jab**2
@@ -465,10 +442,10 @@ def prediction_moments(
 
 
 def reconstruct_kernel_from_moments(
-    mu: np.ndarray, rho: np.ndarray, grid: GridSpec, delta: float = DELTA
+    mu: np.ndarray, rho: np.ndarray, grid: GridSpec
 ) -> DiscretizedKernel:
     """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho), made
     valid by the filter's own map, ``shrink_to_feasible``."""
     diag = UpdateDiagnostics()
     entries = posterior_kernel_entries(np.asarray(mu, dtype=float), rho, diag)
-    return shrink_to_feasible(entries, grid, None, delta)[0]
+    return shrink_to_feasible(entries, grid)[0]

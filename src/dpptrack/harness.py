@@ -28,7 +28,7 @@ from . import __version__
 from .dpp_filter import DppPhdFilter, correlation_estimate
 from .errors import ConfigError, DegenerateVariance, UnknownPreset
 from .likelihood import SensorModel
-from .metrics import MetricRecord, extract_estimates, good_estimate_stats, omat, ospa
+from .metrics import extract_estimates, good_estimate_stats, omat, ospa
 from .ppp_filter import PppPhdFilter, SurvivalModel
 from .rng import stream
 from .scenario import (
@@ -420,25 +420,16 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
                 omat(truth_xy, est) if truth_xy.shape[0] and est.shape[0] else None
             )
             ratio, gain = good_estimate_stats(scan, est, truth_positions)
-            metric = MetricRecord(
-                t=t,
-                ospa=ospa_v,
-                omat=omat_v,
-                good_ratio=ratio,
-                gain=gain,
-                count_estimate=gamma,
-                count_truth=states.shape[0],
-            )
             row = {
                 "run": run,
-                "t": metric.t,
+                "t": t,
                 "filter": name,
-                "count_truth": metric.count_truth,
-                "count_estimate": metric.count_estimate,
-                "ospa": metric.ospa,
-                "omat": metric.omat,
-                "good_ratio": metric.good_ratio,
-                "gain": metric.gain,
+                "count_truth": states.shape[0],
+                "count_estimate": gamma,
+                "ospa": ospa_v,
+                "omat": omat_v,
+                "good_ratio": ratio,
+                "gain": gain,
                 "count_A": None,
                 "count_B": None,
                 "corr_AB": None,
@@ -731,7 +722,6 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
             "sigma_vtheta": repr(dyn.sigma_vtheta),
             "zeta_x": repr(dyn.zeta_x),
             "zeta_y": repr(dyn.zeta_y),
-            "repulsion_norm": dyn.repulsion_norm,
         }
     win = cfg.sensor.window
     cp["sensor"] = {
@@ -783,6 +773,8 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 _FIXED_KEYS = (
     ("experiment", "double_update", "true"),
     ("smc", "resample_mode", "multinomial"),
+    ("dynamics", "repulsion_norm", "state"),
+    ("filter_dynamics", "repulsion_norm", "state"),
 )
 
 
@@ -805,7 +797,6 @@ def config_from_ini(text: str) -> ExperimentConfig:
                 sigma_vtheta=s.getfloat("sigma_vtheta"),
                 zeta_x=s.getfloat("zeta_x"),
                 zeta_y=s.getfloat("zeta_y"),
-                repulsion_norm=s.get("repulsion_norm", "state"),
             )
 
         sen = cp["sensor"]

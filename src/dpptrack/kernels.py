@@ -26,10 +26,6 @@ log = logging.getLogger(__name__)
 # that (Id - K)^{-1} stays well conditioned (condition number <= 1/DELTA).
 DELTA = 1e-3
 
-# Determinant/radicand values in [-CLAMP_WARN, 0) are treated as roundoff
-# and clamped silently; anything below gets a log warning.
-CLAMP_WARN = 1e-8
-
 CORRELATION = "correlation"
 INTERACTION = "interaction"
 
@@ -69,62 +65,6 @@ class GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# Band predicates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexBand:
-    """Zero out entries with |i - j| > eta * N (the pseudocode's index rule)."""
-
-    eta: float
-
-
-@dataclass(frozen=True)
-class SpatialBand:
-    """Zero out entries with ||x_i - x_j|| > eta * diam(points).
-
-    ``dims`` restricts the norm to selected state coordinates (e.g. the
-    position components); None uses the full state vector.
-    """
-
-    eta: float
-    dims: Optional[tuple[int, ...]] = None
-
-
-@dataclass(frozen=True, eq=False)
-class MaskBand:
-    """Explicit allowed-entry mask, used for block-extended kernels."""
-
-    allowed: np.ndarray  # (N, N) bool
-
-
-Band = IndexBand | SpatialBand | MaskBand | None
-
-
-def band_allowed(band: Band, grid: GridSpec) -> Optional[np.ndarray]:
-    """Boolean matrix of entries the band permits to be nonzero (None = all)."""
-    n = len(grid)
-    if band is None:
-        return None
-    if isinstance(band, MaskBand):
-        allowed = np.asarray(band.allowed, dtype=bool)
-        if allowed.shape != (n, n):
-            raise ValueError("mask shape does not match grid")
-        return allowed | np.eye(n, dtype=bool)
-    if isinstance(band, IndexBand):
-        idx = np.arange(n)
-        return np.abs(idx[:, None] - idx[None, :]) <= band.eta * n
-    if isinstance(band, SpatialBand):
-        pts = grid.points if band.dims is None else grid.points[:, list(band.dims)]
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        diam = float(dist.max()) if n > 1 else 0.0
-        return (dist <= band.eta * diam) | np.eye(n, dtype=bool)
-    raise TypeError(f"unknown band type: {band!r}")
-
-
-# ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
 
@@ -133,7 +73,10 @@ def band_allowed(band: Band, grid: GridSpec) -> Optional[np.ndarray]:
 class DiscretizedKernel:
     """Symmetric kernel matrix over a weighted grid.
 
-    Cheap structural invariants (symmetry, band zeros) are enforced at
+    ``support`` is the boolean (N, N) mask of entries allowed to be nonzero
+    (None allows every entry); ``smc.banded_kernel`` builds it with the
+    kernel and operations that keep the sparsity pattern pass it on.
+    Cheap structural invariants (symmetry, support zeros) are enforced at
     construction; spectral invariants are checked by :func:`validate_kernel`.
     Kernels are built valid (``smc.banded_kernel``) or made valid by
     :func:`shrink_to_feasible`.
@@ -142,7 +85,7 @@ class DiscretizedKernel:
     grid: GridSpec
     entries: np.ndarray  # (N, N)
     kind: str
-    band: Band = None
+    support: Optional[np.ndarray] = None  # (N, N) bool
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -152,9 +95,11 @@ class DiscretizedKernel:
             raise ValueError("kernel entries must be exactly symmetric")
         if self.kind not in (CORRELATION, INTERACTION):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        allowed = band_allowed(self.band, self.grid)
-        if allowed is not None and np.any(m[~allowed] != 0.0):
-            raise ValueError("kernel has nonzero entries outside its band")
+        if self.support is not None:
+            if np.shape(self.support) != m.shape:
+                raise ValueError("support mask shape does not match grid")
+            if np.any(m[~self.support] != 0.0):
+                raise ValueError("kernel has nonzero entries outside its support")
         object.__setattr__(self, "entries", m)
 
     def __len__(self) -> int:
@@ -163,14 +108,6 @@ class DiscretizedKernel:
     @property
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries).copy()
-
-
-@dataclass(frozen=True)
-class MomentPair:
-    """First moment (intensity) and second factorial moment of a DPP."""
-
-    intensity: np.ndarray  # (N,)
-    pair_factorial: np.ndarray  # (N, N), zero diagonal
 
 
 def _sqrt_weights(grid: GridSpec) -> np.ndarray:
@@ -260,35 +197,6 @@ def correlation_from_interaction(kernel: DiscretizedKernel) -> DiscretizedKernel
     return DiscretizedKernel(kernel.grid, (eye - inv) / scale, CORRELATION)
 
 
-def determinantal_moments(kernel: DiscretizedKernel) -> MomentPair:
-    """Intensity K(x,x) and pair moment K(x,x)K(y,y) - K(x,y)^2.
-
-    Entries that go negative from floating-point arithmetic are clamped to
-    zero; clamps beyond roundoff scale are logged.
-    """
-    if kernel.kind != CORRELATION:
-        raise ValueError("determinantal_moments expects a correlation kernel")
-    d = kernel.diagonal
-    pair = np.outer(d, d) - kernel.entries**2
-    np.fill_diagonal(pair, 0.0)
-    _clamp(pair, "pair factorial moment")
-    intensity = d.copy()
-    _clamp(intensity, "intensity")
-    return MomentPair(intensity, pair)
-
-
-def _clamp(arr: np.ndarray, what: str, warn: float = CLAMP_WARN) -> int:
-    """Clamp negatives to zero in place; return the number of clamps."""
-    neg = arr < 0
-    count = int(neg.sum())
-    if count:
-        worst = float(arr[neg].min())
-        if worst < -warn:
-            log.warning("clamping %d negative %s values (worst %.3e)", count, what, worst)
-        arr[neg] = 0.0
-    return count
-
-
 def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
     """Count covariance between index sets A and B under the DPP form.
 
@@ -308,34 +216,6 @@ def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
     else:
         second = 0.0
     return first - second
-
-
-def janossy_density_dpp(
-    kernel: DiscretizedKernel, subset, delta: float = DELTA
-) -> float:
-    """Probability mass of exactly the given point configuration.
-
-    det(Id - K) * det(J restricted to the subset) * prod of subset weights.
-    The empty subset returns det(Id - K).
-    """
-    if kernel.kind != CORRELATION:
-        raise ValueError("janossy_density_dpp expects a correlation kernel")
-    subset = tuple(subset)
-    if len(set(subset)) != len(subset):
-        return 0.0
-    lam = operator_spectrum(kernel)
-    if lam.max(initial=0.0) > 1.0 - delta + 1e-12:
-        raise SpectrumError(f"spectrum reaches {lam.max():.6g}; project the kernel first")
-    void = float(np.prod(1.0 - lam))
-    if not subset:
-        return void
-    j = interaction_kernel(kernel, delta)
-    idx = list(subset)
-    det = float(np.linalg.det(j.entries[np.ix_(idx, idx)]))
-    mass = void * det * float(np.prod(kernel.grid.weights[idx]))
-    arr = np.array([mass])
-    _clamp(arr, "Janossy mass")
-    return float(arr[0])
 
 
 def all_subset_masses(kernel: DiscretizedKernel, delta: float = DELTA) -> dict[tuple[int, ...], float]:
@@ -361,25 +241,24 @@ def project_kernel(
     entries: np.ndarray,
     grid: GridSpec,
     kind: str = CORRELATION,
-    band: Band = None,
+    support: Optional[np.ndarray] = None,
     delta: float = DELTA,
     max_iter: int = 25,
 ) -> DiscretizedKernel:
     """Restore a symmetric matrix to the valid kernel set.
 
     Alternates eigenvalue clipping (into [0, 1 - delta] for correlation
-    kernels, [0, inf) for interaction kernels) with re-zeroing the banded
-    entries; both constraint sets are convex, so the alternation contracts
-    the violation geometrically.  Because polishing the last few digits
+    kernels, [0, inf) for interaction kernels) with re-zeroing the entries
+    outside ``support``; both constraint sets are convex, so the alternation
+    contracts the violation geometrically.  Because polishing the last few digits
     this way costs one eigendecomposition per digit, the loop is capped and
     the remaining violation is removed exactly in one closing move: a
-    diagonal load of size max(0, -lambda_min) lifts the floor (the band
+    diagonal load of size max(0, -lambda_min) lifts the floor (the support
     holds since the load only touches the diagonal) and a multiplicative
     shrink enforces the ceiling.  Feasible inputs pass through unchanged,
     so the map is idempotent.
     """
     m = 0.5 * (np.asarray(entries, dtype=float) + np.asarray(entries, dtype=float).T)
-    allowed = band_allowed(band, grid)
     rw = _sqrt_weights(grid)
     hi = (1.0 - delta) if kind == CORRELATION else np.inf
     # Exactly diagonal matrices project by clipping the diagonal; this also
@@ -387,25 +266,25 @@ def project_kernel(
     if np.count_nonzero(m - np.diag(np.diag(m))) == 0:
         d = np.clip(np.diag(m), 0.0, hi / np.clip(grid.weights, 1e-300, None))
         # operator eigenvalue of a diagonal kernel entry is K_ii * w_i
-        return DiscretizedKernel(grid, np.diag(d), kind, band)
+        return DiscretizedKernel(grid, np.diag(d), kind, support)
     feas_tol = 1e-12
     for _ in range(max_iter):
-        if allowed is not None:
-            m = np.where(allowed, m, 0.0)
+        if support is not None:
+            m = np.where(support, m, 0.0)
             m = 0.5 * (m + m.T)
         s = m * rw[:, None] * rw[None, :]
         lam, u = np.linalg.eigh(s)
         floor = max(0.0, -float(lam.min(initial=0.0)))
         ceil = max(0.0, float(lam.max(initial=0.0)) - hi) if np.isfinite(hi) else 0.0
         if floor <= feas_tol and ceil <= feas_tol:
-            return DiscretizedKernel(grid, m, kind, band)
+            return DiscretizedKernel(grid, m, kind, support)
         clipped = np.clip(lam, 0.0, hi)
         s = (u * clipped) @ u.T
         m = s / rw[:, None] / rw[None, :]
         m = 0.5 * (m + m.T)
-    # closing move: exact feasibility from the last banded iterate
-    if allowed is not None:
-        m = np.where(allowed, m, 0.0)
+    # closing move: exact feasibility from the last masked iterate
+    if support is not None:
+        m = np.where(support, m, 0.0)
         m = 0.5 * (m + m.T)
     s = m * rw[:, None] * rw[None, :]
     lam = np.linalg.eigvalsh(s)
@@ -420,18 +299,21 @@ def project_kernel(
     if np.isfinite(hi) and top > hi:
         m = m * (hi / top)
     m = 0.5 * (m + m.T)
-    return DiscretizedKernel(grid, m, kind, band)
+    return DiscretizedKernel(grid, m, kind, support)
 
 
 def shrink_to_feasible(
-    entries: np.ndarray, grid: GridSpec, band: Band = None, delta: float = DELTA
+    entries: np.ndarray,
+    grid: GridSpec,
+    support: Optional[np.ndarray] = None,
+    delta: float = DELTA,
 ) -> tuple[DiscretizedKernel, float, float]:
     """Make a symmetric matrix a valid correlation kernel by scaling its
     off-diagonal part and leaving its diagonal alone.
 
-    In the symmetrized operator S = W^{1/2} M W^{1/2}, with the band applied,
-    split S into its diagonal D and off-diagonal O.  D is clipped into
-    [0, 1 - delta], and O loses the rows and columns of every point whose
+    In the symmetrized operator S = W^{1/2} M W^{1/2}, with the entries
+    outside ``support`` zeroed, split S into its diagonal D and off-diagonal
+    O.  D is clipped into [0, 1 - delta], and O loses the rows and columns of every point whose
     diagonal was clipped or sits on a bound.  On the other points D + tO is
     positive semidefinite iff t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and has
     spectrum at most 1 - delta iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
@@ -446,9 +328,8 @@ def shrink_to_feasible(
     """
     m = np.asarray(entries, dtype=float)
     m = 0.5 * (m + m.T)
-    allowed = band_allowed(band, grid)
-    if allowed is not None:
-        m = np.where(allowed, m, 0.0)
+    if support is not None:
+        m = np.where(support, m, 0.0)
     _sqrt_weights(grid)  # the operator needs strictly positive weights
     mu = np.diag(m)
     cap = (1.0 - delta) / grid.weights  # kernel diagonal of operator value 1 - delta
@@ -477,7 +358,7 @@ def shrink_to_feasible(
         else:
             t = 0.0  # a diagonal too close to a bound to scale against
     out = t * off + np.diag(diagonal)
-    return DiscretizedKernel(grid, out, CORRELATION, band), t, clipped_mass
+    return DiscretizedKernel(grid, out, CORRELATION, support), t, clipped_mass
 
 
 def validate_kernel(kernel: DiscretizedKernel, delta: float = DELTA, tol: float = 1e-9) -> None:
@@ -485,9 +366,8 @@ def validate_kernel(kernel: DiscretizedKernel, delta: float = DELTA, tol: float 
     m = kernel.entries
     if not np.array_equal(m, m.T):
         raise AssertionError("kernel not exactly symmetric")
-    allowed = band_allowed(kernel.band, kernel.grid)
-    if allowed is not None and np.any(m[~allowed] != 0.0):
-        raise AssertionError("band condition violated")
+    if kernel.support is not None and np.any(m[~kernel.support] != 0.0):
+        raise AssertionError("support condition violated")
     lam = operator_spectrum(kernel)
     if lam.min(initial=0.0) < -tol:
         raise AssertionError(f"spectrum has negative eigenvalue {lam.min():.3e}")

@@ -6,7 +6,6 @@ peak extraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -134,17 +133,6 @@ def good_estimate_stats(
     np.divide(d_meas - d_est, d_meas, out=gains, where=d_meas > 0)
     ratio = int(np.count_nonzero(d_est < d_meas)) / target_rows.size
     return ratio, float(np.mean(gains))
-
-
-@dataclass(frozen=True)
-class MetricRecord:
-    t: int
-    ospa: float
-    omat: Optional[float]
-    good_ratio: Optional[float]
-    gain: Optional[float]
-    count_estimate: float
-    count_truth: int
 
 
 def extract_estimates(

@@ -24,15 +24,12 @@ class DynamicsConfig:
     sigma_vtheta: float = math.pi   # turn-rate noise, rad/s
     zeta_x: float = 0.0             # repulsion strength, m per step
     zeta_y: float = 0.0
-    repulsion_norm: str = "state"   # "state" (full 5-d difference) or "position"
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if min(self.sigma_vx, self.sigma_vy, self.sigma_vtheta) < 0:
             raise ValueError("noise standard deviations must be nonnegative")
-        if self.repulsion_norm not in ("state", "position"):
-            raise ValueError("repulsion_norm must be 'state' or 'position'")
 
 
 def turn_transitions(theta: np.ndarray, tau: float) -> np.ndarray:
@@ -74,8 +71,7 @@ def noise_gain(tau: float) -> np.ndarray:
 def repulsion_term(states: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
     """Pairwise unit-direction repulsion, scaled by (zeta_x, zeta_y).
 
-    Normalizes by the full state-vector difference as printed; the
-    position-only variant sits behind repulsion_norm="position".
+    Normalizes by the full state-vector difference as printed.
     """
     n = states.shape[0]
     out = np.zeros_like(states)
@@ -87,10 +83,7 @@ def repulsion_term(states: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
             if j == i:
                 continue
             diff = states[i] - states[j]
-            if cfg.repulsion_norm == "position":
-                norm = math.hypot(diff[0], diff[2])
-            else:
-                norm = float(np.linalg.norm(diff))
+            norm = float(np.linalg.norm(diff))
             if norm == 0.0:
                 raise DegenerateGeometry(f"targets {i} and {j} coincide")
             sx += diff[0] / norm

@@ -16,33 +16,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateIntensity, SpectrumError
-from .kernels import (
-    CORRELATION,
-    DELTA,
-    DiscretizedKernel,
-    GridSpec,
-    IndexBand,
-    MaskBand,
-    band_allowed,
-)
+from .kernels import CORRELATION, DELTA, DiscretizedKernel, GridSpec
 from .scenario import Scan, Window
-
-SURVIVOR = 0
-BIRTH = 1
 
 
 @dataclass(frozen=True)
 class ParticleSet:
     states: np.ndarray  # (N, 5)
-    origin: np.ndarray  # (N,) int8, SURVIVOR or BIRTH
 
     def __post_init__(self):
-        st = np.asarray(self.states, dtype=float).reshape(-1, 5)
-        og = np.asarray(self.origin, dtype=np.int8)
-        if og.shape != (st.shape[0],):
-            raise ValueError("origin tags must be one per particle")
-        object.__setattr__(self, "states", st)
-        object.__setattr__(self, "origin", og)
+        object.__setattr__(
+            self, "states", np.asarray(self.states, dtype=float).reshape(-1, 5)
+        )
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -106,8 +91,9 @@ def banded_kernel(
     feasible by construction.
 
     K = (gamma/n) [(1 - rho) I + rho F] inside the index band
-    |i - j| <= b = floor(eta * n), zero outside, with the triangular (Fejer)
-    profile F[i, j] = 1 - |i - j| / (b + 1).  F is positive semidefinite for
+    |i - j| <= b = floor(eta * n), which is the kernel's support, and zero
+    outside, with the triangular (Fejer) profile
+    F[i, j] = 1 - |i - j| / (b + 1).  F is positive semidefinite for
     every b (its symbol is the Fejer kernel, nonnegative by Herglotz/Bochner)
     and its row sums are at most 1 + b, so with
 
@@ -132,11 +118,10 @@ def banded_kernel(
     profile[0] = scale
     if alpha > 0.0 and b > 0 and gamma > 0.0:
         rho = min(alpha / (1.0 + alpha), ((1.0 - DELTA) * n / gamma - 1.0) / b)
-        lags = np.arange(1, b + 1)
-        profile[1 : b + 1] = scale * rho * (1.0 - lags / (b + 1))
+        profile[1 : b + 1] = scale * rho * (1.0 - np.arange(1, b + 1) / (b + 1))
     idx = np.arange(n)
-    entries = profile[np.abs(idx[:, None] - idx[None, :])]
-    return DiscretizedKernel(grid, entries, CORRELATION, IndexBand(eta))
+    lags = np.abs(idx[:, None] - idx[None, :])
+    return DiscretizedKernel(grid, profile[lags], CORRELATION, lags <= b)
 
 
 def init_particles(
@@ -144,7 +129,7 @@ def init_particles(
 ) -> tuple[ParticleSet, DiscretizedKernel]:
     """Uniform initial particles plus the prior kernel at mass gamma0."""
     states = window.sample_states(cfg.n_init, rng)
-    particles = ParticleSet(states, np.zeros(cfg.n_init, dtype=np.int8))
+    particles = ParticleSet(states)
     return particles, rebuild_kernel(particles, cfg, cfg.gamma0)
 
 
@@ -193,13 +178,13 @@ def resample(
     if size is None:
         size = resample_size(cfg, total)
     if size <= 0:
-        return ParticleSet(np.zeros((0, 5)), np.zeros(0, dtype=np.int8))
+        return ParticleSet(np.zeros((0, 5)))
     ids = select_ids(intensity, size, rng)
     resampled = states[ids].copy()
     sd = roughening_sd(window.extents(), cfg.roughening_scale, size)
     if np.any(sd > 0):
         resampled += rng.standard_normal(resampled.shape) * sd
-    return ParticleSet(resampled, np.zeros(size, dtype=np.int8))
+    return ParticleSet(resampled)
 
 
 def inject_births(
@@ -217,27 +202,25 @@ def inject_births(
     births.  The birth block is banded_kernel at that mass on the births'
     own index band; cross-blocks between old and new particles are zero, so
     the extended spectrum is the union of the two block spectra and the
-    already-valid old block is spliced through untouched.
+    already-valid old block is spliced through untouched.  The support mask
+    is spliced the same way, block-diagonally.
     """
     n_birth, mass = birth_count(birth, gamma)
     if n_birth <= 0:
         return particles, kernel
     born = window.sample_states(n_birth, rng)
     states = np.vstack([particles.states, born]) if len(particles) else born
-    origin = np.concatenate([particles.origin, np.full(n_birth, BIRTH, dtype=np.int8)])
-    merged = ParticleSet(states, origin)
+    merged = ParticleSet(states)
     birth_kernel = banded_kernel(born, mass, cfg.alpha, cfg.band_eta)
     n_old = len(particles)
     n_tot = n_old + n_birth
     extended = np.zeros((n_tot, n_tot))
     extended[:n_old, :n_old] = kernel.entries
     extended[n_old:, n_old:] = birth_kernel.entries
-    allowed = np.zeros((n_tot, n_tot), dtype=bool)
-    old_allowed = band_allowed(kernel.band, kernel.grid)
-    allowed[:n_old, :n_old] = True if old_allowed is None else old_allowed
-    allowed[n_old:, n_old:] = band_allowed(birth_kernel.band, birth_kernel.grid)
-    new_kernel = DiscretizedKernel(merged.grid(), extended, CORRELATION, MaskBand(allowed))
-    return merged, new_kernel
+    support = np.zeros((n_tot, n_tot), dtype=bool)
+    support[:n_old, :n_old] = True if kernel.support is None else kernel.support
+    support[n_old:, n_old:] = birth_kernel.support
+    return merged, DiscretizedKernel(merged.grid(), extended, CORRELATION, support)
 
 
 def rebuild_kernel(

@@ -332,7 +332,7 @@ def test_criterion_7_kernel_invariants():
         states = np.zeros((n, 5))
         states[:, 0] = center[0] + rng.normal(0, 3.0, n)
         states[:, 2] = center[1] + rng.normal(0, 3.0, n)
-        particles = ParticleSet(states, np.zeros(n, dtype=np.int8))
+        particles = ParticleSet(states)
         eps = float(rng.uniform(0.01, 0.05))
         raw = eps * (np.eye(n) + 0.4 * np.exp(-np.abs(np.subtract.outer(range(n), range(n)))))
         kernel = project_kernel(0.5 * (raw + raw.T), particles.grid(), CORRELATION)

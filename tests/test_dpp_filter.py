@@ -11,14 +11,12 @@ from dpptrack.dpp_filter import (
     approx_count_covariance,
     correlation_estimate,
     dpp_update,
-    estimate_count,
     posterior_diagonal,
     posterior_kernel_entries,
     posterior_moments,
     prediction_moments,
     predict,
     reconstruct_kernel_from_moments,
-    s_c,
 )
 from dpptrack.errors import DegenerateIntensity, DegenerateVariance
 from dpptrack.harness import preset, run_single
@@ -28,6 +26,7 @@ from dpptrack.kernels import (
     DiscretizedKernel,
     GridSpec,
     interaction_kernel,
+    operator_spectrum,
     project_kernel,
     validate_kernel,
 )
@@ -39,7 +38,12 @@ from dpptrack.oracle import (
     posterior_intensity_exact,
     posterior_pair_exact,
 )
-from dpptrack.ppp_filter import BirthScheme, PppPhdFilter, SurvivalModel
+from dpptrack.ppp_filter import (
+    BirthScheme,
+    PppPhdFilter,
+    SurvivalModel,
+    corrector_denominators,
+)
 from dpptrack.scenario import (
     DynamicsConfig,
     Region,
@@ -55,8 +59,7 @@ QUIET = DynamicsConfig(sigma_vx=0.0, sigma_vy=0.0, sigma_vtheta=0.0)
 
 
 def particles_of(states):
-    states = np.atleast_2d(states)
-    return ParticleSet(states, np.zeros(states.shape[0], dtype=np.int8))
+    return ParticleSet(np.atleast_2d(states))
 
 
 def small_state(n=6, seed=0, scale=0.05):
@@ -90,10 +93,12 @@ def abstract_obs(p_d=0.7):
 
 
 class TestSc:
+    # s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) w_v, which the DPP corrector
+    # forms as corrector_denominators with weights J(v,v) w_v
     def test_no_detection_likelihood_leaves_clutter(self):
         jd = np.array([0.2, 0.3])
         like = np.zeros((2, 2))
-        out = s_c(jd, like, np.array([0.4, 0.7]), np.ones(2))
+        out = corrector_denominators(np.array([0.4, 0.7]), like, jd * np.ones(2))
         np.testing.assert_allclose(out, [0.4, 0.7])
 
     def test_uniform_case(self):
@@ -101,7 +106,7 @@ class TestSc:
         jd = np.full(5, 0.2)
         like = np.full((1, 5), 0.3)
         w = np.full(5, 1.5)
-        out = s_c(jd, like, np.array([0.1]), w)
+        out = corrector_denominators(np.array([0.1]), like, jd * w)
         assert out[0] == pytest.approx(0.1 + 0.2 * 0.3 * 7.5)
 
     def test_matches_direct_sum(self):
@@ -110,28 +115,10 @@ class TestSc:
         like = rng.uniform(0, 1, (3, 6))
         w = rng.uniform(0.5, 1.5, 6)
         lc = rng.uniform(0.1, 1.0, 3)
-        out = s_c(jd, like, lc, w)
+        out = corrector_denominators(lc, like, jd * w)
         for z in range(3):
             expect = lc[z] + sum(jd[i] * like[z, i] * w[i] for i in range(6))
             assert out[z] == pytest.approx(expect, rel=1e-12)
-
-
-class TestEstimateCount:
-    def test_zero_kernel(self):
-        st = small_state()
-        zero = DiscretizedKernel(st.kernel.grid, np.zeros_like(st.kernel.entries), CORRELATION)
-        assert estimate_count(FilterState(st.particles, zero, 0.0)) == 0.0
-
-    def test_uniform_diagonal_unit_weights(self):
-        n = 8
-        p = particles_of(np.random.default_rng(0).uniform(-10, 10, (n, 5)))
-        k = DiscretizedKernel(p.grid(), np.diag(np.full(n, 3.0 / n)), CORRELATION)
-        assert estimate_count(FilterState(p, k, 3.0)) == pytest.approx(3.0)
-
-    def test_matches_direct_weighted_sum(self):
-        st = small_state(seed=3)
-        expect = float(np.sum(st.kernel.diagonal * st.kernel.grid.weights))
-        assert estimate_count(st) == expect
 
 
 class TestPredict:
@@ -361,6 +348,19 @@ class TestUpdate:
         mu_full, _, _ = posterior_moments(st.kernel, j, like, clutter, sensor.q_d)
         mu_fast = posterior_diagonal(st, scan, sensor)
         np.testing.assert_allclose(mu_fast, mu_full, atol=1e-14)
+
+    def test_update_accepts_a_banded_kernel_at_its_ceiling(self):
+        # banded_kernel builds to kernels.DELTA and the update checks against
+        # the same margin: at 450 points and gamma = 15 the spectrum reaches
+        # 0.9913, which a margin of 0.01 would reject
+        rng = np.random.default_rng(16)
+        points = rng.uniform(-60, 60, (450, 5))
+        st = FilterState(particles_of(points), banded_kernel(points, 15.0, 4.0, 0.1), 15.0)
+        assert operator_spectrum(st.kernel).max() > 0.99
+        sensor = self.sensor()
+        scan = generate_scan(points[:3], [0, 1, 2], sensor.cfg, frozenset(), rng, time=0)
+        assert np.all(np.isfinite(posterior_diagonal(st, scan, sensor)))
+        validate_kernel(dpp_update(st, scan, sensor)[0].kernel)
 
 
 class TestCovariance:

@@ -10,22 +10,22 @@ from dpptrack.kernels import (
     DELTA,
     DiscretizedKernel,
     GridSpec,
-    IndexBand,
-    MaskBand,
-    SpatialBand,
-    band_allowed,
     all_subset_masses,
     correlation_from_interaction,
     cross_covariance,
-    determinantal_moments,
     interaction_kernel,
-    janossy_density_dpp,
     operator_spectrum,
     project_kernel,
     shrink_to_feasible,
     validate_kernel,
 )
 from dpptrack.checks import ceiling_bound_kernel, spectral_interaction
+
+
+def index_support(n, eta):
+    """Support mask of the index band |i - j| <= eta * n."""
+    idx = np.arange(n)
+    return np.abs(idx[:, None] - idx[None, :]) <= eta * n
 
 
 def unit_grid(n, seed=0):
@@ -63,10 +63,11 @@ def ceiling_bound_kernels(draw):
     weighted grids of up to 150 points, with or without an index band."""
     n = draw(st.integers(min_value=2, max_value=150))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    band = None
+    support = None
     if draw(st.booleans()):  # a band of at least one neighbour
-        band = IndexBand(max(draw(st.floats(min_value=0.02, max_value=0.5)), 1.0 / n))
-    kernel, t = ceiling_bound_kernel(rng, n, band)
+        eta = max(draw(st.floats(min_value=0.02, max_value=0.5)), 1.0 / n)
+        support = index_support(n, eta)
+    kernel, t = ceiling_bound_kernel(rng, n, support)
     assert t < 1.0
     return kernel
 
@@ -179,40 +180,6 @@ class TestInteractionKernel:
         np.testing.assert_allclose(j.entries, direct, atol=1e-12)
 
 
-class TestDeterminantalMoments:
-    def test_diagonal_half(self):
-        grid = unit_grid(2)
-        k = DiscretizedKernel(grid, np.diag([0.5, 0.5]), CORRELATION)
-        mp = determinantal_moments(k)
-        np.testing.assert_allclose(mp.intensity, [0.5, 0.5])
-        assert mp.pair_factorial[0, 1] == pytest.approx(0.25)
-        assert mp.pair_factorial[0, 0] == 0.0
-
-    def test_fully_correlated_pair_vanishes(self):
-        grid = unit_grid(2)
-        d = np.array([0.3, 0.48])
-        off = np.sqrt(d[0] * d[1])
-        m = np.array([[d[0], off], [off, d[1]]])
-        k = DiscretizedKernel(grid, m, CORRELATION)
-        mp = determinantal_moments(k)
-        assert mp.pair_factorial[0, 1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_hand_determinant(self):
-        grid = unit_grid(2)
-        k = DiscretizedKernel(grid, np.array([[0.4, 0.2], [0.2, 0.4]]), CORRELATION)
-        mp = determinantal_moments(k)
-        assert mp.pair_factorial[0, 1] == pytest.approx(0.12)
-
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_pair_moment_never_exceeds_product(self, seed):
-        k = random_correlation(4, seed=seed)
-        mp = determinantal_moments(k)
-        bound = np.outer(mp.intensity, mp.intensity) - mp.pair_factorial
-        off = ~np.eye(4, dtype=bool)
-        assert np.all(bound[off] >= -1e-12)
-
-
 class TestCrossCovariance:
     def test_disjoint_zero_offdiagonal(self):
         grid = unit_grid(4)
@@ -247,7 +214,7 @@ class TestJanossy:
     def test_empty_process(self):
         grid = unit_grid(3)
         k = DiscretizedKernel(grid, np.zeros((3, 3)), CORRELATION)
-        assert janossy_density_dpp(k, ()) == pytest.approx(1.0)
+        assert all_subset_masses(k)[()] == pytest.approx(1.0)
 
     def test_diagonal_masses_sum_to_one(self):
         grid = unit_grid(3)
@@ -273,11 +240,6 @@ class TestJanossy:
         k = random_correlation(n, seed=seed)
         total = sum(all_subset_masses(k).values())
         assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_single_subset_matches_table(self):
-        k = random_correlation(4, seed=11)
-        table = all_subset_masses(k)
-        assert janossy_density_dpp(k, (1, 3)) == pytest.approx(table[(1, 3)], abs=1e-12)
 
 
 class TestProjectKernel:
@@ -306,8 +268,9 @@ class TestProjectKernel:
         rng = np.random.default_rng(seed)
         grid = unit_grid(5, seed=seed)
         m = rng.standard_normal((5, 5)) * 2.0
-        once = project_kernel(0.5 * (m + m.T), grid, CORRELATION, band=IndexBand(0.4))
-        twice = project_kernel(once.entries, grid, CORRELATION, band=IndexBand(0.4))
+        support = index_support(5, 0.4)
+        once = project_kernel(0.5 * (m + m.T), grid, CORRELATION, support=support)
+        twice = project_kernel(once.entries, grid, CORRELATION, support=support)
         np.testing.assert_allclose(twice.entries, once.entries, atol=1e-12)
 
     def test_band_reapplied_and_feasible(self):
@@ -315,11 +278,10 @@ class TestProjectKernel:
         n = 30
         grid = unit_grid(n)
         m = rng.standard_normal((n, n))
-        out = project_kernel(0.5 * (m + m.T), grid, CORRELATION, band=IndexBand(0.1))
+        support = index_support(n, 0.1)
+        out = project_kernel(0.5 * (m + m.T), grid, CORRELATION, support=support)
         validate_kernel(out)
-        idx = np.arange(n)
-        outside = np.abs(idx[:, None] - idx[None, :]) > 0.1 * n
-        assert np.all(out.entries[outside] == 0.0)
+        assert np.all(out.entries[~support] == 0.0)
 
     def test_hard_banded_case_feasible(self):
         # diagonal 2/n and 8/n inside the index band: far from PSD
@@ -328,7 +290,7 @@ class TestProjectKernel:
         idx = np.arange(n)
         raw = np.where(np.abs(idx[:, None] - idx[None, :]) <= 0.1 * n, 8.0 / n, 0.0)
         np.fill_diagonal(raw, 2.0 / n)
-        out = project_kernel(raw, grid, CORRELATION, band=IndexBand(0.1))
+        out = project_kernel(raw, grid, CORRELATION, support=index_support(n, 0.1))
         validate_kernel(out)
 
     def test_interaction_kind_allows_large_spectrum(self):
@@ -341,7 +303,8 @@ class TestProjectKernel:
 @st.composite
 def shrink_inputs(draw):
     """A symmetric matrix (diagonal in [-0.2, 1.5], off-diagonal scale up to
-    2), a grid with unit or random weights and a band of each kind."""
+    2), a grid with unit or random weights and no support mask, an index
+    band or a random symmetric mask that keeps the diagonal."""
     n = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -352,26 +315,25 @@ def shrink_inputs(draw):
     np.fill_diagonal(m, rng.uniform(-0.2, 1.5, n))
     kind = draw(st.sampled_from(("none", "index", "mask")))
     if kind == "index":
-        band = IndexBand(draw(st.floats(min_value=0.05, max_value=1.0)))
+        support = index_support(n, draw(st.floats(min_value=0.05, max_value=1.0)))
     elif kind == "mask":
         mask = rng.random((n, n)) < 0.5
-        band = MaskBand(mask | mask.T)
+        support = mask | mask.T | np.eye(n, dtype=bool)
     else:
-        band = None
-    return m, grid, band
+        support = None
+    return m, grid, support
 
 
 class TestShrinkToFeasible:
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_valid_banded_and_diagonal_kept(self, case):
-        m, grid, band = case
-        out, t, clipped = shrink_to_feasible(m, grid, band)
+        m, grid, support = case
+        out, t, clipped = shrink_to_feasible(m, grid, support)
         validate_kernel(out)
         assert 0.0 <= t <= 1.0
-        allowed = band_allowed(band, grid)
-        if allowed is not None:
-            assert np.all(out.entries[~allowed] == 0.0)
+        if support is not None:
+            assert np.all(out.entries[~support] == 0.0)
         mu = np.diag(m)
         cap = (1.0 - DELTA) / grid.weights
         inside = (mu >= 0.0) & (mu <= cap)
@@ -385,11 +347,11 @@ class TestShrinkToFeasible:
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_feasible_input_is_a_fixed_point(self, case):
-        m, grid, band = case
-        once = shrink_to_feasible(m, grid, band)[0]
+        m, grid, support = case
+        once = shrink_to_feasible(m, grid, support)[0]
         # shrink the valid output's spectrum into [0.1, 0.6]: strictly feasible
         inner = 0.5 * once.entries + np.diag(0.1 / grid.weights)
-        out, t, clipped = shrink_to_feasible(inner, grid, band)
+        out, t, clipped = shrink_to_feasible(inner, grid, support)
         assert t == 1.0 and clipped == 0.0
         np.testing.assert_array_equal(out.entries, inner)
 
@@ -425,19 +387,14 @@ class TestShrinkToFeasible:
 
 
 class TestBands:
-    def test_spatial_band_zeroes_far_pairs(self):
-        pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0]])
-        grid = GridSpec.unit(pts)
-        m = np.full((3, 3), 0.05) + 0.2 * np.eye(3)
-        out = project_kernel(m, grid, CORRELATION, band=SpatialBand(0.05))
-        assert out.entries[0, 2] == 0.0
-        assert out.entries[0, 1] != 0.0
-
     def test_kernel_constructor_rejects_band_violation(self):
         grid = unit_grid(4)
         m = np.full((4, 4), 0.1)
-        with pytest.raises(ValueError):
-            DiscretizedKernel(grid, m, CORRELATION, band=IndexBand(0.25))
+        with pytest.raises(ValueError, match="outside its support"):
+            DiscretizedKernel(grid, m, CORRELATION, support=index_support(4, 0.25))
+        with pytest.raises(ValueError, match="shape"):
+            DiscretizedKernel(grid, m, CORRELATION, support=np.ones((3, 3), dtype=bool))
+        DiscretizedKernel(grid, m, CORRELATION, support=np.ones((4, 4), dtype=bool))
 
 
 def test_twelve_point_masses_sum_to_one():

@@ -147,17 +147,6 @@ class TestDynamics:
         per_target = np.abs(rep[:, 0]) + np.abs(rep[:, 2])
         assert np.all(per_target <= (cfg.zeta_x + cfg.zeta_y) * 5 + 1e-12)
 
-    def test_position_norm_variant(self):
-        states = np.array([[1.0, 9.0, 0.0, 9.0, 0.0], [-1.0, -9.0, 0.0, -9.0, 0.0]])
-        full = repulsion_term(states, quiet(zeta=1.0))
-        pos = repulsion_term(
-            states, DynamicsConfig(zeta_x=1.0, zeta_y=1.0, repulsion_norm="position",
-                                   sigma_vx=0, sigma_vy=0, sigma_vtheta=0)
-        )
-        # position-only norm (= 2) gives the unit direction; the state norm is larger
-        assert abs(pos[0, 0]) == pytest.approx(1.0)
-        assert abs(full[0, 0]) < abs(pos[0, 0])
-
 
 class TestScan:
     def window(self):

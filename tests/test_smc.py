@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dpptrack.dpp_filter import DppPhdFilter
 from dpptrack.errors import ConfigError, DegenerateIntensity, SpectrumError
 from dpptrack.harness import config_from_ini, config_to_ini, preset
-from dpptrack.kernels import DELTA, IndexBand, band_allowed, validate_kernel
+from dpptrack.kernels import DELTA, validate_kernel
 from dpptrack.likelihood import SensorModel
 from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel
 from dpptrack.scenario import DynamicsConfig, Region, Scan, SensorConfig, Window
@@ -29,8 +29,13 @@ WINDOW = Window(Region(-100.0, 100.0, -100.0, 100.0))
 
 
 def particles_of(states):
-    states = np.atleast_2d(states)
-    return ParticleSet(states, np.zeros(states.shape[0], dtype=np.int8))
+    return ParticleSet(np.atleast_2d(states))
+
+
+def index_support(n, eta):
+    """Entries with |i - j| <= eta * n: the index band of banded_kernel."""
+    idx = np.arange(n)
+    return np.abs(idx[:, None] - idx[None, :]) <= eta * n
 
 
 class TestInit:
@@ -213,8 +218,8 @@ class TestBandedKernel:
         assert np.array_equal(k, k.T)
         assert np.all(np.diag(k) == gamma / n)
         assert math.isclose(np.trace(k), gamma, rel_tol=1e-12, abs_tol=0.0)
-        assert kernel.band == IndexBand(eta)
-        assert np.all(k[~band_allowed(IndexBand(eta), kernel.grid)] == 0.0)
+        np.testing.assert_array_equal(kernel.support, index_support(n, eta))
+        assert np.all(k[~kernel.support] == 0.0)
         validate_kernel(kernel)
 
     @given(
@@ -258,6 +263,11 @@ def test_kernel_constructors_make_no_eigendecomposition(monkeypatch):
     rebuilt = rebuild_kernel(particles, cfg, 6.5)
     monkeypatch.undo()
     assert len(kernel) == 330
+    # births splice the two index bands block-diagonally
+    expect = np.zeros((330, 330), dtype=bool)
+    expect[:300, :300] = index_support(300, 0.1)
+    expect[300:, 300:] = index_support(30, 0.1)
+    np.testing.assert_array_equal(kernel.support, expect)
     validate_kernel(kernel)
     validate_kernel(rebuilt)
 
@@ -267,23 +277,28 @@ def test_rebuild_kernel_valid_and_banded():
     particles = particles_of(np.random.default_rng(1).uniform(-50, 50, (90, 5)))
     kernel = rebuild_kernel(particles, cfg, 6.5)
     validate_kernel(kernel)
-    allowed = band_allowed(IndexBand(0.1), kernel.grid)
-    assert np.all(kernel.entries[~allowed] == 0.0)
+    np.testing.assert_array_equal(kernel.support, index_support(90, 0.1))
+    assert np.all(kernel.entries[~kernel.support] == 0.0)
 
 
 class TestResampleModes:
     def test_unknown_mode_rejected(self):
-        # multinomial resampling and the double update are the only modes;
-        # config echoes that name them still load, other values are refused
+        # multinomial resampling, the double update and the full-state
+        # repulsion norm are the only modes; config echoes that name them
+        # still load, other values are refused
         text = config_to_ini(preset("spooky"))
         old = text.replace("[smc]\n", "[smc]\nresample_mode = multinomial\n").replace(
             "[experiment]\n", "[experiment]\ndouble_update = true\n"
         )
+        for section in ("dynamics", "filter_dynamics"):
+            old = old.replace(f"[{section}]\n", f"[{section}]\nrepulsion_norm = state\n")
         assert config_from_ini(old) == preset("spooky")
         for section, line in (
             ("smc", "resample_mode = systematic"),
             ("smc", "resample_mode = topk"),
             ("experiment", "double_update = false"),
+            ("dynamics", "repulsion_norm = position"),
+            ("filter_dynamics", "repulsion_norm = position"),
         ):
             bad = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
             with pytest.raises(ConfigError):
