@@ -43,7 +43,6 @@ from .ppp_filter import SurvivalModel, corrector_denominators, poisson_weight_up
 from .scenario import Region, Scan, Window, step_dynamics
 from .smc import (
     BirthScheme,
-    ParticleSet,
     SmcConfig,
     init_particles,
     inject_births,
@@ -54,9 +53,10 @@ from .smc import (
 
 @dataclass(frozen=True)
 class FilterState:
-    """Posterior snapshot: particles, kernel over them, count estimate."""
+    """Posterior snapshot: particle states (N, 5), kernel over them, count
+    estimate."""
 
-    particles: ParticleSet
+    particles: np.ndarray
     kernel: DiscretizedKernel
     gamma: float
 
@@ -66,7 +66,7 @@ class FilterState:
 
     @property
     def states(self) -> np.ndarray:
-        return self.particles.states
+        return self.particles
 
 
 @dataclass
@@ -172,7 +172,7 @@ def dpp_update(
     updated through the classical Poisson corrector, which makes a
     zero-off-diagonal run reproduce the PPP filter bit for bit.
     """
-    like = sensor.tilde_matrix(scan.detections, state.particles.states)
+    like = sensor.tilde_matrix(scan.detections, state.particles)
     clutter = sensor.clutter_density(scan.detections)
     diag = UpdateDiagnostics()
     if poisson_equivalent:
@@ -206,7 +206,7 @@ def posterior_diagonal(
     rebuilds the kernel from scratch, so this is all the intermediate
     update has to produce.
     """
-    like = sensor.tilde_matrix(scan.detections, state.particles.states)
+    like = sensor.tilde_matrix(scan.detections, state.particles)
     clutter = sensor.clutter_density(scan.detections)
     if poisson_equivalent:
         return poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
@@ -234,12 +234,12 @@ def predict(
     particles, and the birth block follows the adaptive extension rule.
     """
     if len(state.particles):
-        moved = step_dynamics(state.particles.states, survival.dynamics, rng)
+        particles = step_dynamics(state.particles, survival.dynamics, rng)
     else:
-        moved = state.particles.states
-    particles = ParticleSet(moved)
+        particles = state.particles
     entries = survival.p_s * state.kernel.entries
-    kernel = DiscretizedKernel(particles.grid(), entries, CORRELATION, state.kernel.support)
+    grid = GridSpec.unit(particles)
+    kernel = DiscretizedKernel(grid, entries, CORRELATION, state.kernel.support)
     gamma_pred = float(np.sum(kernel.diagonal * kernel.grid.weights))
     particles, kernel = inject_births(particles, kernel, smc, birth, gamma_pred, window, rng)
     gamma = float(np.sum(kernel.diagonal * kernel.grid.weights))
@@ -302,12 +302,9 @@ class DppPhdFilter:
         mu = posterior_diagonal(pred, scan, self.sensor, self.poisson_equivalent)
         return mu * pred.kernel.grid.weights
 
-    def kept(self, pred: FilterState, intensity: np.ndarray, scan: Scan):
-        return self.updated(pred, scan)
-
-    def rebuilt(self, particles: ParticleSet, gamma: float) -> FilterState:
+    def rebuilt(self, states: np.ndarray, gamma: float) -> FilterState:
         # alpha = 0 in poisson_equivalent mode, so this is diagonal there
-        return FilterState(particles, rebuild_kernel(particles, self.smc, gamma), gamma)
+        return FilterState(states, rebuild_kernel(states, self.smc, gamma), gamma)
 
     def updated(
         self, state: FilterState, scan: Scan
@@ -315,7 +312,7 @@ class DppPhdFilter:
         return dpp_update(state, scan, self.sensor, self.poisson_equivalent)
 
     def count_in(self, region: Region) -> float:
-        inside = region.contains_states(self.state.particles.states)
+        inside = region.contains_states(self.state.particles)
         intensity = self.state.kernel.diagonal * self.state.kernel.grid.weights
         return float(np.sum(intensity[inside]))
 
@@ -325,8 +322,8 @@ class DppPhdFilter:
 # ---------------------------------------------------------------------------
 
 
-def region_indices(particles: ParticleSet, region: Region) -> np.ndarray:
-    return np.nonzero(region.contains_states(particles.states))[0]
+def region_indices(particles: np.ndarray, region: Region) -> np.ndarray:
+    return np.nonzero(region.contains_states(particles))[0]
 
 
 def approx_count_covariance(

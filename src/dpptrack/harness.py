@@ -12,15 +12,16 @@ from __future__ import annotations
 import configparser
 import contextlib
 import ctypes
+import functools
 import hashlib
 import io
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -68,8 +69,6 @@ class ExperimentConfig:
     schedule: EventSchedule
     smc: SmcConfig
     p_s: float = 1.0
-    birth_mass: Optional[float] = None  # None = adaptive rule
-    min_birth_particles: int = -1  # -1 = one target's worth (P_b)
     domains: Optional[tuple[Region, Region]] = None
     ospa_c: float = 100.0
     ospa_p: float = 2.0
@@ -91,7 +90,6 @@ class RunRecord:
     rows: list
     clamp_events: int = 0
     offdiag_entries: int = 0
-    wall_seconds: float = 0.0
     dpp_updates: int = 0
     offdiag_scale_sum: float = 0.0
     clipped_mass: float = 0.0
@@ -343,10 +341,8 @@ def _initial_truth(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarra
 
 def _make_filters(cfg: ExperimentConfig, run: int, sensor_model: SensorModel) -> dict:
     survival = SurvivalModel(cfg.p_s, cfg.filter_dynamics)
-    min_birth = (
-        cfg.smc.birth_per_target if cfg.min_birth_particles < 0 else cfg.min_birth_particles
-    )
-    birth = BirthScheme(cfg.smc.birth_per_target, cfg.birth_mass, min_birth)
+    # adaptive birth mass, and one target's worth of births when it floors to 0
+    birth = BirthScheme(cfg.smc.birth_per_target, min_particles=cfg.smc.birth_per_target)
     filters = {}
     if cfg.filter in ("dpp", "both"):
         filters["dpp"] = DppPhdFilter(
@@ -371,7 +367,6 @@ def _make_filters(cfg: ExperimentConfig, run: int, sensor_model: SensorModel) ->
 
 def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
     """One Monte Carlo run; all randomness comes from (seed, run) streams."""
-    t0 = time.perf_counter()
     rng_init = stream(cfg.seed, run, "truth-init")
     sim = TruthSimulator(
         _initial_truth(cfg, rng_init),
@@ -409,12 +404,12 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
                 rec.offdiag_scale_sum += diag.offdiag_scale
                 rec.clipped_mass += diag.clipped_mass
                 intensity = step_rec.state.kernel.diagonal * step_rec.state.kernel.grid.weights
-                positions = step_rec.state.particles.positions
+                particles = step_rec.state.particles
             else:
                 intensity = step_rec.particles.weights
-                positions = step_rec.particles.positions
+                particles = step_rec.particles.states
             gamma = step_rec.gamma
-            est = extract_estimates(positions, intensity, gamma, extract_rngs[name])
+            est = extract_estimates(particles[:, [0, 2]], intensity, gamma, extract_rngs[name])
             ospa_v = ospa(truth_xy, est, cfg.ospa_c, cfg.ospa_p)
             omat_v = (
                 omat(truth_xy, est) if truth_xy.shape[0] and est.shape[0] else None
@@ -444,7 +439,6 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
                     except DegenerateVariance:
                         row["corr_AB"] = None
             rec.rows.append(row)
-    rec.wall_seconds = time.perf_counter() - t0
     return rec
 
 
@@ -604,32 +598,19 @@ def _write_steps_csv(path, rows) -> None:
             fh.write(",".join(_fmt_cell(row[c]) for c in CSV_COLUMNS) + "\n")
 
 
-SUMMARY_METRICS = (
-    "count_truth",
-    "count_estimate",
-    "ospa",
-    "omat",
-    "good_ratio",
-    "gain",
-    "count_A",
-    "count_B",
-    "corr_AB",
-)
-
-
 def _write_summary_csv(path, rows) -> None:
     filters = sorted({row["filter"] for row in rows})
     steps = sorted({row["t"] for row in rows})
     with open(path, "w") as fh:
         header = ["filter", "t"]
-        for metric in SUMMARY_METRICS:
+        for metric in CSV_COLUMNS[3:]:
             header += [f"{metric}_mean", f"{metric}_sd"]
         fh.write(",".join(header) + "\n")
         for fname in filters:
             for t in steps:
                 cells = [fname, str(t)]
                 sel = [r for r in rows if r["filter"] == fname and r["t"] == t]
-                for metric in SUMMARY_METRICS:
+                for metric in CSV_COLUMNS[3:]:
                     vals = [r[metric] for r in sel if r[metric] is not None]
                     if vals:
                         arr = np.asarray(vals, dtype=float)
@@ -699,66 +680,64 @@ def _parse_sched_dict(text: str, cast) -> dict:
     return out
 
 
+# (write, parse) per field type; fields of any other type are written by
+# hand in config_to_ini and config_from_ini.
+_CODECS = {
+    str: (str, str),
+    int: (str, int),
+    float: (repr, float),
+    Optional[Region]: (
+        lambda r: "" if r is None else _region_str(r),
+        lambda text: _parse_region(text) if text else None,
+    ),
+    dict[int, int]: (_sched_dict_str, lambda text: _parse_sched_dict(text, int)),
+    dict[int, float]: (_sched_dict_str, lambda text: _parse_sched_dict(text, float)),
+}
+
+
+@functools.cache  # one entry per config dataclass; type hints are slow to resolve
+def flat_fields(cls) -> tuple:
+    """(field, (write, parse)) for each field of the config dataclass cls
+    that the codec reads and writes by its type, in declaration order."""
+    hints = get_type_hints(cls)
+    return tuple((f, _CODECS[hints[f.name]]) for f in fields(cls) if hints[f.name] in _CODECS)
+
+
+def _write_fields(obj) -> dict:
+    return {f.name: write(getattr(obj, f.name)) for f, (write, _) in flat_fields(type(obj))}
+
+
+def _read_config(cls, section, **given):
+    """cls with its flat fields parsed from an INI section.  ``given`` holds
+    the other fields and fallbacks for missing keys; a missing key with no
+    fallback takes the dataclass default, and one with neither is an error."""
+    kwargs = dict(given)
+    for f, (_, parse) in flat_fields(cls):
+        if f.name in section:
+            kwargs[f.name] = parse(section[f.name])
+        elif f.name not in given and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"[{section.name}] needs {f.name}")
+    return cls(**kwargs)
+
+
 def config_to_ini(cfg: ExperimentConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["experiment"] = {
-        "name": cfg.name,
-        "steps": str(cfg.steps),
-        "mc_runs": str(cfg.mc_runs),
-        "seed": str(cfg.seed),
-        "filter": cfg.filter,
-        "p_s": repr(cfg.p_s),
-        "birth_mass": "adaptive" if cfg.birth_mass is None else repr(cfg.birth_mass),
-        "min_birth_particles": str(cfg.min_birth_particles),
-        "ospa_c": repr(cfg.ospa_c),
-        "ospa_p": repr(cfg.ospa_p),
-        "notes": cfg.notes,
-    }
-    for key, dyn in (("dynamics", cfg.dynamics), ("filter_dynamics", cfg.filter_dynamics)):
-        cp[key] = {
-            "tau": repr(dyn.tau),
-            "sigma_vx": repr(dyn.sigma_vx),
-            "sigma_vy": repr(dyn.sigma_vy),
-            "sigma_vtheta": repr(dyn.sigma_vtheta),
-            "zeta_x": repr(dyn.zeta_x),
-            "zeta_y": repr(dyn.zeta_y),
-        }
+    cp["experiment"] = _write_fields(cfg)
+    cp["dynamics"] = _write_fields(cfg.dynamics)
+    cp["filter_dynamics"] = _write_fields(cfg.filter_dynamics)
     win = cfg.sensor.window
     cp["sensor"] = {
-        "sigma_range": repr(cfg.sensor.sigma_range),
-        "sigma_bearing": repr(cfg.sensor.sigma_bearing),
-        "p_d": repr(cfg.sensor.p_d),
-        "clutter_mean": repr(cfg.sensor.clutter_mean),
+        **_write_fields(cfg.sensor),
         "window": _region_str(win.region),
         "speed": f"{win.speed_min!r} {win.speed_max!r}",
         "turn": f"{win.turn_min!r} {win.turn_max!r}",
     }
-    cp["smc"] = {
-        "n_init": str(cfg.smc.n_init),
-        "resample_per_target": str(cfg.smc.resample_per_target),
-        "birth_per_target": str(cfg.smc.birth_per_target),
-        "cap": str(cfg.smc.cap),
-        "roughening_scale": repr(cfg.smc.roughening_scale),
-        "alpha": repr(cfg.smc.alpha),
-        "band_eta": repr(cfg.smc.band_eta),
-        "gamma0": repr(cfg.smc.gamma0),
-    }
+    cp["smc"] = _write_fields(cfg.smc)
     cp["truth"] = {
         "groups": ";".join(f"{_region_str(r)}:{n}" for r, n in cfg.truth.groups),
-        "placement": cfg.truth.placement,
-        "spread": repr(cfg.truth.spread),
-        "speed": repr(cfg.truth.speed),
+        **_write_fields(cfg.truth),
     }
-    sched = cfg.schedule
-    cp["schedule"] = {
-        "miss_region": "" if sched.miss_region is None else _region_str(sched.miss_region),
-        "miss_cycle": str(sched.miss_cycle),
-        "deaths": _sched_dict_str(sched.deaths),
-        "births": _sched_dict_str(sched.births),
-        "birth_region": "" if sched.birth_region is None else _region_str(sched.birth_region),
-        "birth_spread": repr(sched.birth_spread),
-        "clutter_changes": _sched_dict_str(sched.clutter_changes),
-    }
+    cp["schedule"] = _write_fields(cfg.schedule)
     if cfg.domains is not None:
         cp["domains"] = {
             "a": _region_str(cfg.domains[0]),
@@ -772,6 +751,8 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 # Keys older configs wrote, each with the one value the filters implement.
 _FIXED_KEYS = (
     ("experiment", "double_update", "true"),
+    ("experiment", "birth_mass", "adaptive"),
+    ("experiment", "min_birth_particles", "-1"),
     ("smc", "resample_mode", "multinomial"),
     ("dynamics", "repulsion_norm", "state"),
     ("filter_dynamics", "repulsion_norm", "state"),
@@ -786,89 +767,29 @@ def config_from_ini(text: str) -> ExperimentConfig:
         if value.lower() != only:
             raise ConfigError(f"{key} = {value!r} is not supported; the only value is {only}")
     try:
-        exp = cp["experiment"]
-
-        def dyn_of(section) -> DynamicsConfig:
-            s = cp[section]
-            return DynamicsConfig(
-                tau=s.getfloat("tau"),
-                sigma_vx=s.getfloat("sigma_vx"),
-                sigma_vy=s.getfloat("sigma_vy"),
-                sigma_vtheta=s.getfloat("sigma_vtheta"),
-                zeta_x=s.getfloat("zeta_x"),
-                zeta_y=s.getfloat("zeta_y"),
-            )
-
         sen = cp["sensor"]
         speed = [float(v) for v in sen.get("speed", "-3 3").split()]
         turn = [float(v) for v in sen.get("turn", "-0.05 0.05").split()]
         window = Window(_parse_region(sen["window"]), speed[0], speed[1], turn[0], turn[1])
-        sensor = SensorConfig(
-            sigma_range=sen.getfloat("sigma_range"),
-            sigma_bearing=sen.getfloat("sigma_bearing"),
-            p_d=sen.getfloat("p_d"),
-            clutter_mean=sen.getfloat("clutter_mean"),
-            window=window,
-        )
-        smc_s = cp["smc"]
-        smc = SmcConfig(
-            n_init=smc_s.getint("n_init"),
-            resample_per_target=smc_s.getint("resample_per_target"),
-            birth_per_target=smc_s.getint("birth_per_target"),
-            cap=smc_s.getint("cap"),
-            roughening_scale=smc_s.getfloat("roughening_scale"),
-            alpha=smc_s.getfloat("alpha"),
-            band_eta=smc_s.getfloat("band_eta"),
-            gamma0=smc_s.getfloat("gamma0"),
-        )
-        tr = cp["truth"]
         groups = []
-        for part in tr["groups"].split(";"):
+        for part in cp["truth"]["groups"].split(";"):
             region_text, count = part.rsplit(":", 1)
             groups.append((_parse_region(region_text), int(count)))
-        truth = TruthSpec(
-            groups=tuple(groups),
-            placement=tr.get("placement", "central"),
-            spread=tr.getfloat("spread", 15.0),
-            speed=tr.getfloat("speed", 1.0),
-        )
-        sch = cp["schedule"]
-        schedule = EventSchedule(
-            miss_region=(
-                _parse_region(sch["miss_region"]) if sch.get("miss_region", "") else None
-            ),
-            miss_cycle=sch.getint("miss_cycle", 0),
-            deaths=_parse_sched_dict(sch.get("deaths", ""), int),
-            births=_parse_sched_dict(sch.get("births", ""), int),
-            birth_region=(
-                _parse_region(sch["birth_region"]) if sch.get("birth_region", "") else None
-            ),
-            birth_spread=sch.getfloat("birth_spread", 15.0),
-            clutter_changes=_parse_sched_dict(sch.get("clutter_changes", ""), float),
-        )
         domains = None
         if cp.has_section("domains"):
             domains = (_parse_region(cp["domains"]["a"]), _parse_region(cp["domains"]["b"]))
-        birth_mass_text = exp.get("birth_mass", "adaptive")
-        return ExperimentConfig(
-            name=exp.get("name", "custom"),
-            steps=exp.getint("steps"),
-            mc_runs=exp.getint("mc_runs"),
-            seed=exp.getint("seed"),
-            filter=exp.get("filter", "dpp"),
-            dynamics=dyn_of("dynamics"),
-            filter_dynamics=dyn_of("filter_dynamics"),
-            sensor=sensor,
-            truth=truth,
-            schedule=schedule,
-            smc=smc,
-            p_s=exp.getfloat("p_s", 1.0),
-            birth_mass=None if birth_mass_text == "adaptive" else float(birth_mass_text),
-            min_birth_particles=exp.getint("min_birth_particles", -1),
+        return _read_config(
+            ExperimentConfig,
+            cp["experiment"],
+            name="custom",
+            filter="dpp",
+            dynamics=_read_config(DynamicsConfig, cp["dynamics"]),
+            filter_dynamics=_read_config(DynamicsConfig, cp["filter_dynamics"]),
+            sensor=_read_config(SensorConfig, sen, window=window),
+            truth=_read_config(TruthSpec, cp["truth"], groups=tuple(groups)),
+            schedule=_read_config(EventSchedule, cp["schedule"]),
+            smc=_read_config(SmcConfig, cp["smc"]),
             domains=domains,
-            ospa_c=exp.getfloat("ospa_c", 100.0),
-            ospa_p=exp.getfloat("ospa_p", 2.0),
-            notes=exp.get("notes", ""),
         )
     except (KeyError, ValueError) as e:
         raise ConfigError(f"bad experiment config: {e}") from e

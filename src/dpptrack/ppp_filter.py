@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateIntensity
 from .likelihood import SensorModel
 from .scenario import DynamicsConfig, Scan, Window, step_dynamics
-from .smc import BirthScheme, ParticleSet, SmcConfig, birth_count, phd_step
+from .smc import BirthScheme, SmcConfig, phd_step, sample_births
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ class WeightedParticles:
     def mass(self) -> float:
         return float(np.sum(self.weights))
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self.states[:, [0, 2]]
-
 
 def ppp_predict(
     p: WeightedParticles,
@@ -71,12 +67,10 @@ def ppp_predict(
     else:
         states = p.states
         weights = p.weights
-    gamma = float(np.sum(weights))
-    n_birth, mass = birth_count(birth, gamma)
-    if n_birth > 0:
-        born = window.sample_states(n_birth, rng)
-        states = np.vstack([states, born]) if len(p) else born
-        weights = np.concatenate([weights, np.full(n_birth, mass / n_birth)])
+    born, mass = sample_births(birth, float(np.sum(weights)), window, rng)
+    if len(born):
+        states = np.vstack([states, born])
+        weights = np.concatenate([weights, np.full(len(born), mass / len(born))])
     return WeightedParticles(states, weights)
 
 
@@ -164,14 +158,9 @@ class PppPhdFilter:
     def posterior_intensity(self, pred: WeightedParticles, scan: Scan) -> np.ndarray:
         return ppp_update(pred, scan, self.sensor).weights
 
-    def kept(
-        self, pred: WeightedParticles, intensity: np.ndarray, scan: Scan
-    ) -> WeightedParticles:
-        return WeightedParticles(pred.states, intensity)
-
-    def rebuilt(self, particles: ParticleSet, gamma: float) -> WeightedParticles:
-        size = len(particles)
-        return WeightedParticles(particles.states, np.full(size, gamma / size))
+    def rebuilt(self, states: np.ndarray, gamma: float) -> WeightedParticles:
+        size = len(states)
+        return WeightedParticles(states, np.full(size, gamma / size))
 
     def updated(self, p: WeightedParticles, scan: Scan) -> WeightedParticles:
         return ppp_update(p, scan, self.sensor)

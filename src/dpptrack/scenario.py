@@ -122,9 +122,6 @@ class Region:
     y_min: float
     y_max: float
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
-
     def contains_states(self, states: np.ndarray) -> np.ndarray:
         return (
             (states[:, 0] >= self.x_min)
@@ -289,11 +286,11 @@ class EventSchedule:
 
     miss_region: Optional[Region] = None
     miss_cycle: int = 0
-    deaths: dict = field(default_factory=dict)    # step -> count
-    births: dict = field(default_factory=dict)    # step -> count
+    deaths: dict[int, int] = field(default_factory=dict)    # step -> count
+    births: dict[int, int] = field(default_factory=dict)    # step -> count
     birth_region: Optional[Region] = None
     birth_spread: float = 15.0
-    clutter_changes: dict = field(default_factory=dict)  # step -> new clutter mean
+    clutter_changes: dict[int, float] = field(default_factory=dict)  # step -> new clutter mean
 
 
 @dataclass(frozen=True)

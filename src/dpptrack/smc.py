@@ -21,26 +21,6 @@ from .scenario import Scan, Window
 
 
 @dataclass(frozen=True)
-class ParticleSet:
-    states: np.ndarray  # (N, 5)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "states", np.asarray(self.states, dtype=float).reshape(-1, 5)
-        )
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.states[:, [0, 2]]
-
-    def grid(self) -> GridSpec:
-        return GridSpec.unit(self.states)
-
-
-@dataclass(frozen=True)
 class SmcConfig:
     n_init: int = 800                # N_{Phi,0}
     resample_per_target: int = 30    # P_p
@@ -82,6 +62,15 @@ def birth_count(scheme: BirthScheme, gamma: float) -> tuple[int, float]:
     if n == 0:
         n = max(scheme.min_particles, 0)
     return n, mass
+
+
+def sample_births(
+    scheme: BirthScheme, gamma: float, window: Window, rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """(birth states, total birth mass) for the current step: birth_count
+    particles drawn uniformly over the window (none drawn when it is 0)."""
+    n, mass = birth_count(scheme, gamma)
+    return window.sample_states(n, rng), mass
 
 
 def banded_kernel(
@@ -126,11 +115,10 @@ def banded_kernel(
 
 def init_particles(
     cfg: SmcConfig, window: Window, rng: np.random.Generator
-) -> tuple[ParticleSet, DiscretizedKernel]:
-    """Uniform initial particles plus the prior kernel at mass gamma0."""
+) -> tuple[np.ndarray, DiscretizedKernel]:
+    """Uniform initial particles (N, 5) plus the prior kernel at mass gamma0."""
     states = window.sample_states(cfg.n_init, rng)
-    particles = ParticleSet(states)
-    return particles, rebuild_kernel(particles, cfg, cfg.gamma0)
+    return states, rebuild_kernel(states, cfg, cfg.gamma0)
 
 
 def roughening_sd(extents: np.ndarray, scale: float, count: int) -> np.ndarray:
@@ -163,7 +151,7 @@ def resample(
     window: Window,
     rng: np.random.Generator,
     size: int | None = None,
-) -> ParticleSet:
+) -> np.ndarray:
     """Multinomial draw of states proportional to intensity, then Gaussian
     roughening.
 
@@ -178,56 +166,54 @@ def resample(
     if size is None:
         size = resample_size(cfg, total)
     if size <= 0:
-        return ParticleSet(np.zeros((0, 5)))
+        return np.zeros((0, 5))
     ids = select_ids(intensity, size, rng)
     resampled = states[ids].copy()
     sd = roughening_sd(window.extents(), cfg.roughening_scale, size)
     if np.any(sd > 0):
         resampled += rng.standard_normal(resampled.shape) * sd
-    return ParticleSet(resampled)
+    return resampled
 
 
 def inject_births(
-    particles: ParticleSet,
+    particles: np.ndarray,
     kernel: DiscretizedKernel,
     cfg: SmcConfig,
     birth: BirthScheme,
     gamma: float,
     window: Window,
     rng: np.random.Generator,
-) -> tuple[ParticleSet, DiscretizedKernel]:
+) -> tuple[np.ndarray, DiscretizedKernel]:
     """Append uniform birth particles and the birth kernel block.
 
-    birth_count(birth, gamma) gives the number N_b and total mass of the
-    births.  The birth block is banded_kernel at that mass on the births'
+    sample_births(birth, gamma, ...) gives the N_b births and their total
+    mass.  The birth block is banded_kernel at that mass on the births'
     own index band; cross-blocks between old and new particles are zero, so
     the extended spectrum is the union of the two block spectra and the
     already-valid old block is spliced through untouched.  The support mask
     is spliced the same way, block-diagonally.
     """
-    n_birth, mass = birth_count(birth, gamma)
-    if n_birth <= 0:
+    born, mass = sample_births(birth, gamma, window, rng)
+    if not len(born):
         return particles, kernel
-    born = window.sample_states(n_birth, rng)
-    states = np.vstack([particles.states, born]) if len(particles) else born
-    merged = ParticleSet(states)
+    merged = np.vstack([particles, born])
     birth_kernel = banded_kernel(born, mass, cfg.alpha, cfg.band_eta)
     n_old = len(particles)
-    n_tot = n_old + n_birth
+    n_tot = len(merged)
     extended = np.zeros((n_tot, n_tot))
     extended[:n_old, :n_old] = kernel.entries
     extended[n_old:, n_old:] = birth_kernel.entries
     support = np.zeros((n_tot, n_tot), dtype=bool)
     support[:n_old, :n_old] = True if kernel.support is None else kernel.support
     support[n_old:, n_old:] = birth_kernel.support
-    return merged, DiscretizedKernel(merged.grid(), extended, CORRELATION, support)
+    return merged, DiscretizedKernel(GridSpec.unit(merged), extended, CORRELATION, support)
 
 
 def rebuild_kernel(
-    particles: ParticleSet, cfg: SmcConfig, gamma: float
+    particles: np.ndarray, cfg: SmcConfig, gamma: float
 ) -> DiscretizedKernel:
     """Fresh kernel of mass gamma on the particles (see banded_kernel)."""
-    return banded_kernel(particles.states, gamma, cfg.alpha, cfg.band_eta)
+    return banded_kernel(particles, gamma, cfg.alpha, cfg.band_eta)
 
 
 def phd_step(rep, scan: Scan):
@@ -237,17 +223,16 @@ def phd_step(rep, scan: Scan):
     gamma; draw resample_size(gamma) particles with roughening; rebuild the
     representation on them at mass gamma; update it again against the same
     scan.  When the size is 0 the filter is nearly empty: the predicted cloud
-    is kept with its posterior and births re-seed it.  The two filters
-    differ only in ``rep``, which carries ``smc``, ``window`` and ``rng`` and
-    the kernel representation's half of the step:
+    is kept, updated against the scan, and births re-seed it.  The two
+    filters differ only in ``rep``, which carries ``smc``, ``window`` and
+    ``rng`` and the kernel representation's half of the step:
 
     - ``rep.predicted()``: the predicted state, with ``states`` per particle;
     - ``rep.posterior_intensity(pred, scan)``: the posterior intensity of
       each predicted particle;
-    - ``rep.kept(pred, intensity, scan)``: the step's result without
-      resampling;
-    - ``rep.rebuilt(particles, gamma)``: a state on the resampled particles;
-    - ``rep.updated(state, scan)``: the step's result after the re-update.
+    - ``rep.rebuilt(states, gamma)``: a state on the resampled (N, 5)
+      particle states;
+    - ``rep.updated(state, scan)``: the step's result after the update.
 
     Raises DegenerateIntensity when gamma is not finite.
     """
@@ -258,6 +243,6 @@ def phd_step(rep, scan: Scan):
         raise DegenerateIntensity(f"posterior count is {gamma}")
     size = resample_size(rep.smc, gamma)
     if size <= 0:
-        return rep.kept(pred, intensity, scan)
+        return rep.updated(pred, scan)
     resampled = resample(intensity, pred.states, rep.smc, rep.window, rep.rng, size)
     return rep.updated(rep.rebuilt(resampled, gamma), scan)

@@ -52,7 +52,7 @@ from dpptrack.scenario import (
     Window,
     generate_scan,
 )
-from dpptrack.smc import ParticleSet, SmcConfig
+from dpptrack.smc import SmcConfig
 from dpptrack.rng import stream
 
 
@@ -332,10 +332,10 @@ def test_criterion_7_kernel_invariants():
         states = np.zeros((n, 5))
         states[:, 0] = center[0] + rng.normal(0, 3.0, n)
         states[:, 2] = center[1] + rng.normal(0, 3.0, n)
-        particles = ParticleSet(states)
+        particles = states
         eps = float(rng.uniform(0.01, 0.05))
         raw = eps * (np.eye(n) + 0.4 * np.exp(-np.abs(np.subtract.outer(range(n), range(n)))))
-        kernel = project_kernel(0.5 * (raw + raw.T), particles.grid(), CORRELATION)
+        kernel = project_kernel(0.5 * (raw + raw.T), GridSpec.unit(particles), CORRELATION)
         state = FilterState(particles, kernel, float(np.sum(kernel.diagonal)))
         pred = predict(state, survival, birth, smc, window, rng)
         validate_kernel(pred.kernel)

@@ -52,14 +52,14 @@ from dpptrack.scenario import (
     Window,
     generate_scan,
 )
-from dpptrack.smc import ParticleSet, SmcConfig, banded_kernel
+from dpptrack.smc import SmcConfig, banded_kernel
 
 WINDOW = Window(Region(-100.0, 100.0, -100.0, 100.0))
 QUIET = DynamicsConfig(sigma_vx=0.0, sigma_vy=0.0, sigma_vtheta=0.0)
 
 
 def particles_of(states):
-    return ParticleSet(np.atleast_2d(states))
+    return np.atleast_2d(states)
 
 
 def small_state(n=6, seed=0, scale=0.05):
@@ -67,7 +67,7 @@ def small_state(n=6, seed=0, scale=0.05):
     states = rng.uniform(-50, 50, (n, 5))
     p = particles_of(states)
     raw = scale * np.eye(n) + rng.uniform(-0.01, 0.01, (n, n))
-    kernel = project_kernel(0.5 * (raw + raw.T), p.grid(), CORRELATION)
+    kernel = project_kernel(0.5 * (raw + raw.T), GridSpec.unit(p), CORRELATION)
     gamma = float(np.sum(kernel.diagonal))
     return FilterState(p, kernel, gamma)
 
@@ -125,7 +125,7 @@ class TestPredict:
     def test_identity_transition_preserves_kernel(self):
         st = small_state(seed=4)
         # zero velocities and zero noise make the motion an identity map
-        states = st.particles.states.copy()
+        states = st.particles.copy()
         states[:, 1] = states[:, 3] = states[:, 4] = 0.0
         st = FilterState(particles_of(states), st.kernel, st.gamma)
         out = predict(
@@ -133,7 +133,7 @@ class TestPredict:
             WINDOW, np.random.default_rng(0),
         )
         np.testing.assert_array_equal(out.kernel.entries, st.kernel.entries)
-        np.testing.assert_array_equal(out.particles.states, states)
+        np.testing.assert_array_equal(out.particles, states)
 
     def test_zero_survival_leaves_birth_only(self):
         st = small_state(seed=5)
@@ -316,10 +316,10 @@ class TestUpdate:
         # is clipped there, and its point loses its off-diagonal entries
         st = small_state(seed=15, scale=0.3)
         sensor = self.sensor(clutter=0.01, sigma_range=0.5)
-        target = st.particles.states[:1]
+        target = st.particles[:1]
         scan = generate_scan(target, [0], replace(sensor.cfg, p_d=1.0), frozenset(),
                              np.random.default_rng(5), time=0)
-        like = sensor.tilde_matrix(scan.detections, st.particles.states)
+        like = sensor.tilde_matrix(scan.detections, st.particles)
         clutter = sensor.clutter_density(scan.detections)
         j = interaction_kernel(st.kernel)
         mu, _, _ = posterior_moments(st.kernel, j, like, clutter, sensor.q_d)
@@ -342,7 +342,7 @@ class TestUpdate:
         scan = generate_scan(
             truth, [0], sensor.cfg, frozenset(), np.random.default_rng(3), time=0
         )
-        like = sensor.tilde_matrix(scan.detections, st.particles.states)
+        like = sensor.tilde_matrix(scan.detections, st.particles)
         clutter = sensor.clutter_density(scan.detections)
         j = interaction_kernel(st.kernel)
         mu_full, _, _ = posterior_moments(st.kernel, j, like, clutter, sensor.q_d)
@@ -433,7 +433,7 @@ class TestCorrelationEstimate:
         states[3:, 0] = states[3:, 2] = 60.0  # region B cluster
         p = particles_of(states)
         m = np.full((6, 6), 0.01) + 0.15 * np.eye(6)
-        kernel = project_kernel(m, p.grid(), CORRELATION)
+        kernel = project_kernel(m, GridSpec.unit(p), CORRELATION)
         return FilterState(p, kernel, float(np.sum(kernel.diagonal)))
 
     def test_same_region_correlation_is_one(self):
@@ -449,7 +449,7 @@ class TestCorrelationEstimate:
         block = np.zeros((4, 4))
         block[:2, :2] = [[0.2, 0.05], [0.05, 0.2]]
         block[2:, 2:] = [[0.2, 0.05], [0.05, 0.2]]
-        kernel = DiscretizedKernel(p.grid(), block, CORRELATION)
+        kernel = DiscretizedKernel(GridSpec.unit(p), block, CORRELATION)
         st = FilterState(p, kernel, float(np.sum(kernel.diagonal)))
         a = Region(0.0, 20.0, 0.0, 20.0)
         b = Region(50.0, 70.0, 50.0, 70.0)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,11 +8,13 @@ from dpptrack.cli import main as cli_main
 from dpptrack.dpp_filter import DppPhdFilter
 from dpptrack.errors import ConfigError, UnknownPreset
 from dpptrack.harness import (
+    PRESET_NAMES,
     ExperimentConfig,
     TruthSpec,
     blas_thread_counts,
     config_from_ini,
     config_to_ini,
+    flat_fields,
     preset,
     run_experiment,
 )
@@ -50,11 +52,47 @@ def tiny_config(filter_name="ppp", runs=2, steps=3, seed=99):
 
 
 class TestConfigRoundtrip:
-    def test_ini_roundtrip_preserves_everything(self):
-        cfg = preset("spooky")
+    @pytest.mark.parametrize(
+        "name, full",
+        [(name, full) for name in PRESET_NAMES for full in (False, True)],
+        ids=[f"{name}-{scale}" for name in PRESET_NAMES for scale in ("desk", "full")],
+    )
+    def test_ini_roundtrip_preserves_everything(self, name, full):
+        cfg = preset(name, full)
         text = config_to_ini(cfg)
         back = config_from_ini(text)
         assert back == cfg
+
+    @pytest.mark.parametrize("key", ["steps", "mc_runs", "seed"])
+    def test_missing_required_key_raises(self, key):
+        text = config_to_ini(preset("spooky"))
+        line = next(x for x in text.splitlines(keepends=True) if x.startswith(f"{key} = "))
+        with pytest.raises(ConfigError, match=key):
+            config_from_ini(text.replace(line, ""))
+
+    def test_missing_key_takes_the_dataclass_default(self):
+        cfg = preset("spooky")
+        text = config_to_ini(cfg).replace(f"cap = {cfg.smc.cap}\n", "")
+        assert config_from_ini(text) == replace(cfg, smc=replace(cfg.smc, cap=SmcConfig().cap))
+        assert SmcConfig().cap == 1000
+
+    @pytest.mark.parametrize(
+        "cls",
+        [ExperimentConfig, DynamicsConfig, SensorConfig, SmcConfig, TruthSpec, EventSchedule],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_codec_skips_only_the_nested_fields(self, cls):
+        # a field of a type the codec cannot write would drop out of the
+        # meta.txt config echo and the build id
+        nested = {
+            ExperimentConfig: {
+                "dynamics", "filter_dynamics", "sensor", "truth", "schedule", "smc", "domains"
+            },
+            SensorConfig: {"window"},
+            TruthSpec: {"groups"},
+        }.get(cls, set())
+        flat = {f.name for f, _codec in flat_fields(cls)}
+        assert {f.name for f in fields(cls)} - flat == nested
 
     def test_roundtrip_with_schedule_dicts(self):
         cfg = preset("death")

@@ -11,7 +11,6 @@ from dpptrack.ppp_filter import (
     PppPhdFilter,
     SurvivalModel,
     WeightedParticles,
-    birth_count,
     poisson_weight_update,
     ppp_predict,
     ppp_update,
@@ -24,7 +23,7 @@ from dpptrack.scenario import (
     Window,
     generate_scan,
 )
-from dpptrack.smc import SmcConfig
+from dpptrack.smc import SmcConfig, birth_count
 
 WINDOW = Window(Region(-100.0, 100.0, -100.0, 100.0))
 QUIET = DynamicsConfig(sigma_vx=0.0, sigma_vy=0.0, sigma_vtheta=0.0)

@@ -15,7 +15,6 @@ from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel
 from dpptrack.scenario import DynamicsConfig, Region, Scan, SensorConfig, Window
 from dpptrack.smc import (
     BirthScheme,
-    ParticleSet,
     SmcConfig,
     banded_kernel,
     init_particles,
@@ -29,7 +28,7 @@ WINDOW = Window(Region(-100.0, 100.0, -100.0, 100.0))
 
 
 def particles_of(states):
-    return ParticleSet(np.atleast_2d(states))
+    return np.atleast_2d(states)
 
 
 def index_support(n, eta):
@@ -81,7 +80,7 @@ class TestResample:
         intensity[3] = 2.0
         out = resample(intensity, states, cfg, WINDOW, np.random.default_rng(0))
         assert len(out) == 10  # 5 per target, floor(2.0) = 2 targets
-        assert np.all(out.states == states[3])
+        assert np.all(out == states[3])
 
     def test_output_size_formula(self):
         cfg = SmcConfig(n_init=10, resample_per_target=30, cap=1000)
@@ -112,7 +111,7 @@ class TestResample:
         reps = 10_000
         for _ in range(reps):
             out = resample(intensity, states, cfg, WINDOW, rng, size=1)
-            counts[int(out.states[0, 0] // 5)] += 1
+            counts[int(out[0, 0] // 5)] += 1
         freq = counts / reps
         # 3 sigma multinomial band around 0.25
         sigma = np.sqrt(0.25 * 0.75 / reps)
@@ -127,7 +126,7 @@ class TestResample:
         reps = 10_000
         for _ in range(reps):
             out = resample(intensity, states, cfg, WINDOW, rng, size=12)
-            ids = (out.states[:, 0] // 5).astype(int)
+            ids = (out[:, 0] // 5).astype(int)
             total += np.bincount(ids, minlength=3)
         expected = 12 * intensity / intensity.sum()
         got = total / reps
@@ -140,7 +139,7 @@ class TestResample:
         out = resample(np.ones(5) * 2, states, cfg, WINDOW,
                        np.random.default_rng(7))
         source_rows = {tuple(row) for row in states}
-        assert all(tuple(row) in source_rows for row in out.states)
+        assert all(tuple(row) in source_rows for row in out)
 
     def test_roughening_scale_formula(self):
         sd = roughening_sd(np.array([200.0, 10.0, 200.0, 10.0, 0.4]), 0.05, 100)
@@ -283,12 +282,14 @@ def test_rebuild_kernel_valid_and_banded():
 
 class TestResampleModes:
     def test_unknown_mode_rejected(self):
-        # multinomial resampling, the double update and the full-state
-        # repulsion norm are the only modes; config echoes that name them
-        # still load, other values are refused
+        # multinomial resampling, the double update, the full-state
+        # repulsion norm and the adaptive birth rule are the only modes;
+        # config echoes that name them still load, other values are refused
         text = config_to_ini(preset("spooky"))
         old = text.replace("[smc]\n", "[smc]\nresample_mode = multinomial\n").replace(
-            "[experiment]\n", "[experiment]\ndouble_update = true\n"
+            "[experiment]\n",
+            "[experiment]\ndouble_update = true\n"
+            "birth_mass = adaptive\nmin_birth_particles = -1\n",
         )
         for section in ("dynamics", "filter_dynamics"):
             old = old.replace(f"[{section}]\n", f"[{section}]\nrepulsion_norm = state\n")
@@ -297,6 +298,8 @@ class TestResampleModes:
             ("smc", "resample_mode = systematic"),
             ("smc", "resample_mode = topk"),
             ("experiment", "double_update = false"),
+            ("experiment", "birth_mass = 2.0"),
+            ("experiment", "min_birth_particles = 5"),
             ("dynamics", "repulsion_norm = position"),
             ("filter_dynamics", "repulsion_norm = position"),
         ):
