@@ -393,7 +393,6 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
                 f.sensor = sensor_model
         states, ids, scan = sim.step()
         truth_xy = states[:, [0, 2]] if states.size else np.zeros((0, 2))
-        truth_positions = {tid: truth_xy[i] for i, tid in enumerate(ids)}
         for name, filt in filters.items():
             step_rec = filt.step(scan)
             if name == "dpp":
@@ -414,7 +413,7 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
             omat_v = (
                 omat(truth_xy, est) if truth_xy.shape[0] and est.shape[0] else None
             )
-            ratio, gain = good_estimate_stats(scan, est, truth_positions)
+            ratio, gain = good_estimate_stats(scan, est, (ids, truth_xy))
             row = {
                 "run": run,
                 "t": t,
@@ -599,39 +598,40 @@ def _write_steps_csv(path, rows) -> None:
 
 
 def _write_summary_csv(path, rows) -> None:
-    filters = sorted({row["filter"] for row in rows})
-    steps = sorted({row["t"] for row in rows})
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault((row["filter"], row["t"]), []).append(row)
     with open(path, "w") as fh:
         header = ["filter", "t"]
         for metric in CSV_COLUMNS[3:]:
             header += [f"{metric}_mean", f"{metric}_sd"]
         fh.write(",".join(header) + "\n")
-        for fname in filters:
-            for t in steps:
-                cells = [fname, str(t)]
-                sel = [r for r in rows if r["filter"] == fname and r["t"] == t]
-                for metric in CSV_COLUMNS[3:]:
-                    vals = [r[metric] for r in sel if r[metric] is not None]
-                    if vals:
-                        arr = np.asarray(vals, dtype=float)
-                        mean = float(arr.mean())
-                        sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-                        cells += [repr(mean), repr(sd)]
-                    else:
-                        cells += ["", ""]
-                fh.write(",".join(cells) + "\n")
+        for (fname, t), sel in sorted(groups.items()):
+            cells = [fname, str(t)]
+            for metric in CSV_COLUMNS[3:]:
+                vals = [r[metric] for r in sel if r[metric] is not None]
+                if vals:
+                    arr = np.asarray(vals, dtype=float)
+                    mean = float(arr.mean())
+                    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+                    cells += [repr(mean), repr(sd)]
+                else:
+                    cells += ["", ""]
+            fh.write(",".join(cells) + "\n")
 
 
-def build_id(cfg: ExperimentConfig) -> str:
-    text = config_to_ini(cfg) + __version__
-    return hashlib.sha1(text.encode()).hexdigest()[:12]
+def build_id(config_text: str) -> str:
+    """Id of a build and config: a hash of the config's INI text (from
+    ``config_to_ini``) and the package version."""
+    return hashlib.sha1((config_text + __version__).encode()).hexdigest()[:12]
 
 
 def _write_meta(path, result: ExperimentResult) -> None:
     cfg = result.config
+    echo = config_to_ini(cfg)
     with open(path, "w") as fh:
         fh.write(f"dpptrack version = {__version__}\n")
-        fh.write(f"build id = {build_id(cfg)}\n")
+        fh.write(f"build id = {build_id(echo)}\n")
         fh.write(f"experiment = {cfg.name}\n")
         fh.write(f"seed = {cfg.seed}\n")
         fh.write(f"mc_runs = {cfg.mc_runs}\n")
@@ -646,7 +646,7 @@ def _write_meta(path, result: ExperimentResult) -> None:
         fh.write(f"wall seconds = {result.wall_seconds:.3f}\n")
         fh.write(f"openblas libraries pinned = {len(_blas_thread_controls())}\n")
         fh.write("\n# config echo\n")
-        fh.write(config_to_ini(cfg))
+        fh.write(echo)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +721,7 @@ def _read_config(cls, section, **given):
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["experiment"] = _write_fields(cfg)
     cp["dynamics"] = _write_fields(cfg.dynamics)
     cp["filter_dynamics"] = _write_fields(cfg.filter_dynamics)
@@ -760,7 +760,7 @@ _FIXED_KEYS = (
 
 
 def config_from_ini(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
     for section, key, only in _FIXED_KEYS:
         value = cp.get(section, key, fallback=only)

@@ -13,10 +13,10 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 
 def _pairwise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of x to each row of y, shape (n, m)."""
     x = np.asarray(x, dtype=float).reshape(-1, 2)
     y = np.asarray(y, dtype=float).reshape(-1, 2)
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    return _distances(y, x[None])[0]
 
 
 def ospa(truth, est, c: float = 100.0, p: float = 2.0) -> float:
@@ -106,10 +106,15 @@ def associate(detections_xy: np.ndarray, estimates: np.ndarray) -> list[tuple[in
 def good_estimate_stats(
     scan,
     estimates: np.ndarray,
-    truth_positions: dict[int, np.ndarray],
+    truth_positions: dict[int, np.ndarray] | tuple,
 ) -> tuple[Optional[float], Optional[float]]:
     """Fraction of target-originated measurements beaten by their estimate,
     and the mean relative distance improvement.
+
+    ``truth_positions`` holds the position of each live target, either as
+    a dict from target id to (x, y) or as a pair (ids, positions) of a
+    sequence of target ids and an (n, 2) array.  Target ids are
+    nonnegative; a scan links clutter to -1.
 
     A measurement is beaten when its associated (nearest) estimate is
     strictly closer to the originating target than the measurement itself.
@@ -118,14 +123,17 @@ def good_estimate_stats(
     """
     if scan.truth_links is None:
         return None, None
-    links = np.asarray(scan.truth_links)
-    known = np.fromiter(truth_positions, dtype=links.dtype, count=len(truth_positions))
-    target_rows = np.flatnonzero((links >= 0) & np.isin(links, known))
+    if isinstance(truth_positions, dict):
+        truth_positions = list(truth_positions), list(truth_positions.values())
+    ids, positions = truth_positions
+    # match[i, j]: measurement i came from target ids[j]
+    match = scan.truth_links[:, None] == np.asarray(ids, dtype=int)
+    target_rows = np.flatnonzero(match.any(axis=1))
     estimates = np.asarray(estimates, dtype=float).reshape(-1, 2)
     if target_rows.size == 0 or estimates.shape[0] == 0:
         return None, None
     meas = scan.cartesian()[target_rows]
-    truth = np.array([truth_positions[int(tid)] for tid in links[target_rows]], dtype=float)
+    truth = np.asarray(positions, dtype=float).reshape(-1, 2)[match[target_rows].argmax(axis=1)]
     est = estimates[_nearest(meas, estimates)]
     d_meas = np.hypot(*(meas - truth).T)
     d_est = np.hypot(*(est - truth).T)
@@ -162,45 +170,48 @@ def extract_estimates(
         return np.zeros((0, 2))
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     intensity = np.clip(np.asarray(intensity, dtype=float), 0.0, None)
-    if not np.all(np.isfinite(intensity)):
+    total = intensity.sum()
+    if not math.isfinite(total):
         raise ValueError("intensity must be finite")
-    if positions.shape[0] == 0 or intensity.sum() <= 0:
+    if positions.shape[0] == 0 or total <= 0:
         return np.zeros((0, 2))
     k = min(k, positions.shape[0])
-    centers = _seed_centers(positions, intensity, rng.random((restarts, k)))
+    centers = _seed_centers(positions, intensity / total, rng.random((restarts, k)))
     centers = _lloyd(positions, intensity, centers)
-    inertia = (intensity * (_distances(positions, centers) ** 2).min(axis=2)).sum(axis=1)
+    inertia = (intensity * (_distances(positions, centers) ** 2).min(axis=1)).sum(axis=1)
     return centers[np.argmin(inertia)]
 
 
 def _distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """_pairwise(points, c) for every restart's centres c, shape (r, n, k)."""
-    dx = points[:, 0, None] - centers[:, None, :, 0]
-    dy = points[:, 1, None] - centers[:, None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    """_pairwise(c, points) for every restart's centres c, shape (r, k, n)."""
+    dx = points[:, 0] - centers[:, :, 0, None]
+    dy = points[:, 1] - centers[:, :, 1, None]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
-def _seed_centers(points: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """k-means++ seeding of u.shape[0] restarts at once, centre j of restart
-    r picked by inverse CDF at u[r, j]."""
+def _seed_centers(points: np.ndarray, probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """k-means++ seeding of u.shape[0] restarts at once from the point
+    probabilities ``probs``, centre j of restart r picked by inverse CDF at
+    u[r, j]."""
     restarts, k = u.shape
-    probs = weights / weights.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     centers = np.empty((restarts, k, 2))
+    centers[:, 0] = points[np.searchsorted(cdf, u[:, 0], side="right")]
     d2 = np.full((restarts, points.shape[0]), np.inf)
-    for j in range(k):
-        if j == 0:
-            p = np.broadcast_to(probs, d2.shape)
-        else:
-            score = probs * d2
-            total = score.sum(axis=1)
-            seeded = total > 0
-            p = np.where(seeded[:, None], score / np.where(seeded, total, 1.0)[:, None], probs)
+    for j in range(1, k):
+        np.minimum(d2, _distances(points, centers[:, j - 1 : j])[:, 0] ** 2, out=d2)
+        score = probs * d2
+        total = score.sum(axis=1, keepdims=True)
+        # a restart whose score is 0 everywhere draws from probs
+        p = np.divide(score, total, out=probs[None].repeat(restarts, 0), where=total > 0)
         cdf = p.cumsum(axis=1)
         cdf /= cdf[:, -1:]
         # searchsorted(cdf, u, 'right') per restart; cdf is nondecreasing
-        picks = (cdf <= u[:, j, None]).sum(axis=1)
-        centers[:, j] = points[picks]
-        np.minimum(d2, _distances(points, centers[:, j : j + 1])[:, :, 0] ** 2, out=d2)
+        centers[:, j] = points[(cdf <= u[:, j, None]).sum(axis=1)]
     return centers
 
 
@@ -211,44 +222,26 @@ def _lloyd(
     frozen once no centre coordinate moves by more than 1e-12.  A cluster
     with no weight keeps its centre.
 
-    Each new centre is sum(w * x) / sum(w) over its cluster, rounded as the
-    per-cluster numpy sums ``(x[sel] * w[sel, None]).sum(axis=0)`` and
-    ``w[sel].sum()`` round: the coordinate sums accumulate in point order
-    (``np.bincount``), the mass pairwise (``_cluster_mass``).
+    Each new centre is sum(w * x) / sum(w) over its cluster.  One
+    ``np.bincount`` takes the mass and both coordinate sums of every
+    cluster, each accumulated in point order.
     """
     restarts, k, _ = centers.shape
-    # weight, w * x and w * y of every point, repeated once per restart
-    tiled = np.tile(np.stack([weights, weights * points[:, 0], weights * points[:, 1]]), restarts)
+    # w, w * x and w * y of every point, once per restart
+    terms = np.stack([weights, weights * points[:, 0], weights * points[:, 1]])
+    terms = np.tile(terms, (restarts, 1, 1))
+    # term j of a point in cluster c of the restart in row r goes to bin k * (3 r + j) + c
+    offsets = k * np.arange(3 * restarts).reshape(restarts, 3, 1)
     active = np.arange(restarts)
     for _ in range(iters):
         old = centers[active]
-        assign = np.argmin(_distances(points, old), axis=2)
-        labels = (np.arange(active.size)[:, None] * k + assign).ravel()
-        w, wx, wy = tiled[:, : labels.size]
-        bins = active.size * k
-        mass = _cluster_mass(labels, w, bins)
-        sums = np.stack([np.bincount(labels, wx, bins), np.bincount(labels, wy, bins)], axis=1)
-        held = (mass > 0)[:, None]
-        new = np.divide(sums, mass[:, None], out=old.reshape(-1, 2).copy(), where=held)
-        new = new.reshape(old.shape)
+        m = active.size
+        bins = _distances(points, old).argmin(axis=1)[:, None, :] + offsets[:m]
+        sums = np.bincount(bins.ravel(), terms[:m].ravel(), 3 * k * m).reshape(m, 3, k)
+        mass = sums[:, 0, :, None]
+        new = np.divide(sums[:, 1:].transpose(0, 2, 1), mass, out=old.copy(), where=mass > 0)
         centers[active] = new
-        moving = np.any(np.abs(new - old) > 1e-12, axis=(1, 2))
-        active = active[moving]
+        active = active[(np.abs(new - old) > 1e-12).any(axis=(1, 2))]
         if active.size == 0:
             break
     return centers
-
-
-def _cluster_mass(labels: np.ndarray, weights: np.ndarray, bins: int) -> np.ndarray:
-    """Sum of the weights in each label bin, each bin summed pairwise in
-    point order as ``weights[labels == b].sum()`` is.
-
-    ``np.add.reduceat`` adds the first element of a segment to the pairwise
-    sum of the rest, so every bin's segment starts with a 0.0 of its own.
-    """
-    order = np.argsort(labels, kind="stable")
-    counts = np.bincount(labels, minlength=bins)
-    padded = np.zeros(labels.size + bins)
-    padded[np.arange(labels.size) + labels[order] + 1] = weights[order]
-    starts = np.cumsum(counts + 1) - (counts + 1)
-    return np.add.reduceat(padded, starts)

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from dpptrack import harness
 from dpptrack.cli import main as cli_main
 from dpptrack.dpp_filter import DppPhdFilter
 from dpptrack.errors import ConfigError, UnknownPreset
@@ -104,6 +105,12 @@ class TestConfigRoundtrip:
     def test_bad_config_raises(self):
         with pytest.raises(ConfigError):
             config_from_ini("[experiment]\nname = broken\n")
+
+    def test_percent_signs_roundtrip_through_the_meta_echo(self, tmp_path):
+        cfg = replace(tiny_config(runs=1, steps=1), notes="P_d 90% run, 100%% sure, %(name)s")
+        run_experiment(cfg, out_dir=tmp_path)
+        echo = (tmp_path / "meta.txt").read_text().split("\n# config echo\n", 1)[1]
+        assert config_from_ini(echo) == cfg
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -206,6 +213,19 @@ class TestRunExperiment:
         c = (tmp_path / "c" / "steps.csv").read_bytes()
         assert a == b == c
         assert blas_thread_counts() == before
+
+    def test_scoring_never_feeds_back_into_the_filters(self, monkeypatch):
+        cfg = replace(preset("spooky"), filter="both", mc_runs=2, steps=12)
+        scored = run_experiment(cfg).rows
+        monkeypatch.setattr(harness, "extract_estimates", lambda *args: np.zeros((0, 2)))
+        unscored = run_experiment(cfg).rows
+        assert any(r["ospa"] < cfg.ospa_c for r in scored)
+        assert all(r["ospa"] == cfg.ospa_c for r in unscored)
+        columns = ("count_estimate", "count_A", "count_B", "corr_AB")
+        assert [[r[c] for c in columns] for r in unscored] == [
+            [r[c] for c in columns] for r in scored
+        ]
+        assert any(r["corr_AB"] is not None for r in scored)
 
     def test_both_filters_report_rows(self, tmp_path):
         cfg = tiny_config(filter_name="both", runs=1, steps=2)

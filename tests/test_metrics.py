@@ -339,6 +339,21 @@ class TestGoodEstimateStats:
         est = rng.uniform(-50, 50, (n_est, 2))
         assert good_estimate_stats(scan, est, truth) == loop_good_estimate_stats(scan, est, truth)
 
+    def test_id_position_pair_matches_loop_reference(self):
+        # the (ids, positions) form the harness passes
+        rng = np.random.default_rng(10)
+        scored = 0
+        for _ in range(40):
+            ids = [int(t) for t in rng.choice(10, int(rng.integers(0, 6)), replace=False)]
+            positions = rng.uniform(-50, 50, (len(ids), 2))
+            links = rng.integers(-1, 10, int(rng.integers(0, 12)))
+            scan = self.scan_with_links(rng.uniform(-50, 50, (links.size, 2)), links)
+            est = rng.uniform(-50, 50, (int(rng.integers(0, 5)), 2))
+            got = good_estimate_stats(scan, est, (ids, positions))
+            assert got == loop_good_estimate_stats(scan, est, dict(zip(ids, positions)))
+            scored += got[0] is not None
+        assert scored > 10
+
     def test_translation_invariance(self):
         truth = {0: np.array([10.0, 10.0]), 1: np.array([-5.0, 20.0])}
         meas_xy = np.array([[12.0, 9.0], [-6.0, 22.0]])
