@@ -35,6 +35,7 @@ from .kernels import (
     DiscretizedKernel,
     GridSpec,
     cross_covariance,
+    interaction_diagonal,
     interaction_kernel,
     shrink_to_feasible,
 )
@@ -211,7 +212,7 @@ def posterior_diagonal(
     if poisson_equivalent:
         return poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
     kd = state.kernel.diagonal
-    jd = interaction_kernel(state.kernel).diagonal
+    jd = interaction_diagonal(state.kernel)
     if like.shape[0] == 0:
         return sensor.q_d * kd
     sc = corrector_denominators(clutter, like, jd * state.kernel.grid.weights)

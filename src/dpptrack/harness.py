@@ -610,11 +610,12 @@ def _write_summary_csv(path, rows) -> None:
             cells = [fname, str(t)]
             for metric in CSV_COLUMNS[3:]:
                 vals = [r[metric] for r in sel if r[metric] is not None]
-                if vals:
+                if len(vals) == 1:
+                    # numpy's one-element mean is 0.0 + v, which maps -0.0 to 0.0
+                    cells += [repr(float(vals[0]) + 0.0), "0.0"]
+                elif vals:
                     arr = np.asarray(vals, dtype=float)
-                    mean = float(arr.mean())
-                    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-                    cells += [repr(mean), repr(sd)]
+                    cells += [repr(float(arr.mean())), repr(float(arr.std(ddof=1)))]
                 else:
                     cells += ["", ""]
             fh.write(",".join(cells) + "\n")
@@ -768,9 +769,13 @@ def config_from_ini(text: str) -> ExperimentConfig:
             raise ConfigError(f"{key} = {value!r} is not supported; the only value is {only}")
     try:
         sen = cp["sensor"]
-        speed = [float(v) for v in sen.get("speed", "-3 3").split()]
-        turn = [float(v) for v in sen.get("turn", "-0.05 0.05").split()]
-        window = Window(_parse_region(sen["window"]), speed[0], speed[1], turn[0], turn[1])
+        window = Window(_parse_region(sen["window"]))  # its velocity and turn defaults
+        if "speed" in sen:
+            low, high = (float(v) for v in sen["speed"].split())
+            window = replace(window, speed_min=low, speed_max=high)
+        if "turn" in sen:
+            low, high = (float(v) for v in sen["turn"].split())
+            window = replace(window, turn_min=low, turn_max=high)
         groups = []
         for part in cp["truth"]["groups"].split(";"):
             region_text, count = part.rsplit(":", 1)

@@ -156,8 +156,9 @@ def resample(
     roughening.
 
     Output size defaults to resample_size(cfg, total intensity).  Raises
-    DegenerateIntensity when nothing has mass (the harness records the run
-    as lost and reinitializes).
+    DegenerateIntensity when nothing has mass.  No caller catches it: it
+    propagates out of ``harness.run_experiment``, which then writes no
+    output file, so one lost run aborts the whole experiment.
     """
     intensity = np.asarray(intensity, dtype=float)
     total = float(intensity.sum())

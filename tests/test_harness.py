@@ -77,6 +77,20 @@ class TestConfigRoundtrip:
         assert config_from_ini(text) == replace(cfg, smc=replace(cfg.smc, cap=SmcConfig().cap))
         assert SmcConfig().cap == 1000
 
+    def test_missing_window_velocity_keys_take_the_window_defaults(self):
+        cfg = preset("spooky")
+        text = config_to_ini(cfg)
+        window = cfg.sensor.window
+        for line in (
+            f"speed = {window.speed_min!r} {window.speed_max!r}\n",
+            f"turn = {window.turn_min!r} {window.turn_max!r}\n",
+        ):
+            assert text.count(line) == 1
+            text = text.replace(line, "")
+        back = config_from_ini(text)
+        assert back.sensor.window == Window(window.region)
+        assert back == replace(cfg, sensor=replace(cfg.sensor, window=Window(window.region)))
+
     @pytest.mark.parametrize(
         "cls",
         [ExperimentConfig, DynamicsConfig, SensorConfig, SmcConfig, TruthSpec, EventSchedule],
@@ -168,6 +182,19 @@ class TestRunExperiment:
         # no DPP update ran, so there is no off-diagonal scale to average
         assert "mean offdiag scale = n/a\n" in meta
         assert "clipped diagonal mass = 0\n" in meta
+
+    def test_one_row_summary_matches_the_numpy_mean(self, tmp_path):
+        # a one-row group is written without numpy, as numpy would write it
+        values = [-0.0, 0.0, 0.1 + 0.2, -2.5, 1e-300, math.inf, math.nan]
+        rows = [
+            {**dict.fromkeys(harness.CSV_COLUMNS), "run": 0, "t": t, "filter": "ppp", "ospa": v}
+            for t, v in enumerate(values)
+        ]
+        harness._write_summary_csv(tmp_path / "summary.csv", rows)
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        col = lines[0].split(",").index("ospa_mean")
+        cells = [line.split(",")[col : col + 2] for line in lines[1:]]
+        assert cells == [[repr(float(np.asarray([v]).mean())), "0.0"] for v in values]
 
     def test_meta_aggregates_the_posterior_map(self, tmp_path, monkeypatch):
         scales, clipped = [], []

@@ -3,16 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpptrack import kernels
+from dpptrack.dpp_filter import FilterState, posterior_diagonal
 from dpptrack.errors import SpectrumError
 from dpptrack.kernels import (
+    BLOCK_FLOOR,
     CORRELATION,
     INTERACTION,
     DELTA,
     DiscretizedKernel,
     GridSpec,
+    _block_bounds,
     all_subset_masses,
     correlation_from_interaction,
     cross_covariance,
+    interaction_diagonal,
     interaction_kernel,
     operator_spectrum,
     project_kernel,
@@ -20,6 +25,9 @@ from dpptrack.kernels import (
     validate_kernel,
 )
 from dpptrack.checks import ceiling_bound_kernel, spectral_interaction
+from dpptrack.likelihood import SensorModel
+from dpptrack.scenario import SensorConfig, generate_scan
+from dpptrack.smc import banded_kernel
 
 
 def index_support(n, eta):
@@ -180,6 +188,155 @@ class TestInteractionKernel:
         np.testing.assert_allclose(j.entries, direct, atol=1e-12)
 
 
+def band_support(n, band):
+    """Support mask of the index band |i - j| <= band."""
+    idx = np.arange(n)
+    return np.abs(idx[:, None] - idx[None, :]) <= band
+
+
+def splice(a, b):
+    """Survivors and births: kernels a and b side by side on one grid, with
+    zero cross blocks and a block-diagonal support mask."""
+    n, total = len(a), len(a) + len(b)
+    grid = GridSpec(
+        np.vstack([a.grid.points, b.grid.points]),
+        np.concatenate([a.grid.weights, b.grid.weights]),
+    )
+    entries = np.zeros((total, total))
+    entries[:n, :n] = a.entries
+    entries[n:, n:] = b.entries
+    support = np.zeros((total, total), dtype=bool)
+    support[:n, :n] = a.support
+    support[n:, n:] = b.support
+    return DiscretizedKernel(grid, entries, CORRELATION, support)
+
+
+# Block layouts of the banded transform: (points, band, births, birth band,
+# blocks).  A band of None is no support mask; blocks hold
+# m = max(band, BLOCK_FLOOR) points, the last one ragged.
+LAYOUTS = {
+    "no support mask": (150, None, 0, None, 1),
+    "below the floor": (4 * BLOCK_FLOOR - 1, 3, 0, None, 1),
+    "exact multiple of m": (5 * BLOCK_FLOOR, 5, 0, None, 5),
+    "ragged last block": (5 * BLOCK_FLOOR + 17, 9, 0, None, 5),
+    "bandwidth 0": (4 * BLOCK_FLOOR + 3, 0, 0, None, 4),
+    "band above the floor": (4 * (BLOCK_FLOOR + 8) + 10, BLOCK_FLOOR + 8, 0, None, 4),
+    "survivors and births": (6 * BLOCK_FLOOR, 12, 20, 2, 6),
+}
+
+
+def layout_kernel(name, seed):
+    """A weighted kernel of the named layout at its 1 - delta ceiling."""
+    n, band, births, birth_band, _ = LAYOUTS[name]
+    rng = np.random.default_rng(seed)
+    kernel, _ = ceiling_bound_kernel(rng, n, None if band is None else band_support(n, band))
+    if births:
+        kernel = splice(kernel, ceiling_bound_kernel(rng, births, band_support(births, birth_band))[0])
+    return kernel
+
+
+class TestBandedTransform:
+    @given(st.sampled_from(sorted(LAYOUTS)), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_spectral_definition(self, name, seed):
+        kernel = layout_kernel(name, seed)
+        assert len(_block_bounds(kernel)) == LAYOUTS[name][-1]
+        j = interaction_kernel(kernel).entries
+        jd = interaction_diagonal(kernel)
+        expect = spectral_interaction(kernel)
+        atol = 1e-10 * np.abs(expect).max()
+        np.testing.assert_allclose(j, expect, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(jd, np.diag(expect), rtol=0.0, atol=atol)
+        np.testing.assert_array_equal(j, j.T)
+        # the diagonal-only pass is the full transform's diagonal, bit for bit
+        np.testing.assert_array_equal(jd, np.diag(j))
+
+    def test_block_bounds_tile_the_grid(self):
+        for name in LAYOUTS:
+            n = LAYOUTS[name][0] + LAYOUTS[name][2]
+            bounds = _block_bounds(layout_kernel(name, 0))
+            starts, stops = zip(*bounds)
+            assert starts[0] == 0 and stops[-1] == n
+            assert list(starts[1:]) == list(stops[:-1])
+            sizes = [hi - lo for lo, hi in bounds]
+            if len(bounds) > 1:
+                m = max(LAYOUTS[name][1], BLOCK_FLOOR)
+                assert sizes[:-1] == [m] * (len(bounds) - 1) and m <= sizes[-1] < 2 * m
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("excess, valid", [(0.0, True), (1e-13, True), (1e-11, False)])
+    def test_domain_check_boundary_on_blocks(self, weighted, excess, valid):
+        # a banded kernel scaled so that its operator spectrum tops out at
+        # 1 - delta + excess: SpectrumError iff excess > 1e-12
+        n = 6 * BLOCK_FLOOR + 5
+        rng = np.random.default_rng(31)
+        weights = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
+        support = band_support(n, 7)
+        raw = np.where(support, rng.uniform(0.0, 1.0, (n, n)), 0.0)
+        grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
+        base = DiscretizedKernel(grid, 0.5 * (raw + raw.T), CORRELATION, support)
+        top = 1.0 - DELTA + excess
+        k = DiscretizedKernel(
+            grid, base.entries * (top / operator_spectrum(base).max()), CORRELATION, support
+        )
+        assert len(_block_bounds(k)) == 6
+        assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
+        if valid:
+            assert np.all(np.isfinite(interaction_kernel(k).entries))
+            assert np.all(np.isfinite(interaction_diagonal(k)))
+        else:
+            for transform in (interaction_kernel, interaction_diagonal):
+                with pytest.raises(SpectrumError, match=r"reaches 0\.99900000001"):
+                    transform(k)
+
+    def test_empty_and_non_correlation_inputs(self):
+        grid = GridSpec(np.zeros((0, 2)), np.zeros(0))
+        empty = DiscretizedKernel(grid, np.zeros((0, 0)), CORRELATION)
+        assert interaction_diagonal(empty).shape == (0,)
+        with pytest.raises(ValueError, match="correlation kernel"):
+            interaction_diagonal(interaction_kernel(random_correlation(4)))
+
+    def test_posterior_diagonal_makes_no_dense_lapack_call(self, monkeypatch):
+        # 300 predicted particles and 20 births on their own bands: every
+        # LAPACK and BLAS call of the diagonal transform is on one block or
+        # a pair of them, never on the 320-point kernel
+        rng = np.random.default_rng(7)
+        points = rng.uniform(-60.0, 60.0, (320, 5))
+        kernel = splice(
+            banded_kernel(points[:300], 12.0, 4.0, 0.1), banded_kernel(points[300:], 1.0, 4.0, 0.1)
+        )
+        bounds = _block_bounds(kernel)
+        assert len(bounds) >= 2
+        largest = max(hi - lo for lo, hi in bounds)
+        shapes = []
+
+        class Recorder:
+            def __init__(self, module):
+                self.module = module
+
+            def __getattr__(self, name):
+                fn = getattr(self.module, name)
+
+                def recorded(*args, **kwargs):
+                    shapes.extend(np.shape(a) for a in args if isinstance(a, np.ndarray))
+                    return fn(*args, **kwargs)
+
+                return recorded
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("dense eigendecomposition")
+
+        monkeypatch.setattr(kernels, "lapack", Recorder(kernels.lapack))
+        monkeypatch.setattr(kernels, "blas", Recorder(kernels.blas))
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        sensor = SensorModel(SensorConfig(p_d=0.9, clutter_mean=1.0))
+        scan = generate_scan(points[:3], [0, 1, 2], sensor.cfg, frozenset(), rng, time=0)
+        mu = posterior_diagonal(FilterState(points, kernel, 13.0), scan, sensor)
+        assert np.all(np.isfinite(mu))
+        assert shapes and max(max(s) for s in shapes) <= largest < len(kernel)
+
+
 class TestCrossCovariance:
     def test_disjoint_zero_offdiagonal(self):
         grid = unit_grid(4)
@@ -324,6 +481,12 @@ def shrink_inputs(draw):
     return m, grid, support
 
 
+def eigvalsh_extreme(a, top):
+    """Reference for kernels._extreme_eigenvalue from the full spectrum."""
+    lam = np.linalg.eigvalsh(a)
+    return float(lam[-1] if top else lam[0])
+
+
 class TestShrinkToFeasible:
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
@@ -355,6 +518,31 @@ class TestShrinkToFeasible:
         assert t == 1.0 and clipped == 0.0
         np.testing.assert_array_equal(out.entries, inner)
 
+    @given(shrink_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_scale_matches_eigvalsh_reference(self, case):
+        m, grid, support = case
+        _, t, _ = shrink_to_feasible(m, grid, support)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
+            _, expect, _ = shrink_to_feasible(m, grid, support)
+        assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, band", [(60, None), (150, 9), (320, 32)])
+    def test_scale_matches_eigvalsh_reference_on_large_kernels(self, monkeypatch, n, band):
+        # the ceiling_bound_kernel construction: the ceiling sets t < 1
+        rng = np.random.default_rng(n)
+        weights = rng.uniform(0.5, 2.0, n)
+        grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
+        raw = rng.uniform(1.0, 2.0, (n, n))
+        np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
+        support = None if band is None else band_support(n, band)
+        _, t, _ = shrink_to_feasible(raw, grid, support)
+        monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
+        _, expect, _ = shrink_to_feasible(raw, grid, support)
+        assert t < 1.0
+        assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
+
     def test_two_point_scale_closed_form(self):
         # diagonal (a, a), off-diagonal c: D + tO is PSD up to t = a/c and
         # below 1 - delta up to t = (1 - delta - a)/c
@@ -381,6 +569,7 @@ class TestShrinkToFeasible:
             raise AssertionError("eigendecomposition of a diagonal kernel")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(kernels, "_extreme_eigenvalue", forbidden)
         out, t, _ = shrink_to_feasible(np.diag([0.2, 0.4, 0.0]), unit_grid(3))
         np.testing.assert_array_equal(out.diagonal, [0.2, 0.4, 0.0])
         assert t == 1.0
