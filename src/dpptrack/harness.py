@@ -610,12 +610,11 @@ def _write_summary_csv(path, rows) -> None:
             cells = [fname, str(t)]
             for metric in CSV_COLUMNS[3:]:
                 vals = [r[metric] for r in sel if r[metric] is not None]
-                if len(vals) == 1:
-                    # numpy's one-element mean is 0.0 + v, which maps -0.0 to 0.0
-                    cells += [repr(float(vals[0]) + 0.0), "0.0"]
-                elif vals:
+                if vals:
                     arr = np.asarray(vals, dtype=float)
-                    cells += [repr(float(arr.mean())), repr(float(arr.std(ddof=1)))]
+                    mean = float(arr.mean())
+                    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+                    cells += [repr(mean), repr(sd)]
                 else:
                     cells += ["", ""]
             fh.write(",".join(cells) + "\n")

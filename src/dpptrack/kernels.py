@@ -220,7 +220,14 @@ def _inverse_diagonal_blocks(factors, couplings):
 
 
 def _interaction_factor(kernel: DiscretizedKernel, delta: float):
-    """(rw, bounds, (factors, couplings)) of I - S after the domain check."""
+    """(rw, bounds, (factors, couplings)) of I - S, shared by both
+    interaction transforms: checks that the kernel is a correlation kernel
+    and that its spectrum lies at or below 1 - delta (else
+    :class:`SpectrumError`).  None for an empty grid."""
+    if kernel.kind != CORRELATION:
+        raise ValueError("the interaction transform expects a correlation kernel")
+    if len(kernel) == 0:
+        return None
     rw = _sqrt_weights(kernel.grid)
     bounds = _block_bounds(kernel)
     diagonal, below = _operator_blocks(kernel.entries, rw, bounds, -1.0)
@@ -270,11 +277,10 @@ def interaction_kernel(kernel: DiscretizedKernel, delta: float = DELTA) -> Discr
     kernel.
     """
     n = len(kernel)
-    if kernel.kind != CORRELATION:
-        raise ValueError("interaction_kernel expects a correlation kernel")
-    if n == 0:
+    factor = _interaction_factor(kernel, delta)
+    if factor is None:
         return DiscretizedKernel(kernel.grid, np.zeros((0, 0)), INTERACTION)
-    rw, bounds, (factors, couplings) = _interaction_factor(kernel, delta)
+    rw, bounds, (factors, couplings) = factor
     j = _block_inverse(n, bounds, factors, couplings)
     j.flat[:: n + 1] -= 1.0
     for lo, hi in bounds:  # J = J_S / (rw rw^T), a block row at a time
@@ -282,17 +288,15 @@ def interaction_kernel(kernel: DiscretizedKernel, delta: float = DELTA) -> Discr
     return DiscretizedKernel(kernel.grid, j, INTERACTION)
 
 
-def interaction_diagonal(kernel: DiscretizedKernel, delta: float = DELTA) -> np.ndarray:
-    """diag J of :func:`interaction_kernel`, bit for bit, from the diagonal
-    blocks of (I - S)^{-1} alone: O(n m^2) for n points in blocks of m,
-    with the same domain check and :class:`SpectrumError`."""
-    n = len(kernel)
-    if kernel.kind != CORRELATION:
-        raise ValueError("interaction_diagonal expects a correlation kernel")
-    if n == 0:
+def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
+    """diag J of :func:`interaction_kernel` (at the default ``DELTA``), bit
+    for bit, from the diagonal blocks of (I - S)^{-1} alone: O(n m^2) for
+    n points in blocks of m, with the same checks and errors."""
+    factor = _interaction_factor(kernel, DELTA)
+    if factor is None:
         return np.zeros(0)
-    rw, bounds, (factors, couplings) = _interaction_factor(kernel, delta)
-    jd = np.empty(n)
+    rw, bounds, (factors, couplings) = factor
+    jd = np.empty(len(kernel))
     for k, g_k, _ in _inverse_diagonal_blocks(factors, couplings):
         lo, hi = bounds[k]
         jd[lo:hi] = np.diagonal(g_k) - 1.0

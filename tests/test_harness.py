@@ -183,19 +183,6 @@ class TestRunExperiment:
         assert "mean offdiag scale = n/a\n" in meta
         assert "clipped diagonal mass = 0\n" in meta
 
-    def test_one_row_summary_matches_the_numpy_mean(self, tmp_path):
-        # a one-row group is written without numpy, as numpy would write it
-        values = [-0.0, 0.0, 0.1 + 0.2, -2.5, 1e-300, math.inf, math.nan]
-        rows = [
-            {**dict.fromkeys(harness.CSV_COLUMNS), "run": 0, "t": t, "filter": "ppp", "ospa": v}
-            for t, v in enumerate(values)
-        ]
-        harness._write_summary_csv(tmp_path / "summary.csv", rows)
-        lines = (tmp_path / "summary.csv").read_text().splitlines()
-        col = lines[0].split(",").index("ospa_mean")
-        cells = [line.split(",")[col : col + 2] for line in lines[1:]]
-        assert cells == [[repr(float(np.asarray([v]).mean())), "0.0"] for v in values]
-
     def test_meta_aggregates_the_posterior_map(self, tmp_path, monkeypatch):
         scales, clipped = [], []
         step = DppPhdFilter.step
