@@ -13,8 +13,9 @@ PPP filter alone and with both.  steps.csv does not depend on --threads.
 --save DIR keeps each run's steps.csv in DIR.  --against DIR compares each
 run with the file saved there and prints, per column that differs, how
 many cells changed, how many of them by more than 1e-9 relative, and the
-largest relative change |new - old| / max(|new|, |old|).  To list what a
-change moves, save at the parent commit and compare at the change:
+largest relative change |new - old| / max(|new|, |old|), and exits with
+status 1 if any cell of any run changed.  To list what a change moves, save
+at the parent commit and compare at the change:
 
     PYTHONPATH=src python3 scripts/steps_digests.py [--threads 2] [--save DIR] [--against DIR]
 """
@@ -22,6 +23,7 @@ change moves, save at the parent commit and compare at the change:
 import argparse
 import hashlib
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -64,7 +66,8 @@ def relative_change(old: str, new: str) -> float:
 
 
 def column_changes(old: str, new: str) -> list[str]:
-    """One line per column in which two steps.csv texts differ."""
+    """One line per column in which two steps.csv texts differ; none if
+    they are equal."""
     old_rows = [line.split(",") for line in old.splitlines()[1:]]
     new_rows = [line.split(",") for line in new.splitlines()[1:]]
     if len(old_rows) != len(new_rows):
@@ -78,7 +81,7 @@ def column_changes(old: str, new: str) -> list[str]:
                 f"{sum(m > 1e-9 for m in moves)} by more than 1e-9 relative, "
                 f"largest relative change {max(moves):.2g}"
             )
-    return lines or ["no cell changed"]
+    return lines
 
 
 def main():
@@ -89,6 +92,7 @@ def main():
     args = ap.parse_args()
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
+    changed = False
     with tempfile.TemporaryDirectory() as tmp:
         for label, name, overrides in RUNS:
             cfg = replace(preset(name), **overrides)
@@ -103,9 +107,12 @@ def main():
                 (args.save / f"{file_name}.csv").write_text(text)
             if args.against is not None:
                 old = (args.against / f"{file_name}.csv").read_text()
-                for line in column_changes(old, text):
+                lines = column_changes(old, text)
+                changed = changed or bool(lines)
+                for line in lines or ["no cell changed"]:
                     print("  " + line, flush=True)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -40,7 +40,7 @@ from .kernels import (
     shrink_to_feasible,
 )
 from .likelihood import SensorModel
-from .ppp_filter import SurvivalModel, corrector_denominators, poisson_weight_update
+from .ppp_filter import SurvivalModel, corrector_terms, poisson_weight_update
 from .scenario import Region, Scan, Window, step_dynamics
 from .smc import (
     BirthScheme,
@@ -54,12 +54,10 @@ from .smc import (
 
 @dataclass(frozen=True)
 class FilterState:
-    """Posterior snapshot: particle states (N, 5), kernel over them, count
-    estimate."""
+    """Filter snapshot: particle states (N, 5) and the kernel over them."""
 
     particles: np.ndarray
     kernel: DiscretizedKernel
-    gamma: float
 
     def __post_init__(self):
         if len(self.particles) != len(self.kernel):
@@ -68,6 +66,16 @@ class FilterState:
     @property
     def states(self) -> np.ndarray:
         return self.particles
+
+    @property
+    def intensity(self) -> np.ndarray:
+        """Intensity mass per particle: K(x,x) w."""
+        return self.kernel.diagonal * self.kernel.grid.weights
+
+    @property
+    def gamma(self) -> float:
+        """Expected target count: the kernel's weighted trace."""
+        return float(np.sum(self.intensity))
 
 
 @dataclass
@@ -93,7 +101,7 @@ def posterior_moments(
     like: np.ndarray,
     clutter: np.ndarray,
     q_d: float,
-) -> tuple[np.ndarray, np.ndarray, UpdateDiagnostics]:
+) -> tuple[np.ndarray, np.ndarray]:
     """First moment and pair factorial moment of the approximate posterior.
 
     Raises DegenerateIntensity when a pair denominator
@@ -104,55 +112,45 @@ def posterior_moments(
     kd = kernel.diagonal
     jd = j.diagonal
     jm = j.entries
-    diag = UpdateDiagnostics()
     pair_j = np.outer(jd, jd) - jm**2
     np.clip(pair_j, 0.0, None, out=pair_j)  # PSD minors; negatives are roundoff
-    m = like.shape[0]
-    if m == 0:
-        mu = q_d * kd
-        rho = q_d**2 * pair_j
-    else:
-        sc = corrector_denominators(clutter, like, jd * w)
-        per_point = (like / sc[:, None]).sum(axis=0)
-        mu = q_d * kd + jd * per_point
-        denom = pair_denominators(jm, like, sc, w)
-        inv = np.zeros_like(denom)
-        off = ~np.eye(m, dtype=bool)
-        if np.any(denom[off] <= 0.0):
-            raise DegenerateIntensity(
-                f"pair denominator reaches {denom[off].min():.3e}; it must be positive"
-            )
-        with np.errstate(over="ignore"):  # an overflow is raised typed below
-            inv[off] = 1.0 / denom[off]
-        if not np.all(np.isfinite(inv)):
-            raise DegenerateIntensity("pair denominator inverse is not finite")
-        cross = like.T @ inv @ like
-        factor = q_d**2 + q_d * (per_point[:, None] + per_point[None, :]) + cross
-        rho = pair_j * factor
+    sc, per_point = corrector_terms(clutter, like, jd * w)
+    mu = q_d * kd + jd * per_point
+    denom = pair_denominators(jm, like, sc, w)
+    inv = np.zeros_like(denom)
+    off = ~np.eye(like.shape[0], dtype=bool)
+    if np.any(denom[off] <= 0.0):
+        raise DegenerateIntensity(
+            f"pair denominator reaches {denom[off].min():.3e}; it must be positive"
+        )
+    with np.errstate(over="ignore"):  # an overflow is raised typed below
+        inv[off] = 1.0 / denom[off]
+    if not np.all(np.isfinite(inv)):
+        raise DegenerateIntensity("pair denominator inverse is not finite")
+    cross = like.T @ inv @ like
+    factor = q_d**2 + q_d * (per_point[:, None] + per_point[None, :]) + cross
+    rho = pair_j * factor
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
         raise DegenerateIntensity("posterior moments are not finite")
     np.fill_diagonal(rho, 0.0)
-    return mu, rho, diag
+    return mu, rho
 
 
-def posterior_kernel_entries(
-    mu: np.ndarray, rho: np.ndarray, diag: UpdateDiagnostics
-) -> np.ndarray:
+def posterior_kernel_entries(mu: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, int]:
     """Assemble the posterior kernel: sqrt(mu mu - rho) off the diagonal.
 
     A negative radicand means the approximation lost the interaction at that
-    pair; it is clamped to zero and counted.
+    pair; it is clamped to zero.  Returns the entries and the number of
+    clamped pairs.
     """
     n = mu.shape[0]
     sq = np.outer(mu, mu) - rho
     off = ~np.eye(n, dtype=bool)
-    neg = (sq < 0) & off
-    diag.clamp_events += int(neg.sum()) // 2
-    diag.offdiag_entries += (n * (n - 1)) // 2
+    clamped = int(((sq < 0) & off).sum()) // 2
     np.clip(sq, 0.0, None, out=sq)
     entries = np.sqrt(sq)
     entries[np.eye(n, dtype=bool)] = mu
-    return 0.5 * (entries + entries.T)
+    return 0.5 * (entries + entries.T), clamped
 
 
 def dpp_update(
@@ -175,7 +173,6 @@ def dpp_update(
     """
     like = sensor.tilde_matrix(scan.detections, state.particles)
     clutter = sensor.clutter_density(scan.detections)
-    diag = UpdateDiagnostics()
     if poisson_equivalent:
         # identity interaction transform and the classical corrector; no
         # spectral clipping, so the diagonal stays bit-identical to the
@@ -184,15 +181,21 @@ def dpp_update(
         new_kernel = DiscretizedKernel(
             state.kernel.grid, np.diag(mu), CORRELATION, state.kernel.support
         )
-    else:
-        j = interaction_kernel(state.kernel)
-        mu, rho, diag = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
-        entries = posterior_kernel_entries(mu, rho, diag)
-        new_kernel, diag.offdiag_scale, diag.clipped_mass = shrink_to_feasible(
-            entries, state.kernel.grid, state.kernel.support
-        )
-    gamma = float(np.sum(new_kernel.diagonal * new_kernel.grid.weights))
-    return FilterState(state.particles, new_kernel, gamma), diag
+        return FilterState(state.particles, new_kernel), UpdateDiagnostics()
+    j = interaction_kernel(state.kernel)
+    mu, rho = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
+    entries, clamped = posterior_kernel_entries(mu, rho)
+    new_kernel, scale, clipped = shrink_to_feasible(
+        entries, state.kernel.grid, state.kernel.support
+    )
+    n = len(new_kernel)
+    diag = UpdateDiagnostics(
+        clamp_events=clamped,
+        offdiag_entries=n * (n - 1) // 2,
+        offdiag_scale=scale,
+        clipped_mass=clipped,
+    )
+    return FilterState(state.particles, new_kernel), diag
 
 
 def posterior_diagonal(
@@ -211,12 +214,9 @@ def posterior_diagonal(
     clutter = sensor.clutter_density(scan.detections)
     if poisson_equivalent:
         return poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
-    kd = state.kernel.diagonal
     jd = interaction_diagonal(state.kernel)
-    if like.shape[0] == 0:
-        return sensor.q_d * kd
-    sc = corrector_denominators(clutter, like, jd * state.kernel.grid.weights)
-    return sensor.q_d * kd + jd * (like / sc[:, None]).sum(axis=0)
+    per_point = corrector_terms(clutter, like, jd * state.kernel.grid.weights)[1]
+    return sensor.q_d * state.kernel.diagonal + jd * per_point
 
 
 def predict(
@@ -240,11 +240,12 @@ def predict(
         particles = state.particles
     entries = survival.p_s * state.kernel.entries
     grid = GridSpec.unit(particles)
-    kernel = DiscretizedKernel(grid, entries, CORRELATION, state.kernel.support)
-    gamma_pred = float(np.sum(kernel.diagonal * kernel.grid.weights))
-    particles, kernel = inject_births(particles, kernel, smc, birth, gamma_pred, window, rng)
-    gamma = float(np.sum(kernel.diagonal * kernel.grid.weights))
-    return FilterState(particles, kernel, gamma)
+    moved = FilterState(
+        particles, DiscretizedKernel(grid, entries, CORRELATION, state.kernel.support)
+    )
+    return FilterState(
+        *inject_births(particles, moved.kernel, smc, birth, moved.gamma, window, rng)
+    )
 
 
 @dataclass
@@ -284,9 +285,7 @@ class DppPhdFilter:
         self.window = window
         self.rng = rng
         self.poisson_equivalent = poisson_equivalent
-        particles, kernel = init_particles(smc, window, rng)
-        gamma = float(np.sum(kernel.diagonal))
-        self.state = FilterState(particles, kernel, gamma)
+        self.state = FilterState(*init_particles(smc, window, rng))
 
     def step(self, scan: Scan) -> DppStepRecord:
         self.state, diag = phd_step(self, scan)
@@ -305,17 +304,12 @@ class DppPhdFilter:
 
     def rebuilt(self, states: np.ndarray, gamma: float) -> FilterState:
         # alpha = 0 in poisson_equivalent mode, so this is diagonal there
-        return FilterState(states, rebuild_kernel(states, self.smc, gamma), gamma)
+        return FilterState(states, rebuild_kernel(states, self.smc, gamma))
 
     def updated(
         self, state: FilterState, scan: Scan
     ) -> tuple[FilterState, UpdateDiagnostics]:
         return dpp_update(state, scan, self.sensor, self.poisson_equivalent)
-
-    def count_in(self, region: Region) -> float:
-        inside = region.contains_states(self.state.particles)
-        intensity = self.state.kernel.diagonal * self.state.kernel.grid.weights
-        return float(np.sum(intensity[inside]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +352,28 @@ def approx_count_covariance(
     jab = jm[np.ix_(a, b)]
     wa, wb = w[a], w[b]
     terms.append(float(-(q_d**2) * np.sum(wa[:, None] * jab**2 * wb[None, :])))
-    if m:
-        sc = corrector_denominators(clutter, like, jd * w)
-        la, lb = like[:, a], like[:, b]
-        for z in range(m):
-            cross = (la[z][:, None] + lb[z][None, :]) * jab**2
-            terms.append(float(-q_d / sc[z] * np.sum(wa[:, None] * cross * wb[None, :])))
-            inter_term = float(np.sum(like[z, inter] * jd[inter] * w[inter]))
-            sa = float(np.sum(la[z] * jd[a] * wa))
-            sb = float(np.sum(lb[z] * jd[b] * wb))
-            terms.append((inter_term - sa * sb / sc[z]) / sc[z])
-        denom = pair_denominators(jm, like, sc, w)
-        pair_ab = np.outer(jd[a], jd[b]) - jab**2
-        for z in range(m):
-            for z2 in range(m):
-                if z == z2:
-                    continue
-                num = float(
-                    np.sum(wa[:, None] * pair_ab * np.outer(la[z], lb[z2]) * wb[None, :])
-                )
-                prod = float(np.sum(la[z] * jd[a] * wa)) * float(
-                    np.sum(lb[z2] * jd[b] * wb)
-                )
-                terms.append(num / denom[z, z2] - prod / (sc[z] * sc[z2]))
+    sc = corrector_terms(clutter, like, jd * w)[0]
+    la, lb = like[:, a], like[:, b]
+    for z in range(m):
+        cross = (la[z][:, None] + lb[z][None, :]) * jab**2
+        terms.append(float(-q_d / sc[z] * np.sum(wa[:, None] * cross * wb[None, :])))
+        inter_term = float(np.sum(like[z, inter] * jd[inter] * w[inter]))
+        sa = float(np.sum(la[z] * jd[a] * wa))
+        sb = float(np.sum(lb[z] * jd[b] * wb))
+        terms.append((inter_term - sa * sb / sc[z]) / sc[z])
+    denom = pair_denominators(jm, like, sc, w)
+    pair_ab = np.outer(jd[a], jd[b]) - jab**2
+    for z in range(m):
+        for z2 in range(m):
+            if z == z2:
+                continue
+            num = float(
+                np.sum(wa[:, None] * pair_ab * np.outer(la[z], lb[z2]) * wb[None, :])
+            )
+            prod = float(np.sum(la[z] * jd[a] * wa)) * float(
+                np.sum(lb[z2] * jd[b] * wb)
+            )
+            terms.append(num / denom[z, z2] - prod / (sc[z] * sc[z2]))
     return float(math.fsum(terms))
 
 
@@ -444,6 +437,5 @@ def reconstruct_kernel_from_moments(
 ) -> DiscretizedKernel:
     """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho), made
     valid by the filter's own map, ``shrink_to_feasible``."""
-    diag = UpdateDiagnostics()
-    entries = posterior_kernel_entries(np.asarray(mu, dtype=float), rho, diag)
+    entries = posterior_kernel_entries(np.asarray(mu, dtype=float), rho)[0]
     return shrink_to_feasible(entries, grid)[0]

@@ -402,12 +402,9 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
                 rec.dpp_updates += 1
                 rec.offdiag_scale_sum += diag.offdiag_scale
                 rec.clipped_mass += diag.clipped_mass
-                intensity = step_rec.state.kernel.diagonal * step_rec.state.kernel.grid.weights
-                particles = step_rec.state.particles
-            else:
-                intensity = step_rec.particles.weights
-                particles = step_rec.particles.states
-            gamma = step_rec.gamma
+            particles = filt.state.states
+            intensity = filt.state.intensity
+            gamma = filt.state.gamma
             est = extract_estimates(particles[:, [0, 2]], intensity, gamma, extract_rngs[name])
             ospa_v = ospa(truth_xy, est, cfg.ospa_c, cfg.ospa_p)
             omat_v = (
@@ -430,8 +427,8 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
             }
             if cfg.domains is not None:
                 a, b = cfg.domains
-                row["count_A"] = filt.count_in(a)
-                row["count_B"] = filt.count_in(b)
+                row["count_A"] = float(np.sum(intensity[a.contains_states(particles)]))
+                row["count_B"] = float(np.sum(intensity[b.contains_states(particles)]))
                 if name == "dpp":
                     try:
                         row["corr_AB"] = correlation_estimate(filt.state, a, b)

@@ -219,10 +219,10 @@ def _inverse_diagonal_blocks(factors, couplings):
         yield k, g_next, z
 
 
-def _interaction_factor(kernel: DiscretizedKernel, delta: float):
+def _interaction_factor(kernel: DiscretizedKernel):
     """(rw, bounds, (factors, couplings)) of I - S, shared by both
     interaction transforms: checks that the kernel is a correlation kernel
-    and that its spectrum lies at or below 1 - delta (else
+    and that its spectrum lies at or below 1 - DELTA (else
     :class:`SpectrumError`).  None for an empty grid."""
     if kernel.kind != CORRELATION:
         raise ValueError("the interaction transform expects a correlation kernel")
@@ -231,10 +231,10 @@ def _interaction_factor(kernel: DiscretizedKernel, delta: float):
     rw = _sqrt_weights(kernel.grid)
     bounds = _block_bounds(kernel)
     diagonal, below = _operator_blocks(kernel.entries, rw, bounds, -1.0)
-    if _block_cholesky(diagonal, below, 1.0 - delta + 1e-12, couplings=False) is None:
+    if _block_cholesky(diagonal, below, 1.0 - DELTA + 1e-12, couplings=False) is None:
         top = float(operator_spectrum(kernel).max())
         raise SpectrumError(
-            f"correlation spectrum reaches {top:.12g} > 1 - delta (delta={delta:g}); "
+            f"correlation spectrum reaches {top:.12g} > 1 - delta (delta={DELTA:g}); "
             "make the kernel valid first"
         )
     factor = _block_cholesky(diagonal, below, 1.0)
@@ -262,7 +262,7 @@ def _block_inverse(n, bounds, factors, couplings) -> np.ndarray:
     return g
 
 
-def interaction_kernel(kernel: DiscretizedKernel, delta: float = DELTA) -> DiscretizedKernel:
+def interaction_kernel(kernel: DiscretizedKernel) -> DiscretizedKernel:
     """Interaction kernel J = (Id - K)^{-1} K of a correlation kernel.
 
     In the symmetrized operator S = W^{1/2} K W^{1/2} this is
@@ -271,13 +271,13 @@ def interaction_kernel(kernel: DiscretizedKernel, delta: float = DELTA) -> Discr
     factorization and a backward pass over its blocks (Takahashi, Fagan &
     Chen 1973): no eigendecomposition, and no n x n factorization once the
     kernel spans several blocks.  Raises :class:`SpectrumError` unless the operator spectrum lies
-    at or below 1 - delta, with a slack of 1e-12, which holds iff
-    (1 - delta + 1e-12) I - S has a Cholesky factor.  I - S then has
-    condition number at most about 1/delta.  An empty grid gives an empty
+    at or below 1 - DELTA, with a slack of 1e-12, which holds iff
+    (1 - DELTA + 1e-12) I - S has a Cholesky factor.  I - S then has
+    condition number at most about 1/DELTA.  An empty grid gives an empty
     kernel.
     """
     n = len(kernel)
-    factor = _interaction_factor(kernel, delta)
+    factor = _interaction_factor(kernel)
     if factor is None:
         return DiscretizedKernel(kernel.grid, np.zeros((0, 0)), INTERACTION)
     rw, bounds, (factors, couplings) = factor
@@ -289,10 +289,10 @@ def interaction_kernel(kernel: DiscretizedKernel, delta: float = DELTA) -> Discr
 
 
 def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
-    """diag J of :func:`interaction_kernel` (at the default ``DELTA``), bit
-    for bit, from the diagonal blocks of (I - S)^{-1} alone: O(n m^2) for
-    n points in blocks of m, with the same checks and errors."""
-    factor = _interaction_factor(kernel, DELTA)
+    """diag J of :func:`interaction_kernel`, bit for bit, from the diagonal
+    blocks of (I - S)^{-1} alone: O(n m^2) for n points in blocks of m,
+    with the same checks and errors."""
+    factor = _interaction_factor(kernel)
     if factor is None:
         return np.zeros(0)
     rw, bounds, (factors, couplings) = factor
@@ -344,16 +344,16 @@ def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
     return first - second
 
 
-def all_subset_masses(kernel: DiscretizedKernel, delta: float = DELTA) -> dict[tuple[int, ...], float]:
+def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]:
     """Janossy masses of every subset of a small grid (N <= 12)."""
     n = len(kernel)
     if n > 12:
         raise ValueError("subset enumeration is limited to 12 points")
     lam = operator_spectrum(kernel)
-    if lam.max(initial=0.0) > 1.0 - delta + 1e-12:
+    if lam.max(initial=0.0) > 1.0 - DELTA + 1e-12:
         raise SpectrumError(f"spectrum reaches {lam.max():.6g}; project the kernel first")
     void = float(np.prod(1.0 - lam))
-    j = interaction_kernel(kernel, delta).entries
+    j = interaction_kernel(kernel).entries
     w = kernel.grid.weights
     out: dict[tuple[int, ...], float] = {(): void}
     for bits in range(1, 1 << n):
@@ -445,24 +445,23 @@ def shrink_to_feasible(
     entries: np.ndarray,
     grid: GridSpec,
     support: Optional[np.ndarray] = None,
-    delta: float = DELTA,
 ) -> tuple[DiscretizedKernel, float, float]:
     """Make a symmetric matrix a valid correlation kernel by scaling its
     off-diagonal part and leaving its diagonal alone.
 
     In the symmetrized operator S = W^{1/2} M W^{1/2}, with the entries
     outside ``support`` zeroed, split S into its diagonal D and off-diagonal
-    O.  D is clipped into [0, 1 - delta], and O loses the rows and columns of every point whose
+    O.  D is clipped into [0, 1 - DELTA], and O loses the rows and columns of every point whose
     diagonal was clipped or sits on a bound.  On the other points D + tO is
     positive semidefinite iff t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and has
-    spectrum at most 1 - delta iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
-    with E = (1 - delta) I - D, so the largest such t in [0, 1] is taken: one
+    spectrum at most 1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
+    with E = (1 - DELTA) I - D, so the largest such t in [0, 1] is taken: one
     extreme eigenvalue of each matrix (``_extreme_eigenvalue``) and no
     iteration.  The weights cancel in both matrices, so
     they are formed from the kernel entries directly.
 
     The diagonal is kept bit for bit wherever its operator value lies in
-    [0, 1 - delta], so the trace is the input's; a feasible input comes back
+    [0, 1 - DELTA], so the trace is the input's; a feasible input comes back
     unchanged.  Returns the kernel, the off-diagonal scale t and the diagonal
     mass the clip removed, sum_i w_i (M_ii - K_ii).
     """
@@ -472,7 +471,7 @@ def shrink_to_feasible(
         m = np.where(support, m, 0.0)
     _sqrt_weights(grid)  # the operator needs strictly positive weights
     mu = np.diag(m)
-    cap = (1.0 - delta) / grid.weights  # kernel diagonal of operator value 1 - delta
+    cap = (1.0 - DELTA) / grid.weights  # kernel diagonal of operator value 1 - DELTA
     diagonal = np.clip(mu, 0.0, cap)
     clipped_mass = float(np.sum((mu - diagonal) * grid.weights))
     off = m.copy()
@@ -501,8 +500,9 @@ def shrink_to_feasible(
     return DiscretizedKernel(grid, out, CORRELATION, support), t, clipped_mass
 
 
-def validate_kernel(kernel: DiscretizedKernel, delta: float = DELTA, tol: float = 1e-9) -> None:
+def validate_kernel(kernel: DiscretizedKernel) -> None:
     """Raise if any DiscretizedKernel invariant fails (used by test rigs)."""
+    tol = 1e-9  # roundoff allowed at the spectrum's bounds
     m = kernel.entries
     if not np.array_equal(m, m.T):
         raise AssertionError("kernel not exactly symmetric")
@@ -511,5 +511,5 @@ def validate_kernel(kernel: DiscretizedKernel, delta: float = DELTA, tol: float 
     lam = operator_spectrum(kernel)
     if lam.min(initial=0.0) < -tol:
         raise AssertionError(f"spectrum has negative eigenvalue {lam.min():.3e}")
-    if kernel.kind == CORRELATION and lam.max(initial=0.0) > 1.0 - delta + tol:
+    if kernel.kind == CORRELATION and lam.max(initial=0.0) > 1.0 - DELTA + tol:
         raise AssertionError(f"spectrum reaches {lam.max():.6g} > 1 - delta")

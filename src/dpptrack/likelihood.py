@@ -34,11 +34,7 @@ class SensorModel:
         Returns an (m, N) matrix.
         """
         detections = np.asarray(detections, dtype=float).reshape(-1, 2)
-        m = detections.shape[0]
         states = np.asarray(states, dtype=float).reshape(-1, 5)
-        n = states.shape[0]
-        if m == 0 or n == 0:
-            return np.zeros((m, n))
         polar = to_polar(states)
         dr = detections[:, 0][:, None] - polar[:, 0][None, :]
         db = wrap_angle(detections[:, 1][:, None] - polar[:, 1][None, :])

@@ -1,6 +1,5 @@
 """Tracking performance metrics: OSPA and OMAT miss-distances,
-measurement-estimate association, good-estimate statistics, and intensity
-peak extraction.
+good-estimate statistics, and intensity peak extraction.
 """
 
 from __future__ import annotations
@@ -92,15 +91,6 @@ def _transport_lp(d: np.ndarray) -> float:
 def _nearest(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Index of the nearest y for each x; ties break to the lower index."""
     return np.argmin(_pairwise(x, y), axis=1)
-
-
-def associate(detections_xy: np.ndarray, estimates: np.ndarray) -> list[tuple[int, int]]:
-    """Nearest estimate per detection; ties break to the lower estimate index."""
-    detections_xy = np.asarray(detections_xy, dtype=float).reshape(-1, 2)
-    estimates = np.asarray(estimates, dtype=float).reshape(-1, 2)
-    if detections_xy.shape[0] == 0 or estimates.shape[0] == 0:
-        return []
-    return list(enumerate(_nearest(detections_xy, estimates).tolist()))
 
 
 def good_estimate_stats(

@@ -49,7 +49,13 @@ class WeightedParticles:
         return self.states.shape[0]
 
     @property
-    def mass(self) -> float:
+    def intensity(self) -> np.ndarray:
+        """Intensity mass per particle: the weights."""
+        return self.weights
+
+    @property
+    def gamma(self) -> float:
+        """Expected target count: the total intensity mass."""
         return float(np.sum(self.weights))
 
 
@@ -74,24 +80,28 @@ def ppp_predict(
     return WeightedParticles(states, weights)
 
 
-def corrector_denominators(
+def corrector_terms(
     clutter: np.ndarray, like: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """l_c(z) + sum_u l~_d(z|x_u) w_u, one per detection.
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-moment corrector terms shared by both filters.
 
-    Raises DegenerateIntensity when one is 0: nothing explains that
+    s_c(z) = l_c(z) + sum_u l~_d(z|x_u) w_u, one per detection, and
+    sum_z l~_d(z|x) / s_c(z), one per particle.  An empty scan gives no
+    s_c and a zero sum.
+
+    Raises DegenerateIntensity when an s_c is 0: nothing explains that
     detection (no clutter there and zero likelihood under every weighted
     particle), so the corrector would divide 0 by 0 and every particle's
     posterior weight would be NaN or inf.
     """
-    denom = clutter + like @ weights
-    unexplained = np.flatnonzero(denom == 0.0)
+    sc = clutter + like @ weights
+    unexplained = np.flatnonzero(sc == 0.0)
     if unexplained.size:
         raise DegenerateIntensity(
             f"detection {unexplained[0]} has zero clutter density and zero"
             " likelihood under every weighted particle"
         )
-    return denom
+    return sc, (like / sc[:, None]).sum(axis=0)
 
 
 def poisson_weight_update(
@@ -103,11 +113,7 @@ def poisson_weight_update(
     Raises DegenerateIntensity when a denominator is 0.
     """
     weights = np.asarray(weights, dtype=float)
-    if like.shape[0] == 0:
-        return weights * q_d
-    denom = corrector_denominators(clutter, like, weights)
-    corrector = q_d + (like / denom[:, None]).sum(axis=0)
-    return weights * corrector
+    return weights * (q_d + corrector_terms(clutter, like, weights)[1])
 
 
 def ppp_update(p: WeightedParticles, scan: Scan, sensor: SensorModel) -> WeightedParticles:
@@ -140,20 +146,16 @@ class PppPhdFilter:
         self.sensor = sensor
         self.window = window
         self.rng = rng
-        states = window.sample_states(smc.n_init, rng)
-        weights = np.full(smc.n_init, smc.gamma0 / smc.n_init)
-        self.particles = WeightedParticles(states, weights)
-        self.gamma = smc.gamma0
+        self.state = self.rebuilt(window.sample_states(smc.n_init, rng), smc.gamma0)
 
     def step(self, scan: Scan) -> PppStepRecord:
-        self.particles = phd_step(self, scan)
-        self.gamma = self.particles.mass
-        return PppStepRecord(self.gamma, self.particles)
+        self.state = phd_step(self, scan)
+        return PppStepRecord(self.state.gamma, self.state)
 
     # the weight-vector half of smc.phd_step
 
     def predicted(self) -> WeightedParticles:
-        return ppp_predict(self.particles, self.survival, self.birth, self.window, self.rng)
+        return ppp_predict(self.state, self.survival, self.birth, self.window, self.rng)
 
     def posterior_intensity(self, pred: WeightedParticles, scan: Scan) -> np.ndarray:
         return ppp_update(pred, scan, self.sensor).weights
@@ -164,7 +166,3 @@ class PppPhdFilter:
 
     def updated(self, p: WeightedParticles, scan: Scan) -> WeightedParticles:
         return ppp_update(p, scan, self.sensor)
-
-    def count_in(self, region) -> float:
-        inside = region.contains_states(self.particles.states)
-        return float(np.sum(self.particles.weights[inside]))

@@ -181,7 +181,7 @@ def test_criterion_3_approximation_order():
         rho_exact = posterior_pair_exact(prior, obs, meas)
         j = interaction_kernel(kernel)
         like = obs.l_tilde[list(meas), :]
-        mu_ap, rho_ap, _ = posterior_moments(kernel, j, like, obs.l_c[list(meas)], 1 - p_d)
+        mu_ap, rho_ap = posterior_moments(kernel, j, like, obs.l_c[list(meas)], 1 - p_d)
         errors.append(
             max(
                 float(np.max(np.abs(mu_ap - mu_exact))),
@@ -336,7 +336,7 @@ def test_criterion_7_kernel_invariants():
         eps = float(rng.uniform(0.01, 0.05))
         raw = eps * (np.eye(n) + 0.4 * np.exp(-np.abs(np.subtract.outer(range(n), range(n)))))
         kernel = project_kernel(0.5 * (raw + raw.T), GridSpec.unit(particles), CORRELATION)
-        state = FilterState(particles, kernel, float(np.sum(kernel.diagonal)))
+        state = FilterState(particles, kernel)
         pred = predict(state, survival, birth, smc, window, rng)
         validate_kernel(pred.kernel)
         assert len(pred.particles) == len(pred.kernel)

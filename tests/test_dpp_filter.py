@@ -7,7 +7,6 @@ import pytest
 from dpptrack.dpp_filter import (
     DppPhdFilter,
     FilterState,
-    UpdateDiagnostics,
     approx_count_covariance,
     correlation_estimate,
     dpp_update,
@@ -42,7 +41,7 @@ from dpptrack.ppp_filter import (
     BirthScheme,
     PppPhdFilter,
     SurvivalModel,
-    corrector_denominators,
+    corrector_terms,
 )
 from dpptrack.scenario import (
     DynamicsConfig,
@@ -68,8 +67,7 @@ def small_state(n=6, seed=0, scale=0.05):
     p = particles_of(states)
     raw = scale * np.eye(n) + rng.uniform(-0.01, 0.01, (n, n))
     kernel = project_kernel(0.5 * (raw + raw.T), GridSpec.unit(p), CORRELATION)
-    gamma = float(np.sum(kernel.diagonal))
-    return FilterState(p, kernel, gamma)
+    return FilterState(p, kernel)
 
 
 def epsilon_kernel(eps, weights=(0.9, 1.1, 1.0, 0.8)):
@@ -94,20 +92,21 @@ def abstract_obs(p_d=0.7):
 
 class TestSc:
     # s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) w_v, which the DPP corrector
-    # forms as corrector_denominators with weights J(v,v) w_v
+    # forms as corrector_terms with weights J(v,v) w_v
     def test_no_detection_likelihood_leaves_clutter(self):
         jd = np.array([0.2, 0.3])
         like = np.zeros((2, 2))
-        out = corrector_denominators(np.array([0.4, 0.7]), like, jd * np.ones(2))
-        np.testing.assert_allclose(out, [0.4, 0.7])
+        sc, per_point = corrector_terms(np.array([0.4, 0.7]), like, jd * np.ones(2))
+        np.testing.assert_allclose(sc, [0.4, 0.7])
+        np.testing.assert_array_equal(per_point, 0.0)
 
     def test_uniform_case(self):
         # uniform diagonal j, uniform likelihood L, total mass W
         jd = np.full(5, 0.2)
         like = np.full((1, 5), 0.3)
         w = np.full(5, 1.5)
-        out = corrector_denominators(np.array([0.1]), like, jd * w)
-        assert out[0] == pytest.approx(0.1 + 0.2 * 0.3 * 7.5)
+        sc, _ = corrector_terms(np.array([0.1]), like, jd * w)
+        assert sc[0] == pytest.approx(0.1 + 0.2 * 0.3 * 7.5)
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(1)
@@ -115,10 +114,13 @@ class TestSc:
         like = rng.uniform(0, 1, (3, 6))
         w = rng.uniform(0.5, 1.5, 6)
         lc = rng.uniform(0.1, 1.0, 3)
-        out = corrector_denominators(lc, like, jd * w)
+        sc, per_point = corrector_terms(lc, like, jd * w)
         for z in range(3):
             expect = lc[z] + sum(jd[i] * like[z, i] * w[i] for i in range(6))
-            assert out[z] == pytest.approx(expect, rel=1e-12)
+            assert sc[z] == pytest.approx(expect, rel=1e-12)
+        for i in range(6):
+            expect = sum(like[z, i] / sc[z] for z in range(3))
+            assert per_point[i] == pytest.approx(expect, rel=1e-12)
 
 
 class TestPredict:
@@ -127,7 +129,7 @@ class TestPredict:
         # zero velocities and zero noise make the motion an identity map
         states = st.particles.copy()
         states[:, 1] = states[:, 3] = states[:, 4] = 0.0
-        st = FilterState(particles_of(states), st.kernel, st.gamma)
+        st = FilterState(particles_of(states), st.kernel)
         out = predict(
             st, SurvivalModel(1.0, QUIET), BirthScheme(5, mass=0.0), SmcConfig(),
             WINDOW, np.random.default_rng(0),
@@ -221,11 +223,23 @@ class TestUpdate:
         like = rng.uniform(0.0, 1.0, (2, n))
         clutter = np.array([0.4, 0.6])
         q_d = 0.2
-        mu, rho, _ = posterior_moments(kernel, j, like, clutter, q_d)
+        mu, rho = posterior_moments(kernel, j, like, clutter, q_d)
         jd = kd / (1 - kd)
         sc = clutter + like @ jd
         expect = q_d * kd + jd * (like / sc[:, None]).sum(axis=0)
         np.testing.assert_allclose(mu, expect, atol=1e-12)
+
+    def test_empty_scan_moments_are_the_miss_terms_bit_for_bit(self):
+        # no detection: mu = q_d K(x,x), rho = q_d^2 (J(x,x)J(y,y) - J(x,y)^2)
+        kernel = epsilon_kernel(0.1)
+        j = interaction_kernel(kernel)
+        q_d = 0.3
+        mu, rho = posterior_moments(kernel, j, np.zeros((0, 4)), np.zeros(0), q_d)
+        np.testing.assert_array_equal(mu, q_d * kernel.diagonal)
+        expect = q_d**2 * (np.outer(j.diagonal, j.diagonal) - j.entries**2)
+        off = ~np.eye(4, dtype=bool)
+        np.testing.assert_array_equal(rho[off], expect[off])
+        np.testing.assert_array_equal(np.diag(rho), 0.0)
 
     def test_zero_pair_denominator_raises_degenerate_intensity(self):
         # one particle explains both detections and there is no clutter, so
@@ -249,7 +263,7 @@ class TestUpdate:
             j = interaction_kernel(kernel)
             like = obs.l_tilde[list(meas), :]
             clutter = obs.l_c[list(meas)]
-            mu_ap, rho_ap, _ = posterior_moments(kernel, j, like, clutter, q_d)
+            mu_ap, rho_ap = posterior_moments(kernel, j, like, clutter, q_d)
             errors.append(
                 max(
                     float(np.max(np.abs(mu_ap - mu_exact))),
@@ -267,9 +281,8 @@ class TestUpdate:
         j = interaction_kernel(kernel)
         like = obs.l_tilde[[0, 1], :]
         clutter = obs.l_c[[0, 1]]
-        mu, rho, _ = posterior_moments(kernel, j, like, clutter, 0.3)
-        diag = UpdateDiagnostics()
-        entries = posterior_kernel_entries(mu, rho, diag)
+        mu, rho = posterior_moments(kernel, j, like, clutter, 0.3)
+        entries, _ = posterior_kernel_entries(mu, rho)
         for i in range(4):
             assert entries[i, i] == mu[i]
             for k in range(4):
@@ -296,13 +309,13 @@ class TestUpdate:
         for trial in range(4):
             points = rng.uniform(-60, 60, (120, 5))
             kernel = banded_kernel(points, 3.0, 4.0, 0.1)
-            st = FilterState(particles_of(points), kernel, 3.0)
+            st = FilterState(particles_of(points), kernel)
             truth = points[rng.choice(120, 3, replace=False)]
             scan = generate_scan(truth, [0, 1, 2], sensor.cfg, frozenset(), rng, time=trial)
             like = sensor.tilde_matrix(scan.detections, points)
             clutter = sensor.clutter_density(scan.detections)
             j = interaction_kernel(kernel)
-            mu, _, _ = posterior_moments(kernel, j, like, clutter, sensor.q_d)
+            mu, _ = posterior_moments(kernel, j, like, clutter, sensor.q_d)
             assert mu.max() <= 1.0 - DELTA
             out, diag = dpp_update(st, scan, sensor)
             count = float(np.sum(mu))
@@ -322,7 +335,7 @@ class TestUpdate:
         like = sensor.tilde_matrix(scan.detections, st.particles)
         clutter = sensor.clutter_density(scan.detections)
         j = interaction_kernel(st.kernel)
-        mu, _, _ = posterior_moments(st.kernel, j, like, clutter, sensor.q_d)
+        mu, _ = posterior_moments(st.kernel, j, like, clutter, sensor.q_d)
         out, diag = dpp_update(st, scan, sensor)
         over = mu > 1.0 - DELTA
         assert over.any()
@@ -345,7 +358,7 @@ class TestUpdate:
         like = sensor.tilde_matrix(scan.detections, st.particles)
         clutter = sensor.clutter_density(scan.detections)
         j = interaction_kernel(st.kernel)
-        mu_full, _, _ = posterior_moments(st.kernel, j, like, clutter, sensor.q_d)
+        mu_full, _ = posterior_moments(st.kernel, j, like, clutter, sensor.q_d)
         mu_fast = posterior_diagonal(st, scan, sensor)
         np.testing.assert_allclose(mu_fast, mu_full, atol=1e-14)
 
@@ -355,7 +368,7 @@ class TestUpdate:
         # 0.9913, which a margin of 0.01 would reject
         rng = np.random.default_rng(16)
         points = rng.uniform(-60, 60, (450, 5))
-        st = FilterState(particles_of(points), banded_kernel(points, 15.0, 4.0, 0.1), 15.0)
+        st = FilterState(particles_of(points), banded_kernel(points, 15.0, 4.0, 0.1))
         assert operator_spectrum(st.kernel).max() > 0.99
         sensor = self.sensor()
         scan = generate_scan(points[:3], [0, 1, 2], sensor.cfg, frozenset(), rng, time=0)
@@ -434,7 +447,7 @@ class TestCorrelationEstimate:
         p = particles_of(states)
         m = np.full((6, 6), 0.01) + 0.15 * np.eye(6)
         kernel = project_kernel(m, GridSpec.unit(p), CORRELATION)
-        return FilterState(p, kernel, float(np.sum(kernel.diagonal)))
+        return FilterState(p, kernel)
 
     def test_same_region_correlation_is_one(self):
         st = self.make_state()
@@ -450,7 +463,7 @@ class TestCorrelationEstimate:
         block[:2, :2] = [[0.2, 0.05], [0.05, 0.2]]
         block[2:, 2:] = [[0.2, 0.05], [0.05, 0.2]]
         kernel = DiscretizedKernel(GridSpec.unit(p), block, CORRELATION)
-        st = FilterState(p, kernel, float(np.sum(kernel.diagonal)))
+        st = FilterState(p, kernel)
         a = Region(0.0, 20.0, 0.0, 20.0)
         b = Region(50.0, 70.0, 50.0, 70.0)
         assert correlation_estimate(st, a, b) == 0.0

@@ -241,6 +241,31 @@ class TestRunExperiment:
         ]
         assert any(r["corr_AB"] is not None for r in scored)
 
+    def test_domain_counts_sum_the_state_intensity(self, monkeypatch):
+        made = []
+        make = harness._make_filters
+
+        def recorded_make(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "_make_filters", recorded_make)
+        # by step 3 both filters have particles in both domains
+        cfg = replace(preset("spooky"), filter="both", steps=3)
+        rows = [r for r in harness.run_single(cfg, 0).rows if r["t"] == 3]
+        (filters,) = made
+        assert [r["filter"] for r in rows] == ["dpp", "ppp"]
+        for row in rows:
+            state = filters[row["filter"]].state
+            for column, region in zip(("count_A", "count_B"), cfg.domains):
+                inside = [
+                    mass
+                    for (x, _, y, _, _), mass in zip(state.states, state.intensity)
+                    if region.x_min <= x <= region.x_max and region.y_min <= y <= region.y_max
+                ]
+                assert len(inside) > 0
+                assert row[column] == pytest.approx(math.fsum(inside), rel=1e-12)
+
     def test_both_filters_report_rows(self, tmp_path):
         cfg = tiny_config(filter_name="both", runs=1, steps=2)
         cfg = replace(cfg, smc=replace(cfg.smc, alpha=4.0))

@@ -332,7 +332,7 @@ class TestBandedTransform:
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         sensor = SensorModel(SensorConfig(p_d=0.9, clutter_mean=1.0))
         scan = generate_scan(points[:3], [0, 1, 2], sensor.cfg, frozenset(), rng, time=0)
-        mu = posterior_diagonal(FilterState(points, kernel, 13.0), scan, sensor)
+        mu = posterior_diagonal(FilterState(points, kernel), scan, sensor)
         assert np.all(np.isfinite(mu))
         assert shapes and max(max(s) for s in shapes) <= largest < len(kernel)
 

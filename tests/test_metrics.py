@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dpptrack import metrics
-from dpptrack.metrics import associate, extract_estimates, good_estimate_stats, omat, ospa
+from dpptrack.metrics import extract_estimates, good_estimate_stats, omat, ospa
 from dpptrack.scenario import Scan
 
 
@@ -253,31 +253,6 @@ class TestOmat:
         assert omat(x, y) > 1e-3
 
 
-class TestAssociate:
-    def test_single_pair(self):
-        assert associate(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])) == [(0, 0)]
-
-    def test_tie_breaks_to_lower_index(self):
-        det = np.array([[0.0, 0.0]])
-        est = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert associate(det, est) == [(0, 0)]
-
-    def test_every_pair_minimal(self):
-        rng = np.random.default_rng(5)
-        det = rng.uniform(-10, 10, (5, 2))
-        est = rng.uniform(-10, 10, (5, 2))
-        pairs = associate(det, est)
-        d = np.sqrt(((det[:, None, :] - est[None, :, :]) ** 2).sum(axis=2))
-        for k, j in pairs:
-            assert d[k, j] == d[k].min()
-
-    def test_many_to_one_allowed(self):
-        det = np.array([[0.0, 0.0], [0.1, 0.0]])
-        est = np.array([[0.0, 0.05], [50.0, 50.0]])
-        pairs = associate(det, est)
-        assert [j for _, j in pairs] == [0, 0]
-
-
 class TestGoodEstimateStats:
     def scan_with_links(self, detections_xy, links):
         det = np.column_stack(
@@ -319,6 +294,15 @@ class TestGoodEstimateStats:
         assert ratio == pytest.approx(2.0 / 3.0)
         expect_gain = ((2 - 1) / 2 + (3 - 4) / 3 + (3 - 1) / 3) / 3
         assert gain == pytest.approx(expect_gain, rel=1e-9)
+
+    def test_equidistant_estimates_tie_break_to_lower_index(self):
+        # the measurement at the origin is 1 from both estimates; only the
+        # first one is closer to the target than the measurement
+        truth = {0: np.array([1.5, 0.0])}
+        scan = self.scan_with_links(np.array([[0.0, 0.0]]), [0])
+        est = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assert good_estimate_stats(scan, est, truth) == (1.0, pytest.approx(2.0 / 3.0))
+        assert good_estimate_stats(scan, est[::-1], truth) == (0.0, pytest.approx(-2.0 / 3.0))
 
     def test_missing_when_all_clutter(self):
         scan = self.scan_with_links(np.array([[5.0, 5.0]]), [-1])

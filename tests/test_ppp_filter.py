@@ -41,7 +41,7 @@ class TestPredict:
             p, SurvivalModel(1.0, QUIET), BirthScheme(5, mass=0.0), WINDOW,
             np.random.default_rng(1),
         )
-        assert out.mass == pytest.approx(p.mass)
+        assert out.gamma == pytest.approx(p.gamma)
 
     def test_zero_survival_leaves_birth_mass(self):
         p = cloud(20)
@@ -49,7 +49,7 @@ class TestPredict:
             p, SurvivalModel(0.0, QUIET), BirthScheme(5, mass=2.0), WINDOW,
             np.random.default_rng(2),
         )
-        assert out.mass == pytest.approx(2.0)
+        assert out.gamma == pytest.approx(2.0)
 
     def test_half_survival_plus_birth(self):
         rng = np.random.default_rng(3)
@@ -58,7 +58,7 @@ class TestPredict:
             p, SurvivalModel(0.5, QUIET), BirthScheme(5, mass=2.0), WINDOW,
             np.random.default_rng(4),
         )
-        assert out.mass == pytest.approx(4.0)
+        assert out.gamma == pytest.approx(4.0)
 
     def test_adaptive_birth_count(self):
         n, mass = birth_count(BirthScheme(10, mass=None), 3.4)
@@ -75,7 +75,7 @@ class TestUpdate:
         p = cloud(10)
         sensor = self.sensor(p_d=0.7)
         out = ppp_update(p, Scan(0, np.zeros((0, 2))), sensor)
-        np.testing.assert_allclose(out.weights, p.weights * 0.3, atol=1e-15)
+        np.testing.assert_array_equal(out.weights, p.weights * sensor.q_d)
 
     def test_hand_evaluated_corrector(self):
         # 3 particles, 2 measurements, explicit likelihood matrix
