@@ -12,7 +12,6 @@ import numpy as np
 from .kernels import (
     CORRELATION,
     DELTA,
-    GridSpec,
     interaction_kernel,
     project_kernel,
     shrink_to_feasible,
@@ -34,7 +33,7 @@ from .oracle import (
 def _random_case(rng: np.random.Generator):
     g = int(rng.integers(2, 5))
     z = int(rng.integers(1, 4))
-    grid = GridSpec(rng.uniform(-1, 1, (g, 2)), rng.uniform(0.5, 1.5, g))
+    weights = rng.uniform(0.5, 1.5, g)
     obs = ObservationModel(
         p_d=rng.uniform(0.3, 0.9, g),
         l_d=rng.uniform(0.05, 1.0, (z, g)),
@@ -46,7 +45,7 @@ def _random_case(rng: np.random.Generator):
         cfg = tuple(i for i in range(g) if bits >> i & 1)
         if len(cfg) <= support:
             table[cfg] = float(rng.uniform(0.05, 1.0))
-    prior = FiniteProcess(grid, table).normalized()
+    prior = FiniteProcess(weights, table).normalized()
     meas = tuple(int(v) for v in rng.choice(z, size=min(z, 2), replace=False))
     return prior, obs, meas
 
@@ -54,8 +53,8 @@ def _random_case(rng: np.random.Generator):
 def check_poisson_reduction(tol: float = 1e-10) -> tuple[bool, str]:
     # unit-intensity Poisson prior w.r.t. a small reference measure, so the
     # truncated table is exact to far below the tolerance
-    grid = GridSpec(np.array([[0.0], [1.0], [2.0]]), np.array([0.12, 0.10, 0.08]))
-    prior = poisson_process(grid, 1.0, n_max=12)
+    w = np.array([0.12, 0.10, 0.08])
+    prior = poisson_process(w, 1.0, n_max=12)
     obs = ObservationModel(
         p_d=np.full(3, 0.7),
         l_d=np.array([[0.9, 0.3, 0.1], [0.2, 0.5, 0.8]]),
@@ -63,8 +62,8 @@ def check_poisson_reduction(tol: float = 1e-10) -> tuple[bool, str]:
     )
     meas = (0, 1)
     jz = measurement_janossy(prior, obs, meas)
-    s = obs.l_c + obs.l_tilde @ grid.weights
-    closed = float(np.exp(-0.7 * grid.total_mass) * np.prod(s))
+    s = obs.l_c + obs.l_tilde @ w
+    closed = float(np.exp(-0.7 * w.sum()) * np.prod(s))
     errs = [abs(jz - closed) / closed]
     # corrector ratios are identically one in the Poisson case
     for x in range(3):
@@ -76,7 +75,6 @@ def check_poisson_reduction(tol: float = 1e-10) -> tuple[bool, str]:
     errs.append(float(np.max(np.abs(mu - classical))))
     # classical posterior covariance over overlapping domains
     a, b = (0, 1), (1, 2)
-    w = grid.weights
     lt = obs.l_tilde
     cov_closed = 0.3 * w[1]
     for pos, z in enumerate(meas):
@@ -100,19 +98,18 @@ def check_oracle_equivalence(cases: int = 5, tol: float = 1e-9) -> tuple[bool, s
         post = enumerate_posterior(prior, obs, meas)
         mu = posterior_intensity_exact(prior, obs, meas)
         worst = max(worst, float(np.max(np.abs(mu - post.intensity()))))
-        cov = posterior_covariance_exact(
-            prior, obs, meas, range(len(prior.grid)), range(len(prior.grid))
-        )
-        worst = max(worst, abs(cov - post.count_covariance(range(len(prior.grid)), range(len(prior.grid)))))
+        everything = range(len(prior.weights))
+        cov = posterior_covariance_exact(prior, obs, meas, everything, everything)
+        worst = max(worst, abs(cov - post.count_covariance(everything, everything)))
     return worst < tol, f"oracle equivalence: worst deviation {worst:.2e} over {cases} cases"
 
 
 def check_dpp_normalization(tol: float = 1e-8) -> tuple[bool, str]:
     rng = np.random.default_rng(3)
-    grid = GridSpec(rng.uniform(-1, 1, (4, 2)), rng.uniform(0.5, 1.5, 4))
+    weights = rng.uniform(0.5, 1.5, 4)
     raw = rng.uniform(-0.2, 0.2, (4, 4))
     raw = 0.3 * np.eye(4) + 0.5 * (raw + raw.T)
-    kernel = project_kernel(raw, grid, CORRELATION)
+    kernel = project_kernel(raw, weights, CORRELATION)
     fp = dpp_process(kernel)
     total = fp.total_mass()
     return abs(total - 1.0) < tol, f"dpp janossy normalization: total mass {total:.12f}"
@@ -121,23 +118,22 @@ def check_dpp_normalization(tol: float = 1e-8) -> tuple[bool, str]:
 def spectral_interaction(kernel) -> np.ndarray:
     """J by its spectral definition, the reference for the Cholesky
     transform: S = U diag(lam) U^T and J_S = U diag(lam / (1 - lam)) U^T."""
-    rw = np.sqrt(kernel.grid.weights)
+    rw = np.sqrt(kernel.weights)
     lam, u = np.linalg.eigh(kernel.entries * rw[:, None] * rw[None, :])
     return (u * (lam / (1.0 - lam))) @ u.T / rw[:, None] / rw[None, :]
 
 
 def ceiling_bound_kernel(rng: np.random.Generator, n: int, support=None):
-    """A ``shrink_to_feasible`` output on a weighted n-point grid whose
+    """A ``shrink_to_feasible`` output on n weighted points whose
     spectrum sits at the 1 - delta ceiling.  The diagonal is 0.6-0.99 of the
     cap and the off-diagonal entries are at least 1, so the Perron root of
     E^-1/2 O E^-1/2 exceeds 1 and the one of D^-1/2 O D^-1/2: the ceiling
     sets the off-diagonal scale t < 1, which is returned with the kernel."""
     weights = rng.uniform(0.5, 2.0, n)
-    grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
     raw = rng.uniform(1.0, 2.0, (n, n))
     raw = 0.5 * (raw + raw.T)
     np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
-    kernel, t, _ = shrink_to_feasible(raw, grid, support)
+    kernel, t, _ = shrink_to_feasible(raw, weights, support)
     return kernel, t
 
 

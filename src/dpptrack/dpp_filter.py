@@ -33,7 +33,6 @@ from .errors import DegenerateIntensity, DegenerateVariance
 from .kernels import (
     CORRELATION,
     DiscretizedKernel,
-    GridSpec,
     cross_covariance,
     interaction_diagonal,
     interaction_kernel,
@@ -70,7 +69,7 @@ class FilterState:
     @property
     def intensity(self) -> np.ndarray:
         """Intensity mass per particle: K(x,x) w."""
-        return self.kernel.diagonal * self.kernel.grid.weights
+        return self.kernel.diagonal * self.kernel.weights
 
     @property
     def gamma(self) -> float:
@@ -108,7 +107,7 @@ def posterior_moments(
     s_c(z) s_c(z') - D(z, z') is not positive (it is 0 when one particle
     explains two detections with no clutter) or a moment is not finite.
     """
-    w = kernel.grid.weights
+    w = kernel.weights
     kd = kernel.diagonal
     jd = j.diagonal
     jm = j.entries
@@ -179,14 +178,14 @@ def dpp_update(
         # Poisson filter's weight trajectory
         mu = poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
         new_kernel = DiscretizedKernel(
-            state.kernel.grid, np.diag(mu), CORRELATION, state.kernel.support
+            state.kernel.weights, np.diag(mu), CORRELATION, state.kernel.support
         )
         return FilterState(state.particles, new_kernel), UpdateDiagnostics()
     j = interaction_kernel(state.kernel)
     mu, rho = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
     entries, clamped = posterior_kernel_entries(mu, rho)
     new_kernel, scale, clipped = shrink_to_feasible(
-        entries, state.kernel.grid, state.kernel.support
+        entries, state.kernel.weights, state.kernel.support
     )
     n = len(new_kernel)
     diag = UpdateDiagnostics(
@@ -215,7 +214,7 @@ def posterior_diagonal(
     if poisson_equivalent:
         return poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
     jd = interaction_diagonal(state.kernel)
-    per_point = corrector_terms(clutter, like, jd * state.kernel.grid.weights)[1]
+    per_point = corrector_terms(clutter, like, jd * state.kernel.weights)[1]
     return sensor.q_d * state.kernel.diagonal + jd * per_point
 
 
@@ -238,14 +237,14 @@ def predict(
         particles = step_dynamics(state.particles, survival.dynamics, rng)
     else:
         particles = state.particles
-    entries = survival.p_s * state.kernel.entries
-    grid = GridSpec.unit(particles)
-    moved = FilterState(
-        particles, DiscretizedKernel(grid, entries, CORRELATION, state.kernel.support)
+    moved = DiscretizedKernel(
+        state.kernel.weights,
+        survival.p_s * state.kernel.entries,
+        CORRELATION,
+        state.kernel.support,
     )
-    return FilterState(
-        *inject_births(particles, moved.kernel, smc, birth, moved.gamma, window, rng)
-    )
+    gamma = float(np.sum(moved.diagonal * moved.weights))
+    return FilterState(*inject_births(particles, moved, smc, birth, gamma, window, rng))
 
 
 @dataclass
@@ -300,7 +299,7 @@ class DppPhdFilter:
         # the resampler only consumes the diagonal; the full posterior
         # kernel is computed after the rebuild
         mu = posterior_diagonal(pred, scan, self.sensor, self.poisson_equivalent)
-        return mu * pred.kernel.grid.weights
+        return mu * pred.kernel.weights
 
     def rebuilt(self, states: np.ndarray, gamma: float) -> FilterState:
         # alpha = 0 in poisson_equivalent mode, so this is diagonal there
@@ -342,7 +341,7 @@ def approx_count_covariance(
     b = np.asarray(sorted(set(int(i) for i in b)), dtype=int)
     if a.size == 0 or b.size == 0:
         return 0.0
-    w = j.grid.weights
+    w = j.weights
     jd = j.diagonal
     jm = j.entries
     m = like.shape[0]
@@ -407,15 +406,15 @@ def prediction_moments(
     transition: np.ndarray,
     birth_intensity: np.ndarray,
     birth_pair: np.ndarray,
-    target_grid: GridSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted first and second factorial moments on an explicit grid.
+    """Predicted first and second factorial moments on an explicit grid of
+    target points.
 
     ``transition[t, u]`` is the motion density l_s(target point t | source
     point u); the survivor terms integrate it against the prior kernel with
-    the source grid's weights.
+    the source points' weights.
     """
-    w = kernel.grid.weights
+    w = kernel.weights
     kd = kernel.diagonal
     surv = p_s * transition @ (kd * w)
     mu = np.asarray(birth_intensity, dtype=float) + surv
@@ -433,9 +432,9 @@ def prediction_moments(
 
 
 def reconstruct_kernel_from_moments(
-    mu: np.ndarray, rho: np.ndarray, grid: GridSpec
+    mu: np.ndarray, rho: np.ndarray, weights: np.ndarray
 ) -> DiscretizedKernel:
     """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho), made
     valid by the filter's own map, ``shrink_to_feasible``."""
     entries = posterior_kernel_entries(np.asarray(mu, dtype=float), rho)[0]
-    return shrink_to_feasible(entries, grid)[0]
+    return shrink_to_feasible(entries, weights)[0]

@@ -1,9 +1,11 @@
 """Symmetric-kernel algebra on weighted discrete state spaces.
 
-A kernel K(x_i, x_j) lives on a finite grid of points with measure weights
-w_i, and represents either a correlation kernel (operator spectrum in
-[0, 1 - delta]) or an interaction kernel J = (Id - K)^{-1} K (positive
-semidefinite).  All operator algebra goes through the symmetrized matrix
+A kernel K(x_i, x_j) is a symmetric matrix over N states with measure
+weights w_i; the states themselves never enter the algebra, so a kernel
+carries only its weights (all 1 for SMC particles).  It represents either
+a correlation kernel (operator spectrum in [0, 1 - delta]) or an
+interaction kernel J = (Id - K)^{-1} K (positive semidefinite).  All
+operator algebra goes through the symmetrized matrix
 S = W^{1/2} K W^{1/2}, whose eigenvalues are the operator spectrum; with
 unit weights, S is the kernel matrix itself and the discretized formulas
 reduce to plain matrix sums.
@@ -35,38 +37,14 @@ CORRELATION = "correlation"
 INTERACTION = "interaction"
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Discretized window: points of the state space plus measure weights."""
-
-    points: np.ndarray  # (N, d)
-    weights: np.ndarray  # (N,), nonnegative masses nu({x_i})
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (pts.shape[0],):
-            raise ValueError("weights must be one per point")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    @staticmethod
-    def unit(points: np.ndarray) -> "GridSpec":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return GridSpec(pts, np.ones(pts.shape[0]))
+def measure_weights(weights) -> np.ndarray:
+    """``weights`` as a float vector of finite, nonnegative masses nu({x_i})."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1:
+        raise ValueError("weights must be a vector")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and nonnegative")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +54,7 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedKernel:
-    """Symmetric kernel matrix over a weighted grid.
+    """Symmetric kernel matrix over N states of measure ``weights``.
 
     ``support`` is the boolean (N, N) mask of entries allowed to be nonzero
     (None allows every entry); ``smc.banded_kernel`` builds it with the
@@ -87,48 +65,46 @@ class DiscretizedKernel:
     :func:`shrink_to_feasible`.
     """
 
-    grid: GridSpec
+    weights: np.ndarray  # (N,)
     entries: np.ndarray  # (N, N)
     kind: str
     support: Optional[np.ndarray] = None  # (N, N) bool
 
     def __post_init__(self):
+        w = measure_weights(self.weights)
         m = np.asarray(self.entries, dtype=float)
-        if m.shape != (len(self.grid), len(self.grid)):
-            raise ValueError("kernel shape does not match grid")
+        if m.shape != (len(w), len(w)):
+            raise ValueError("kernel must be square with one weight per row")
         if not np.array_equal(m, m.T):
             raise ValueError("kernel entries must be exactly symmetric")
         if self.kind not in (CORRELATION, INTERACTION):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.support is not None:
             if np.shape(self.support) != m.shape:
-                raise ValueError("support mask shape does not match grid")
+                raise ValueError("support mask shape does not match the kernel")
             if np.any(m[~self.support] != 0.0):
                 raise ValueError("kernel has nonzero entries outside its support")
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "entries", m)
 
     def __len__(self) -> int:
-        return len(self.grid)
+        return len(self.weights)
 
     @property
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries).copy()
 
 
-def _sqrt_weights(grid: GridSpec) -> np.ndarray:
-    if np.any(grid.weights <= 0):
+def _sqrt_weights(weights: np.ndarray) -> np.ndarray:
+    if np.any(weights <= 0):
         raise ValueError("operator algebra requires strictly positive weights")
-    return np.sqrt(grid.weights)
-
-
-def operator_matrix(kernel: DiscretizedKernel) -> np.ndarray:
-    """Symmetrized operator matrix S = W^{1/2} K W^{1/2}."""
-    rw = _sqrt_weights(kernel.grid)
-    return kernel.entries * rw[:, None] * rw[None, :]
+    return np.sqrt(weights)
 
 
 def operator_spectrum(kernel: DiscretizedKernel) -> np.ndarray:
-    return np.linalg.eigvalsh(operator_matrix(kernel))
+    """Eigenvalues of the symmetrized operator S = W^{1/2} K W^{1/2}."""
+    rw = _sqrt_weights(kernel.weights)
+    return np.linalg.eigvalsh(kernel.entries * rw[:, None] * rw[None, :])
 
 
 # Floor on the block size of the banded interaction transform, and a kernel
@@ -223,15 +199,22 @@ def _interaction_factor(kernel: DiscretizedKernel):
     """(rw, bounds, (factors, couplings)) of I - S, shared by both
     interaction transforms: checks that the kernel is a correlation kernel
     and that its spectrum lies at or below 1 - DELTA (else
-    :class:`SpectrumError`).  None for an empty grid."""
+    :class:`SpectrumError`).  None for a kernel over no points.
+
+    The spectrum check is exact, a Cholesky factorization of
+    (1 - DELTA + 1e-12) I - S, and is skipped when Gershgorin's bound
+    already proves it: every eigenvalue of S is at most its largest
+    absolute row sum, which ``smc.banded_kernel`` caps at 1 - DELTA."""
     if kernel.kind != CORRELATION:
         raise ValueError("the interaction transform expects a correlation kernel")
     if len(kernel) == 0:
         return None
-    rw = _sqrt_weights(kernel.grid)
+    rw = _sqrt_weights(kernel.weights)
     bounds = _block_bounds(kernel)
     diagonal, below = _operator_blocks(kernel.entries, rw, bounds, -1.0)
-    if _block_cholesky(diagonal, below, 1.0 - DELTA + 1e-12, couplings=False) is None:
+    ceiling = 1.0 - DELTA + 1e-12
+    gershgorin = float((rw * (np.abs(kernel.entries) @ rw)).max())
+    if gershgorin > ceiling and _block_cholesky(diagonal, below, ceiling, couplings=False) is None:
         top = float(operator_spectrum(kernel).max())
         raise SpectrumError(
             f"correlation spectrum reaches {top:.12g} > 1 - delta (delta={DELTA:g}); "
@@ -273,19 +256,19 @@ def interaction_kernel(kernel: DiscretizedKernel) -> DiscretizedKernel:
     kernel spans several blocks.  Raises :class:`SpectrumError` unless the operator spectrum lies
     at or below 1 - DELTA, with a slack of 1e-12, which holds iff
     (1 - DELTA + 1e-12) I - S has a Cholesky factor.  I - S then has
-    condition number at most about 1/DELTA.  An empty grid gives an empty
-    kernel.
+    condition number at most about 1/DELTA.  A kernel over no points
+    gives an empty kernel.
     """
     n = len(kernel)
     factor = _interaction_factor(kernel)
     if factor is None:
-        return DiscretizedKernel(kernel.grid, np.zeros((0, 0)), INTERACTION)
+        return DiscretizedKernel(kernel.weights, np.zeros((0, 0)), INTERACTION)
     rw, bounds, (factors, couplings) = factor
     j = _block_inverse(n, bounds, factors, couplings)
     j.flat[:: n + 1] -= 1.0
     for lo, hi in bounds:  # J = J_S / (rw rw^T), a block row at a time
         j[lo:hi] /= rw[lo:hi, None] * rw[None, :]
-    return DiscretizedKernel(kernel.grid, j, INTERACTION)
+    return DiscretizedKernel(kernel.weights, j, INTERACTION)
 
 
 def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
@@ -312,29 +295,30 @@ def correlation_from_interaction(kernel: DiscretizedKernel) -> DiscretizedKernel
         raise ValueError("expects an interaction kernel")
     n = len(kernel)
     if n == 0:
-        return DiscretizedKernel(kernel.grid, np.zeros((0, 0)), CORRELATION)
-    rw = _sqrt_weights(kernel.grid)
+        return DiscretizedKernel(kernel.weights, np.zeros((0, 0)), CORRELATION)
+    rw = _sqrt_weights(kernel.weights)
     bounds = [(0, n)]
     factor = _block_cholesky(*_operator_blocks(kernel.entries, rw, bounds, 1.0), 1.0)
     if factor is None:
         raise SpectrumError("Id + J is not positive definite")
     k = -_block_inverse(n, bounds, *factor)
     k.flat[:: n + 1] += 1.0
-    return DiscretizedKernel(kernel.grid, k / (rw[:, None] * rw[None, :]), CORRELATION)
+    return DiscretizedKernel(kernel.weights, k / (rw[:, None] * rw[None, :]), CORRELATION)
 
 
 def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
-    """Count covariance between index sets A and B under the DPP form.
+    """Count covariance between index sets A and B under the DPP form; each
+    set is given as increasing distinct indices, as ``np.nonzero`` returns.
 
     cov = sum_{A n B} K(x,x) w - sum_{A x B} K(x,y)^2 w w; the double sum
-    includes x == y, which is what the count algebra on an atomic grid
+    includes x == y, which is what the count algebra on atomic states
     requires.  For disjoint A, B this is minus a sum of squares, hence <= 0
     exactly.
     """
-    a = np.asarray(sorted(set(a)), dtype=int)
-    b = np.asarray(sorted(set(b)), dtype=int)
-    w = kernel.grid.weights
-    inter = np.intersect1d(a, b)
+    a = np.asarray(a, dtype=int)
+    b = np.asarray(b, dtype=int)
+    w = kernel.weights
+    inter = np.intersect1d(a, b, assume_unique=True)
     first = float((np.diag(kernel.entries)[inter] * w[inter]).sum()) if inter.size else 0.0
     if a.size and b.size:
         block = kernel.entries[np.ix_(a, b)] ** 2
@@ -345,7 +329,7 @@ def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
 
 
 def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]:
-    """Janossy masses of every subset of a small grid (N <= 12)."""
+    """Janossy masses of every subset of a small kernel's states (N <= 12)."""
     n = len(kernel)
     if n > 12:
         raise ValueError("subset enumeration is limited to 12 points")
@@ -354,7 +338,7 @@ def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]
         raise SpectrumError(f"spectrum reaches {lam.max():.6g}; project the kernel first")
     void = float(np.prod(1.0 - lam))
     j = interaction_kernel(kernel).entries
-    w = kernel.grid.weights
+    w = kernel.weights
     out: dict[tuple[int, ...], float] = {(): void}
     for bits in range(1, 1 << n):
         idx = [i for i in range(n) if bits >> i & 1]
@@ -365,7 +349,7 @@ def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]
 
 def project_kernel(
     entries: np.ndarray,
-    grid: GridSpec,
+    grid: np.ndarray,
     kind: str = CORRELATION,
     support: Optional[np.ndarray] = None,
     delta: float = DELTA,
@@ -382,17 +366,18 @@ def project_kernel(
     diagonal load of size max(0, -lambda_min) lifts the floor (the support
     holds since the load only touches the diagonal) and a multiplicative
     shrink enforces the ceiling.  Feasible inputs pass through unchanged,
-    so the map is idempotent.
+    so the map is idempotent.  ``grid`` is the vector of measure weights.
     """
+    w = np.asarray(grid, dtype=float)
     m = 0.5 * (np.asarray(entries, dtype=float) + np.asarray(entries, dtype=float).T)
-    rw = _sqrt_weights(grid)
+    rw = _sqrt_weights(w)
     hi = (1.0 - delta) if kind == CORRELATION else np.inf
     # Exactly diagonal matrices project by clipping the diagonal; this also
     # keeps the zero-interaction mode free of eigendecomposition roundoff.
     if np.count_nonzero(m - np.diag(np.diag(m))) == 0:
-        d = np.clip(np.diag(m), 0.0, hi / np.clip(grid.weights, 1e-300, None))
+        d = np.clip(np.diag(m), 0.0, hi / np.clip(w, 1e-300, None))
         # operator eigenvalue of a diagonal kernel entry is K_ii * w_i
-        return DiscretizedKernel(grid, np.diag(d), kind, support)
+        return DiscretizedKernel(w, np.diag(d), kind, support)
     feas_tol = 1e-12
     for _ in range(max_iter):
         if support is not None:
@@ -403,7 +388,7 @@ def project_kernel(
         floor = max(0.0, -float(lam.min(initial=0.0)))
         ceil = max(0.0, float(lam.max(initial=0.0)) - hi) if np.isfinite(hi) else 0.0
         if floor <= feas_tol and ceil <= feas_tol:
-            return DiscretizedKernel(grid, m, kind, support)
+            return DiscretizedKernel(w, m, kind, support)
         clipped = np.clip(lam, 0.0, hi)
         s = (u * clipped) @ u.T
         m = s / rw[:, None] / rw[None, :]
@@ -418,14 +403,14 @@ def project_kernel(
     if floor > 0.0:
         if floor > 1e-6:
             log.warning("kernel projection closing load of %.2e on the diagonal", floor)
-        m = m + np.diag(np.full(len(grid), floor) / grid.weights)
+        m = m + np.diag(np.full(len(w), floor) / w)
         top = float(lam.max(initial=0.0)) + floor
     else:
         top = float(lam.max(initial=0.0))
     if np.isfinite(hi) and top > hi:
         m = m * (hi / top)
     m = 0.5 * (m + m.T)
-    return DiscretizedKernel(grid, m, kind, support)
+    return DiscretizedKernel(w, m, kind, support)
 
 
 def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
@@ -443,7 +428,7 @@ def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
 
 def shrink_to_feasible(
     entries: np.ndarray,
-    grid: GridSpec,
+    weights: np.ndarray,
     support: Optional[np.ndarray] = None,
 ) -> tuple[DiscretizedKernel, float, float]:
     """Make a symmetric matrix a valid correlation kernel by scaling its
@@ -451,29 +436,34 @@ def shrink_to_feasible(
 
     In the symmetrized operator S = W^{1/2} M W^{1/2}, with the entries
     outside ``support`` zeroed, split S into its diagonal D and off-diagonal
-    O.  D is clipped into [0, 1 - DELTA], and O loses the rows and columns of every point whose
-    diagonal was clipped or sits on a bound.  On the other points D + tO is
-    positive semidefinite iff t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and has
-    spectrum at most 1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
-    with E = (1 - DELTA) I - D, so the largest such t in [0, 1] is taken: one
-    extreme eigenvalue of each matrix (``_extreme_eigenvalue``) and no
-    iteration.  The weights cancel in both matrices, so
-    they are formed from the kernel entries directly.
+    O.  D is clipped into [0, 1 - DELTA], and O loses the rows and columns
+    of every point whose diagonal was clipped or sits on a bound.  On the
+    other points D + tO is positive semidefinite iff
+    t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and has spectrum at most
+    1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}), with
+    E = (1 - DELTA) I - D, and the largest such t in [0, 1] is taken.  t
+    starts at min(1, -1/lambda_min), one extreme eigenvalue
+    (``_extreme_eigenvalue``); a Cholesky factor of I - t E^{-1/2} O E^{-1/2}
+    then certifies the ceiling at that t, and only when it does not exist is
+    lambda_max computed and t lowered to 1/lambda_max.  No iteration.  The
+    weights cancel in both matrices, so they are formed from the kernel
+    entries directly.
 
     The diagonal is kept bit for bit wherever its operator value lies in
     [0, 1 - DELTA], so the trace is the input's; a feasible input comes back
     unchanged.  Returns the kernel, the off-diagonal scale t and the diagonal
     mass the clip removed, sum_i w_i (M_ii - K_ii).
     """
+    w = np.asarray(weights, dtype=float)
     m = np.asarray(entries, dtype=float)
     m = 0.5 * (m + m.T)
     if support is not None:
         m = np.where(support, m, 0.0)
-    _sqrt_weights(grid)  # the operator needs strictly positive weights
+    _sqrt_weights(w)  # the operator needs strictly positive weights
     mu = np.diag(m)
-    cap = (1.0 - DELTA) / grid.weights  # kernel diagonal of operator value 1 - DELTA
+    cap = (1.0 - DELTA) / w  # kernel diagonal of operator value 1 - DELTA
     diagonal = np.clip(mu, 0.0, cap)
-    clipped_mass = float(np.sum((mu - diagonal) * grid.weights))
+    clipped_mass = float(np.sum((mu - diagonal) * w))
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     free = (mu > 0.0) & (mu < cap)
@@ -489,15 +479,16 @@ def shrink_to_feasible(
             b = sub / root_e[:, None] / root_e[None, :]
         if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
             lowest = _extreme_eigenvalue(a, top=False)
-            highest = _extreme_eigenvalue(b, top=True)
             if lowest < 0.0:
                 t = min(t, -1.0 / lowest)
-            if highest > 0.0:
-                t = min(t, 1.0 / highest)
+            if _block_cholesky([-t * b], [], 1.0, couplings=False) is None:
+                highest = _extreme_eigenvalue(b, top=True)
+                if highest > 0.0:
+                    t = min(t, 1.0 / highest)
         else:
             t = 0.0  # a diagonal too close to a bound to scale against
     out = t * off + np.diag(diagonal)
-    return DiscretizedKernel(grid, out, CORRELATION, support), t, clipped_mass
+    return DiscretizedKernel(w, out, CORRELATION, support), t, clipped_mass
 
 
 def validate_kernel(kernel: DiscretizedKernel) -> None:

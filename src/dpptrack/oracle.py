@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import SizeError
-from .kernels import DiscretizedKernel, GridSpec, all_subset_masses
+from .kernels import DiscretizedKernel, all_subset_masses, measure_weights
 
 # Exact-sum size bounds.  The joint Janossy sum is factorial in the number
 # of points; these caps keep every call comfortably under a second.
@@ -76,7 +76,8 @@ class ObservationModel:
 
 @dataclass(frozen=True)
 class FiniteProcess:
-    """Point process given by an exhaustive Janossy table on a small grid.
+    """Point process given by an exhaustive Janossy table on a small grid of
+    points with measure ``weights``.
 
     ``janossy`` maps a sorted index multiset to its Janossy density value
     (weights not folded in); absent keys are zero.  The probability of a
@@ -85,14 +86,15 @@ class FiniteProcess:
         j(config) * prod_i w_i^{m_i} / m_i!
     """
 
-    grid: GridSpec
+    weights: np.ndarray  # (G,)
     janossy: Mapping[Config, float]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", measure_weights(self.weights))
         table = {}
         for key, val in self.janossy.items():
             key = tuple(sorted(int(i) for i in key))
-            if key and (min(key) < 0 or max(key) >= len(self.grid)):
+            if key and (min(key) < 0 or max(key) >= len(self.weights)):
                 raise ValueError(f"configuration {key} outside grid")
             if val < 0:
                 raise ValueError("Janossy densities must be nonnegative")
@@ -104,7 +106,7 @@ class FiniteProcess:
 
     def config_mass(self, config: Config) -> float:
         dens = self.janossy.get(tuple(sorted(config)), 0.0)
-        return dens * _weight_factor(self.grid.weights, config)
+        return dens * _weight_factor(self.weights, config)
 
     def total_mass(self) -> float:
         return math.fsum(self.config_mass(c) for c in self.janossy)
@@ -117,29 +119,29 @@ class FiniteProcess:
         z = self.total_mass()
         if z <= 0:
             raise ValueError("process has zero total mass")
-        return FiniteProcess(self.grid, {c: v / z for c, v in self.janossy.items()})
+        return FiniteProcess(self.weights, {c: v / z for c, v in self.janossy.items()})
 
     # -- moments ----------------------------------------------------------
 
     def intensity(self) -> np.ndarray:
         """First moment density: E[multiplicity at x] / w_x."""
-        mu = np.zeros(len(self.grid))
+        mu = np.zeros(len(self.weights))
         for cfg in self.janossy:
             p = self.config_mass(cfg)
             for i in cfg:
                 mu[i] += p
-        return mu / self.grid.weights
+        return mu / self.weights
 
     def pair_factorial(self, zero_diagonal: bool = True) -> np.ndarray:
         """Second factorial moment density E[m_i (m_j - delta_ij)] / (w_i w_j)."""
-        g = len(self.grid)
+        g = len(self.weights)
         rho = np.zeros((g, g))
         for cfg in self.janossy:
             p = self.config_mass(cfg)
             counts = np.bincount(np.asarray(cfg, dtype=int), minlength=g) if cfg else np.zeros(g)
             block = np.outer(counts, counts) - np.diag(counts)
             rho += p * block
-        rho /= np.outer(self.grid.weights, self.grid.weights)
+        rho /= np.outer(self.weights, self.weights)
         if zero_diagonal:
             np.fill_diagonal(rho, 0.0)
         return rho
@@ -180,26 +182,27 @@ def _weight_factor(weights: np.ndarray, config: Config) -> float:
 def dpp_process(kernel: DiscretizedKernel) -> FiniteProcess:
     """Exact Janossy table of a DPP on a small grid (subset enumeration)."""
     masses = all_subset_masses(kernel)
-    w = kernel.grid.weights
+    w = kernel.weights
     table = {
         cfg: mass / _weight_factor(w, cfg) for cfg, mass in masses.items() if mass > 0.0
     }
-    return FiniteProcess(kernel.grid, table)
+    return FiniteProcess(w, table)
 
 
-def poisson_process(grid: GridSpec, intensity, n_max: int = MAX_SUPPORT) -> FiniteProcess:
-    """Truncated Poisson process with the given intensity density.
+def poisson_process(weights, intensity, n_max: int = MAX_SUPPORT) -> FiniteProcess:
+    """Truncated Poisson process with the given intensity density on the
+    points of measure ``weights``.
 
     The exact table has j(config) = exp(-nu(Lambda-weighted intensity)) *
     prod intensity(x_i) on every multiset; truncation at n_max leaves a
     total-mass deficit of order (mass)^{n_max+1}/(n_max+1)!, so keep the
     total intensity mass small when 1e-10 identities are asserted.
     """
-    lam = np.broadcast_to(np.asarray(intensity, dtype=float), (len(grid),))
-    total = float((lam * grid.weights).sum())
+    lam = np.broadcast_to(np.asarray(intensity, dtype=float), (len(weights),))
+    total = float((lam * weights).sum())
     base = math.exp(-total)
     table: dict[Config, float] = {}
-    points = list(range(len(grid)))
+    points = list(range(len(weights)))
 
     def rec(start: int, cfg: tuple[int, ...], dens: float):
         table[cfg] = dens
@@ -209,14 +212,14 @@ def poisson_process(grid: GridSpec, intensity, n_max: int = MAX_SUPPORT) -> Fini
             rec(i, cfg + (i,), dens * lam[i])
 
     rec(0, (), base)
-    return FiniteProcess(grid, table)
+    return FiniteProcess(weights, table)
 
 
-def single_config_process(grid: GridSpec, config: Config) -> FiniteProcess:
+def single_config_process(weights, config: Config) -> FiniteProcess:
     """Point mass on exactly one configuration."""
     cfg = tuple(sorted(config))
-    dens = 1.0 / _weight_factor(grid.weights, cfg)
-    return FiniteProcess(grid, {cfg: dens})
+    dens = 1.0 / _weight_factor(weights, cfg)
+    return FiniteProcess(weights, {cfg: dens})
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +309,7 @@ class _Session:
     def __init__(self, prior: FiniteProcess, obs: ObservationModel):
         self.prior = prior
         self.obs = obs
-        self.weights = prior.grid.weights
+        self.weights = prior.weights
         self._g: dict = {}
         self._wf: dict = {}
 
@@ -444,7 +447,7 @@ def posterior_intensity_exact(
     _check_support(prior, meas, n_max)
     ses = _Session(prior, obs)
     jz = ses.jxi(meas)
-    g = len(prior.grid)
+    g = len(prior.weights)
     qd, lt = obs.q_d, obs.l_tilde
     mu = np.zeros(g)
     for x in range(g):
@@ -472,7 +475,7 @@ def posterior_pair_exact(
     _check_support(prior, meas, n_max)
     ses = _Session(prior, obs)
     jz = ses.jxi(meas)
-    g = len(prior.grid)
+    g = len(prior.weights)
     qd, lt = obs.q_d, obs.l_tilde
     rho = np.zeros((g, g))
     for x in range(g):
@@ -514,7 +517,7 @@ def posterior_covariance_exact(
     a = sorted(set(int(i) for i in a))
     b = sorted(set(int(i) for i in b))
     inter = sorted(set(a) & set(b))
-    w = prior.grid.weights
+    w = prior.weights
     qd, lt = obs.q_d, obs.l_tilde
     _check_support(prior, meas, n_max)
     ses = _Session(prior, obs)
@@ -590,7 +593,7 @@ def enumerate_posterior(prior: FiniteProcess, obs: ObservationModel, meas) -> Fi
     for the corrector-term route.
     """
     meas = _check_meas(meas)
-    if len(prior.grid) > MAX_ENUM_GRID:
+    if len(prior.weights) > MAX_ENUM_GRID:
         raise SizeError(f"enumerate_posterior limited to {MAX_ENUM_GRID} grid points")
     if len(meas) > MAX_ENUM_MEAS:
         raise SizeError(f"enumerate_posterior limited to {MAX_ENUM_MEAS} measurements")
@@ -602,4 +605,4 @@ def enumerate_posterior(prior: FiniteProcess, obs: ObservationModel, meas) -> Fi
             table[cfg] = dens * like
     if not table:
         raise ValueError("measurements have zero likelihood under the prior")
-    return FiniteProcess(prior.grid, table).normalized()
+    return FiniteProcess(prior.weights, table).normalized()

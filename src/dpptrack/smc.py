@@ -2,7 +2,7 @@
 injection, multinomial resampling with roughening, kernel
 (re-)initialization, and the SMC-PHD step that strings them together.
 
-Particle grids carry unit measure weights, matching the pseudocode
+Particle kernels carry unit measure weights, matching the pseudocode
 convention in which kernel diagonals are per-particle masses and weighted
 integrals reduce to plain sums.
 """
@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateIntensity, SpectrumError
-from .kernels import CORRELATION, DELTA, DiscretizedKernel, GridSpec
+from .kernels import CORRELATION, DELTA, DiscretizedKernel
 from .scenario import Scan, Window
 
 
@@ -76,7 +76,7 @@ def sample_births(
 def banded_kernel(
     points: np.ndarray, gamma: float, alpha: float, eta: float
 ) -> DiscretizedKernel:
-    """Correlation kernel of mass gamma on the unit-weight grid of points,
+    """Correlation kernel of mass gamma on the points, each of unit weight,
     feasible by construction.
 
     K = (gamma/n) [(1 - rho) I + rho F] inside the index band
@@ -95,8 +95,7 @@ def banded_kernel(
     Raises SpectrumError when gamma/n lies outside [0, 1 - DELTA], where no
     kernel with that diagonal is a valid correlation kernel.
     """
-    grid = GridSpec.unit(points)
-    n = len(grid)
+    n = len(points)
     if not 0.0 <= gamma <= (1.0 - DELTA) * n:
         raise SpectrumError(
             f"diagonal gamma/n = {gamma / n:.6g} lies outside [0, 1 - delta] (delta={DELTA:g})"
@@ -110,7 +109,7 @@ def banded_kernel(
         profile[1 : b + 1] = scale * rho * (1.0 - np.arange(1, b + 1) / (b + 1))
     idx = np.arange(n)
     lags = np.abs(idx[:, None] - idx[None, :])
-    return DiscretizedKernel(grid, profile[lags], CORRELATION, lags <= b)
+    return DiscretizedKernel(np.ones(n), profile[lags], CORRELATION, lags <= b)
 
 
 def init_particles(
@@ -207,7 +206,7 @@ def inject_births(
     support = np.zeros((n_tot, n_tot), dtype=bool)
     support[:n_old, :n_old] = True if kernel.support is None else kernel.support
     support[n_old:, n_old:] = birth_kernel.support
-    return merged, DiscretizedKernel(GridSpec.unit(merged), extended, CORRELATION, support)
+    return merged, DiscretizedKernel(np.ones(n_tot), extended, CORRELATION, support)
 
 
 def rebuild_kernel(

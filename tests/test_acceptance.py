@@ -22,7 +22,6 @@ from dpptrack.harness import preset, run_experiment
 from dpptrack.kernels import (
     CORRELATION,
     DiscretizedKernel,
-    GridSpec,
     interaction_kernel,
     project_kernel,
     validate_kernel,
@@ -67,8 +66,8 @@ def report(num, ok, detail):
 def test_criterion_1_poisson_reduction():
     t0 = time.perf_counter()
     tol = 1e-10
-    grid = GridSpec(np.array([[0.0], [1.0], [2.0]]), np.array([0.12, 0.10, 0.08]))
-    prior = poisson_process(grid, 1.0, n_max=12)
+    w = np.array([0.12, 0.10, 0.08])
+    prior = poisson_process(w, 1.0, n_max=12)
     obs = ObservationModel(
         p_d=np.full(3, 0.7),
         l_d=np.array([[0.9, 0.3, 0.1], [0.2, 0.5, 0.8]]),
@@ -83,12 +82,11 @@ def test_criterion_1_poisson_reduction():
         for y in range(3):
             worst = max(worst, abs(corrector_upsilon2(prior, obs, meas, x, y) / jz - 1.0))
     # classical first-moment corrector
-    s = obs.l_c + obs.l_tilde @ grid.weights
+    s = obs.l_c + obs.l_tilde @ w
     classical = obs.q_d + (obs.l_tilde / s[:, None]).sum(axis=0)
     mu = posterior_intensity_exact(prior, obs, meas)
     worst = max(worst, float(np.max(np.abs(mu - classical))))
     # classical covariance over overlapping and disjoint domain pairs
-    w = grid.weights
     lt = obs.l_tilde
     for a, b in [((0, 1), (1, 2)), ((0,), (2,)), ((0, 1, 2), (0, 1, 2))]:
         inter = sorted(set(a) & set(b))
@@ -119,13 +117,13 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(20):
         g = int(rng.integers(2, 6))
         z = int(rng.integers(1, 4))
-        grid = GridSpec(rng.uniform(-1, 1, (g, 2)), rng.uniform(0.5, 1.5, g))
+        weights = rng.uniform(0.5, 1.5, g)
         support = min(g, 4)
         table = {}
         for n in range(support + 1):
             for cfg in itertools.combinations(range(g), n):
                 table[cfg] = float(rng.uniform(0.05, 1.0))
-        prior = FiniteProcess(grid, table).normalized()
+        prior = FiniteProcess(weights, table).normalized()
         obs = ObservationModel(
             p_d=rng.uniform(0.3, 0.9, g),
             l_d=rng.uniform(0.05, 1.0, (z, g)),
@@ -155,9 +153,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_approximation_order():
     t0 = time.perf_counter()
-    grid = GridSpec(
-        np.arange(4, dtype=float)[:, None], np.array([0.9, 1.1, 1.0, 0.8])
-    )
+    weights = np.array([0.9, 1.1, 1.0, 0.8])
     base = np.array(
         [
             [1.00, 0.30, 0.15, 0.05],
@@ -175,7 +171,7 @@ def test_criterion_3_approximation_order():
     meas = (0, 1)
     errors = []
     for eps in (0.02, 0.01, 0.005):
-        kernel = DiscretizedKernel(grid, eps * base, CORRELATION)
+        kernel = DiscretizedKernel(weights, eps * base, CORRELATION)
         prior = dpp_process(kernel)
         mu_exact = posterior_intensity_exact(prior, obs, meas)
         rho_exact = posterior_pair_exact(prior, obs, meas)
@@ -335,7 +331,7 @@ def test_criterion_7_kernel_invariants():
         particles = states
         eps = float(rng.uniform(0.01, 0.05))
         raw = eps * (np.eye(n) + 0.4 * np.exp(-np.abs(np.subtract.outer(range(n), range(n)))))
-        kernel = project_kernel(0.5 * (raw + raw.T), GridSpec.unit(particles), CORRELATION)
+        kernel = project_kernel(0.5 * (raw + raw.T), np.ones(n), CORRELATION)
         state = FilterState(particles, kernel)
         pred = predict(state, survival, birth, smc, window, rng)
         validate_kernel(pred.kernel)

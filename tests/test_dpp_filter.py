@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpptrack import dpp_filter, kernels
 from dpptrack.dpp_filter import (
     DppPhdFilter,
     FilterState,
@@ -23,7 +24,6 @@ from dpptrack.kernels import (
     CORRELATION,
     DELTA,
     DiscretizedKernel,
-    GridSpec,
     interaction_kernel,
     operator_spectrum,
     project_kernel,
@@ -66,13 +66,11 @@ def small_state(n=6, seed=0, scale=0.05):
     states = rng.uniform(-50, 50, (n, 5))
     p = particles_of(states)
     raw = scale * np.eye(n) + rng.uniform(-0.01, 0.01, (n, n))
-    kernel = project_kernel(0.5 * (raw + raw.T), GridSpec.unit(p), CORRELATION)
+    kernel = project_kernel(0.5 * (raw + raw.T), np.ones(n), CORRELATION)
     return FilterState(p, kernel)
 
 
 def epsilon_kernel(eps, weights=(0.9, 1.1, 1.0, 0.8)):
-    w = np.asarray(weights, dtype=float)
-    grid = GridSpec(np.arange(len(w), dtype=float)[:, None], w)
     base = np.array(
         [
             [1.00, 0.30, 0.15, 0.05],
@@ -81,7 +79,7 @@ def epsilon_kernel(eps, weights=(0.9, 1.1, 1.0, 0.8)):
             [0.05, 0.10, 0.30, 0.95],
         ]
     )
-    return DiscretizedKernel(grid, eps * base, CORRELATION)
+    return DiscretizedKernel(weights, eps * base, CORRELATION)
 
 
 def abstract_obs(p_d=0.7):
@@ -151,27 +149,24 @@ class TestPredict:
         # 2-source prior, 1-d Gaussian transition; region mass from the
         # quadrature of the first-moment formula vs direct MC of the
         # transition with 1e6 samples
-        src = GridSpec(np.array([[0.0], [2.0]]), np.ones(2))
-        kernel = DiscretizedKernel(src, np.array([[0.3, 0.1], [0.1, 0.35]]), CORRELATION)
+        src = np.array([0.0, 2.0])  # source points, of unit weight
+        kernel = DiscretizedKernel(np.ones(2), np.array([[0.3, 0.1], [0.1, 0.35]]), CORRELATION)
         p_s, sigma, drift = 0.9, 0.8, 1.0
         lo, hi = 0.5, 2.5
         nq = 800
         dx = (hi - lo) / nq
         xs = lo + dx / 2 + dx * np.arange(nq)  # midpoint cells tile [lo, hi]
-        tgt = GridSpec(xs[:, None], np.full(nq, dx))
         trans = np.exp(
-            -0.5 * ((xs[:, None] - (src.points[:, 0][None, :] + drift)) / sigma) ** 2
+            -0.5 * ((xs[:, None] - (src[None, :] + drift)) / sigma) ** 2
         ) / (sigma * math.sqrt(2 * math.pi))
         birth_intensity = np.full(nq, 0.05)
-        mu, rho = prediction_moments(
-            kernel, p_s, trans, birth_intensity, np.zeros((nq, nq)), tgt
-        )
+        mu, rho = prediction_moments(kernel, p_s, trans, birth_intensity, np.zeros((nq, nq)))
         mass_formula = float(np.sum(mu * dx))
         rng = np.random.default_rng(7)
         draws = 1_000_000
         mc_mass = 0.05 * (hi - lo)
         se_sq = 0.0
-        for u, k_uu in zip(src.points[:, 0], np.diag(kernel.entries)):
+        for u, k_uu in zip(src, np.diag(kernel.entries)):
             hits = rng.normal(u + drift, sigma, draws)
             frac = float(np.mean((hits >= lo) & (hits <= hi)))
             mc_mass += p_s * k_uu * frac
@@ -179,12 +174,11 @@ class TestPredict:
         assert abs(mass_formula - mc_mass) < 3 * math.sqrt(se_sq) + 1e-6
 
     def test_reconstruction_roundtrip_identity_transition(self):
-        src = GridSpec(np.array([[0.0], [1.0], [2.0]]), np.ones(3))
         raw = np.array([[0.3, 0.08, 0.02], [0.08, 0.25, 0.06], [0.02, 0.06, 0.33]])
-        kernel = DiscretizedKernel(src, raw, CORRELATION)
+        kernel = DiscretizedKernel(np.ones(3), raw, CORRELATION)
         ident = np.eye(3)  # transition density: unit point masses
-        mu, rho = prediction_moments(kernel, 1.0, ident, np.zeros(3), np.zeros((3, 3)), src)
-        rebuilt = reconstruct_kernel_from_moments(mu, rho, src)
+        mu, rho = prediction_moments(kernel, 1.0, ident, np.zeros(3), np.zeros((3, 3)))
+        rebuilt = reconstruct_kernel_from_moments(mu, rho, np.ones(3))
         np.testing.assert_allclose(rebuilt.entries, raw, atol=1e-10)
 
 
@@ -217,8 +211,7 @@ class TestUpdate:
         n = 5
         rng = np.random.default_rng(10)
         kd = rng.uniform(0.05, 0.3, n)
-        grid = GridSpec(rng.uniform(-1, 1, (n, 2)), np.ones(n))
-        kernel = DiscretizedKernel(grid, np.diag(kd), CORRELATION)
+        kernel = DiscretizedKernel(np.ones(n), np.diag(kd), CORRELATION)
         j = interaction_kernel(kernel)
         like = rng.uniform(0.0, 1.0, (2, n))
         clutter = np.array([0.4, 0.6])
@@ -244,8 +237,7 @@ class TestUpdate:
     def test_zero_pair_denominator_raises_degenerate_intensity(self):
         # one particle explains both detections and there is no clutter, so
         # s_c(z) s_c(z') - D(z, z') = J^2 l l' - J^2 l l' is exactly 0
-        grid = GridSpec(np.zeros((1, 2)), np.ones(1))
-        kernel = DiscretizedKernel(grid, np.array([[0.5]]), CORRELATION)
+        kernel = DiscretizedKernel(np.ones(1), np.array([[0.5]]), CORRELATION)
         like = np.array([[0.3], [0.7]])
         with pytest.raises(DegenerateIntensity):
             posterior_moments(kernel, interaction_kernel(kernel), like, np.zeros(2), 0.1)
@@ -386,7 +378,7 @@ class TestCovariance:
         a = [0, 1]
         b = [0, 1]
         got = approx_count_covariance(j, like, clutter, 1.0, a, b)
-        w = kernel.grid.weights
+        w = kernel.weights
         jd = j.diagonal
         expect = float(np.sum(jd[a] * w[a]))
         expect -= float(
@@ -397,7 +389,6 @@ class TestCovariance:
     def test_disjoint_regions_zero_cross_interaction(self):
         # block-diagonal interaction: covariance reduces to the paired
         # measurement residue, which vanishes with the cross-block
-        grid = GridSpec(np.arange(4, dtype=float)[:, None], np.ones(4))
         block = np.array(
             [
                 [0.2, 0.05, 0.0, 0.0],
@@ -406,7 +397,7 @@ class TestCovariance:
                 [0.0, 0.0, 0.05, 0.2],
             ]
         )
-        kernel = DiscretizedKernel(grid, block, CORRELATION)
+        kernel = DiscretizedKernel(np.ones(4), block, CORRELATION)
         j = interaction_kernel(kernel)
         # likelihoods supported on one block each
         like = np.array([[0.8, 0.6, 0.0, 0.0], [0.0, 0.0, 0.7, 0.9]])
@@ -446,7 +437,7 @@ class TestCorrelationEstimate:
         states[3:, 0] = states[3:, 2] = 60.0  # region B cluster
         p = particles_of(states)
         m = np.full((6, 6), 0.01) + 0.15 * np.eye(6)
-        kernel = project_kernel(m, GridSpec.unit(p), CORRELATION)
+        kernel = project_kernel(m, np.ones(6), CORRELATION)
         return FilterState(p, kernel)
 
     def test_same_region_correlation_is_one(self):
@@ -462,7 +453,7 @@ class TestCorrelationEstimate:
         block = np.zeros((4, 4))
         block[:2, :2] = [[0.2, 0.05], [0.05, 0.2]]
         block[2:, 2:] = [[0.2, 0.05], [0.05, 0.2]]
-        kernel = DiscretizedKernel(GridSpec.unit(p), block, CORRELATION)
+        kernel = DiscretizedKernel(np.ones(4), block, CORRELATION)
         st = FilterState(p, kernel)
         a = Region(0.0, 20.0, 0.0, 20.0)
         b = Region(50.0, 70.0, 50.0, 70.0)
@@ -545,8 +536,8 @@ def test_filter_steps_keep_kernel_valid():
 def test_spooky_step_eigh_budget(monkeypatch):
     # the prior, birth and rebuilt kernels need no eigendecomposition, both
     # interaction transforms are Cholesky factorizations and
-    # shrink_to_feasible takes its two extreme eigenvalues from LAPACK
-    # dsyevr, so a step makes no numpy eigh-family call
+    # shrink_to_feasible takes its extreme eigenvalues from LAPACK dsyevr,
+    # so a step makes no numpy eigh-family call
     calls = []
 
     def counted(fn):
@@ -570,3 +561,32 @@ def test_spooky_step_eigh_budget(monkeypatch):
     monkeypatch.setattr(DppPhdFilter, "step", counted_step)
     run_single(replace(preset("spooky"), filter="dpp", steps=3), 0)
     assert per_step == [0, 0, 0]
+
+
+def test_spooky_update_takes_one_extreme_eigenvalue(monkeypatch):
+    # shrink_to_feasible's Cholesky certificate holds on every spooky
+    # update, so lambda_max is never computed: one dsyevr per update whose
+    # kernel has an off-diagonal, none for a diagonal one
+    calls = []
+    extreme = kernels._extreme_eigenvalue
+
+    def counted(a, top):
+        calls.append(top)
+        return extreme(a, top)
+
+    per_update = []  # (wanted, made) extreme-eigenvalue calls
+    update = dpp_filter.dpp_update
+
+    def counted_update(*args, **kwargs):
+        before = len(calls)
+        state, diag = update(*args, **kwargs)
+        off = state.kernel.entries[~np.eye(len(state.kernel), dtype=bool)]
+        per_update.append((int(np.any(off != 0.0)), len(calls) - before))
+        return state, diag
+
+    monkeypatch.setattr(kernels, "_extreme_eigenvalue", counted)
+    monkeypatch.setattr(dpp_filter, "dpp_update", counted_update)
+    run_single(replace(preset("spooky"), filter="dpp", steps=5), 0)
+    assert len(per_update) == 5 and sum(want for want, _ in per_update) > 0
+    assert all(made == want for want, made in per_update)
+    assert True not in calls

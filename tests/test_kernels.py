@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpptrack import kernels
-from dpptrack.dpp_filter import FilterState, posterior_diagonal
+from dpptrack.dpp_filter import FilterState, posterior_diagonal, posterior_kernel_entries
 from dpptrack.errors import SpectrumError
 from dpptrack.kernels import (
     BLOCK_FLOOR,
@@ -12,7 +12,6 @@ from dpptrack.kernels import (
     INTERACTION,
     DELTA,
     DiscretizedKernel,
-    GridSpec,
     _block_bounds,
     all_subset_masses,
     correlation_from_interaction,
@@ -36,19 +35,12 @@ def index_support(n, eta):
     return np.abs(idx[:, None] - idx[None, :]) <= eta * n
 
 
-def unit_grid(n, seed=0):
-    rng = np.random.default_rng(seed)
-    return GridSpec.unit(rng.uniform(-1.0, 1.0, (n, 2)))
-
-
 def random_correlation(n, seed=0, scale=0.3, weights=None):
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, (n, 2))
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    grid = GridSpec(pts, w)
+    w = np.ones(n) if weights is None else weights
     a = rng.standard_normal((n, n)) * 0.25
     raw = scale * np.eye(n) + 0.5 * (a + a.T)
-    return project_kernel(raw, grid, CORRELATION)
+    return project_kernel(raw, w, CORRELATION)
 
 
 def kernel_with_top_eigenvalue(n, top, weights, seed):
@@ -61,14 +53,13 @@ def kernel_with_top_eigenvalue(n, top, weights, seed):
     s = (u * lam) @ u.T
     rw = np.sqrt(weights)
     m = s / rw[:, None] / rw[None, :]
-    grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
-    return DiscretizedKernel(grid, 0.5 * (m + m.T), CORRELATION)
+    return DiscretizedKernel(weights, 0.5 * (m + m.T), CORRELATION)
 
 
 @st.composite
 def ceiling_bound_kernels(draw):
     """``shrink_to_feasible`` outputs whose spectrum ceiling binds, on
-    weighted grids of up to 150 points, with or without an index band."""
+    up to 150 weighted points, with or without an index band."""
     n = draw(st.integers(min_value=2, max_value=150))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     support = None
@@ -82,23 +73,20 @@ def ceiling_bound_kernels(draw):
 
 class TestInteractionKernel:
     def test_zero_kernel_maps_to_zero(self):
-        grid = unit_grid(3)
-        k = DiscretizedKernel(grid, np.zeros((3, 3)), CORRELATION)
+        k = DiscretizedKernel(np.ones(3), np.zeros((3, 3)), CORRELATION)
         j = interaction_kernel(k)
         assert j.kind == INTERACTION
         np.testing.assert_allclose(j.entries, 0.0, atol=1e-15)
 
     def test_diagonal_kernel_closed_form(self):
-        grid = unit_grid(4)
         d = np.array([0.1, 0.25, 0.4, 0.6])
-        k = DiscretizedKernel(grid, np.diag(d), CORRELATION)
+        k = DiscretizedKernel(np.ones(4), np.diag(d), CORRELATION)
         j = interaction_kernel(k)
         np.testing.assert_allclose(np.diag(j.entries), d / (1 - d), atol=1e-12)
 
     def test_two_by_two_matches_direct_inverse(self):
-        grid = unit_grid(2)
         m = np.array([[0.3, 0.1], [0.1, 0.3]])
-        k = DiscretizedKernel(grid, m, CORRELATION)
+        k = DiscretizedKernel(np.ones(2), m, CORRELATION)
         j = interaction_kernel(k)
         direct = np.linalg.solve(np.eye(2) - m, m)
         np.testing.assert_allclose(j.entries, direct, atol=1e-12)
@@ -112,7 +100,7 @@ class TestInteractionKernel:
     def test_commutes_with_kernel(self):
         k = random_correlation(5, seed=2, weights=[0.5, 1.5, 1.0, 0.7, 1.3])
         j = interaction_kernel(k)
-        w = np.diag(k.grid.weights)
+        w = np.diag(k.weights)
         left = k.entries @ w @ j.entries
         right = j.entries @ w @ k.entries
         np.testing.assert_allclose(left, right, atol=1e-10)
@@ -124,14 +112,12 @@ class TestInteractionKernel:
         assert lam.min() > -1e-10
 
     def test_spectrum_error_raised(self):
-        grid = unit_grid(2)
-        k = DiscretizedKernel(grid, np.diag([0.9995, 0.5]), CORRELATION)
+        k = DiscretizedKernel(np.ones(2), np.diag([0.9995, 0.5]), CORRELATION)
         with pytest.raises(SpectrumError):
             interaction_kernel(k)
 
     def test_empty_kernel_calls_no_lapack(self, capfd):
-        grid = GridSpec(np.zeros((0, 2)), np.zeros(0))
-        j = interaction_kernel(DiscretizedKernel(grid, np.zeros((0, 0)), CORRELATION))
+        j = interaction_kernel(DiscretizedKernel(np.zeros(0), np.zeros((0, 0)), CORRELATION))
         assert j.kind == INTERACTION and j.entries.shape == (0, 0)
         back = correlation_from_interaction(j)
         assert back.kind == CORRELATION and back.entries.shape == (0, 0)
@@ -140,11 +126,10 @@ class TestInteractionKernel:
 
     @pytest.mark.parametrize("d", [0.0, 0.3, 0.9, 1.0 - DELTA])
     def test_single_point(self, d):
-        j = interaction_kernel(DiscretizedKernel(unit_grid(1), np.array([[d]]), CORRELATION))
+        j = interaction_kernel(DiscretizedKernel(np.ones(1), np.array([[d]]), CORRELATION))
         assert j.entries[0, 0] == pytest.approx(d / (1.0 - d), rel=1e-12, abs=1e-15)
         # operator value K w: J = K / (1 - K w)
-        grid = GridSpec(np.zeros((1, 2)), np.array([2.5]))
-        k = DiscretizedKernel(grid, np.array([[d / 2.5]]), CORRELATION)
+        k = DiscretizedKernel(np.array([2.5]), np.array([[d / 2.5]]), CORRELATION)
         j = interaction_kernel(k)
         assert j.entries[0, 0] == pytest.approx(d / 2.5 / (1.0 - d), rel=1e-12, abs=1e-15)
 
@@ -158,7 +143,7 @@ class TestInteractionKernel:
         k = kernel_with_top_eigenvalue(n, top, weights, seed=29)
         assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
         diag = DiscretizedKernel(
-            GridSpec(np.zeros((2, 1)), weights[:2]),
+            weights[:2],
             np.diag([top, 0.5] / weights[:2]),
             CORRELATION,
         )
@@ -180,12 +165,57 @@ class TestInteractionKernel:
 
     def test_weighted_operator_convention(self):
         # with weights, the operator is K W; J solves (I - KW)^{-1} K
-        grid = GridSpec(np.array([[0.0], [1.0]]), np.array([0.5, 2.0]))
+        w = np.array([0.5, 2.0])
         m = np.array([[0.3, 0.05], [0.05, 0.2]])
-        k = DiscretizedKernel(grid, m, CORRELATION)
+        k = DiscretizedKernel(w, m, CORRELATION)
         j = interaction_kernel(k)
-        direct = np.linalg.solve(np.eye(2) - m @ np.diag(grid.weights), m)
+        direct = np.linalg.solve(np.eye(2) - m @ np.diag(w), m)
         np.testing.assert_allclose(j.entries, direct, atol=1e-12)
+
+
+def gershgorin_bound(kernel):
+    """The largest absolute row sum of S = W^1/2 K W^1/2."""
+    rw = np.sqrt(kernel.weights)
+    return float((rw * (np.abs(kernel.entries) @ rw)).max())
+
+
+def check_factorizations(monkeypatch):
+    """Shifts of the block Cholesky calls that are not I - S itself, that
+    is, the domain check's (1 - DELTA + 1e-12) I - S, as they are made."""
+    shifts = []
+    block_cholesky = kernels._block_cholesky
+
+    def recorded(diagonal, below, shift, couplings=True):
+        if shift != 1.0:
+            shifts.append(shift)
+        return block_cholesky(diagonal, below, shift, couplings)
+
+    monkeypatch.setattr(kernels, "_block_cholesky", recorded)
+    return shifts
+
+
+class TestGershgorinShortCut:
+    def test_banded_kernel_at_its_ceiling_skips_the_check(self, monkeypatch):
+        kernel = banded_kernel(np.zeros((450, 5)), 15.0, 4.0, 0.1)
+        assert operator_spectrum(kernel).max() > 0.99
+        assert gershgorin_bound(kernel) <= 1.0 - DELTA + 1e-12
+        shifts = check_factorizations(monkeypatch)
+        interaction_kernel(kernel)
+        interaction_diagonal(kernel)
+        assert shifts == []
+
+    @pytest.mark.parametrize("top, valid", [(0.99, True), (1.0 - DELTA + 1e-11, False)])
+    def test_kernel_above_the_bound_takes_the_exact_check(self, monkeypatch, top, valid):
+        # a random eigenbasis: absolute row sums well above the spectrum
+        kernel = kernel_with_top_eigenvalue(40, top, np.ones(40), seed=37)
+        assert gershgorin_bound(kernel) > 1.0 - DELTA + 1e-12
+        shifts = check_factorizations(monkeypatch)
+        if valid:
+            assert np.all(np.isfinite(interaction_kernel(kernel).entries))
+        else:
+            with pytest.raises(SpectrumError, match=r"reaches 0\.99900000001"):
+                interaction_kernel(kernel)
+        assert shifts == [1.0 - DELTA + 1e-12]
 
 
 def band_support(n, band):
@@ -195,20 +225,16 @@ def band_support(n, band):
 
 
 def splice(a, b):
-    """Survivors and births: kernels a and b side by side on one grid, with
-    zero cross blocks and a block-diagonal support mask."""
+    """Survivors and births: kernels a and b side by side in one kernel,
+    with zero cross blocks and a block-diagonal support mask."""
     n, total = len(a), len(a) + len(b)
-    grid = GridSpec(
-        np.vstack([a.grid.points, b.grid.points]),
-        np.concatenate([a.grid.weights, b.grid.weights]),
-    )
     entries = np.zeros((total, total))
     entries[:n, :n] = a.entries
     entries[n:, n:] = b.entries
     support = np.zeros((total, total), dtype=bool)
     support[:n, :n] = a.support
     support[n:, n:] = b.support
-    return DiscretizedKernel(grid, entries, CORRELATION, support)
+    return DiscretizedKernel(np.concatenate([a.weights, b.weights]), entries, CORRELATION, support)
 
 
 # Block layouts of the banded transform: (points, band, births, birth band,
@@ -273,11 +299,10 @@ class TestBandedTransform:
         weights = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
         support = band_support(n, 7)
         raw = np.where(support, rng.uniform(0.0, 1.0, (n, n)), 0.0)
-        grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
-        base = DiscretizedKernel(grid, 0.5 * (raw + raw.T), CORRELATION, support)
+        base = DiscretizedKernel(weights, 0.5 * (raw + raw.T), CORRELATION, support)
         top = 1.0 - DELTA + excess
         k = DiscretizedKernel(
-            grid, base.entries * (top / operator_spectrum(base).max()), CORRELATION, support
+            weights, base.entries * (top / operator_spectrum(base).max()), CORRELATION, support
         )
         assert len(_block_bounds(k)) == 6
         assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
@@ -290,8 +315,7 @@ class TestBandedTransform:
                     transform(k)
 
     def test_empty_and_non_correlation_inputs(self):
-        grid = GridSpec(np.zeros((0, 2)), np.zeros(0))
-        empty = DiscretizedKernel(grid, np.zeros((0, 0)), CORRELATION)
+        empty = DiscretizedKernel(np.zeros(0), np.zeros((0, 0)), CORRELATION)
         assert interaction_diagonal(empty).shape == (0,)
         with pytest.raises(ValueError, match="correlation kernel"):
             interaction_diagonal(interaction_kernel(random_correlation(4)))
@@ -339,21 +363,18 @@ class TestBandedTransform:
 
 class TestCrossCovariance:
     def test_disjoint_zero_offdiagonal(self):
-        grid = unit_grid(4)
-        k = DiscretizedKernel(grid, np.diag([0.2, 0.3, 0.1, 0.4]), CORRELATION)
+        k = DiscretizedKernel(np.ones(4), np.diag([0.2, 0.3, 0.1, 0.4]), CORRELATION)
         assert cross_covariance(k, [0, 1], [2, 3]) == 0.0
 
     def test_full_grid_diagonal_formula(self):
         w = np.array([0.5, 1.5, 1.0])
-        grid = GridSpec(np.arange(3)[:, None].astype(float), w)
         d = np.array([0.2, 0.3, 0.4])
-        k = DiscretizedKernel(grid, np.diag(d), CORRELATION)
+        k = DiscretizedKernel(w, np.diag(d), CORRELATION)
         expect = float(np.sum(d * w) - np.sum(d**2 * w**2))
         assert cross_covariance(k, range(3), range(3)) == pytest.approx(expect, abs=1e-14)
 
     def test_two_point_hand_value(self):
-        grid = GridSpec(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-        k = DiscretizedKernel(grid, np.array([[0.4, 0.2], [0.2, 0.4]]), CORRELATION)
+        k = DiscretizedKernel(np.ones(2), np.array([[0.4, 0.2], [0.2, 0.4]]), CORRELATION)
         assert cross_covariance(k, [0], [1]) == pytest.approx(-0.04, abs=1e-15)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -369,13 +390,11 @@ class TestCrossCovariance:
 
 class TestJanossy:
     def test_empty_process(self):
-        grid = unit_grid(3)
-        k = DiscretizedKernel(grid, np.zeros((3, 3)), CORRELATION)
+        k = DiscretizedKernel(np.ones(3), np.zeros((3, 3)), CORRELATION)
         assert all_subset_masses(k)[()] == pytest.approx(1.0)
 
     def test_diagonal_masses_sum_to_one(self):
-        grid = unit_grid(3)
-        k = DiscretizedKernel(grid, np.diag([0.2, 0.5, 0.7]), CORRELATION)
+        k = DiscretizedKernel(np.ones(3), np.diag([0.2, 0.5, 0.7]), CORRELATION)
         total = sum(all_subset_masses(k).values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -402,19 +421,17 @@ class TestJanossy:
 class TestProjectKernel:
     def test_feasible_matrix_unchanged(self):
         k = random_correlation(4, seed=13)
-        again = project_kernel(k.entries, k.grid, CORRELATION)
+        again = project_kernel(k.entries, k.weights, CORRELATION)
         np.testing.assert_allclose(again.entries, k.entries, atol=1e-12)
 
     def test_scalar_clip(self):
-        grid = GridSpec(np.array([[0.0]]), np.array([1.0]))
-        out = project_kernel(np.array([[1.5]]), grid, CORRELATION, delta=0.01)
+        out = project_kernel(np.array([[1.5]]), np.ones(1), CORRELATION, delta=0.01)
         assert out.entries[0, 0] == pytest.approx(0.99)
 
     def test_random_symmetric_spectrum_in_range(self):
         rng = np.random.default_rng(17)
-        grid = unit_grid(4)
         m = rng.standard_normal((4, 4))
-        out = project_kernel(0.5 * (m + m.T), grid, CORRELATION)
+        out = project_kernel(0.5 * (m + m.T), np.ones(4), CORRELATION)
         lam = operator_spectrum(out)
         assert lam.min() >= -1e-10
         assert lam.max() <= 1 - 1e-3 + 1e-10
@@ -423,50 +440,45 @@ class TestProjectKernel:
     @settings(max_examples=25, deadline=None)
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
-        grid = unit_grid(5, seed=seed)
         m = rng.standard_normal((5, 5)) * 2.0
         support = index_support(5, 0.4)
-        once = project_kernel(0.5 * (m + m.T), grid, CORRELATION, support=support)
-        twice = project_kernel(once.entries, grid, CORRELATION, support=support)
+        once = project_kernel(0.5 * (m + m.T), np.ones(5), CORRELATION, support=support)
+        twice = project_kernel(once.entries, np.ones(5), CORRELATION, support=support)
         np.testing.assert_allclose(twice.entries, once.entries, atol=1e-12)
 
     def test_band_reapplied_and_feasible(self):
         rng = np.random.default_rng(19)
         n = 30
-        grid = unit_grid(n)
         m = rng.standard_normal((n, n))
         support = index_support(n, 0.1)
-        out = project_kernel(0.5 * (m + m.T), grid, CORRELATION, support=support)
+        out = project_kernel(0.5 * (m + m.T), np.ones(n), CORRELATION, support=support)
         validate_kernel(out)
         assert np.all(out.entries[~support] == 0.0)
 
     def test_hard_banded_case_feasible(self):
         # diagonal 2/n and 8/n inside the index band: far from PSD
         n = 120
-        grid = unit_grid(n)
         idx = np.arange(n)
         raw = np.where(np.abs(idx[:, None] - idx[None, :]) <= 0.1 * n, 8.0 / n, 0.0)
         np.fill_diagonal(raw, 2.0 / n)
-        out = project_kernel(raw, grid, CORRELATION, support=index_support(n, 0.1))
+        out = project_kernel(raw, np.ones(n), CORRELATION, support=index_support(n, 0.1))
         validate_kernel(out)
 
     def test_interaction_kind_allows_large_spectrum(self):
-        grid = unit_grid(3)
         m = np.diag([5.0, 0.1, 2.0])
-        out = project_kernel(m, grid, INTERACTION)
+        out = project_kernel(m, np.ones(3), INTERACTION)
         np.testing.assert_allclose(out.entries, m, atol=1e-12)
 
 
 @st.composite
 def shrink_inputs(draw):
     """A symmetric matrix (diagonal in [-0.2, 1.5], off-diagonal scale up to
-    2), a grid with unit or random weights and no support mask, an index
-    band or a random symmetric mask that keeps the diagonal."""
+    2), unit or random weights, and no support mask, an index band or a
+    random symmetric mask that keeps the diagonal."""
     n = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
     weights = np.ones(n) if draw(st.booleans()) else rng.uniform(0.5, 2.0, n)
-    grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
     off = rng.standard_normal((n, n)) * draw(st.floats(min_value=0.0, max_value=2.0))
     m = 0.5 * (off + off.T)
     np.fill_diagonal(m, rng.uniform(-0.2, 1.5, n))
@@ -478,7 +490,7 @@ def shrink_inputs(draw):
         support = mask | mask.T | np.eye(n, dtype=bool)
     else:
         support = None
-    return m, grid, support
+    return m, weights, support
 
 
 def eigvalsh_extreme(a, top):
@@ -491,41 +503,41 @@ class TestShrinkToFeasible:
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_valid_banded_and_diagonal_kept(self, case):
-        m, grid, support = case
-        out, t, clipped = shrink_to_feasible(m, grid, support)
+        m, weights, support = case
+        out, t, clipped = shrink_to_feasible(m, weights, support)
         validate_kernel(out)
         assert 0.0 <= t <= 1.0
         if support is not None:
             assert np.all(out.entries[~support] == 0.0)
         mu = np.diag(m)
-        cap = (1.0 - DELTA) / grid.weights
+        cap = (1.0 - DELTA) / weights
         inside = (mu >= 0.0) & (mu <= cap)
         np.testing.assert_array_equal(out.diagonal[inside], mu[inside])
         # points clipped to (or sitting on) a bound keep no off-diagonal entry
         off = out.entries.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off[~((mu > 0.0) & (mu < cap))] == 0.0)
-        assert clipped == pytest.approx(float(np.sum((mu - out.diagonal) * grid.weights)))
+        assert clipped == pytest.approx(float(np.sum((mu - out.diagonal) * weights)))
 
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_feasible_input_is_a_fixed_point(self, case):
-        m, grid, support = case
-        once = shrink_to_feasible(m, grid, support)[0]
+        m, weights, support = case
+        once = shrink_to_feasible(m, weights, support)[0]
         # shrink the valid output's spectrum into [0.1, 0.6]: strictly feasible
-        inner = 0.5 * once.entries + np.diag(0.1 / grid.weights)
-        out, t, clipped = shrink_to_feasible(inner, grid, support)
+        inner = 0.5 * once.entries + np.diag(0.1 / weights)
+        out, t, clipped = shrink_to_feasible(inner, weights, support)
         assert t == 1.0 and clipped == 0.0
         np.testing.assert_array_equal(out.entries, inner)
 
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_scale_matches_eigvalsh_reference(self, case):
-        m, grid, support = case
-        _, t, _ = shrink_to_feasible(m, grid, support)
+        m, weights, support = case
+        _, t, _ = shrink_to_feasible(m, weights, support)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-            _, expect, _ = shrink_to_feasible(m, grid, support)
+            _, expect, _ = shrink_to_feasible(m, weights, support)
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, band", [(60, None), (150, 9), (320, 32)])
@@ -533,32 +545,59 @@ class TestShrinkToFeasible:
         # the ceiling_bound_kernel construction: the ceiling sets t < 1
         rng = np.random.default_rng(n)
         weights = rng.uniform(0.5, 2.0, n)
-        grid = GridSpec(rng.uniform(-1.0, 1.0, (n, 2)), weights)
         raw = rng.uniform(1.0, 2.0, (n, n))
         np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
         support = None if band is None else band_support(n, band)
-        _, t, _ = shrink_to_feasible(raw, grid, support)
+        _, t, _ = shrink_to_feasible(raw, weights, support)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-        _, expect, _ = shrink_to_feasible(raw, grid, support)
+        _, expect, _ = shrink_to_feasible(raw, weights, support)
         assert t < 1.0
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_one_extreme_eigenvalue_unless_the_ceiling_binds(self, monkeypatch):
+        # a strictly feasible input's certificate holds at t = 1; a posterior
+        # whose diagonal sits at 0.9-0.99 of 1 - delta, with large pair
+        # entries, fails it, and lambda_max then sets t
+        calls = []
+        extreme = kernels._extreme_eigenvalue
+
+        def counted(a, top):
+            calls.append(top)
+            return extreme(a, top)
+
+        monkeypatch.setattr(kernels, "_extreme_eigenvalue", counted)
+        rng = np.random.default_rng(41)
+        n = 30
+        kernel = banded_kernel(np.zeros((n, 5)), 3.0, 4.0, 0.2)
+        out, t, _ = shrink_to_feasible(kernel.entries, kernel.weights, kernel.support)
+        assert calls == [False] and t == 1.0
+        np.testing.assert_array_equal(out.entries, kernel.entries)
+        calls.clear()
+        mu = rng.uniform(0.9, 0.99, n) * (1.0 - DELTA)
+        rho = np.outer(mu, mu) * rng.uniform(0.5, 0.9, (n, n))
+        entries, _ = posterior_kernel_entries(mu, 0.5 * (rho + rho.T))
+        out, t, clipped = shrink_to_feasible(entries, np.ones(n))
+        assert calls == [False, True]
+        assert t < 1.0 and clipped == 0.0
+        validate_kernel(out)
+        assert operator_spectrum(out).max() == pytest.approx(1.0 - DELTA, abs=1e-12)
+        monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
+        assert t == pytest.approx(shrink_to_feasible(entries, np.ones(n))[1], rel=1e-12, abs=0.0)
 
     def test_two_point_scale_closed_form(self):
         # diagonal (a, a), off-diagonal c: D + tO is PSD up to t = a/c and
         # below 1 - delta up to t = (1 - delta - a)/c
-        grid = unit_grid(2)
-        out, t, clipped = shrink_to_feasible(np.array([[0.5, 0.8], [0.8, 0.5]]), grid)
+        out, t, clipped = shrink_to_feasible(np.array([[0.5, 0.8], [0.8, 0.5]]), np.ones(2))
         assert t == pytest.approx((1.0 - DELTA - 0.5) / 0.8, rel=1e-12)
         assert out.entries[0, 1] == pytest.approx(1.0 - DELTA - 0.5, rel=1e-12)
         np.testing.assert_array_equal(out.diagonal, [0.5, 0.5])
         assert clipped == 0.0
-        out, t, _ = shrink_to_feasible(np.array([[0.2, 0.8], [0.8, 0.45]]), grid)
+        out, t, _ = shrink_to_feasible(np.array([[0.2, 0.8], [0.8, 0.45]]), np.ones(2))
         assert t == pytest.approx(0.3 / 0.8, rel=1e-12)  # sqrt(0.2 * 0.45) / 0.8
 
     def test_diagonal_above_ceiling_clipped(self):
-        grid = unit_grid(3)
         m = np.array([[1.06, 0.1, 0.05], [0.1, 0.3, 0.02], [0.05, 0.02, 0.2]])
-        out, t, clipped = shrink_to_feasible(m, grid)
+        out, t, clipped = shrink_to_feasible(m, np.ones(3))
         np.testing.assert_array_equal(out.diagonal, [1.0 - DELTA, 0.3, 0.2])
         assert out.entries[0, 1] == out.entries[0, 2] == 0.0
         assert t == 1.0 and out.entries[1, 2] == 0.02
@@ -570,24 +609,32 @@ class TestShrinkToFeasible:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", forbidden)
-        out, t, _ = shrink_to_feasible(np.diag([0.2, 0.4, 0.0]), unit_grid(3))
+        out, t, _ = shrink_to_feasible(np.diag([0.2, 0.4, 0.0]), np.ones(3))
         np.testing.assert_array_equal(out.diagonal, [0.2, 0.4, 0.0])
         assert t == 1.0
 
 
 class TestBands:
     def test_kernel_constructor_rejects_band_violation(self):
-        grid = unit_grid(4)
+        w = np.ones(4)
         m = np.full((4, 4), 0.1)
         with pytest.raises(ValueError, match="outside its support"):
-            DiscretizedKernel(grid, m, CORRELATION, support=index_support(4, 0.25))
+            DiscretizedKernel(w, m, CORRELATION, support=index_support(4, 0.25))
         with pytest.raises(ValueError, match="shape"):
-            DiscretizedKernel(grid, m, CORRELATION, support=np.ones((3, 3), dtype=bool))
-        DiscretizedKernel(grid, m, CORRELATION, support=np.ones((4, 4), dtype=bool))
+            DiscretizedKernel(w, m, CORRELATION, support=np.ones((3, 3), dtype=bool))
+        DiscretizedKernel(w, m, CORRELATION, support=np.ones((4, 4), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0, -0.5], [1.0, np.nan], [1.0, np.inf], [1.0, 1.0, 1.0], np.ones((2, 1))]
+    )
+    def test_kernel_constructor_rejects_bad_weights(self, weights):
+        # one finite, nonnegative weight per row
+        with pytest.raises(ValueError, match="weight"):
+            DiscretizedKernel(weights, np.full((2, 2), 0.1), CORRELATION)
 
 
 def test_twelve_point_masses_sum_to_one():
-    # the largest grid the subset enumeration supports
+    # the largest kernel the subset enumeration supports
     k = random_correlation(12, seed=99, scale=0.25)
     total = sum(all_subset_masses(k).values())
     assert total == pytest.approx(1.0, abs=1e-8)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpptrack.errors import SizeError
-from dpptrack.kernels import CORRELATION, GridSpec, project_kernel
+from dpptrack.kernels import CORRELATION, project_kernel
 from dpptrack.oracle import (
     FiniteProcess,
     ObservationModel,
@@ -26,19 +26,19 @@ from dpptrack.oracle import (
 
 
 def small_grid(weights=(0.7, 1.3, 0.9)):
-    pts = np.arange(len(weights), dtype=float)[:, None]
-    return GridSpec(pts, np.asarray(weights, dtype=float))
+    """The measure weights of a small oracle grid."""
+    return np.asarray(weights, dtype=float)
 
 
-def random_simple_prior(grid, rng, support=None):
-    n = len(grid)
+def random_simple_prior(weights, rng, support=None):
+    n = len(weights)
     support = n if support is None else support
     table = {}
     for bits in range(1 << n):
         cfg = tuple(i for i in range(n) if bits >> i & 1)
         if len(cfg) <= support:
             table[cfg] = float(rng.uniform(0.05, 1.0))
-    return FiniteProcess(grid, table).normalized()
+    return FiniteProcess(weights, table).normalized()
 
 
 def random_obs(g, z, rng):
@@ -50,8 +50,8 @@ def random_obs(g, z, rng):
 
 
 def unit_poisson(weights=(0.12, 0.1, 0.08), n_max=12):
-    grid = small_grid(weights)
-    return grid, poisson_process(grid, 1.0, n_max=n_max)
+    w = small_grid(weights)
+    return w, poisson_process(w, 1.0, n_max=n_max)
 
 
 class TestFiniteProcess:
@@ -64,18 +64,18 @@ class TestFiniteProcess:
         np.testing.assert_allclose(prior.intensity(), 1.0, atol=1e-12)
 
     def test_single_config_moments(self):
-        grid = small_grid()
-        fp = single_config_process(grid, (0, 2))
+        w = small_grid()
+        fp = single_config_process(w, (0, 2))
         np.testing.assert_allclose(
-            fp.intensity(), [1 / grid.weights[0], 0.0, 1 / grid.weights[2]], atol=1e-14
+            fp.intensity(), [1 / w[0], 0.0, 1 / w[2]], atol=1e-14
         )
         assert fp.total_mass() == pytest.approx(1.0)
 
     def test_dpp_process_matches_kernel_moments(self):
         rng = np.random.default_rng(4)
-        grid = GridSpec(rng.uniform(-1, 1, (4, 2)), rng.uniform(0.5, 1.5, 4))
+        w = rng.uniform(0.5, 1.5, 4)
         raw = 0.35 * np.eye(4) + rng.uniform(-0.08, 0.08, (4, 4))
-        kernel = project_kernel(0.5 * (raw + raw.T), grid, CORRELATION)
+        kernel = project_kernel(0.5 * (raw + raw.T), w, CORRELATION)
         fp = dpp_process(kernel)
         assert fp.total_mass() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(fp.intensity(), kernel.diagonal, atol=1e-10)
@@ -86,35 +86,35 @@ class TestFiniteProcess:
 
 class TestJointJanossy:
     def test_no_measurements_reduces_to_miss_product(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(0)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
         states = (0, 2)
         expect = prior.janossy[(0, 2)] * obs.q_d[0] * obs.q_d[2]
         assert joint_janossy(prior, obs, states, ()) == pytest.approx(expect, rel=1e-12)
 
     def test_no_targets_all_clutter(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(1)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
         expect = prior.janossy[()] * obs.l_c[0] * obs.l_c[1]
         assert joint_janossy(prior, obs, (), (0, 1)) == pytest.approx(expect, rel=1e-12)
 
     def test_one_target_one_measurement_hand_expansion(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(2)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
         j1 = prior.janossy[(1,)]
         expect = obs.q_d[1] * obs.l_c[0] * j1 + obs.l_tilde[0, 1] * j1
         assert joint_janossy(prior, obs, (1,), (0,)) == pytest.approx(expect, rel=1e-12)
 
     def test_size_error(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(3)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
         with pytest.raises(SizeError):
             joint_janossy(prior, obs, tuple([0] * 9), (0,))
@@ -122,21 +122,21 @@ class TestJointJanossy:
 
 class TestMeasurementJanossy:
     def test_poisson_closed_form(self):
-        grid, prior = unit_poisson()
+        w, prior = unit_poisson()
         rng = np.random.default_rng(5)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
         p_d = obs.p_d
-        s = obs.l_c + obs.l_tilde @ grid.weights
+        s = obs.l_c + obs.l_tilde @ w
         # constant p_d would give exp(-p_d nu); per-point uses the weighted sum
-        closed = math.exp(-float(p_d @ grid.weights)) * float(np.prod(s))
+        closed = math.exp(-float(p_d @ w)) * float(np.prod(s))
         got = measurement_janossy(prior, obs, meas)
         assert got == pytest.approx(closed, rel=1e-10)
 
     def test_empty_measurement_set_is_miss_probability(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(6)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(3, 1, rng)
         expect = sum(
             prior.config_mass(cfg) * float(np.prod(obs.q_d[list(cfg)]))
@@ -145,9 +145,9 @@ class TestMeasurementJanossy:
         assert measurement_janossy(prior, obs, ()) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_enumeration_normalizer(self):
-        grid = GridSpec(np.array([[0.0], [1.0]]), np.array([1.1, 0.9]))
+        w = np.array([1.1, 0.9])
         rng = np.random.default_rng(7)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(2, 2, rng)
         meas = (1,)
         # the enumeration route normalizes by the same quantity
@@ -158,9 +158,9 @@ class TestMeasurementJanossy:
         assert measurement_janossy(prior, obs, meas) == pytest.approx(total, rel=1e-12)
 
     def test_n_max_guard(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(8)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(3, 1, rng)
         with pytest.raises(SizeError):
             measurement_janossy(prior, obs, (0,), n_max=1)
@@ -168,7 +168,7 @@ class TestMeasurementJanossy:
 
 class TestCorrectors:
     def test_poisson_upsilon_equals_measurement_janossy(self):
-        grid, prior = unit_poisson()
+        w, prior = unit_poisson()
         rng = np.random.default_rng(9)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
@@ -181,8 +181,8 @@ class TestCorrectors:
                 )
 
     def test_single_configuration_prior(self):
-        grid = small_grid()
-        prior = single_config_process(grid, (1,))
+        w = small_grid()
+        prior = single_config_process(w, (1,))
         rng = np.random.default_rng(10)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
@@ -193,9 +193,9 @@ class TestCorrectors:
 
     def test_dpp_prior_against_enumeration(self):
         rng = np.random.default_rng(11)
-        grid = GridSpec(rng.uniform(-1, 1, (3, 2)), rng.uniform(0.6, 1.4, 3))
+        w = rng.uniform(0.6, 1.4, 3)
         raw = 0.3 * np.eye(3) + rng.uniform(-0.05, 0.05, (3, 3))
-        kernel = project_kernel(0.5 * (raw + raw.T), grid, CORRELATION)
+        kernel = project_kernel(0.5 * (raw + raw.T), w, CORRELATION)
         prior = dpp_process(kernel)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
@@ -206,19 +206,19 @@ class TestCorrectors:
 
 class TestPosteriorMoments:
     def test_poisson_intensity_classical_form(self):
-        grid, prior = unit_poisson()
+        w, prior = unit_poisson()
         rng = np.random.default_rng(12)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
-        s = obs.l_c + obs.l_tilde @ grid.weights
+        s = obs.l_c + obs.l_tilde @ w
         classical = obs.q_d + (obs.l_tilde / s[:, None]).sum(axis=0)
         mu = posterior_intensity_exact(prior, obs, meas)
         np.testing.assert_allclose(mu, classical, atol=1e-10)
 
     def test_no_detection_probability_keeps_prior(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(13)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = ObservationModel(
             p_d=np.zeros(3), l_d=rng.uniform(0.1, 1.0, (2, 3)), l_c=np.array([0.5, 0.4])
         )
@@ -226,11 +226,11 @@ class TestPosteriorMoments:
         np.testing.assert_allclose(mu, prior.intensity(), atol=1e-12)
 
     def test_poisson_pair_closed_form(self):
-        grid, prior = unit_poisson()
+        w, prior = unit_poisson()
         rng = np.random.default_rng(14)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
-        s = obs.l_c + obs.l_tilde @ grid.weights
+        s = obs.l_c + obs.l_tilde @ w
         lt = obs.l_tilde
         qd = obs.q_d
         rho = posterior_pair_exact(prior, obs, meas)
@@ -250,18 +250,18 @@ class TestPosteriorMoments:
                 assert rho[x, y] == pytest.approx(expect, rel=1e-10)
 
     def test_at_most_one_point_prior_has_zero_pair(self):
-        grid = small_grid()
-        table = {(): 0.4, (0,): 0.3 / grid.weights[0], (2,): 0.3 / grid.weights[2]}
-        prior = FiniteProcess(grid, table)
+        w = small_grid()
+        table = {(): 0.4, (0,): 0.3 / w[0], (2,): 0.3 / w[2]}
+        prior = FiniteProcess(w, table)
         rng = np.random.default_rng(15)
         obs = random_obs(3, 2, rng)
         rho = posterior_pair_exact(prior, obs, (0, 1))
         np.testing.assert_allclose(rho, 0.0, atol=1e-14)
 
     def test_pair_symmetry_exact(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(16)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
         rho = posterior_pair_exact(prior, obs, (0, 1))
         np.testing.assert_array_equal(rho, rho.T)
@@ -269,11 +269,10 @@ class TestPosteriorMoments:
 
 class TestPosteriorCovariance:
     def test_poisson_covariance_closed_form(self):
-        grid, prior = unit_poisson()
+        w, prior = unit_poisson()
         rng = np.random.default_rng(17)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
-        w = grid.weights
         lt = obs.l_tilde
         s = obs.l_c + lt @ w
         for a, b in [((0, 1), (1, 2)), ((0,), (1, 2)), ((0, 1, 2), (0, 1, 2))]:
@@ -288,9 +287,9 @@ class TestPosteriorCovariance:
             assert got == pytest.approx(closed, abs=1e-10)
 
     def test_prior_covariance_recovered_without_information(self):
-        grid = small_grid()
+        w = small_grid()
         rng = np.random.default_rng(18)
-        prior = random_simple_prior(grid, rng)
+        prior = random_simple_prior(w, rng)
         obs = ObservationModel(
             p_d=np.zeros(3), l_d=rng.uniform(0.1, 1.0, (1, 3)), l_c=np.array([0.5])
         )
@@ -299,9 +298,9 @@ class TestPosteriorCovariance:
 
     def test_variance_matches_enumeration(self):
         rng = np.random.default_rng(19)
-        grid = GridSpec(rng.uniform(-1, 1, (3, 2)), rng.uniform(0.6, 1.4, 3))
+        w = rng.uniform(0.6, 1.4, 3)
         raw = 0.3 * np.eye(3) + rng.uniform(-0.06, 0.06, (3, 3))
-        kernel = project_kernel(0.5 * (raw + raw.T), grid, CORRELATION)
+        kernel = project_kernel(0.5 * (raw + raw.T), w, CORRELATION)
         prior = dpp_process(kernel)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
@@ -313,8 +312,8 @@ class TestPosteriorCovariance:
 
 class TestEnumeratePosterior:
     def test_empty_only_prior(self):
-        grid = small_grid()
-        prior = FiniteProcess(grid, {(): 1.0})
+        w = small_grid()
+        prior = FiniteProcess(w, {(): 1.0})
         rng = np.random.default_rng(20)
         obs = random_obs(3, 2, rng)
         post = enumerate_posterior(prior, obs, (0,))
@@ -322,7 +321,7 @@ class TestEnumeratePosterior:
         assert post.total_mass() == pytest.approx(1.0)
 
     def test_poisson_posterior_matches_formula_route(self):
-        grid, prior = unit_poisson(n_max=10)
+        w, prior = unit_poisson(n_max=10)
         rng = np.random.default_rng(21)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
@@ -332,8 +331,8 @@ class TestEnumeratePosterior:
 
     def test_random_prior_two_routes_agree(self):
         rng = np.random.default_rng(22)
-        grid = GridSpec(rng.uniform(-1, 1, (4, 2)), rng.uniform(0.5, 1.5, 4))
-        prior = random_simple_prior(grid, rng)
+        w = rng.uniform(0.5, 1.5, 4)
+        prior = random_simple_prior(w, rng)
         obs = random_obs(4, 2, rng)
         meas = (0, 1)
         post = enumerate_posterior(prior, obs, meas)
@@ -346,18 +345,18 @@ class TestEnumeratePosterior:
 
     def test_total_count_identity(self):
         rng = np.random.default_rng(23)
-        grid = GridSpec(rng.uniform(-1, 1, (4, 2)), rng.uniform(0.5, 1.5, 4))
-        prior = random_simple_prior(grid, rng, support=3)
+        w = rng.uniform(0.5, 1.5, 4)
+        prior = random_simple_prior(w, rng, support=3)
         obs = random_obs(4, 3, rng)
         meas = (0, 2)
         post = enumerate_posterior(prior, obs, meas)
         mu = posterior_intensity_exact(prior, obs, meas)
-        assert float(mu @ grid.weights) == pytest.approx(post.mean_count(), abs=1e-9)
+        assert float(mu @ w) == pytest.approx(post.mean_count(), abs=1e-9)
 
     def test_size_limits(self):
         rng = np.random.default_rng(24)
-        grid = GridSpec(rng.uniform(-1, 1, (7, 2)), np.ones(7))
-        prior = FiniteProcess(grid, {(): 1.0})
+        w = np.ones(7)
+        prior = FiniteProcess(w, {(): 1.0})
         obs = random_obs(7, 1, rng)
         with pytest.raises(SizeError):
             enumerate_posterior(prior, obs, (0,))
@@ -370,8 +369,8 @@ def test_bayes_consistency_property(seed):
     rng = np.random.default_rng(seed)
     g = int(rng.integers(2, 5))
     z = int(rng.integers(1, 4))
-    grid = GridSpec(rng.uniform(-1, 1, (g, 2)), rng.uniform(0.5, 1.5, g))
-    prior = random_simple_prior(grid, rng, support=min(g, 3))
+    w = rng.uniform(0.5, 1.5, g)
+    prior = random_simple_prior(w, rng, support=min(g, 3))
     obs = random_obs(g, z, rng)
     m = int(rng.integers(0, min(z, 3) + 1))
     meas = tuple(int(v) for v in rng.choice(z, size=m, replace=False))
