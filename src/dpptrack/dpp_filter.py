@@ -11,8 +11,8 @@ J = (Id - K)^{-1} K:
 * posterior pair:      (J(x,x)J(y,y) - J(x,y)^2) *
                        [q_d^2 + q_d sum_z (l~(z|x)+l~(z|y))/s_c(z)
                         + sum_{z != z'} l~(z|x) l~(z'|y) / (s_c s_c' - D(z,z'))]
-* squared off-diagonal: mu(x) mu(y) - pair(x,y), clamped at zero
-  (clamp events are a health diagnostic),
+* squared off-diagonal: mu(x) mu(y) - pair(x,y) on the prior kernel's
+  support, clamped at zero (clamp events are a health diagnostic),
 
 with s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) w_v and D the pairwise
 interaction integral.  The posterior kernel keeps mu as its diagonal; its
@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DegenerateIntensity, DegenerateVariance
 from .kernels import (
-    CORRELATION,
     DiscretizedKernel,
     cross_covariance,
     interaction_diagonal,
@@ -96,12 +95,13 @@ def pair_denominators(
 
 def posterior_moments(
     kernel: DiscretizedKernel,
-    j: DiscretizedKernel,
+    j: np.ndarray,
     like: np.ndarray,
     clutter: np.ndarray,
     q_d: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First moment and pair factorial moment of the approximate posterior.
+    """First moment and pair factorial moment of the approximate posterior,
+    from the correlation kernel and its interaction kernel ``j``.
 
     Raises DegenerateIntensity when a pair denominator
     s_c(z) s_c(z') - D(z, z') is not positive (it is 0 when one particle
@@ -109,13 +109,12 @@ def posterior_moments(
     """
     w = kernel.weights
     kd = kernel.diagonal
-    jd = j.diagonal
-    jm = j.entries
-    pair_j = np.outer(jd, jd) - jm**2
+    jd = np.diag(j)
+    pair_j = np.outer(jd, jd) - j**2
     np.clip(pair_j, 0.0, None, out=pair_j)  # PSD minors; negatives are roundoff
     sc, per_point = corrector_terms(clutter, like, jd * w)
     mu = q_d * kd + jd * per_point
-    denom = pair_denominators(jm, like, sc, w)
+    denom = pair_denominators(j, like, sc, w)
     inv = np.zeros_like(denom)
     off = ~np.eye(like.shape[0], dtype=bool)
     if np.any(denom[off] <= 0.0):
@@ -135,15 +134,20 @@ def posterior_moments(
     return mu, rho
 
 
-def posterior_kernel_entries(mu: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, int]:
-    """Assemble the posterior kernel: sqrt(mu mu - rho) off the diagonal.
+def posterior_kernel_entries(
+    mu: np.ndarray, rho: np.ndarray, support: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Assemble the posterior kernel: sqrt(mu mu - rho) off the diagonal on
+    the pairs of ``support`` (None allows every pair), and zero elsewhere.
 
     A negative radicand means the approximation lost the interaction at that
     pair; it is clamped to zero.  Returns the entries and the number of
-    clamped pairs.
+    clamped pairs inside the support.
     """
     n = mu.shape[0]
     sq = np.outer(mu, mu) - rho
+    if support is not None:
+        sq = np.where(support, sq, 0.0)
     off = ~np.eye(n, dtype=bool)
     clamped = int(((sq < 0) & off).sum()) // 2
     np.clip(sq, 0.0, None, out=sq)
@@ -177,20 +181,18 @@ def dpp_update(
         # spectral clipping, so the diagonal stays bit-identical to the
         # Poisson filter's weight trajectory
         mu = poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
-        new_kernel = DiscretizedKernel(
-            state.kernel.weights, np.diag(mu), CORRELATION, state.kernel.support
-        )
+        new_kernel = DiscretizedKernel(state.kernel.weights, np.diag(mu), state.kernel.support)
         return FilterState(state.particles, new_kernel), UpdateDiagnostics()
+    support = state.kernel.support
     j = interaction_kernel(state.kernel)
     mu, rho = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
-    entries, clamped = posterior_kernel_entries(mu, rho)
-    new_kernel, scale, clipped = shrink_to_feasible(
-        entries, state.kernel.weights, state.kernel.support
-    )
+    entries, clamped = posterior_kernel_entries(mu, rho, support)
+    new_kernel, scale, clipped = shrink_to_feasible(entries, state.kernel.weights, support)
     n = len(new_kernel)
+    pairs = n * (n - 1) // 2 if support is None else int(np.count_nonzero(np.triu(support, 1)))
     diag = UpdateDiagnostics(
         clamp_events=clamped,
-        offdiag_entries=n * (n - 1) // 2,
+        offdiag_entries=pairs,
         offdiag_scale=scale,
         clipped_mass=clipped,
     )
@@ -238,10 +240,7 @@ def predict(
     else:
         particles = state.particles
     moved = DiscretizedKernel(
-        state.kernel.weights,
-        survival.p_s * state.kernel.entries,
-        CORRELATION,
-        state.kernel.support,
+        state.kernel.weights, survival.p_s * state.kernel.entries, state.kernel.support
     )
     gamma = float(np.sum(moved.diagonal * moved.weights))
     return FilterState(*inject_births(particles, moved, smc, birth, gamma, window, rng))
@@ -321,7 +320,7 @@ def region_indices(particles: np.ndarray, region: Region) -> np.ndarray:
 
 
 def approx_count_covariance(
-    j: DiscretizedKernel,
+    kernel: DiscretizedKernel,
     like: np.ndarray,
     clutter: np.ndarray,
     q_d: float,
@@ -330,20 +329,20 @@ def approx_count_covariance(
 ) -> float:
     """Closed-form posterior count covariance over two index sets.
 
-    Evaluated from the prediction interaction kernel and the scan, term by
-    term: the miss-branch intensity and pair terms, the single-measurement
-    cross terms with their z = z' correction, and the paired-measurement
-    term (taken over A x B with its product counterpart subtracted, which
-    degenerates to the negative-correlation contract for disjoint regions
-    with no cross interaction).
+    Evaluated from the interaction kernel of the predicted correlation
+    kernel and the scan, term by term: the miss-branch intensity and pair
+    terms, the single-measurement cross terms with their z = z' correction,
+    and the paired-measurement term (taken over A x B with its product
+    counterpart subtracted, which degenerates to the negative-correlation
+    contract for disjoint regions with no cross interaction).
     """
     a = np.asarray(sorted(set(int(i) for i in a)), dtype=int)
     b = np.asarray(sorted(set(int(i) for i in b)), dtype=int)
     if a.size == 0 or b.size == 0:
         return 0.0
-    w = j.weights
-    jd = j.diagonal
-    jm = j.entries
+    w = kernel.weights
+    jm = interaction_kernel(kernel)
+    jd = np.diag(jm)
     m = like.shape[0]
     inter = np.intersect1d(a, b)
 

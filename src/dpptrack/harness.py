@@ -26,7 +26,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import __version__
-from .dpp_filter import DppPhdFilter, correlation_estimate
+from .dpp_filter import DppPhdFilter, UpdateDiagnostics, correlation_estimate
 from .errors import ConfigError, DegenerateVariance, UnknownPreset
 from .likelihood import SensorModel
 from .metrics import extract_estimates, good_estimate_stats, omat, ospa
@@ -88,11 +88,7 @@ class ExperimentConfig:
 @dataclass
 class RunRecord:
     rows: list
-    clamp_events: int = 0
-    offdiag_entries: int = 0
-    dpp_updates: int = 0
-    offdiag_scale_sum: float = 0.0
-    clipped_mass: float = 0.0
+    updates: list[UpdateDiagnostics]  # one per DPP step, in step order
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +376,7 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
     sensor_model = SensorModel(cfg.sensor)
     filters = _make_filters(cfg, run, sensor_model)
     extract_rngs = {name: stream(cfg.seed, run, f"extract-{name}") for name in filters}
-    rec = RunRecord(rows=[])
+    rec = RunRecord(rows=[], updates=[])
     current_sensor = cfg.sensor
     for t in range(1, cfg.steps + 1):
         if t in cfg.schedule.clutter_changes:
@@ -396,12 +392,7 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
         for name, filt in filters.items():
             step_rec = filt.step(scan)
             if name == "dpp":
-                diag = step_rec.diagnostics
-                rec.clamp_events += diag.clamp_events
-                rec.offdiag_entries += diag.offdiag_entries
-                rec.dpp_updates += 1
-                rec.offdiag_scale_sum += diag.offdiag_scale
-                rec.clipped_mass += diag.clipped_mass
+                rec.updates.append(step_rec.diagnostics)
             particles = filt.state.states
             intensity = filt.state.intensity
             gamma = filt.state.gamma
@@ -564,19 +555,19 @@ def run_experiment(
                 records = list(pool.map(run_single, [cfg] * len(runs), runs))
         else:
             records = [run_single(cfg, r) for r in runs]
-    rows = []
-    clamps = off = updates = 0
-    scale_sum = clipped = 0.0
-    for r in records:
-        rows.extend(r.rows)
-        clamps += r.clamp_events
-        off += r.offdiag_entries
-        updates += r.dpp_updates
-        scale_sum += r.offdiag_scale_sum
-        clipped += r.clipped_mass
+    rows = [row for r in records for row in r.rows]
+    updates = [d for r in records for d in r.updates]
     wall = time.perf_counter() - t0
-    scale_mean = scale_sum / updates if updates else None
-    result = ExperimentResult(cfg, rows, clamps, off, wall, None, scale_mean, clipped)
+    result = ExperimentResult(
+        cfg,
+        rows,
+        sum(d.clamp_events for d in updates),
+        sum(d.offdiag_entries for d in updates),
+        wall,
+        None,
+        sum(d.offdiag_scale for d in updates) / len(updates) if updates else None,
+        sum((d.clipped_mass for d in updates), 0.0),
+    )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

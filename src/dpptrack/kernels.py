@@ -1,11 +1,12 @@
-"""Symmetric-kernel algebra on weighted discrete state spaces.
+"""Correlation-kernel algebra on weighted discrete state spaces.
 
-A kernel K(x_i, x_j) is a symmetric matrix over N states with measure
-weights w_i; the states themselves never enter the algebra, so a kernel
-carries only its weights (all 1 for SMC particles).  It represents either
-a correlation kernel (operator spectrum in [0, 1 - delta]) or an
-interaction kernel J = (Id - K)^{-1} K (positive semidefinite).  All
-operator algebra goes through the symmetrized matrix
+A kernel K(x_i, x_j) is the correlation kernel of a determinantal point
+process: a symmetric matrix over N states with measure weights w_i whose
+operator spectrum lies in [0, 1 - delta].  The states themselves never
+enter the algebra, so a kernel carries only its weights (all 1 for SMC
+particles).  The interaction kernel J = (Id - K)^{-1} K (the L-ensemble of
+K; Macchi 1975) is an intermediate of the filter update and is a plain
+(N, N) array.  All operator algebra goes through the symmetrized matrix
 S = W^{1/2} K W^{1/2}, whose eigenvalues are the operator spectrum; with
 unit weights, S is the kernel matrix itself and the discretized formulas
 reduce to plain matrix sums.
@@ -18,7 +19,6 @@ diagonal from the diagonal blocks of (I - S)^{-1} (``interaction_diagonal``).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,14 +27,9 @@ from scipy.linalg import blas, lapack
 
 from .errors import SpectrumError
 
-log = logging.getLogger(__name__)
-
 # Spectral margin: correlation spectra are clipped into [0, 1 - DELTA] so
 # that (Id - K)^{-1} stays well conditioned (condition number <= 1/DELTA).
 DELTA = 1e-3
-
-CORRELATION = "correlation"
-INTERACTION = "interaction"
 
 
 def measure_weights(weights) -> np.ndarray:
@@ -54,7 +49,8 @@ def measure_weights(weights) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedKernel:
-    """Symmetric kernel matrix over N states of measure ``weights``.
+    """Correlation kernel: a symmetric matrix over N states of measure
+    ``weights``.
 
     ``support`` is the boolean (N, N) mask of entries allowed to be nonzero
     (None allows every entry); ``smc.banded_kernel`` builds it with the
@@ -67,7 +63,6 @@ class DiscretizedKernel:
 
     weights: np.ndarray  # (N,)
     entries: np.ndarray  # (N, N)
-    kind: str
     support: Optional[np.ndarray] = None  # (N, N) bool
 
     def __post_init__(self):
@@ -77,8 +72,6 @@ class DiscretizedKernel:
             raise ValueError("kernel must be square with one weight per row")
         if not np.array_equal(m, m.T):
             raise ValueError("kernel entries must be exactly symmetric")
-        if self.kind not in (CORRELATION, INTERACTION):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.support is not None:
             if np.shape(self.support) != m.shape:
                 raise ValueError("support mask shape does not match the kernel")
@@ -197,16 +190,14 @@ def _inverse_diagonal_blocks(factors, couplings):
 
 def _interaction_factor(kernel: DiscretizedKernel):
     """(rw, bounds, (factors, couplings)) of I - S, shared by both
-    interaction transforms: checks that the kernel is a correlation kernel
-    and that its spectrum lies at or below 1 - DELTA (else
-    :class:`SpectrumError`).  None for a kernel over no points.
+    interaction transforms: checks that the kernel's spectrum lies at or
+    below 1 - DELTA (else :class:`SpectrumError`).  None for a kernel over
+    no points.
 
     The spectrum check is exact, a Cholesky factorization of
     (1 - DELTA + 1e-12) I - S, and is skipped when Gershgorin's bound
     already proves it: every eigenvalue of S is at most its largest
     absolute row sum, which ``smc.banded_kernel`` caps at 1 - DELTA."""
-    if kernel.kind != CORRELATION:
-        raise ValueError("the interaction transform expects a correlation kernel")
     if len(kernel) == 0:
         return None
     rw = _sqrt_weights(kernel.weights)
@@ -245,8 +236,9 @@ def _block_inverse(n, bounds, factors, couplings) -> np.ndarray:
     return g
 
 
-def interaction_kernel(kernel: DiscretizedKernel) -> DiscretizedKernel:
-    """Interaction kernel J = (Id - K)^{-1} K of a correlation kernel.
+def interaction_kernel(kernel: DiscretizedKernel) -> np.ndarray:
+    """Interaction kernel J = (Id - K)^{-1} K of a correlation kernel, as
+    an exactly symmetric (N, N) array over the kernel's states.
 
     In the symmetrized operator S = W^{1/2} K W^{1/2} this is
     J_S = (I - S)^{-1} - I.  A banded kernel's S is block tridiagonal
@@ -257,18 +249,18 @@ def interaction_kernel(kernel: DiscretizedKernel) -> DiscretizedKernel:
     at or below 1 - DELTA, with a slack of 1e-12, which holds iff
     (1 - DELTA + 1e-12) I - S has a Cholesky factor.  I - S then has
     condition number at most about 1/DELTA.  A kernel over no points
-    gives an empty kernel.
+    gives a (0, 0) array.
     """
     n = len(kernel)
     factor = _interaction_factor(kernel)
     if factor is None:
-        return DiscretizedKernel(kernel.weights, np.zeros((0, 0)), INTERACTION)
+        return np.zeros((0, 0))
     rw, bounds, (factors, couplings) = factor
     j = _block_inverse(n, bounds, factors, couplings)
     j.flat[:: n + 1] -= 1.0
     for lo, hi in bounds:  # J = J_S / (rw rw^T), a block row at a time
         j[lo:hi] /= rw[lo:hi, None] * rw[None, :]
-    return DiscretizedKernel(kernel.weights, j, INTERACTION)
+    return j
 
 
 def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
@@ -286,24 +278,26 @@ def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
     return jd / (rw * rw)
 
 
-def correlation_from_interaction(kernel: DiscretizedKernel) -> DiscretizedKernel:
-    """Inverse map K = (Id + J)^{-1} J, used to round-trip the transform:
+def correlation_from_interaction(j: np.ndarray, weights) -> DiscretizedKernel:
+    """Inverse map K = (Id + J)^{-1} J of an interaction kernel J over
+    states of measure ``weights``, used to round-trip the transform:
     K_S = I - (I + J_S)^{-1} from a Cholesky factorization of I + J_S (one
     dense block).  Raises :class:`SpectrumError` if I + J_S is not positive
     definite (an operator eigenvalue of J at or below -1)."""
-    if kernel.kind != INTERACTION:
-        raise ValueError("expects an interaction kernel")
-    n = len(kernel)
+    w = measure_weights(weights)
+    n = len(w)
+    if np.shape(j) != (n, n):
+        raise ValueError("interaction kernel must be square with one weight per row")
     if n == 0:
-        return DiscretizedKernel(kernel.weights, np.zeros((0, 0)), CORRELATION)
-    rw = _sqrt_weights(kernel.weights)
+        return DiscretizedKernel(w, np.zeros((0, 0)))
+    rw = _sqrt_weights(w)
     bounds = [(0, n)]
-    factor = _block_cholesky(*_operator_blocks(kernel.entries, rw, bounds, 1.0), 1.0)
+    factor = _block_cholesky(*_operator_blocks(j, rw, bounds, 1.0), 1.0)
     if factor is None:
         raise SpectrumError("Id + J is not positive definite")
     k = -_block_inverse(n, bounds, *factor)
     k.flat[:: n + 1] += 1.0
-    return DiscretizedKernel(kernel.weights, k / (rw[:, None] * rw[None, :]), CORRELATION)
+    return DiscretizedKernel(w, k / (rw[:, None] * rw[None, :]))
 
 
 def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
@@ -337,7 +331,7 @@ def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]
     if lam.max(initial=0.0) > 1.0 - DELTA + 1e-12:
         raise SpectrumError(f"spectrum reaches {lam.max():.6g}; project the kernel first")
     void = float(np.prod(1.0 - lam))
-    j = interaction_kernel(kernel).entries
+    j = interaction_kernel(kernel)
     w = kernel.weights
     out: dict[tuple[int, ...], float] = {(): void}
     for bits in range(1, 1 << n):
@@ -347,70 +341,24 @@ def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]
     return out
 
 
-def project_kernel(
-    entries: np.ndarray,
-    grid: np.ndarray,
-    kind: str = CORRELATION,
-    support: Optional[np.ndarray] = None,
-    delta: float = DELTA,
-    max_iter: int = 25,
-) -> DiscretizedKernel:
-    """Restore a symmetric matrix to the valid kernel set.
+def project_kernel(entries: np.ndarray, grid: np.ndarray) -> DiscretizedKernel:
+    """Clip a symmetric matrix into the valid correlation kernels.
 
-    Alternates eigenvalue clipping (into [0, 1 - delta] for correlation
-    kernels, [0, inf) for interaction kernels) with re-zeroing the entries
-    outside ``support``; both constraint sets are convex, so the alternation
-    contracts the violation geometrically.  Because polishing the last few digits
-    this way costs one eigendecomposition per digit, the loop is capped and
-    the remaining violation is removed exactly in one closing move: a
-    diagonal load of size max(0, -lambda_min) lifts the floor (the support
-    holds since the load only touches the diagonal) and a multiplicative
-    shrink enforces the ceiling.  Feasible inputs pass through unchanged,
-    so the map is idempotent.  ``grid`` is the vector of measure weights.
+    One eigendecomposition of S = W^{1/2} M W^{1/2}, M the symmetrized
+    input and ``grid`` the vector of measure weights: a spectrum already in
+    [0, 1 - DELTA] (with a slack of 1e-12) returns M unchanged, so the map
+    is idempotent; otherwise the eigenvalues are clipped into [0, 1 - DELTA]
+    and M is rebuilt from them.
     """
     w = np.asarray(grid, dtype=float)
     m = 0.5 * (np.asarray(entries, dtype=float) + np.asarray(entries, dtype=float).T)
     rw = _sqrt_weights(w)
-    hi = (1.0 - delta) if kind == CORRELATION else np.inf
-    # Exactly diagonal matrices project by clipping the diagonal; this also
-    # keeps the zero-interaction mode free of eigendecomposition roundoff.
-    if np.count_nonzero(m - np.diag(np.diag(m))) == 0:
-        d = np.clip(np.diag(m), 0.0, hi / np.clip(w, 1e-300, None))
-        # operator eigenvalue of a diagonal kernel entry is K_ii * w_i
-        return DiscretizedKernel(w, np.diag(d), kind, support)
-    feas_tol = 1e-12
-    for _ in range(max_iter):
-        if support is not None:
-            m = np.where(support, m, 0.0)
-            m = 0.5 * (m + m.T)
-        s = m * rw[:, None] * rw[None, :]
-        lam, u = np.linalg.eigh(s)
-        floor = max(0.0, -float(lam.min(initial=0.0)))
-        ceil = max(0.0, float(lam.max(initial=0.0)) - hi) if np.isfinite(hi) else 0.0
-        if floor <= feas_tol and ceil <= feas_tol:
-            return DiscretizedKernel(w, m, kind, support)
-        clipped = np.clip(lam, 0.0, hi)
-        s = (u * clipped) @ u.T
-        m = s / rw[:, None] / rw[None, :]
-        m = 0.5 * (m + m.T)
-    # closing move: exact feasibility from the last masked iterate
-    if support is not None:
-        m = np.where(support, m, 0.0)
-        m = 0.5 * (m + m.T)
-    s = m * rw[:, None] * rw[None, :]
-    lam = np.linalg.eigvalsh(s)
-    floor = max(0.0, -float(lam.min(initial=0.0)))
-    if floor > 0.0:
-        if floor > 1e-6:
-            log.warning("kernel projection closing load of %.2e on the diagonal", floor)
-        m = m + np.diag(np.full(len(w), floor) / w)
-        top = float(lam.max(initial=0.0)) + floor
-    else:
-        top = float(lam.max(initial=0.0))
-    if np.isfinite(hi) and top > hi:
-        m = m * (hi / top)
-    m = 0.5 * (m + m.T)
-    return DiscretizedKernel(w, m, kind, support)
+    hi = 1.0 - DELTA
+    lam, u = np.linalg.eigh(m * rw[:, None] * rw[None, :])
+    if lam.min(initial=0.0) >= -1e-12 and lam.max(initial=0.0) <= hi + 1e-12:
+        return DiscretizedKernel(w, m)
+    m = ((u * np.clip(lam, 0.0, hi)) @ u.T) / rw[:, None] / rw[None, :]
+    return DiscretizedKernel(w, 0.5 * (m + m.T))
 
 
 def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
@@ -488,7 +436,7 @@ def shrink_to_feasible(
         else:
             t = 0.0  # a diagonal too close to a bound to scale against
     out = t * off + np.diag(diagonal)
-    return DiscretizedKernel(w, out, CORRELATION, support), t, clipped_mass
+    return DiscretizedKernel(w, out, support), t, clipped_mass
 
 
 def validate_kernel(kernel: DiscretizedKernel) -> None:
@@ -502,5 +450,5 @@ def validate_kernel(kernel: DiscretizedKernel) -> None:
     lam = operator_spectrum(kernel)
     if lam.min(initial=0.0) < -tol:
         raise AssertionError(f"spectrum has negative eigenvalue {lam.min():.3e}")
-    if kernel.kind == CORRELATION and lam.max(initial=0.0) > 1.0 - DELTA + tol:
+    if lam.max(initial=0.0) > 1.0 - DELTA + tol:
         raise AssertionError(f"spectrum reaches {lam.max():.6g} > 1 - delta")

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateIntensity, SpectrumError
-from .kernels import CORRELATION, DELTA, DiscretizedKernel
+from .kernels import DELTA, DiscretizedKernel
 from .scenario import Scan, Window
 
 
@@ -109,7 +109,7 @@ def banded_kernel(
         profile[1 : b + 1] = scale * rho * (1.0 - np.arange(1, b + 1) / (b + 1))
     idx = np.arange(n)
     lags = np.abs(idx[:, None] - idx[None, :])
-    return DiscretizedKernel(np.ones(n), profile[lags], CORRELATION, lags <= b)
+    return DiscretizedKernel(np.ones(n), profile[lags], lags <= b)
 
 
 def init_particles(
@@ -206,7 +206,7 @@ def inject_births(
     support = np.zeros((n_tot, n_tot), dtype=bool)
     support[:n_old, :n_old] = True if kernel.support is None else kernel.support
     support[n_old:, n_old:] = birth_kernel.support
-    return merged, DiscretizedKernel(np.ones(n_tot), extended, CORRELATION, support)
+    return merged, DiscretizedKernel(np.ones(n_tot), extended, support)
 
 
 def rebuild_kernel(

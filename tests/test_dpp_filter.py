@@ -21,7 +21,6 @@ from dpptrack.dpp_filter import (
 from dpptrack.errors import DegenerateIntensity, DegenerateVariance
 from dpptrack.harness import preset, run_single
 from dpptrack.kernels import (
-    CORRELATION,
     DELTA,
     DiscretizedKernel,
     interaction_kernel,
@@ -66,7 +65,7 @@ def small_state(n=6, seed=0, scale=0.05):
     states = rng.uniform(-50, 50, (n, 5))
     p = particles_of(states)
     raw = scale * np.eye(n) + rng.uniform(-0.01, 0.01, (n, n))
-    kernel = project_kernel(0.5 * (raw + raw.T), np.ones(n), CORRELATION)
+    kernel = project_kernel(0.5 * (raw + raw.T), np.ones(n))
     return FilterState(p, kernel)
 
 
@@ -79,7 +78,7 @@ def epsilon_kernel(eps, weights=(0.9, 1.1, 1.0, 0.8)):
             [0.05, 0.10, 0.30, 0.95],
         ]
     )
-    return DiscretizedKernel(weights, eps * base, CORRELATION)
+    return DiscretizedKernel(weights, eps * base)
 
 
 def abstract_obs(p_d=0.7):
@@ -150,7 +149,7 @@ class TestPredict:
         # quadrature of the first-moment formula vs direct MC of the
         # transition with 1e6 samples
         src = np.array([0.0, 2.0])  # source points, of unit weight
-        kernel = DiscretizedKernel(np.ones(2), np.array([[0.3, 0.1], [0.1, 0.35]]), CORRELATION)
+        kernel = DiscretizedKernel(np.ones(2), np.array([[0.3, 0.1], [0.1, 0.35]]))
         p_s, sigma, drift = 0.9, 0.8, 1.0
         lo, hi = 0.5, 2.5
         nq = 800
@@ -175,7 +174,7 @@ class TestPredict:
 
     def test_reconstruction_roundtrip_identity_transition(self):
         raw = np.array([[0.3, 0.08, 0.02], [0.08, 0.25, 0.06], [0.02, 0.06, 0.33]])
-        kernel = DiscretizedKernel(np.ones(3), raw, CORRELATION)
+        kernel = DiscretizedKernel(np.ones(3), raw)
         ident = np.eye(3)  # transition density: unit point masses
         mu, rho = prediction_moments(kernel, 1.0, ident, np.zeros(3), np.zeros((3, 3)))
         rebuilt = reconstruct_kernel_from_moments(mu, rho, np.ones(3))
@@ -211,7 +210,7 @@ class TestUpdate:
         n = 5
         rng = np.random.default_rng(10)
         kd = rng.uniform(0.05, 0.3, n)
-        kernel = DiscretizedKernel(np.ones(n), np.diag(kd), CORRELATION)
+        kernel = DiscretizedKernel(np.ones(n), np.diag(kd))
         j = interaction_kernel(kernel)
         like = rng.uniform(0.0, 1.0, (2, n))
         clutter = np.array([0.4, 0.6])
@@ -229,7 +228,7 @@ class TestUpdate:
         q_d = 0.3
         mu, rho = posterior_moments(kernel, j, np.zeros((0, 4)), np.zeros(0), q_d)
         np.testing.assert_array_equal(mu, q_d * kernel.diagonal)
-        expect = q_d**2 * (np.outer(j.diagonal, j.diagonal) - j.entries**2)
+        expect = q_d**2 * (np.outer(np.diag(j), np.diag(j)) - j**2)
         off = ~np.eye(4, dtype=bool)
         np.testing.assert_array_equal(rho[off], expect[off])
         np.testing.assert_array_equal(np.diag(rho), 0.0)
@@ -237,7 +236,7 @@ class TestUpdate:
     def test_zero_pair_denominator_raises_degenerate_intensity(self):
         # one particle explains both detections and there is no clutter, so
         # s_c(z) s_c(z') - D(z, z') = J^2 l l' - J^2 l l' is exactly 0
-        kernel = DiscretizedKernel(np.ones(1), np.array([[0.5]]), CORRELATION)
+        kernel = DiscretizedKernel(np.ones(1), np.array([[0.5]]))
         like = np.array([[0.3], [0.7]])
         with pytest.raises(DegenerateIntensity):
             posterior_moments(kernel, interaction_kernel(kernel), like, np.zeros(2), 0.1)
@@ -283,6 +282,20 @@ class TestUpdate:
                 val = mu[i] * mu[k] - rho[i, k]
                 assert entries[i, k] ** 2 == pytest.approx(max(val, 0.0), abs=1e-12)
 
+    def test_clamps_counted_only_inside_the_support(self):
+        # pairs (0, 1) and (0, 2) both have a negative radicand mu mu - rho;
+        # (0, 2) lies outside the support, so it is zeroed and not counted
+        mu = np.array([0.2, 0.3, 0.4])
+        rho = np.array([[0.0, 0.1, 0.1], [0.1, 0.0, 0.02], [0.1, 0.02, 0.0]])
+        support = np.ones((3, 3), dtype=bool)
+        support[0, 2] = support[2, 0] = False
+        entries, clamped = posterior_kernel_entries(mu, rho, support)
+        assert clamped == 1
+        assert entries[0, 1] == entries[0, 2] == entries[2, 0] == 0.0
+        assert entries[1, 2] == pytest.approx(np.sqrt(0.3 * 0.4 - 0.02), rel=1e-12)
+        np.testing.assert_array_equal(np.diag(entries), mu)
+        assert posterior_kernel_entries(mu, rho)[1] == 2
+
     def test_update_keeps_kernel_valid(self):
         rng = np.random.default_rng(11)
         sensor = self.sensor()
@@ -310,6 +323,9 @@ class TestUpdate:
             mu, _ = posterior_moments(kernel, j, like, clutter, sensor.q_d)
             assert mu.max() <= 1.0 - DELTA
             out, diag = dpp_update(st, scan, sensor)
+            # clamps and pairs are counted on the band alone
+            assert diag.offdiag_entries == np.count_nonzero(np.triu(kernel.support, 1))
+            assert 0 <= diag.clamp_events <= diag.offdiag_entries
             count = float(np.sum(mu))
             assert out.gamma == pytest.approx(count, rel=1e-12)
             assert float(np.trace(out.kernel.entries)) == pytest.approx(count, rel=1e-12)
@@ -377,13 +393,11 @@ class TestCovariance:
         clutter = np.zeros(0)
         a = [0, 1]
         b = [0, 1]
-        got = approx_count_covariance(j, like, clutter, 1.0, a, b)
+        got = approx_count_covariance(kernel, like, clutter, 1.0, a, b)
         w = kernel.weights
-        jd = j.diagonal
+        jd = np.diag(j)
         expect = float(np.sum(jd[a] * w[a]))
-        expect -= float(
-            np.sum(w[a][:, None] * j.entries[np.ix_(a, b)] ** 2 * w[b][None, :])
-        )
+        expect -= float(np.sum(w[a][:, None] * j[np.ix_(a, b)] ** 2 * w[b][None, :]))
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_disjoint_regions_zero_cross_interaction(self):
@@ -397,12 +411,11 @@ class TestCovariance:
                 [0.0, 0.0, 0.05, 0.2],
             ]
         )
-        kernel = DiscretizedKernel(np.ones(4), block, CORRELATION)
-        j = interaction_kernel(kernel)
+        kernel = DiscretizedKernel(np.ones(4), block)
         # likelihoods supported on one block each
         like = np.array([[0.8, 0.6, 0.0, 0.0], [0.0, 0.0, 0.7, 0.9]])
         clutter = np.array([0.3, 0.3])
-        got = approx_count_covariance(j, like, clutter, 0.1, [0, 1], [2, 3])
+        got = approx_count_covariance(kernel, like, clutter, 0.1, [0, 1], [2, 3])
         # cross-block J is zero so the pure DPP terms vanish; what remains
         # is the small z != z' residue, which must not be positive beyond
         # roundoff of the D-correction
@@ -418,10 +431,9 @@ class TestCovariance:
             kernel = epsilon_kernel(eps)
             prior = dpp_process(kernel)
             exact = posterior_covariance_exact(prior, obs, meas, a, b)
-            j = interaction_kernel(kernel)
             like = obs.l_tilde[list(meas), :]
             clutter = obs.l_c[list(meas)]
-            approx = approx_count_covariance(j, like, clutter, q_d, a, b)
+            approx = approx_count_covariance(kernel, like, clutter, q_d, a, b)
             errors.append(abs(approx - exact))
         # at least second-order decay per halving (disjoint regions cancel
         # the quadratic term and converge even faster)
@@ -437,7 +449,7 @@ class TestCorrelationEstimate:
         states[3:, 0] = states[3:, 2] = 60.0  # region B cluster
         p = particles_of(states)
         m = np.full((6, 6), 0.01) + 0.15 * np.eye(6)
-        kernel = project_kernel(m, np.ones(6), CORRELATION)
+        kernel = project_kernel(m, np.ones(6))
         return FilterState(p, kernel)
 
     def test_same_region_correlation_is_one(self):
@@ -453,7 +465,7 @@ class TestCorrelationEstimate:
         block = np.zeros((4, 4))
         block[:2, :2] = [[0.2, 0.05], [0.05, 0.2]]
         block[2:, 2:] = [[0.2, 0.05], [0.05, 0.2]]
-        kernel = DiscretizedKernel(np.ones(4), block, CORRELATION)
+        kernel = DiscretizedKernel(np.ones(4), block)
         st = FilterState(p, kernel)
         a = Region(0.0, 20.0, 0.0, 20.0)
         b = Region(50.0, 70.0, 50.0, 70.0)

@@ -8,8 +8,6 @@ from dpptrack.dpp_filter import FilterState, posterior_diagonal, posterior_kerne
 from dpptrack.errors import SpectrumError
 from dpptrack.kernels import (
     BLOCK_FLOOR,
-    CORRELATION,
-    INTERACTION,
     DELTA,
     DiscretizedKernel,
     _block_bounds,
@@ -40,7 +38,7 @@ def random_correlation(n, seed=0, scale=0.3, weights=None):
     w = np.ones(n) if weights is None else weights
     a = rng.standard_normal((n, n)) * 0.25
     raw = scale * np.eye(n) + 0.5 * (a + a.T)
-    return project_kernel(raw, w, CORRELATION)
+    return project_kernel(raw, w)
 
 
 def kernel_with_top_eigenvalue(n, top, weights, seed):
@@ -53,7 +51,7 @@ def kernel_with_top_eigenvalue(n, top, weights, seed):
     s = (u * lam) @ u.T
     rw = np.sqrt(weights)
     m = s / rw[:, None] / rw[None, :]
-    return DiscretizedKernel(weights, 0.5 * (m + m.T), CORRELATION)
+    return DiscretizedKernel(weights, 0.5 * (m + m.T))
 
 
 @st.composite
@@ -73,65 +71,64 @@ def ceiling_bound_kernels(draw):
 
 class TestInteractionKernel:
     def test_zero_kernel_maps_to_zero(self):
-        k = DiscretizedKernel(np.ones(3), np.zeros((3, 3)), CORRELATION)
-        j = interaction_kernel(k)
-        assert j.kind == INTERACTION
-        np.testing.assert_allclose(j.entries, 0.0, atol=1e-15)
+        k = DiscretizedKernel(np.ones(3), np.zeros((3, 3)))
+        np.testing.assert_allclose(interaction_kernel(k), 0.0, atol=1e-15)
 
     def test_diagonal_kernel_closed_form(self):
         d = np.array([0.1, 0.25, 0.4, 0.6])
-        k = DiscretizedKernel(np.ones(4), np.diag(d), CORRELATION)
+        k = DiscretizedKernel(np.ones(4), np.diag(d))
         j = interaction_kernel(k)
-        np.testing.assert_allclose(np.diag(j.entries), d / (1 - d), atol=1e-12)
+        np.testing.assert_allclose(np.diag(j), d / (1 - d), atol=1e-12)
 
     def test_two_by_two_matches_direct_inverse(self):
         m = np.array([[0.3, 0.1], [0.1, 0.3]])
-        k = DiscretizedKernel(np.ones(2), m, CORRELATION)
+        k = DiscretizedKernel(np.ones(2), m)
         j = interaction_kernel(k)
         direct = np.linalg.solve(np.eye(2) - m, m)
-        np.testing.assert_allclose(j.entries, direct, atol=1e-12)
+        np.testing.assert_allclose(j, direct, atol=1e-12)
 
     def test_round_trip_recovers_kernel(self):
         k = random_correlation(6, seed=1)
         j = interaction_kernel(k)
-        back = correlation_from_interaction(j)
+        back = correlation_from_interaction(j, k.weights)
         np.testing.assert_allclose(back.entries, k.entries, atol=1e-9)
+        with pytest.raises(ValueError, match="one weight per row"):
+            correlation_from_interaction(j, k.weights[:-1])
 
     def test_commutes_with_kernel(self):
         k = random_correlation(5, seed=2, weights=[0.5, 1.5, 1.0, 0.7, 1.3])
         j = interaction_kernel(k)
         w = np.diag(k.weights)
-        left = k.entries @ w @ j.entries
-        right = j.entries @ w @ k.entries
+        left = k.entries @ w @ j
+        right = j @ w @ k.entries
         np.testing.assert_allclose(left, right, atol=1e-10)
 
     def test_interaction_is_psd(self):
         k = random_correlation(6, seed=3)
-        j = interaction_kernel(k)
-        lam = operator_spectrum(j)
+        lam = np.linalg.eigvalsh(interaction_kernel(k))  # unit weights: S is J itself
         assert lam.min() > -1e-10
 
     def test_spectrum_error_raised(self):
-        k = DiscretizedKernel(np.ones(2), np.diag([0.9995, 0.5]), CORRELATION)
+        k = DiscretizedKernel(np.ones(2), np.diag([0.9995, 0.5]))
         with pytest.raises(SpectrumError):
             interaction_kernel(k)
 
     def test_empty_kernel_calls_no_lapack(self, capfd):
-        j = interaction_kernel(DiscretizedKernel(np.zeros(0), np.zeros((0, 0)), CORRELATION))
-        assert j.kind == INTERACTION and j.entries.shape == (0, 0)
-        back = correlation_from_interaction(j)
-        assert back.kind == CORRELATION and back.entries.shape == (0, 0)
+        j = interaction_kernel(DiscretizedKernel(np.zeros(0), np.zeros((0, 0))))
+        assert j.shape == (0, 0)
+        back = correlation_from_interaction(j, np.zeros(0))
+        assert back.entries.shape == (0, 0)
         out, err = capfd.readouterr()
         assert out == "" and err == ""
 
     @pytest.mark.parametrize("d", [0.0, 0.3, 0.9, 1.0 - DELTA])
     def test_single_point(self, d):
-        j = interaction_kernel(DiscretizedKernel(np.ones(1), np.array([[d]]), CORRELATION))
-        assert j.entries[0, 0] == pytest.approx(d / (1.0 - d), rel=1e-12, abs=1e-15)
+        j = interaction_kernel(DiscretizedKernel(np.ones(1), np.array([[d]])))
+        assert j[0, 0] == pytest.approx(d / (1.0 - d), rel=1e-12, abs=1e-15)
         # operator value K w: J = K / (1 - K w)
-        k = DiscretizedKernel(np.array([2.5]), np.array([[d / 2.5]]), CORRELATION)
+        k = DiscretizedKernel(np.array([2.5]), np.array([[d / 2.5]]))
         j = interaction_kernel(k)
-        assert j.entries[0, 0] == pytest.approx(d / 2.5 / (1.0 - d), rel=1e-12, abs=1e-15)
+        assert j[0, 0] == pytest.approx(d / 2.5 / (1.0 - d), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("excess, valid", [(0.0, True), (1e-13, True), (1e-11, False)])
@@ -145,11 +142,10 @@ class TestInteractionKernel:
         diag = DiscretizedKernel(
             weights[:2],
             np.diag([top, 0.5] / weights[:2]),
-            CORRELATION,
         )
         for kernel in (k, diag):
             if valid:
-                assert np.all(np.isfinite(interaction_kernel(kernel).entries))
+                assert np.all(np.isfinite(interaction_kernel(kernel)))
             else:
                 with pytest.raises(SpectrumError, match=r"reaches 0\.99900000001"):
                     interaction_kernel(kernel)
@@ -158,7 +154,7 @@ class TestInteractionKernel:
     @settings(max_examples=40, deadline=None)
     def test_matches_spectral_definition(self, kernel):
         assert operator_spectrum(kernel).max() > 1.0 - DELTA - 1e-9
-        j = interaction_kernel(kernel).entries
+        j = interaction_kernel(kernel)
         expect = spectral_interaction(kernel)
         np.testing.assert_allclose(j, expect, rtol=0.0, atol=1e-10 * np.abs(expect).max())
         np.testing.assert_array_equal(j, j.T)
@@ -167,10 +163,10 @@ class TestInteractionKernel:
         # with weights, the operator is K W; J solves (I - KW)^{-1} K
         w = np.array([0.5, 2.0])
         m = np.array([[0.3, 0.05], [0.05, 0.2]])
-        k = DiscretizedKernel(w, m, CORRELATION)
+        k = DiscretizedKernel(w, m)
         j = interaction_kernel(k)
         direct = np.linalg.solve(np.eye(2) - m @ np.diag(w), m)
-        np.testing.assert_allclose(j.entries, direct, atol=1e-12)
+        np.testing.assert_allclose(j, direct, atol=1e-12)
 
 
 def gershgorin_bound(kernel):
@@ -211,7 +207,7 @@ class TestGershgorinShortCut:
         assert gershgorin_bound(kernel) > 1.0 - DELTA + 1e-12
         shifts = check_factorizations(monkeypatch)
         if valid:
-            assert np.all(np.isfinite(interaction_kernel(kernel).entries))
+            assert np.all(np.isfinite(interaction_kernel(kernel)))
         else:
             with pytest.raises(SpectrumError, match=r"reaches 0\.99900000001"):
                 interaction_kernel(kernel)
@@ -234,7 +230,7 @@ def splice(a, b):
     support = np.zeros((total, total), dtype=bool)
     support[:n, :n] = a.support
     support[n:, n:] = b.support
-    return DiscretizedKernel(np.concatenate([a.weights, b.weights]), entries, CORRELATION, support)
+    return DiscretizedKernel(np.concatenate([a.weights, b.weights]), entries, support)
 
 
 # Block layouts of the banded transform: (points, band, births, birth band,
@@ -267,7 +263,7 @@ class TestBandedTransform:
     def test_matches_spectral_definition(self, name, seed):
         kernel = layout_kernel(name, seed)
         assert len(_block_bounds(kernel)) == LAYOUTS[name][-1]
-        j = interaction_kernel(kernel).entries
+        j = interaction_kernel(kernel)
         jd = interaction_diagonal(kernel)
         expect = spectral_interaction(kernel)
         atol = 1e-10 * np.abs(expect).max()
@@ -299,15 +295,15 @@ class TestBandedTransform:
         weights = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
         support = band_support(n, 7)
         raw = np.where(support, rng.uniform(0.0, 1.0, (n, n)), 0.0)
-        base = DiscretizedKernel(weights, 0.5 * (raw + raw.T), CORRELATION, support)
+        base = DiscretizedKernel(weights, 0.5 * (raw + raw.T), support)
         top = 1.0 - DELTA + excess
         k = DiscretizedKernel(
-            weights, base.entries * (top / operator_spectrum(base).max()), CORRELATION, support
+            weights, base.entries * (top / operator_spectrum(base).max()), support
         )
         assert len(_block_bounds(k)) == 6
         assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
         if valid:
-            assert np.all(np.isfinite(interaction_kernel(k).entries))
+            assert np.all(np.isfinite(interaction_kernel(k)))
             assert np.all(np.isfinite(interaction_diagonal(k)))
         else:
             for transform in (interaction_kernel, interaction_diagonal):
@@ -315,10 +311,11 @@ class TestBandedTransform:
                     transform(k)
 
     def test_empty_and_non_correlation_inputs(self):
-        empty = DiscretizedKernel(np.zeros(0), np.zeros((0, 0)), CORRELATION)
+        empty = DiscretizedKernel(np.zeros(0), np.zeros((0, 0)))
         assert interaction_diagonal(empty).shape == (0,)
-        with pytest.raises(ValueError, match="correlation kernel"):
-            interaction_diagonal(interaction_kernel(random_correlation(4)))
+        above = DiscretizedKernel(np.ones(2), np.diag([0.9995, 0.5]))  # spectrum above 1 - delta
+        with pytest.raises(SpectrumError):
+            interaction_diagonal(above)
 
     def test_posterior_diagonal_makes_no_dense_lapack_call(self, monkeypatch):
         # 300 predicted particles and 20 births on their own bands: every
@@ -363,18 +360,18 @@ class TestBandedTransform:
 
 class TestCrossCovariance:
     def test_disjoint_zero_offdiagonal(self):
-        k = DiscretizedKernel(np.ones(4), np.diag([0.2, 0.3, 0.1, 0.4]), CORRELATION)
+        k = DiscretizedKernel(np.ones(4), np.diag([0.2, 0.3, 0.1, 0.4]))
         assert cross_covariance(k, [0, 1], [2, 3]) == 0.0
 
     def test_full_grid_diagonal_formula(self):
         w = np.array([0.5, 1.5, 1.0])
         d = np.array([0.2, 0.3, 0.4])
-        k = DiscretizedKernel(w, np.diag(d), CORRELATION)
+        k = DiscretizedKernel(w, np.diag(d))
         expect = float(np.sum(d * w) - np.sum(d**2 * w**2))
         assert cross_covariance(k, range(3), range(3)) == pytest.approx(expect, abs=1e-14)
 
     def test_two_point_hand_value(self):
-        k = DiscretizedKernel(np.ones(2), np.array([[0.4, 0.2], [0.2, 0.4]]), CORRELATION)
+        k = DiscretizedKernel(np.ones(2), np.array([[0.4, 0.2], [0.2, 0.4]]))
         assert cross_covariance(k, [0], [1]) == pytest.approx(-0.04, abs=1e-15)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -390,11 +387,11 @@ class TestCrossCovariance:
 
 class TestJanossy:
     def test_empty_process(self):
-        k = DiscretizedKernel(np.ones(3), np.zeros((3, 3)), CORRELATION)
+        k = DiscretizedKernel(np.ones(3), np.zeros((3, 3)))
         assert all_subset_masses(k)[()] == pytest.approx(1.0)
 
     def test_diagonal_masses_sum_to_one(self):
-        k = DiscretizedKernel(np.ones(3), np.diag([0.2, 0.5, 0.7]), CORRELATION)
+        k = DiscretizedKernel(np.ones(3), np.diag([0.2, 0.5, 0.7]))
         total = sum(all_subset_masses(k).values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -421,17 +418,17 @@ class TestJanossy:
 class TestProjectKernel:
     def test_feasible_matrix_unchanged(self):
         k = random_correlation(4, seed=13)
-        again = project_kernel(k.entries, k.weights, CORRELATION)
-        np.testing.assert_allclose(again.entries, k.entries, atol=1e-12)
+        again = project_kernel(k.entries, k.weights)
+        np.testing.assert_array_equal(again.entries, k.entries)
 
     def test_scalar_clip(self):
-        out = project_kernel(np.array([[1.5]]), np.ones(1), CORRELATION, delta=0.01)
-        assert out.entries[0, 0] == pytest.approx(0.99)
+        out = project_kernel(np.array([[1.5]]), np.ones(1))
+        assert out.entries[0, 0] == pytest.approx(1.0 - DELTA)
 
     def test_random_symmetric_spectrum_in_range(self):
         rng = np.random.default_rng(17)
         m = rng.standard_normal((4, 4))
-        out = project_kernel(0.5 * (m + m.T), np.ones(4), CORRELATION)
+        out = project_kernel(0.5 * (m + m.T), np.ones(4))
         lam = operator_spectrum(out)
         assert lam.min() >= -1e-10
         assert lam.max() <= 1 - 1e-3 + 1e-10
@@ -441,33 +438,9 @@ class TestProjectKernel:
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((5, 5)) * 2.0
-        support = index_support(5, 0.4)
-        once = project_kernel(0.5 * (m + m.T), np.ones(5), CORRELATION, support=support)
-        twice = project_kernel(once.entries, np.ones(5), CORRELATION, support=support)
+        once = project_kernel(0.5 * (m + m.T), np.ones(5))
+        twice = project_kernel(once.entries, np.ones(5))
         np.testing.assert_allclose(twice.entries, once.entries, atol=1e-12)
-
-    def test_band_reapplied_and_feasible(self):
-        rng = np.random.default_rng(19)
-        n = 30
-        m = rng.standard_normal((n, n))
-        support = index_support(n, 0.1)
-        out = project_kernel(0.5 * (m + m.T), np.ones(n), CORRELATION, support=support)
-        validate_kernel(out)
-        assert np.all(out.entries[~support] == 0.0)
-
-    def test_hard_banded_case_feasible(self):
-        # diagonal 2/n and 8/n inside the index band: far from PSD
-        n = 120
-        idx = np.arange(n)
-        raw = np.where(np.abs(idx[:, None] - idx[None, :]) <= 0.1 * n, 8.0 / n, 0.0)
-        np.fill_diagonal(raw, 2.0 / n)
-        out = project_kernel(raw, np.ones(n), CORRELATION, support=index_support(n, 0.1))
-        validate_kernel(out)
-
-    def test_interaction_kind_allows_large_spectrum(self):
-        m = np.diag([5.0, 0.1, 2.0])
-        out = project_kernel(m, np.ones(3), INTERACTION)
-        np.testing.assert_allclose(out.entries, m, atol=1e-12)
 
 
 @st.composite
@@ -619,10 +592,10 @@ class TestBands:
         w = np.ones(4)
         m = np.full((4, 4), 0.1)
         with pytest.raises(ValueError, match="outside its support"):
-            DiscretizedKernel(w, m, CORRELATION, support=index_support(4, 0.25))
+            DiscretizedKernel(w, m, support=index_support(4, 0.25))
         with pytest.raises(ValueError, match="shape"):
-            DiscretizedKernel(w, m, CORRELATION, support=np.ones((3, 3), dtype=bool))
-        DiscretizedKernel(w, m, CORRELATION, support=np.ones((4, 4), dtype=bool))
+            DiscretizedKernel(w, m, support=np.ones((3, 3), dtype=bool))
+        DiscretizedKernel(w, m, support=np.ones((4, 4), dtype=bool))
 
     @pytest.mark.parametrize(
         "weights", [[1.0, -0.5], [1.0, np.nan], [1.0, np.inf], [1.0, 1.0, 1.0], np.ones((2, 1))]
@@ -630,7 +603,7 @@ class TestBands:
     def test_kernel_constructor_rejects_bad_weights(self, weights):
         # one finite, nonnegative weight per row
         with pytest.raises(ValueError, match="weight"):
-            DiscretizedKernel(weights, np.full((2, 2), 0.1), CORRELATION)
+            DiscretizedKernel(weights, np.full((2, 2), 0.1))
 
 
 def test_twelve_point_masses_sum_to_one():
