@@ -117,7 +117,7 @@ def spectral_interaction(kernel) -> np.ndarray:
     return (u * (lam / (1.0 - lam))) @ u.T / rw[:, None] / rw[None, :]
 
 
-def ceiling_bound_kernel(rng: np.random.Generator, n: int, support=None):
+def ceiling_bound_kernel(rng: np.random.Generator, n: int, bands=None):
     """A ``shrink_to_feasible`` output on n weighted points whose
     spectrum sits at the 1 - delta ceiling.  The diagonal is 0.6-0.99 of the
     cap and the off-diagonal entries are at least 1, so the Perron root of
@@ -127,7 +127,7 @@ def ceiling_bound_kernel(rng: np.random.Generator, n: int, support=None):
     raw = rng.uniform(1.0, 2.0, (n, n))
     raw = 0.5 * (raw + raw.T)
     np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
-    kernel, t, _ = shrink_to_feasible(raw, weights, support)
+    kernel, t, _ = shrink_to_feasible(raw, weights, bands)
     return kernel, t
 
 

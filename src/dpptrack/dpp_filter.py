@@ -12,7 +12,7 @@ J = (Id - K)^{-1} K:
                        [q_d^2 + q_d sum_z (l~(z|x)+l~(z|y))/s_c(z)
                         + sum_{z != z'} l~(z|x) l~(z'|y) / (s_c s_c' - D(z,z'))]
 * squared off-diagonal: mu(x) mu(y) - pair(x,y) on the prior kernel's
-  support, clamped at zero (clamp events are a health diagnostic),
+  bands, clamped at zero (clamp events are a health diagnostic),
 
 with s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) w_v and D the pairwise
 interaction integral.  The posterior kernel keeps mu as its diagonal; its
@@ -32,6 +32,8 @@ import numpy as np
 from .errors import DegenerateIntensity, DegenerateVariance
 from .kernels import (
     DiscretizedKernel,
+    band_pairs,
+    band_part,
     cross_covariance,
     interaction_diagonal,
     interaction_kernel,
@@ -135,19 +137,20 @@ def posterior_moments(
 
 
 def posterior_kernel_entries(
-    mu: np.ndarray, rho: np.ndarray, support: np.ndarray | None = None
+    mu: np.ndarray, rho: np.ndarray, bands=None
 ) -> tuple[np.ndarray, int]:
     """Assemble the posterior kernel: sqrt(mu mu - rho) off the diagonal on
-    the pairs of ``support`` (None allows every pair), and zero elsewhere.
+    the pairs inside the kernel ``bands`` (None allows every pair), and zero
+    elsewhere.
 
     A negative radicand means the approximation lost the interaction at that
     pair; it is clamped to zero.  Returns the entries and the number of
-    clamped pairs inside the support.
+    clamped pairs inside the bands.
     """
     n = mu.shape[0]
     sq = np.outer(mu, mu) - rho
-    if support is not None:
-        sq = np.where(support, sq, 0.0)
+    if bands is not None:
+        sq = band_part(sq, bands)
     off = ~np.eye(n, dtype=bool)
     clamped = int(((sq < 0) & off).sum()) // 2
     np.clip(sq, 0.0, None, out=sq)
@@ -181,18 +184,16 @@ def dpp_update(
         # spectral clipping, so the diagonal stays bit-identical to the
         # Poisson filter's weight trajectory
         mu = poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
-        new_kernel = DiscretizedKernel(state.kernel.weights, np.diag(mu), state.kernel.support)
+        new_kernel = DiscretizedKernel(state.kernel.weights, np.diag(mu), state.kernel.bands)
         return FilterState(state.particles, new_kernel), UpdateDiagnostics()
-    support = state.kernel.support
+    bands = state.kernel.bands
     j = interaction_kernel(state.kernel)
     mu, rho = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
-    entries, clamped = posterior_kernel_entries(mu, rho, support)
-    new_kernel, scale, clipped = shrink_to_feasible(entries, state.kernel.weights, support)
-    n = len(new_kernel)
-    pairs = n * (n - 1) // 2 if support is None else int(np.count_nonzero(np.triu(support, 1)))
+    entries, clamped = posterior_kernel_entries(mu, rho, bands)
+    new_kernel, scale, clipped = shrink_to_feasible(entries, state.kernel.weights, bands)
     diag = UpdateDiagnostics(
         clamp_events=clamped,
-        offdiag_entries=pairs,
+        offdiag_entries=band_pairs(bands),
         offdiag_scale=scale,
         clipped_mass=clipped,
     )
@@ -240,7 +241,7 @@ def predict(
     else:
         particles = state.particles
     moved = DiscretizedKernel(
-        state.kernel.weights, survival.p_s * state.kernel.entries, state.kernel.support
+        state.kernel.weights, survival.p_s * state.kernel.entries, state.kernel.bands
     )
     gamma = float(np.sum(moved.diagonal * moved.weights))
     return FilterState(*inject_births(particles, moved, smc, birth, gamma, window, rng))

@@ -11,10 +11,13 @@ S = W^{1/2} K W^{1/2}, whose eigenvalues are the operator spectrum; with
 unit weights, S is the kernel matrix itself and the discretized formulas
 reduce to plain matrix sums.
 
-Kernels are stored dense, but the interaction transform uses a banded
-kernel's support: S is then block tridiagonal, and J comes from a block
-Cholesky factorization of I - S (``interaction_kernel``), or only its
-diagonal from the diagonal blocks of (I - S)^{-1} (``interaction_diagonal``).
+Kernels are stored dense, with their support as a list of index bands:
+the matrix is block diagonal, one block per band, and each block is zero
+beyond its band's bandwidth from the diagonal.  Only this module reads the
+bands.  The interaction transform uses them: S is block tridiagonal, and J
+comes from a block Cholesky factorization of I - S (``interaction_kernel``),
+or only its diagonal from the diagonal blocks of (I - S)^{-1}
+(``interaction_diagonal``).
 """
 
 from __future__ import annotations
@@ -52,33 +55,38 @@ class DiscretizedKernel:
     """Correlation kernel: a symmetric matrix over N states of measure
     ``weights``.
 
-    ``support`` is the boolean (N, N) mask of entries allowed to be nonzero
-    (None allows every entry); ``smc.banded_kernel`` builds it with the
-    kernel and operations that keep the sparsity pattern pass it on.
-    Cheap structural invariants (symmetry, support zeros) are enforced at
-    construction; spectral invariants are checked by :func:`validate_kernel`.
-    Kernels are built valid (``smc.banded_kernel``) or made valid by
-    :func:`shrink_to_feasible`.
+    ``bands`` is the support: (points, bandwidth) pairs, one per diagonal
+    block in order, whose points sum to N.  An entry may be nonzero only
+    inside a block and at most its bandwidth from the diagonal; None means
+    one block of full width.  ``smc.banded_kernel`` makes one band, births
+    append theirs, and operations that keep the sparsity pattern pass the
+    bands on.  Cheap structural invariants (symmetry, the bands tile N, no
+    entry outside them) are enforced at construction; spectral invariants
+    are checked by :func:`validate_kernel`.  Kernels are built valid
+    (``smc.banded_kernel``) or made valid by :func:`shrink_to_feasible`.
     """
 
     weights: np.ndarray  # (N,)
     entries: np.ndarray  # (N, N)
-    support: Optional[np.ndarray] = None  # (N, N) bool
+    bands: Optional[tuple[tuple[int, int], ...]] = None
 
     def __post_init__(self):
         w = measure_weights(self.weights)
         m = np.asarray(self.entries, dtype=float)
-        if m.shape != (len(w), len(w)):
+        n = len(w)
+        if m.shape != (n, n):
             raise ValueError("kernel must be square with one weight per row")
         if not np.array_equal(m, m.T):
             raise ValueError("kernel entries must be exactly symmetric")
-        if self.support is not None:
-            if np.shape(self.support) != m.shape:
-                raise ValueError("support mask shape does not match the kernel")
-            if np.any(m[~self.support] != 0.0):
-                raise ValueError("kernel has nonzero entries outside its support")
+        bands = ((n, n),) if self.bands is None else tuple(self.bands)
+        if sum(p for p, _ in bands) != n or any(min(p, b) < 0 for p, b in bands):
+            raise ValueError("bands must tile the kernel's points")
+        for lo, hi, reach in _reaches(bands):  # the upper half, by symmetry
+            if np.any(m[lo:hi, hi:]) or np.any(np.triu(m[lo:hi, lo:hi], reach + 1)):
+                raise ValueError("kernel has nonzero entries outside its bands")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "bands", bands)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -86,6 +94,30 @@ class DiscretizedKernel:
     @property
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries).copy()
+
+
+def _reaches(bands):
+    """(start, stop, reach) per band: its [start, stop) index range and the
+    largest |i - j| it allows there, min(bandwidth, points - 1)."""
+    start = 0
+    for points, width in bands:
+        yield start, start + points, min(width, points - 1)
+        start += points
+
+
+def band_part(m: np.ndarray, bands) -> np.ndarray:
+    """A copy of the (N, N) matrix ``m`` with every entry outside ``bands``
+    set to zero; the entries inside are kept bit for bit."""
+    out = np.zeros_like(m)
+    for lo, hi, reach in _reaches(bands):
+        out[lo:hi, lo:hi] = np.triu(np.tril(m[lo:hi, lo:hi], reach), -reach)
+    return out
+
+
+def band_pairs(bands) -> int:
+    """Number of index pairs i < j inside ``bands``: sum c s - c (c + 1) / 2
+    over bands of s points and reach c."""
+    return sum(c * (hi - lo) - c * (c + 1) // 2 for lo, hi, c in _reaches(bands))
 
 
 def _sqrt_weights(weights: np.ndarray) -> np.ndarray:
@@ -111,32 +143,27 @@ BLOCK_FLOOR = 32
 def _block_bounds(kernel: DiscretizedKernel) -> list[tuple[int, int]]:
     """[start, stop) of the diagonal blocks that make S block tridiagonal.
 
-    Blocks hold m = max(b, BLOCK_FLOOR) points for the bandwidth
-    b = max j - i over ``kernel.support``, which bounds |i - j| over the
-    nonzero entries since they are symmetric.  So no entry of S lies outside
-    the diagonal blocks and their two neighbours; the last block also takes
-    the n mod m points left over, so it is ragged (m to 2m - 1 points).  A
-    kernel of fewer than 4m points is one block, and so is a kernel with no
-    support mask.
+    Blocks hold m = max(c, BLOCK_FLOOR) points for the largest reach c of
+    ``kernel.bands``, which bounds |i - j| over the nonzero entries.  So no
+    entry of S lies outside the diagonal blocks and their two neighbours;
+    the last block also takes the n mod m points left over, so it is ragged
+    (m to 2m - 1 points).  A kernel of fewer than 4m points is one block.
     """
     n = len(kernel)
-    if kernel.support is None or n < 4 * BLOCK_FLOOR:
-        return [(0, n)]
-    last = n - 1 - np.argmax(kernel.support[:, ::-1], axis=1)  # last column of each row
-    m = max(int((last - np.arange(n)).max()), BLOCK_FLOOR)
+    m = max([BLOCK_FLOOR] + [reach for _, _, reach in _reaches(kernel.bands)])
     if n < 4 * m:
         return [(0, n)]
     starts = list(range(0, n - m + 1, m))
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _operator_blocks(entries, rw, bounds, sign):
-    """The diagonal blocks of sign S and the blocks below them, S_{k+1,k},
-    for S = W^{1/2} M W^{1/2} block tridiagonal on ``bounds``."""
+def _operator_blocks(entries, rw, bounds):
+    """The diagonal blocks of -S and the blocks below them, -S_{k+1,k}, for
+    S = W^{1/2} M W^{1/2} block tridiagonal on ``bounds``."""
 
     def block(rows, cols):
         (lo, hi), (clo, chi) = rows, cols
-        return entries[lo:hi, clo:chi] * (sign * rw[lo:hi, None] * rw[None, clo:chi])
+        return entries[lo:hi, clo:chi] * (-rw[lo:hi, None] * rw[None, clo:chi])
 
     return [block(b, b) for b in bounds], [block(b, a) for a, b in zip(bounds, bounds[1:])]
 
@@ -202,7 +229,7 @@ def _interaction_factor(kernel: DiscretizedKernel):
         return None
     rw = _sqrt_weights(kernel.weights)
     bounds = _block_bounds(kernel)
-    diagonal, below = _operator_blocks(kernel.entries, rw, bounds, -1.0)
+    diagonal, below = _operator_blocks(kernel.entries, rw, bounds)
     ceiling = 1.0 - DELTA + 1e-12
     gershgorin = float((rw * (np.abs(kernel.entries) @ rw)).max())
     if gershgorin > ceiling and _block_cholesky(diagonal, below, ceiling, couplings=False) is None:
@@ -276,28 +303,6 @@ def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
         lo, hi = bounds[k]
         jd[lo:hi] = np.diagonal(g_k) - 1.0
     return jd / (rw * rw)
-
-
-def correlation_from_interaction(j: np.ndarray, weights) -> DiscretizedKernel:
-    """Inverse map K = (Id + J)^{-1} J of an interaction kernel J over
-    states of measure ``weights``, used to round-trip the transform:
-    K_S = I - (I + J_S)^{-1} from a Cholesky factorization of I + J_S (one
-    dense block).  Raises :class:`SpectrumError` if I + J_S is not positive
-    definite (an operator eigenvalue of J at or below -1)."""
-    w = measure_weights(weights)
-    n = len(w)
-    if np.shape(j) != (n, n):
-        raise ValueError("interaction kernel must be square with one weight per row")
-    if n == 0:
-        return DiscretizedKernel(w, np.zeros((0, 0)))
-    rw = _sqrt_weights(w)
-    bounds = [(0, n)]
-    factor = _block_cholesky(*_operator_blocks(j, rw, bounds, 1.0), 1.0)
-    if factor is None:
-        raise SpectrumError("Id + J is not positive definite")
-    k = -_block_inverse(n, bounds, *factor)
-    k.flat[:: n + 1] += 1.0
-    return DiscretizedKernel(w, k / (rw[:, None] * rw[None, :]))
 
 
 def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
@@ -377,13 +382,13 @@ def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
 def shrink_to_feasible(
     entries: np.ndarray,
     weights: np.ndarray,
-    support: Optional[np.ndarray] = None,
+    bands=None,
 ) -> tuple[DiscretizedKernel, float, float]:
     """Make a symmetric matrix a valid correlation kernel by scaling its
     off-diagonal part and leaving its diagonal alone.
 
     In the symmetrized operator S = W^{1/2} M W^{1/2}, with the entries
-    outside ``support`` zeroed, split S into its diagonal D and off-diagonal
+    outside ``bands`` zeroed (None keeps every entry), split S into its diagonal D and off-diagonal
     O.  D is clipped into [0, 1 - DELTA], and O loses the rows and columns
     of every point whose diagonal was clipped or sits on a bound.  On the
     other points D + tO is positive semidefinite iff
@@ -405,8 +410,8 @@ def shrink_to_feasible(
     w = np.asarray(weights, dtype=float)
     m = np.asarray(entries, dtype=float)
     m = 0.5 * (m + m.T)
-    if support is not None:
-        m = np.where(support, m, 0.0)
+    if bands is not None:
+        m = band_part(m, bands)
     _sqrt_weights(w)  # the operator needs strictly positive weights
     mu = np.diag(m)
     cap = (1.0 - DELTA) / w  # kernel diagonal of operator value 1 - DELTA
@@ -436,17 +441,13 @@ def shrink_to_feasible(
         else:
             t = 0.0  # a diagonal too close to a bound to scale against
     out = t * off + np.diag(diagonal)
-    return DiscretizedKernel(w, out, support), t, clipped_mass
+    return DiscretizedKernel(w, out, bands), t, clipped_mass
 
 
 def validate_kernel(kernel: DiscretizedKernel) -> None:
-    """Raise if any DiscretizedKernel invariant fails (used by test rigs)."""
+    """Raise unless the operator spectrum lies in [0, 1 - DELTA], up to
+    roundoff (used by test rigs; construction checks the structure)."""
     tol = 1e-9  # roundoff allowed at the spectrum's bounds
-    m = kernel.entries
-    if not np.array_equal(m, m.T):
-        raise AssertionError("kernel not exactly symmetric")
-    if kernel.support is not None and np.any(m[~kernel.support] != 0.0):
-        raise AssertionError("support condition violated")
     lam = operator_spectrum(kernel)
     if lam.min(initial=0.0) < -tol:
         raise AssertionError(f"spectrum has negative eigenvalue {lam.min():.3e}")

@@ -80,7 +80,7 @@ def banded_kernel(
     feasible by construction.
 
     K = (gamma/n) [(1 - rho) I + rho F] inside the index band
-    |i - j| <= b = floor(eta * n), which is the kernel's support, and zero
+    |i - j| <= b = floor(eta * n), the kernel's one band (n, b), and zero
     outside, with the triangular (Fejer) profile
     F[i, j] = 1 - |i - j| / (b + 1).  F is positive semidefinite for
     every b (its symbol is the Fejer kernel, nonnegative by Herglotz/Bochner)
@@ -109,7 +109,7 @@ def banded_kernel(
         profile[1 : b + 1] = scale * rho * (1.0 - np.arange(1, b + 1) / (b + 1))
     idx = np.arange(n)
     lags = np.abs(idx[:, None] - idx[None, :])
-    return DiscretizedKernel(np.ones(n), profile[lags], lags <= b)
+    return DiscretizedKernel(np.ones(n), profile[lags], ((n, b),))
 
 
 def init_particles(
@@ -149,24 +149,18 @@ def resample(
     cfg: SmcConfig,
     window: Window,
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
 ) -> np.ndarray:
-    """Multinomial draw of states proportional to intensity, then Gaussian
-    roughening.
+    """``size`` multinomial draws of states proportional to intensity, then
+    Gaussian roughening.
 
-    Output size defaults to resample_size(cfg, total intensity).  Raises
-    DegenerateIntensity when nothing has mass.  No caller catches it: it
-    propagates out of ``harness.run_experiment``, which then writes no
+    Raises DegenerateIntensity when nothing has mass.  No caller catches it:
+    it propagates out of ``harness.run_experiment``, which then writes no
     output file, so one lost run aborts the whole experiment.
     """
     intensity = np.asarray(intensity, dtype=float)
-    total = float(intensity.sum())
-    if total <= 0.0 or not np.any(intensity > 0):
+    if float(intensity.sum()) <= 0.0 or not np.any(intensity > 0):
         raise DegenerateIntensity("all particle intensities are zero")
-    if size is None:
-        size = resample_size(cfg, total)
-    if size <= 0:
-        return np.zeros((0, 5))
     ids = select_ids(intensity, size, rng)
     resampled = states[ids].copy()
     sd = roughening_sd(window.extents(), cfg.roughening_scale, size)
@@ -190,8 +184,8 @@ def inject_births(
     mass.  The birth block is banded_kernel at that mass on the births'
     own index band; cross-blocks between old and new particles are zero, so
     the extended spectrum is the union of the two block spectra and the
-    already-valid old block is spliced through untouched.  The support mask
-    is spliced the same way, block-diagonally.
+    already-valid old block is spliced through untouched, and the birth
+    band is appended to the kernel's bands.
     """
     born, mass = sample_births(birth, gamma, window, rng)
     if not len(born):
@@ -203,10 +197,7 @@ def inject_births(
     extended = np.zeros((n_tot, n_tot))
     extended[:n_old, :n_old] = kernel.entries
     extended[n_old:, n_old:] = birth_kernel.entries
-    support = np.zeros((n_tot, n_tot), dtype=bool)
-    support[:n_old, :n_old] = True if kernel.support is None else kernel.support
-    support[n_old:, n_old:] = birth_kernel.support
-    return merged, DiscretizedKernel(np.ones(n_tot), extended, support)
+    return merged, DiscretizedKernel(np.ones(n_tot), extended, kernel.bands + birth_kernel.bands)
 
 
 def rebuild_kernel(

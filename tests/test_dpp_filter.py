@@ -282,14 +282,13 @@ class TestUpdate:
                 val = mu[i] * mu[k] - rho[i, k]
                 assert entries[i, k] ** 2 == pytest.approx(max(val, 0.0), abs=1e-12)
 
-    def test_clamps_counted_only_inside_the_support(self):
+    def test_clamps_counted_only_inside_the_bands(self):
         # pairs (0, 1) and (0, 2) both have a negative radicand mu mu - rho;
-        # (0, 2) lies outside the support, so it is zeroed and not counted
+        # (0, 2) lies outside the band of width 1, so it is zeroed and not
+        # counted
         mu = np.array([0.2, 0.3, 0.4])
         rho = np.array([[0.0, 0.1, 0.1], [0.1, 0.0, 0.02], [0.1, 0.02, 0.0]])
-        support = np.ones((3, 3), dtype=bool)
-        support[0, 2] = support[2, 0] = False
-        entries, clamped = posterior_kernel_entries(mu, rho, support)
+        entries, clamped = posterior_kernel_entries(mu, rho, ((3, 1),))
         assert clamped == 1
         assert entries[0, 1] == entries[0, 2] == entries[2, 0] == 0.0
         assert entries[1, 2] == pytest.approx(np.sqrt(0.3 * 0.4 - 0.02), rel=1e-12)
@@ -323,8 +322,9 @@ class TestUpdate:
             mu, _ = posterior_moments(kernel, j, like, clutter, sensor.q_d)
             assert mu.max() <= 1.0 - DELTA
             out, diag = dpp_update(st, scan, sensor)
-            # clamps and pairs are counted on the band alone
-            assert diag.offdiag_entries == np.count_nonzero(np.triu(kernel.support, 1))
+            # clamps and pairs are counted on the band |i - j| <= 12 alone
+            lags = np.subtract.outer(np.arange(120), np.arange(120))
+            assert diag.offdiag_entries == np.count_nonzero((lags < 0) & (lags >= -12))
             assert 0 <= diag.clamp_events <= diag.offdiag_entries
             count = float(np.sum(mu))
             assert out.gamma == pytest.approx(count, rel=1e-12)

@@ -12,7 +12,8 @@ from dpptrack.kernels import (
     DiscretizedKernel,
     _block_bounds,
     all_subset_masses,
-    correlation_from_interaction,
+    band_pairs,
+    band_part,
     cross_covariance,
     interaction_diagonal,
     interaction_kernel,
@@ -27,10 +28,24 @@ from dpptrack.scenario import SensorConfig, generate_scan
 from dpptrack.smc import banded_kernel
 
 
-def index_support(n, eta):
-    """Support mask of the index band |i - j| <= eta * n."""
-    idx = np.arange(n)
-    return np.abs(idx[:, None] - idx[None, :]) <= eta * n
+def index_bands(n, eta):
+    """One index band |i - j| <= eta * n over n points."""
+    return ((n, int(eta * n)),)
+
+
+def band_mask(n, bands):
+    """The (n, n) boolean mask of the entries inside ``bands`` (None: all),
+    built entry by entry from the definition."""
+    if bands is None:
+        return np.ones((n, n), dtype=bool)
+    mask = np.zeros((n, n), dtype=bool)
+    start = 0
+    for points, width in bands:
+        for i in range(start, start + points):
+            for j in range(start, start + points):
+                mask[i, j] = abs(i - j) <= width
+        start += points
+    return mask
 
 
 def random_correlation(n, seed=0, scale=0.3, weights=None):
@@ -60,11 +75,11 @@ def ceiling_bound_kernels(draw):
     up to 150 weighted points, with or without an index band."""
     n = draw(st.integers(min_value=2, max_value=150))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    support = None
+    bands = None
     if draw(st.booleans()):  # a band of at least one neighbour
         eta = max(draw(st.floats(min_value=0.02, max_value=0.5)), 1.0 / n)
-        support = index_support(n, eta)
-    kernel, t = ceiling_bound_kernel(rng, n, support)
+        bands = index_bands(n, eta)
+    kernel, t = ceiling_bound_kernel(rng, n, bands)
     assert t < 1.0
     return kernel
 
@@ -87,14 +102,6 @@ class TestInteractionKernel:
         direct = np.linalg.solve(np.eye(2) - m, m)
         np.testing.assert_allclose(j, direct, atol=1e-12)
 
-    def test_round_trip_recovers_kernel(self):
-        k = random_correlation(6, seed=1)
-        j = interaction_kernel(k)
-        back = correlation_from_interaction(j, k.weights)
-        np.testing.assert_allclose(back.entries, k.entries, atol=1e-9)
-        with pytest.raises(ValueError, match="one weight per row"):
-            correlation_from_interaction(j, k.weights[:-1])
-
     def test_commutes_with_kernel(self):
         k = random_correlation(5, seed=2, weights=[0.5, 1.5, 1.0, 0.7, 1.3])
         j = interaction_kernel(k)
@@ -116,8 +123,6 @@ class TestInteractionKernel:
     def test_empty_kernel_calls_no_lapack(self, capfd):
         j = interaction_kernel(DiscretizedKernel(np.zeros(0), np.zeros((0, 0))))
         assert j.shape == (0, 0)
-        back = correlation_from_interaction(j, np.zeros(0))
-        assert back.entries.shape == (0, 0)
         out, err = capfd.readouterr()
         assert out == "" and err == ""
 
@@ -214,30 +219,21 @@ class TestGershgorinShortCut:
         assert shifts == [1.0 - DELTA + 1e-12]
 
 
-def band_support(n, band):
-    """Support mask of the index band |i - j| <= band."""
-    idx = np.arange(n)
-    return np.abs(idx[:, None] - idx[None, :]) <= band
-
-
 def splice(a, b):
     """Survivors and births: kernels a and b side by side in one kernel,
-    with zero cross blocks and a block-diagonal support mask."""
+    with zero cross blocks and the bands of both."""
     n, total = len(a), len(a) + len(b)
     entries = np.zeros((total, total))
     entries[:n, :n] = a.entries
     entries[n:, n:] = b.entries
-    support = np.zeros((total, total), dtype=bool)
-    support[:n, :n] = a.support
-    support[n:, n:] = b.support
-    return DiscretizedKernel(np.concatenate([a.weights, b.weights]), entries, support)
+    return DiscretizedKernel(np.concatenate([a.weights, b.weights]), entries, a.bands + b.bands)
 
 
 # Block layouts of the banded transform: (points, band, births, birth band,
-# blocks).  A band of None is no support mask; blocks hold
+# blocks).  A band of None is one band of full width; blocks hold
 # m = max(band, BLOCK_FLOOR) points, the last one ragged.
 LAYOUTS = {
-    "no support mask": (150, None, 0, None, 1),
+    "full width": (150, None, 0, None, 1),
     "below the floor": (4 * BLOCK_FLOOR - 1, 3, 0, None, 1),
     "exact multiple of m": (5 * BLOCK_FLOOR, 5, 0, None, 5),
     "ragged last block": (5 * BLOCK_FLOOR + 17, 9, 0, None, 5),
@@ -251,10 +247,24 @@ def layout_kernel(name, seed):
     """A weighted kernel of the named layout at its 1 - delta ceiling."""
     n, band, births, birth_band, _ = LAYOUTS[name]
     rng = np.random.default_rng(seed)
-    kernel, _ = ceiling_bound_kernel(rng, n, None if band is None else band_support(n, band))
+    kernel, _ = ceiling_bound_kernel(rng, n, None if band is None else ((n, band),))
     if births:
-        kernel = splice(kernel, ceiling_bound_kernel(rng, births, band_support(births, birth_band))[0])
+        kernel = splice(kernel, ceiling_bound_kernel(rng, births, ((births, birth_band),))[0])
     return kernel
+
+
+def argmax_block_bounds(n, mask):
+    """The block rule read from an (n, n) support mask (None for no mask):
+    the bandwidth is the largest distance from a row's diagonal to the last
+    allowed column of that row."""
+    if mask is None or n < 4 * BLOCK_FLOOR:
+        return [(0, n)]
+    last = n - 1 - np.argmax(mask[:, ::-1], axis=1)
+    m = max(int((last - np.arange(n)).max()), BLOCK_FLOOR)
+    if n < 4 * m:
+        return [(0, n)]
+    starts = list(range(0, n - m + 1, m))
+    return list(zip(starts, starts[1:] + [n]))
 
 
 class TestBandedTransform:
@@ -293,12 +303,12 @@ class TestBandedTransform:
         n = 6 * BLOCK_FLOOR + 5
         rng = np.random.default_rng(31)
         weights = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
-        support = band_support(n, 7)
-        raw = np.where(support, rng.uniform(0.0, 1.0, (n, n)), 0.0)
-        base = DiscretizedKernel(weights, 0.5 * (raw + raw.T), support)
+        bands = ((n, 7),)
+        raw = band_part(rng.uniform(0.0, 1.0, (n, n)), bands)
+        base = DiscretizedKernel(weights, 0.5 * (raw + raw.T), bands)
         top = 1.0 - DELTA + excess
         k = DiscretizedKernel(
-            weights, base.entries * (top / operator_spectrum(base).max()), support
+            weights, base.entries * (top / operator_spectrum(base).max()), bands
         )
         assert len(_block_bounds(k)) == 6
         assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
@@ -444,10 +454,27 @@ class TestProjectKernel:
 
 
 @st.composite
+def band_lists(draw, n=None):
+    """1 to 13 bands, with n given (at most n bands) of points summing to n,
+    each of zero width, of width at or above its points - 1, or between."""
+    if n is None:
+        points = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=13))
+    else:
+        k = draw(st.integers(min_value=1, max_value=min(13, n)))
+        cuts = draw(st.sets(st.integers(1, max(n - 1, 1)), min_size=k - 1, max_size=k - 1))
+        points = np.diff([0, *sorted(cuts), n]).tolist()
+    widths = [
+        draw(st.sampled_from((0, p - 1, p + 3)) | st.integers(min_value=0, max_value=p))
+        for p in points
+    ]
+    return tuple(zip(points, widths))
+
+
+@st.composite
 def shrink_inputs(draw):
     """A symmetric matrix (diagonal in [-0.2, 1.5], off-diagonal scale up to
-    2), unit or random weights, and no support mask, an index band or a
-    random symmetric mask that keeps the diagonal."""
+    2), unit or random weights, and no bands, an index band or a random
+    band list."""
     n = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -455,15 +482,14 @@ def shrink_inputs(draw):
     off = rng.standard_normal((n, n)) * draw(st.floats(min_value=0.0, max_value=2.0))
     m = 0.5 * (off + off.T)
     np.fill_diagonal(m, rng.uniform(-0.2, 1.5, n))
-    kind = draw(st.sampled_from(("none", "index", "mask")))
+    kind = draw(st.sampled_from(("none", "index", "bands")))
     if kind == "index":
-        support = index_support(n, draw(st.floats(min_value=0.05, max_value=1.0)))
-    elif kind == "mask":
-        mask = rng.random((n, n)) < 0.5
-        support = mask | mask.T | np.eye(n, dtype=bool)
+        bands = index_bands(n, draw(st.floats(min_value=0.05, max_value=1.0)))
+    elif kind == "bands":
+        bands = draw(band_lists(n))
     else:
-        support = None
-    return m, weights, support
+        bands = None
+    return m, weights, bands
 
 
 def eigvalsh_extreme(a, top):
@@ -476,12 +502,12 @@ class TestShrinkToFeasible:
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_valid_banded_and_diagonal_kept(self, case):
-        m, weights, support = case
-        out, t, clipped = shrink_to_feasible(m, weights, support)
+        m, weights, bands = case
+        out, t, clipped = shrink_to_feasible(m, weights, bands)
         validate_kernel(out)
         assert 0.0 <= t <= 1.0
-        if support is not None:
-            assert np.all(out.entries[~support] == 0.0)
+        assert out.bands == (((len(m), len(m)),) if bands is None else bands)
+        assert np.all(out.entries[~band_mask(len(m), bands)] == 0.0)
         mu = np.diag(m)
         cap = (1.0 - DELTA) / weights
         inside = (mu >= 0.0) & (mu <= cap)
@@ -495,22 +521,22 @@ class TestShrinkToFeasible:
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_feasible_input_is_a_fixed_point(self, case):
-        m, weights, support = case
-        once = shrink_to_feasible(m, weights, support)[0]
+        m, weights, bands = case
+        once = shrink_to_feasible(m, weights, bands)[0]
         # shrink the valid output's spectrum into [0.1, 0.6]: strictly feasible
         inner = 0.5 * once.entries + np.diag(0.1 / weights)
-        out, t, clipped = shrink_to_feasible(inner, weights, support)
+        out, t, clipped = shrink_to_feasible(inner, weights, bands)
         assert t == 1.0 and clipped == 0.0
         np.testing.assert_array_equal(out.entries, inner)
 
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_scale_matches_eigvalsh_reference(self, case):
-        m, weights, support = case
-        _, t, _ = shrink_to_feasible(m, weights, support)
+        m, weights, bands = case
+        _, t, _ = shrink_to_feasible(m, weights, bands)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-            _, expect, _ = shrink_to_feasible(m, weights, support)
+            _, expect, _ = shrink_to_feasible(m, weights, bands)
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, band", [(60, None), (150, 9), (320, 32)])
@@ -520,10 +546,10 @@ class TestShrinkToFeasible:
         weights = rng.uniform(0.5, 2.0, n)
         raw = rng.uniform(1.0, 2.0, (n, n))
         np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
-        support = None if band is None else band_support(n, band)
-        _, t, _ = shrink_to_feasible(raw, weights, support)
+        bands = None if band is None else ((n, band),)
+        _, t, _ = shrink_to_feasible(raw, weights, bands)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-        _, expect, _ = shrink_to_feasible(raw, weights, support)
+        _, expect, _ = shrink_to_feasible(raw, weights, bands)
         assert t < 1.0
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
@@ -542,7 +568,7 @@ class TestShrinkToFeasible:
         rng = np.random.default_rng(41)
         n = 30
         kernel = banded_kernel(np.zeros((n, 5)), 3.0, 4.0, 0.2)
-        out, t, _ = shrink_to_feasible(kernel.entries, kernel.weights, kernel.support)
+        out, t, _ = shrink_to_feasible(kernel.entries, kernel.weights, kernel.bands)
         assert calls == [False] and t == 1.0
         np.testing.assert_array_equal(out.entries, kernel.entries)
         calls.clear()
@@ -591,11 +617,41 @@ class TestBands:
     def test_kernel_constructor_rejects_band_violation(self):
         w = np.ones(4)
         m = np.full((4, 4), 0.1)
-        with pytest.raises(ValueError, match="outside its support"):
-            DiscretizedKernel(w, m, support=index_support(4, 0.25))
-        with pytest.raises(ValueError, match="shape"):
-            DiscretizedKernel(w, m, support=np.ones((3, 3), dtype=bool))
-        DiscretizedKernel(w, m, support=np.ones((4, 4), dtype=bool))
+        with pytest.raises(ValueError, match="outside its bands"):
+            DiscretizedKernel(w, m, bands=index_bands(4, 0.25))
+        with pytest.raises(ValueError, match="outside its bands"):
+            DiscretizedKernel(w, m, bands=((2, 1), (2, 1)))
+        with pytest.raises(ValueError, match="tile"):
+            DiscretizedKernel(w, m, bands=((3, 3),))
+        with pytest.raises(ValueError, match="tile"):
+            DiscretizedKernel(w, m, bands=((4, -1),))
+        assert DiscretizedKernel(w, m, bands=((4, 3),)).bands == ((4, 3),)
+        assert DiscretizedKernel(w, m).bands == ((4, 4),)
+
+    @given(st.none() | band_lists(), st.integers(min_value=1, max_value=600), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bands_match_their_mask(self, bands, n, seed):
+        # every band reading against the explicit mask of the same bands
+        n = n if bands is None else sum(p for p, _ in bands)
+        mask = band_mask(n, bands)
+        kernel = DiscretizedKernel(np.ones(n), np.zeros((n, n)), bands)
+        assert _block_bounds(kernel) == argmax_block_bounds(n, None if bands is None else mask)
+        assert band_pairs(kernel.bands) == np.count_nonzero(np.triu(mask, 1))
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n))
+        np.testing.assert_array_equal(band_part(m, kernel.bands), np.where(mask, m, 0.0))
+        inside = np.where(mask, m + m.T, 0.0)
+        DiscretizedKernel(np.ones(n), inside, bands)
+        outside = np.argwhere(np.triu(~mask))
+        if len(outside):  # the first entry outside a band, next to one
+            i, j = outside[np.argmin(outside[:, 1] - outside[:, 0])]
+            inside[i, j] = inside[j, i] = 1.0
+            with pytest.raises(ValueError, match="outside its bands"):
+                DiscretizedKernel(np.ones(n), inside, bands)
+        with pytest.raises(ValueError, match="tile"):
+            DiscretizedKernel(np.ones(n), np.zeros((n, n)), kernel.bands + ((1, 0),))
+        with pytest.raises(ValueError, match="tile"):
+            DiscretizedKernel(np.ones(n + 1), np.zeros((n + 1, n + 1)), kernel.bands)
 
     @pytest.mark.parametrize(
         "weights", [[1.0, -0.5], [1.0, np.nan], [1.0, np.inf], [1.0, 1.0, 1.0], np.ones((2, 1))]

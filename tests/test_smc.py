@@ -21,6 +21,7 @@ from dpptrack.smc import (
     inject_births,
     rebuild_kernel,
     resample,
+    resample_size,
     roughening_sd,
 )
 
@@ -31,7 +32,7 @@ def particles_of(states):
     return np.atleast_2d(states)
 
 
-def index_support(n, eta):
+def index_mask(n, eta):
     """Entries with |i - j| <= eta * n: the index band of banded_kernel."""
     idx = np.arange(n)
     return np.abs(idx[:, None] - idx[None, :]) <= eta * n
@@ -78,7 +79,8 @@ class TestResample:
         states = np.arange(50, dtype=float).reshape(10, 5)
         intensity = np.zeros(10)
         intensity[3] = 2.0
-        out = resample(intensity, states, cfg, WINDOW, np.random.default_rng(0))
+        out = resample(intensity, states, cfg, WINDOW, np.random.default_rng(0),
+                       resample_size(cfg, intensity.sum()))
         assert len(out) == 10  # 5 per target, floor(2.0) = 2 targets
         assert np.all(out == states[3])
 
@@ -86,21 +88,21 @@ class TestResample:
         cfg = SmcConfig(n_init=10, resample_per_target=30, cap=1000)
         intensity = np.full(10, 1.07)  # total 10.7
         out = resample(intensity, np.zeros((10, 5)), cfg, WINDOW,
-                       np.random.default_rng(1))
+                       np.random.default_rng(1), resample_size(cfg, intensity.sum()))
         assert len(out) == 300
 
     def test_cap_applies(self):
         cfg = SmcConfig(n_init=10, resample_per_target=300, cap=100)
         intensity = np.full(10, 1.0)
         out = resample(intensity, np.zeros((10, 5)), cfg, WINDOW,
-                       np.random.default_rng(2))
+                       np.random.default_rng(2), resample_size(cfg, intensity.sum()))
         assert len(out) == 100
 
     def test_degenerate_intensity_raises(self):
         cfg = SmcConfig(n_init=4)
         with pytest.raises(DegenerateIntensity):
             resample(np.zeros(4), np.zeros((4, 5)), cfg, WINDOW,
-                     np.random.default_rng(3))
+                     np.random.default_rng(3), resample_size(cfg, 0.0))
 
     def test_multinomial_frequencies_uniform(self):
         cfg = SmcConfig(n_init=4, resample_per_target=1, roughening_scale=0.0)
@@ -137,7 +139,7 @@ class TestResample:
         cfg = SmcConfig(n_init=5, resample_per_target=10, roughening_scale=0.0)
         states = np.random.default_rng(6).uniform(-50, 50, (5, 5))
         out = resample(np.ones(5) * 2, states, cfg, WINDOW,
-                       np.random.default_rng(7))
+                       np.random.default_rng(7), resample_size(cfg, 10.0))
         source_rows = {tuple(row) for row in states}
         assert all(tuple(row) in source_rows for row in out)
 
@@ -217,8 +219,8 @@ class TestBandedKernel:
         assert np.array_equal(k, k.T)
         assert np.all(np.diag(k) == gamma / n)
         assert math.isclose(np.trace(k), gamma, rel_tol=1e-12, abs_tol=0.0)
-        np.testing.assert_array_equal(kernel.support, index_support(n, eta))
-        assert np.all(k[~kernel.support] == 0.0)
+        assert kernel.bands == ((n, math.floor(eta * n)),)
+        assert np.all(k[~index_mask(n, eta)] == 0.0)
         validate_kernel(kernel)
 
     @given(
@@ -262,11 +264,10 @@ def test_kernel_constructors_make_no_eigendecomposition(monkeypatch):
     rebuilt = rebuild_kernel(particles, cfg, 6.5)
     monkeypatch.undo()
     assert len(kernel) == 330
-    # births splice the two index bands block-diagonally
-    expect = np.zeros((330, 330), dtype=bool)
-    expect[:300, :300] = index_support(300, 0.1)
-    expect[300:, 300:] = index_support(30, 0.1)
-    np.testing.assert_array_equal(kernel.support, expect)
+    # births append their index band to the survivors'
+    assert kernel.bands == ((300, 30), (30, 3))
+    assert np.all(kernel.entries[:300, 300:] == 0.0)
+    assert np.all(kernel.entries[300:, 300:][~index_mask(30, 0.1)] == 0.0)
     validate_kernel(kernel)
     validate_kernel(rebuilt)
 
@@ -276,8 +277,8 @@ def test_rebuild_kernel_valid_and_banded():
     particles = particles_of(np.random.default_rng(1).uniform(-50, 50, (90, 5)))
     kernel = rebuild_kernel(particles, cfg, 6.5)
     validate_kernel(kernel)
-    np.testing.assert_array_equal(kernel.support, index_support(90, 0.1))
-    assert np.all(kernel.entries[~kernel.support] == 0.0)
+    assert kernel.bands == ((90, 9),)
+    assert np.all(kernel.entries[~index_mask(90, 0.1)] == 0.0)
 
 
 class TestResampleModes:
