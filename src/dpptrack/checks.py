@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import DELTA, interaction_kernel, project_kernel, shrink_to_feasible
+from .kernels import DELTA, band_part, interaction_kernel, project_kernel, shrink_to_feasible
 from .oracle import (
     FiniteProcess,
     ObservationModel,
@@ -127,6 +127,8 @@ def ceiling_bound_kernel(rng: np.random.Generator, n: int, bands=None):
     raw = rng.uniform(1.0, 2.0, (n, n))
     raw = 0.5 * (raw + raw.T)
     np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
+    if bands is not None:
+        raw = band_part(raw, bands)
     kernel, t, _ = shrink_to_feasible(raw, weights, bands)
     return kernel, t
 

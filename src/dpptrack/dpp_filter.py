@@ -41,13 +41,14 @@ from .kernels import (
 )
 from .likelihood import SensorModel
 from .ppp_filter import SurvivalModel, corrector_terms, poisson_weight_update
-from .scenario import Region, Scan, Window, step_dynamics
+from .scenario import Region, Scan, Window
 from .smc import (
     BirthScheme,
     SmcConfig,
+    banded_kernel,
     init_particles,
-    inject_births,
     phd_step,
+    predict_states,
     rebuild_kernel,
 )
 
@@ -87,11 +88,11 @@ class UpdateDiagnostics:
 
 
 def pair_denominators(
-    j: np.ndarray, like: np.ndarray, sc: np.ndarray, weights: np.ndarray
+    j2: np.ndarray, like: np.ndarray, sc: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """s_c(z) s_c(z') - integral of J(u,v)^2 l~(z|u) l~(z'|v) over both points."""
+    """s_c(z) s_c(z') - integral of J(u,v)^2 l~(z|u) l~(z'|v), from j2 = J**2."""
     lw = like * weights[None, :]
-    d = lw @ (j**2) @ lw.T
+    d = lw @ j2 @ lw.T
     return np.outer(sc, sc) - d
 
 
@@ -112,11 +113,12 @@ def posterior_moments(
     w = kernel.weights
     kd = kernel.diagonal
     jd = np.diag(j)
-    pair_j = np.outer(jd, jd) - j**2
+    j2 = j**2
+    pair_j = np.outer(jd, jd) - j2
     np.clip(pair_j, 0.0, None, out=pair_j)  # PSD minors; negatives are roundoff
     sc, per_point = corrector_terms(clutter, like, jd * w)
     mu = q_d * kd + jd * per_point
-    denom = pair_denominators(j, like, sc, w)
+    denom = pair_denominators(j2, like, sc, w)
     inv = np.zeros_like(denom)
     off = ~np.eye(like.shape[0], dtype=bool)
     if np.any(denom[off] <= 0.0):
@@ -139,23 +141,21 @@ def posterior_moments(
 def posterior_kernel_entries(
     mu: np.ndarray, rho: np.ndarray, bands=None
 ) -> tuple[np.ndarray, int]:
-    """Assemble the posterior kernel: sqrt(mu mu - rho) off the diagonal on
-    the pairs inside the kernel ``bands`` (None allows every pair), and zero
-    elsewhere.
+    """Assemble the posterior kernel: mu on the diagonal, sqrt(mu mu - rho)
+    off it on the pairs inside the kernel ``bands`` (None allows every
+    pair), and zero elsewhere; ``rho`` has a zero diagonal.
 
     A negative radicand means the approximation lost the interaction at that
-    pair; it is clamped to zero.  Returns the entries and the number of
-    clamped pairs inside the bands.
+    pair; it is clamped to zero.  Returns the entries, exactly symmetric as
+    ``shrink_to_feasible`` takes them, and the number of clamped pairs.
     """
-    n = mu.shape[0]
     sq = np.outer(mu, mu) - rho
     if bands is not None:
         sq = band_part(sq, bands)
-    off = ~np.eye(n, dtype=bool)
-    clamped = int(((sq < 0) & off).sum()) // 2
+    clamped = int((sq < 0).sum()) // 2  # the diagonal radicand mu^2 is never negative
     np.clip(sq, 0.0, None, out=sq)
     entries = np.sqrt(sq)
-    entries[np.eye(n, dtype=bool)] = mu
+    np.fill_diagonal(entries, mu)
     return 0.5 * (entries + entries.T), clamped
 
 
@@ -229,22 +229,26 @@ def predict(
     window: Window,
     rng: np.random.Generator,
 ) -> FilterState:
-    """Prediction step: move particles, scale the kernel, append births.
-
-    The SMC realization of the prediction moment formulas: each particle is
-    one sample of the transition, so the surviving block of the kernel is
-    p_s times the previous posterior kernel evaluated on the moved
-    particles, and the birth block follows the adaptive extension rule.
+    """Prediction step on the moved and born particles of
+    ``smc.predict_states``: the SMC realization of the prediction moment
+    formulas.  The survivors' block is p_s times the previous posterior
+    kernel, and the births' block is ``banded_kernel`` at the birth mass in
+    a band of their own; the cross-blocks are zero, so the predicted kernel
+    is valid by construction.
     """
-    if len(state.particles):
-        particles = step_dynamics(state.particles, survival.dynamics, rng)
-    else:
-        particles = state.particles
-    moved = DiscretizedKernel(
-        state.kernel.weights, survival.p_s * state.kernel.entries, state.kernel.bands
+    particles, born, mass = predict_states(
+        state.particles, state.intensity, survival, birth, window, rng
     )
-    gamma = float(np.sum(moved.diagonal * moved.weights))
-    return FilterState(*inject_births(particles, moved, smc, birth, gamma, window, rng))
+    n = len(particles)
+    entries = np.zeros((n + len(born),) * 2)
+    np.multiply(survival.p_s, state.kernel.entries, out=entries[:n, :n])
+    bands = state.kernel.bands
+    if len(born):
+        births = banded_kernel(born, mass, smc.alpha, smc.band_eta)
+        entries[n:, n:] = births.entries
+        bands = bands + births.bands
+    weights = np.concatenate([state.kernel.weights, np.ones(len(born))])
+    return FilterState(np.vstack([particles, born]), DiscretizedKernel(weights, entries, bands))
 
 
 @dataclass
@@ -360,7 +364,7 @@ def approx_count_covariance(
         sa = float(np.sum(la[z] * jd[a] * wa))
         sb = float(np.sum(lb[z] * jd[b] * wb))
         terms.append((inter_term - sa * sb / sc[z]) / sc[z])
-    denom = pair_denominators(jm, like, sc, w)
+    denom = pair_denominators(jm**2, like, sc, w)
     pair_ab = np.outer(jd[a], jd[b]) - jab**2
     for z in range(m):
         for z2 in range(m):

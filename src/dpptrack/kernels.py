@@ -384,17 +384,18 @@ def shrink_to_feasible(
     weights: np.ndarray,
     bands=None,
 ) -> tuple[DiscretizedKernel, float, float]:
-    """Make a symmetric matrix a valid correlation kernel by scaling its
+    """Make a symmetric matrix M a valid correlation kernel by scaling its
     off-diagonal part and leaving its diagonal alone.
 
-    In the symmetrized operator S = W^{1/2} M W^{1/2}, with the entries
-    outside ``bands`` zeroed (None keeps every entry), split S into its diagonal D and off-diagonal
-    O.  D is clipped into [0, 1 - DELTA], and O loses the rows and columns
-    of every point whose diagonal was clipped or sits on a bound.  On the
-    other points D + tO is positive semidefinite iff
-    t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and has spectrum at most
-    1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}), with
-    E = (1 - DELTA) I - D, and the largest such t in [0, 1] is taken.  t
+    M must be exactly symmetric and zero outside ``bands`` (None: one full
+    block); the output's construction raises ValueError on a violation that
+    the scaling keeps.  In the symmetrized operator S = W^{1/2} M W^{1/2},
+    split S into its diagonal D and off-diagonal O.  D is clipped into
+    [0, 1 - DELTA], and O loses the rows and columns of every point whose
+    diagonal was clipped or sits on a bound.  On the other points D + tO is
+    positive semidefinite iff t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and
+    has spectrum at most 1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
+    with E = (1 - DELTA) I - D, and the largest such t in [0, 1] is taken.  t
     starts at min(1, -1/lambda_min), one extreme eigenvalue
     (``_extreme_eigenvalue``); a Cholesky factor of I - t E^{-1/2} O E^{-1/2}
     then certifies the ceiling at that t, and only when it does not exist is
@@ -409,9 +410,6 @@ def shrink_to_feasible(
     """
     w = np.asarray(weights, dtype=float)
     m = np.asarray(entries, dtype=float)
-    m = 0.5 * (m + m.T)
-    if bands is not None:
-        m = band_part(m, bands)
     _sqrt_weights(w)  # the operator needs strictly positive weights
     mu = np.diag(m)
     cap = (1.0 - DELTA) / w  # kernel diagonal of operator value 1 - DELTA

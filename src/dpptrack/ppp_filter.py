@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DegenerateIntensity
 from .likelihood import SensorModel
-from .scenario import DynamicsConfig, Scan, Window, step_dynamics
-from .smc import BirthScheme, SmcConfig, phd_step, sample_births
+from .scenario import DynamicsConfig, Scan, Window
+from .smc import BirthScheme, SmcConfig, phd_step, predict_states
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,11 @@ def ppp_predict(
     window: Window,
     rng: np.random.Generator,
 ) -> WeightedParticles:
-    """Push particles through the motion model, scale by p_s, append births."""
-    if len(p):
-        states = step_dynamics(p.states, survival.dynamics, rng)
-        weights = p.weights * survival.p_s
-    else:
-        states = p.states
-        weights = p.weights
-    born, mass = sample_births(birth, float(np.sum(weights)), window, rng)
+    """Move the particles and draw the births (``smc.predict_states``),
+    scale the weights by p_s and append the births, each of weight birth
+    mass / count."""
+    states, born, mass = predict_states(p.states, p.weights, survival, birth, window, rng)
+    weights = p.weights * survival.p_s
     if len(born):
         states = np.vstack([states, born])
         weights = np.concatenate([weights, np.full(len(born), mass / len(born))])

@@ -1,5 +1,5 @@
-"""Particle lifecycle shared by both filters: initialization, birth
-injection, multinomial resampling with roughening, kernel
+"""Particle lifecycle shared by both filters: initialization, the move and
+birth draw of the prediction, multinomial resampling with roughening, kernel
 (re-)initialization, and the SMC-PHD step that strings them together.
 
 Particle kernels carry unit measure weights, matching the pseudocode
@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import DegenerateIntensity, SpectrumError
 from .kernels import DELTA, DiscretizedKernel
-from .scenario import Scan, Window
+from .scenario import Scan, Window, step_dynamics
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,23 @@ def birth_count(scheme: BirthScheme, gamma: float) -> tuple[int, float]:
     return n, mass
 
 
-def sample_births(
-    scheme: BirthScheme, gamma: float, window: Window, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """(birth states, total birth mass) for the current step: birth_count
-    particles drawn uniformly over the window (none drawn when it is 0)."""
-    n, mass = birth_count(scheme, gamma)
-    return window.sample_states(n, rng), mass
+def predict_states(
+    states: np.ndarray,
+    intensity: np.ndarray,
+    survival,
+    birth: BirthScheme,
+    window: Window,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The particle half of the prediction, shared by both filters: the
+    states moved under ``survival.dynamics`` (a ``ppp_filter.SurvivalModel``),
+    and birth_count particles at the surviving mass sum(p_s * intensity),
+    drawn uniformly over the window.  Returns (moved states, birth states,
+    total birth mass)."""
+    if len(states):
+        states = step_dynamics(states, survival.dynamics, rng)
+    n, mass = birth_count(birth, float(np.sum(survival.p_s * intensity)))
+    return states, window.sample_states(n, rng), mass
 
 
 def banded_kernel(
@@ -107,9 +118,7 @@ def banded_kernel(
     if alpha > 0.0 and b > 0 and gamma > 0.0:
         rho = min(alpha / (1.0 + alpha), ((1.0 - DELTA) * n / gamma - 1.0) / b)
         profile[1 : b + 1] = scale * rho * (1.0 - np.arange(1, b + 1) / (b + 1))
-    idx = np.arange(n)
-    lags = np.abs(idx[:, None] - idx[None, :])
-    return DiscretizedKernel(np.ones(n), profile[lags], ((n, b),))
+    return DiscretizedKernel(np.ones(n), toeplitz(profile), ((n, b),))
 
 
 def init_particles(
@@ -167,37 +176,6 @@ def resample(
     if np.any(sd > 0):
         resampled += rng.standard_normal(resampled.shape) * sd
     return resampled
-
-
-def inject_births(
-    particles: np.ndarray,
-    kernel: DiscretizedKernel,
-    cfg: SmcConfig,
-    birth: BirthScheme,
-    gamma: float,
-    window: Window,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, DiscretizedKernel]:
-    """Append uniform birth particles and the birth kernel block.
-
-    sample_births(birth, gamma, ...) gives the N_b births and their total
-    mass.  The birth block is banded_kernel at that mass on the births'
-    own index band; cross-blocks between old and new particles are zero, so
-    the extended spectrum is the union of the two block spectra and the
-    already-valid old block is spliced through untouched, and the birth
-    band is appended to the kernel's bands.
-    """
-    born, mass = sample_births(birth, gamma, window, rng)
-    if not len(born):
-        return particles, kernel
-    merged = np.vstack([particles, born])
-    birth_kernel = banded_kernel(born, mass, cfg.alpha, cfg.band_eta)
-    n_old = len(particles)
-    n_tot = len(merged)
-    extended = np.zeros((n_tot, n_tot))
-    extended[:n_old, :n_old] = kernel.entries
-    extended[n_old:, n_old:] = birth_kernel.entries
-    return merged, DiscretizedKernel(np.ones(n_tot), extended, kernel.bands + birth_kernel.bands)
 
 
 def rebuild_kernel(

@@ -473,8 +473,8 @@ def band_lists(draw, n=None):
 @st.composite
 def shrink_inputs(draw):
     """A symmetric matrix (diagonal in [-0.2, 1.5], off-diagonal scale up to
-    2), unit or random weights, and no bands, an index band or a random
-    band list."""
+    2) zeroed outside its bands, unit or random weights, and no bands, an
+    index band or a random band list."""
     n = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -489,7 +489,7 @@ def shrink_inputs(draw):
         bands = draw(band_lists(n))
     else:
         bands = None
-    return m, weights, bands
+    return np.where(band_mask(n, bands), m, 0.0), weights, bands
 
 
 def eigvalsh_extreme(a, top):
@@ -547,6 +547,7 @@ class TestShrinkToFeasible:
         raw = rng.uniform(1.0, 2.0, (n, n))
         np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
         bands = None if band is None else ((n, band),)
+        raw = np.where(band_mask(n, bands), 0.5 * (raw + raw.T), 0.0)
         _, t, _ = shrink_to_feasible(raw, weights, bands)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
         _, expect, _ = shrink_to_feasible(raw, weights, bands)
@@ -601,6 +602,23 @@ class TestShrinkToFeasible:
         assert out.entries[0, 1] == out.entries[0, 2] == 0.0
         assert t == 1.0 and out.entries[1, 2] == 0.02
         assert clipped == pytest.approx(1.06 - (1.0 - DELTA), rel=1e-12)
+
+    def test_asymmetric_or_out_of_band_input_raises(self):
+        # a feasible input (t = 1) comes back as it is, so the output's
+        # construction sees either violation; none is repaired
+        m = np.array([[0.3, 0.1, 0.0], [0.1, 0.3, 0.1], [0.0, 0.1, 0.3]])
+        bands = ((3, 1),)
+        out, t, _ = shrink_to_feasible(m, np.ones(3), bands)
+        assert t == 1.0
+        np.testing.assert_array_equal(out.entries, m)
+        asymmetric = m.copy()
+        asymmetric[0, 1] = 0.11
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            shrink_to_feasible(asymmetric, np.ones(3), bands)
+        wide = m.copy()
+        wide[0, 2] = wide[2, 0] = 0.05
+        with pytest.raises(ValueError, match="outside its bands"):
+            shrink_to_feasible(wide, np.ones(3), bands)
 
     def test_no_eigendecomposition_for_diagonal_input(self, monkeypatch):
         def forbidden(*_args, **_kwargs):

@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpptrack.dpp_filter import DppPhdFilter
+from dpptrack.dpp_filter import DppPhdFilter, FilterState, predict
 from dpptrack.errors import ConfigError, DegenerateIntensity, SpectrumError
 from dpptrack.harness import config_from_ini, config_to_ini, preset
 from dpptrack.kernels import DELTA, validate_kernel
 from dpptrack.likelihood import SensorModel
-from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel
+from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel, WeightedParticles, ppp_predict
 from dpptrack.scenario import DynamicsConfig, Region, Scan, SensorConfig, Window
 from dpptrack.smc import (
     BirthScheme,
     SmcConfig,
     banded_kernel,
     init_particles,
-    inject_births,
+    predict_states,
     rebuild_kernel,
     resample,
     resample_size,
@@ -148,55 +148,84 @@ class TestResample:
         np.testing.assert_allclose(sd, 0.05 * np.array([200, 10, 200, 10, 0.4]) * 100 ** -0.2)
 
 
-class TestInjectBirths:
+class TestPredictBirths:
     def setup_method(self):
         self.cfg = SmcConfig(
             n_init=40, birth_per_target=10, gamma0=2.0, alpha=4.0, band_eta=0.1
         )
-        self.particles, self.kernel = init_particles(
-            self.cfg, WINDOW, np.random.default_rng(0)
-        )
+        self.state = FilterState(*init_particles(self.cfg, WINDOW, np.random.default_rng(0)))
+        self.survival = SurvivalModel(1.0, DynamicsConfig())
         self.birth = BirthScheme(self.cfg.birth_per_target)
 
-    def test_gamma_below_one_no_minimum_injects_nothing(self):
-        p, k = inject_births(
-            self.particles, self.kernel, self.cfg, self.birth, 0.9, WINDOW,
-            np.random.default_rng(1),
+    def births(self, gamma, birth, seed):
+        """Birth states and mass of predict_states at surviving mass gamma,
+        which sits on one particle so that the sum is exact."""
+        intensity = np.zeros(len(self.state.particles))
+        intensity[0] = gamma
+        _, born, mass = predict_states(
+            self.state.particles, intensity, self.survival, birth, WINDOW,
+            np.random.default_rng(seed),
         )
-        assert len(p) == len(self.particles)
-        assert k is self.kernel
+        return born, mass
+
+    def predicted(self, mass, seed):
+        return predict(
+            self.state, self.survival, BirthScheme(10, mass=mass), self.cfg, WINDOW,
+            np.random.default_rng(seed),
+        )
+
+    def test_gamma_below_one_no_minimum_injects_nothing(self):
+        born, mass = self.births(0.9, self.birth, 1)
+        assert len(born) == 0 and mass == 0.9
+        pred = self.predicted(0.9, 1)
+        np.testing.assert_array_equal(pred.kernel.entries, self.state.kernel.entries)
+        assert pred.kernel.bands == self.state.kernel.bands
 
     def test_gamma_three_gives_thirty_particles(self):
-        p, k = inject_births(
-            self.particles, self.kernel, self.cfg, self.birth, 3.0, WINDOW,
-            np.random.default_rng(2),
-        )
-        assert len(p) == 40 + 30
-        assert len(k) == 70
-        validate_kernel(k)
+        born, mass = self.births(3.0, self.birth, 2)
+        assert born.shape == (30, 5) and mass == 3.0
+        pred = self.predicted(3.0, 2)
+        assert len(pred.particles) == 40 + 30
+        assert pred.gamma == pytest.approx(self.state.gamma + 3.0, rel=1e-12)
+        validate_kernel(pred.kernel)
 
     def test_minimum_override(self):
-        p, k = inject_births(
-            self.particles, self.kernel, self.cfg,
-            BirthScheme(self.cfg.birth_per_target, min_particles=10), 0.5, WINDOW,
-            np.random.default_rng(3),
+        born, _ = self.births(
+            0.5, BirthScheme(self.cfg.birth_per_target, min_particles=10), 3
         )
-        assert len(p) == 50
+        assert len(born) == 10
 
     def test_cross_block_zero(self):
-        p, k = inject_births(
-            self.particles, self.kernel, self.cfg, self.birth, 2.0, WINDOW,
-            np.random.default_rng(4),
+        pred = self.predicted(2.0, 4)
+        n_old = len(self.state.particles)
+        assert np.all(pred.kernel.entries[:n_old, n_old:] == 0.0)
+        np.testing.assert_array_equal(
+            pred.kernel.entries[:n_old, :n_old], self.state.kernel.entries
         )
-        n_old = len(self.particles)
-        assert np.all(k.entries[:n_old, n_old:] == 0.0)
 
     def test_kernel_dimension_tracks_particles(self):
-        p, k = inject_births(
-            self.particles, self.kernel, self.cfg, self.birth, 4.0, WINDOW,
-            np.random.default_rng(5),
-        )
-        assert len(p) == len(k)
+        pred = self.predicted(4.0, 5)
+        assert len(pred.particles) == len(pred.kernel) == 40 + 40
+
+
+def test_ppp_and_dpp_predictions_move_and_birth_alike():
+    # equal intensities and equal generators: the same moved and born
+    # states, and the same intensity per particle, bit for bit
+    cfg = SmcConfig(alpha=4.0, band_eta=0.1)
+    states = np.random.default_rng(8).uniform(-50.0, 50.0, (60, 5))
+    kernel = banded_kernel(states, 3.7, cfg.alpha, cfg.band_eta)
+    survival = SurvivalModel(0.9, DynamicsConfig())
+    birth = BirthScheme(10)
+    ppp = ppp_predict(
+        WeightedParticles(states, kernel.diagonal), survival, birth, WINDOW,
+        np.random.default_rng(9),
+    )
+    dpp = predict(
+        FilterState(states, kernel), survival, birth, cfg, WINDOW, np.random.default_rng(9)
+    )
+    assert len(ppp) == 60 + 30
+    np.testing.assert_array_equal(ppp.states, dpp.particles)
+    np.testing.assert_array_equal(ppp.weights, dpp.intensity)
 
 
 @st.composite
@@ -256,12 +285,13 @@ def test_kernel_constructors_make_no_eigendecomposition(monkeypatch):
     cfg = SmcConfig(n_init=300, birth_per_target=10, gamma0=2.0, alpha=4.0, band_eta=0.1)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    particles, kernel = init_particles(cfg, WINDOW, np.random.default_rng(0))
-    particles, kernel = inject_births(
-        particles, kernel, cfg, BirthScheme(cfg.birth_per_target), 3.0, WINDOW,
-        np.random.default_rng(1),
+    state = FilterState(*init_particles(cfg, WINDOW, np.random.default_rng(0)))
+    pred = predict(
+        state, SurvivalModel(0.9, DynamicsConfig()), BirthScheme(cfg.birth_per_target, mass=3.0),
+        cfg, WINDOW, np.random.default_rng(1),
     )
-    rebuilt = rebuild_kernel(particles, cfg, 6.5)
+    kernel = pred.kernel
+    rebuilt = rebuild_kernel(pred.particles, cfg, 6.5)
     monkeypatch.undo()
     assert len(kernel) == 330
     # births append their index band to the survivors'
