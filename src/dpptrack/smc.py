@@ -148,8 +148,10 @@ def select_ids(
 
 
 def resample_size(cfg: SmcConfig, gamma: float) -> int:
-    """Particles after resampling at count gamma: min(P_p * floor(gamma), cap)."""
-    return min(cfg.resample_per_target * int(math.floor(gamma)), cfg.cap)
+    """Particles after resampling at count gamma: min(P_p * floor(gamma), cap),
+    with gamma raised by 1e-9 so that a count that is an integer in exact
+    arithmetic does not lose one target's particles to a rounding error."""
+    return min(cfg.resample_per_target * int(math.floor(gamma + 1e-9)), cfg.cap)
 
 
 def resample(

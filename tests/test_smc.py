@@ -91,6 +91,13 @@ class TestResample:
                        np.random.default_rng(1), resample_size(cfg, intensity.sum()))
         assert len(out) == 300
 
+    def test_size_survives_one_ulp_below_an_integer_count(self):
+        # p_d = 1 with no clutter makes the count an integer in exact
+        # arithmetic; 3 - 4.4e-16 is one rounding error below 3
+        cfg = SmcConfig(resample_per_target=30)
+        assert resample_size(cfg, 3.0 - 4.4e-16) == 90
+        assert resample_size(cfg, 2.9) == 60
+
     def test_cap_applies(self):
         cfg = SmcConfig(n_init=10, resample_per_target=300, cap=100)
         intensity = np.full(10, 1.0)
