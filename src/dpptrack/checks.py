@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import DELTA, band_part, interaction_kernel, project_kernel, shrink_to_feasible
+from .kernels import DELTA, band_part, interaction_kernel, shrink_to_feasible
 from .oracle import (
     FiniteProcess,
     ObservationModel,
@@ -103,39 +103,48 @@ def check_dpp_normalization(tol: float = 1e-8) -> tuple[bool, str]:
     weights = rng.uniform(0.5, 1.5, 4)
     raw = rng.uniform(-0.2, 0.2, (4, 4))
     raw = 0.3 * np.eye(4) + 0.5 * (raw + raw.T)
-    kernel = project_kernel(raw, weights)
+    kernel = shrink_to_feasible(operator_form(raw, weights))[0]
     fp = dpp_process(kernel)
     total = fp.total_mass()
     return abs(total - 1.0) < tol, f"dpp janossy normalization: total mass {total:.12f}"
 
 
+def operator_form(m: np.ndarray, weights) -> np.ndarray:
+    """S = M o sqrt(w) sqrt(w)^T: the kernel matrix M of a grid whose points
+    carry masses ``weights``, with the masses folded in; exactly symmetric
+    when M is."""
+    rw = np.sqrt(np.asarray(weights, dtype=float))
+    return m * np.outer(rw, rw)
+
+
 def spectral_interaction(kernel) -> np.ndarray:
     """J by its spectral definition, the reference for the Cholesky
-    transform: S = U diag(lam) U^T and J_S = U diag(lam / (1 - lam)) U^T."""
-    rw = np.sqrt(kernel.weights)
-    lam, u = np.linalg.eigh(kernel.entries * rw[:, None] * rw[None, :])
-    return (u * (lam / (1.0 - lam))) @ u.T / rw[:, None] / rw[None, :]
+    transform: K = U diag(lam) U^T and J = U diag(lam / (1 - lam)) U^T."""
+    lam, u = np.linalg.eigh(kernel.entries)
+    return (u * (lam / (1.0 - lam))) @ u.T
 
 
 def ceiling_bound_kernel(rng: np.random.Generator, n: int, bands=None):
-    """A ``shrink_to_feasible`` output on n weighted points whose
-    spectrum sits at the 1 - delta ceiling.  The diagonal is 0.6-0.99 of the
-    cap and the off-diagonal entries are at least 1, so the Perron root of
+    """A ``shrink_to_feasible`` output on n points, from the kernel of a
+    grid of random point masses in operator form, whose spectrum sits at
+    the 1 - delta ceiling.  The diagonal is 0.6-0.99 of 1 - delta and the
+    off-diagonal entries are at least 0.5, so the Perron root of
     E^-1/2 O E^-1/2 exceeds 1 and the one of D^-1/2 O D^-1/2: the ceiling
     sets the off-diagonal scale t < 1, which is returned with the kernel."""
     weights = rng.uniform(0.5, 2.0, n)
     raw = rng.uniform(1.0, 2.0, (n, n))
     raw = 0.5 * (raw + raw.T)
     np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
+    raw = operator_form(raw, weights)
     if bands is not None:
         raw = band_part(raw, bands)
-    kernel, t, _ = shrink_to_feasible(raw, weights, bands)
+    kernel, t, _ = shrink_to_feasible(raw, bands)
     return kernel, t
 
 
 def check_interaction_transform(rtol: float = 1e-10) -> tuple[bool, str]:
     """J = (Id - K)^{-1} K by Cholesky against its spectral definition, on a
-    weighted kernel whose spectrum sits at the 1 - delta ceiling: the case
+    kernel whose spectrum sits at the 1 - delta ceiling: the case
     where the LAPACK build's rounding matters most."""
     kernel, _ = ceiling_bound_kernel(np.random.default_rng(5), 60)
     spectral = spectral_interaction(kernel)

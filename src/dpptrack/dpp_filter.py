@@ -14,7 +14,7 @@ J = (Id - K)^{-1} K:
 * squared off-diagonal: mu(x) mu(y) - pair(x,y) on the prior kernel's
   bands, clamped at zero (clamp events are a health diagnostic),
 
-with s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) w_v and D the pairwise
+with s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) and D the pairwise
 interaction integral.  The posterior kernel keeps mu as its diagonal; its
 off-diagonal is scaled by the largest factor that keeps the spectrum in
 [0, 1 - delta], and a diagonal above 1 - delta is clipped there
@@ -70,12 +70,12 @@ class FilterState:
 
     @property
     def intensity(self) -> np.ndarray:
-        """Intensity mass per particle: K(x,x) w."""
-        return self.kernel.diagonal * self.kernel.weights
+        """Intensity mass per particle: the kernel diagonal K(x,x)."""
+        return self.kernel.diagonal
 
     @property
     def gamma(self) -> float:
-        """Expected target count: the kernel's weighted trace."""
+        """Expected target count: the kernel's trace."""
         return float(np.sum(self.intensity))
 
 
@@ -87,13 +87,9 @@ class UpdateDiagnostics:
     clipped_mass: float = 0.0  # posterior diagonal mass clipped at 1 - delta
 
 
-def pair_denominators(
-    j2: np.ndarray, like: np.ndarray, sc: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """s_c(z) s_c(z') - integral of J(u,v)^2 l~(z|u) l~(z'|v), from j2 = J**2."""
-    lw = like * weights[None, :]
-    d = lw @ j2 @ lw.T
-    return np.outer(sc, sc) - d
+def pair_denominators(j2: np.ndarray, like: np.ndarray, sc: np.ndarray) -> np.ndarray:
+    """s_c(z) s_c(z') - sum_{u,v} J(u,v)^2 l~(z|u) l~(z'|v), from j2 = J**2."""
+    return np.outer(sc, sc) - like @ j2 @ like.T
 
 
 def posterior_moments(
@@ -110,15 +106,14 @@ def posterior_moments(
     s_c(z) s_c(z') - D(z, z') is not positive (it is 0 when one particle
     explains two detections with no clutter) or a moment is not finite.
     """
-    w = kernel.weights
     kd = kernel.diagonal
-    jd = np.diag(j)
+    jd = np.diag(j).copy()  # contiguous: like @ a strided view rounds differently
     j2 = j**2
     pair_j = np.outer(jd, jd) - j2
     np.clip(pair_j, 0.0, None, out=pair_j)  # PSD minors; negatives are roundoff
-    sc, per_point = corrector_terms(clutter, like, jd * w)
+    sc, per_point = corrector_terms(clutter, like, jd)
     mu = q_d * kd + jd * per_point
-    denom = pair_denominators(j2, like, sc, w)
+    denom = pair_denominators(j2, like, sc)
     inv = np.zeros_like(denom)
     off = ~np.eye(like.shape[0], dtype=bool)
     if np.any(denom[off] <= 0.0):
@@ -184,13 +179,13 @@ def dpp_update(
         # spectral clipping, so the diagonal stays bit-identical to the
         # Poisson filter's weight trajectory
         mu = poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
-        new_kernel = DiscretizedKernel(state.kernel.weights, np.diag(mu), state.kernel.bands)
+        new_kernel = DiscretizedKernel(np.diag(mu), state.kernel.bands)
         return FilterState(state.particles, new_kernel), UpdateDiagnostics()
     bands = state.kernel.bands
     j = interaction_kernel(state.kernel)
     mu, rho = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
     entries, clamped = posterior_kernel_entries(mu, rho, bands)
-    new_kernel, scale, clipped = shrink_to_feasible(entries, state.kernel.weights, bands)
+    new_kernel, scale, clipped = shrink_to_feasible(entries, bands)
     diag = UpdateDiagnostics(
         clamp_events=clamped,
         offdiag_entries=band_pairs(bands),
@@ -217,7 +212,7 @@ def posterior_diagonal(
     if poisson_equivalent:
         return poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
     jd = interaction_diagonal(state.kernel)
-    per_point = corrector_terms(clutter, like, jd * state.kernel.weights)[1]
+    per_point = corrector_terms(clutter, like, jd)[1]
     return sensor.q_d * state.kernel.diagonal + jd * per_point
 
 
@@ -247,8 +242,7 @@ def predict(
         births = banded_kernel(born, mass, smc.alpha, smc.band_eta)
         entries[n:, n:] = births.entries
         bands = bands + births.bands
-    weights = np.concatenate([state.kernel.weights, np.ones(len(born))])
-    return FilterState(np.vstack([particles, born]), DiscretizedKernel(weights, entries, bands))
+    return FilterState(np.vstack([particles, born]), DiscretizedKernel(entries, bands))
 
 
 @dataclass
@@ -302,8 +296,7 @@ class DppPhdFilter:
     def posterior_intensity(self, pred: FilterState, scan: Scan) -> np.ndarray:
         # the resampler only consumes the diagonal; the full posterior
         # kernel is computed after the rebuild
-        mu = posterior_diagonal(pred, scan, self.sensor, self.poisson_equivalent)
-        return mu * pred.kernel.weights
+        return posterior_diagonal(pred, scan, self.sensor, self.poisson_equivalent)
 
     def rebuilt(self, states: np.ndarray, gamma: float) -> FilterState:
         # alpha = 0 in poisson_equivalent mode, so this is diagonal there
@@ -345,37 +338,31 @@ def approx_count_covariance(
     b = np.asarray(sorted(set(int(i) for i in b)), dtype=int)
     if a.size == 0 or b.size == 0:
         return 0.0
-    w = kernel.weights
     jm = interaction_kernel(kernel)
-    jd = np.diag(jm)
+    jd = np.diag(jm).copy()
     m = like.shape[0]
     inter = np.intersect1d(a, b)
 
-    terms = [float(q_d * np.sum(jd[inter] * w[inter]))]
+    terms = [float(q_d * np.sum(jd[inter]))]
     jab = jm[np.ix_(a, b)]
-    wa, wb = w[a], w[b]
-    terms.append(float(-(q_d**2) * np.sum(wa[:, None] * jab**2 * wb[None, :])))
-    sc = corrector_terms(clutter, like, jd * w)[0]
+    terms.append(float(-(q_d**2) * np.sum(jab**2)))
+    sc = corrector_terms(clutter, like, jd)[0]
     la, lb = like[:, a], like[:, b]
     for z in range(m):
         cross = (la[z][:, None] + lb[z][None, :]) * jab**2
-        terms.append(float(-q_d / sc[z] * np.sum(wa[:, None] * cross * wb[None, :])))
-        inter_term = float(np.sum(like[z, inter] * jd[inter] * w[inter]))
-        sa = float(np.sum(la[z] * jd[a] * wa))
-        sb = float(np.sum(lb[z] * jd[b] * wb))
+        terms.append(float(-q_d / sc[z] * np.sum(cross)))
+        inter_term = float(np.sum(like[z, inter] * jd[inter]))
+        sa = float(np.sum(la[z] * jd[a]))
+        sb = float(np.sum(lb[z] * jd[b]))
         terms.append((inter_term - sa * sb / sc[z]) / sc[z])
-    denom = pair_denominators(jm**2, like, sc, w)
+    denom = pair_denominators(jm**2, like, sc)
     pair_ab = np.outer(jd[a], jd[b]) - jab**2
     for z in range(m):
         for z2 in range(m):
             if z == z2:
                 continue
-            num = float(
-                np.sum(wa[:, None] * pair_ab * np.outer(la[z], lb[z2]) * wb[None, :])
-            )
-            prod = float(np.sum(la[z] * jd[a] * wa)) * float(
-                np.sum(lb[z2] * jd[b] * wb)
-            )
+            num = float(np.sum(pair_ab * np.outer(la[z], lb[z2])))
+            prod = float(np.sum(la[z] * jd[a])) * float(np.sum(lb[z2] * jd[b]))
             terms.append(num / denom[z, z2] - prod / (sc[z] * sc[z2]))
     return float(math.fsum(terms))
 
@@ -415,16 +402,14 @@ def prediction_moments(
     target points.
 
     ``transition[t, u]`` is the motion density l_s(target point t | source
-    point u); the survivor terms integrate it against the prior kernel with
-    the source points' weights.
+    point u); the survivor terms sum it against the prior kernel, whose
+    diagonal is the source points' intensity mass.
     """
-    w = kernel.weights
     kd = kernel.diagonal
-    surv = p_s * transition @ (kd * w)
+    surv = p_s * transition @ kd
     mu = np.asarray(birth_intensity, dtype=float) + surv
     pair_prior = np.outer(kd, kd) - kernel.entries**2
-    lw = transition * w[None, :]
-    rho_surv = p_s**2 * lw @ pair_prior @ lw.T
+    rho_surv = p_s**2 * transition @ pair_prior @ transition.T
     rho = (
         rho_surv
         + np.outer(birth_intensity, surv)
@@ -435,10 +420,8 @@ def prediction_moments(
     return mu, rho
 
 
-def reconstruct_kernel_from_moments(
-    mu: np.ndarray, rho: np.ndarray, weights: np.ndarray
-) -> DiscretizedKernel:
+def reconstruct_kernel_from_moments(mu: np.ndarray, rho: np.ndarray) -> DiscretizedKernel:
     """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho), made
     valid by the filter's own map, ``shrink_to_feasible``."""
     entries = posterior_kernel_entries(np.asarray(mu, dtype=float), rho)[0]
-    return shrink_to_feasible(entries, weights)[0]
+    return shrink_to_feasible(entries)[0]

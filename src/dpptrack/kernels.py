@@ -1,22 +1,20 @@
-"""Correlation-kernel algebra on weighted discrete state spaces.
+"""Correlation-kernel algebra on discrete state spaces.
 
-A kernel K(x_i, x_j) is the correlation kernel of a determinantal point
-process: a symmetric matrix over N states with measure weights w_i whose
-operator spectrum lies in [0, 1 - delta].  The states themselves never
-enter the algebra, so a kernel carries only its weights (all 1 for SMC
-particles).  The interaction kernel J = (Id - K)^{-1} K (the L-ensemble of
-K; Macchi 1975) is an intermediate of the filter update and is a plain
-(N, N) array.  All operator algebra goes through the symmetrized matrix
-S = W^{1/2} K W^{1/2}, whose eigenvalues are the operator spectrum; with
-unit weights, S is the kernel matrix itself and the discretized formulas
-reduce to plain matrix sums.
+On a finite ground set a determinantal point process is given by one
+symmetric matrix, its correlation kernel K, with spectrum in [0, 1 - delta]
+(Kulesza & Taskar 2012).  A kernel here is that operator matrix itself.  A
+grid whose points carry reference masses w_i folds them in before it builds
+the kernel, S = W^{1/2} K W^{1/2}; SMC particles have unit mass, so their
+kernel matrix needs no folding.  The states never enter the algebra.  The
+interaction kernel J = (Id - K)^{-1} K (the L-ensemble of K; Macchi 1975)
+is an intermediate of the filter update and is a plain (N, N) array.
 
 Kernels are stored dense, with their support as a list of index bands:
 the matrix is block diagonal, one block per band, and each block is zero
 beyond its band's bandwidth from the diagonal.  Only this module reads the
-bands.  The interaction transform uses them: S is block tridiagonal, and J
-comes from a block Cholesky factorization of I - S (``interaction_kernel``),
-or only its diagonal from the diagonal blocks of (I - S)^{-1}
+bands.  The interaction transform uses them: K is block tridiagonal, and J
+comes from a block Cholesky factorization of I - K (``interaction_kernel``),
+or only its diagonal from the diagonal blocks of (I - K)^{-1}
 (``interaction_diagonal``).
 """
 
@@ -35,16 +33,6 @@ from .errors import SpectrumError
 DELTA = 1e-3
 
 
-def measure_weights(weights) -> np.ndarray:
-    """``weights`` as a float vector of finite, nonnegative masses nu({x_i})."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("weights must be a vector")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
@@ -52,8 +40,10 @@ def measure_weights(weights) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedKernel:
-    """Correlation kernel: a symmetric matrix over N states of measure
-    ``weights``.
+    """Correlation kernel: the symmetric (N, N) operator matrix of a DPP on
+    N states.  Its diagonal is the intensity mass per state, so its trace
+    is the expected count; the masses of a weighted grid are folded in
+    (S = W^{1/2} K W^{1/2}) before the kernel is built.
 
     ``bands`` is the support: (points, bandwidth) pairs, one per diagonal
     block in order, whose points sum to N.  An entry may be nonzero only
@@ -66,16 +56,14 @@ class DiscretizedKernel:
     (``smc.banded_kernel``) or made valid by :func:`shrink_to_feasible`.
     """
 
-    weights: np.ndarray  # (N,)
     entries: np.ndarray  # (N, N)
     bands: Optional[tuple[tuple[int, int], ...]] = None
 
     def __post_init__(self):
-        w = measure_weights(self.weights)
         m = np.asarray(self.entries, dtype=float)
-        n = len(w)
-        if m.shape != (n, n):
-            raise ValueError("kernel must be square with one weight per row")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("kernel entries must be a square matrix")
+        n = len(m)
         if not np.array_equal(m, m.T):
             raise ValueError("kernel entries must be exactly symmetric")
         bands = ((n, n),) if self.bands is None else tuple(self.bands)
@@ -84,12 +72,11 @@ class DiscretizedKernel:
         for lo, hi, reach in _reaches(bands):  # the upper half, by symmetry
             if np.any(m[lo:hi, hi:]) or np.any(np.triu(m[lo:hi, lo:hi], reach + 1)):
                 raise ValueError("kernel has nonzero entries outside its bands")
-        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "bands", bands)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.entries)
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -120,16 +107,9 @@ def band_pairs(bands) -> int:
     return sum(c * (hi - lo) - c * (c + 1) // 2 for lo, hi, c in _reaches(bands))
 
 
-def _sqrt_weights(weights: np.ndarray) -> np.ndarray:
-    if np.any(weights <= 0):
-        raise ValueError("operator algebra requires strictly positive weights")
-    return np.sqrt(weights)
-
-
 def operator_spectrum(kernel: DiscretizedKernel) -> np.ndarray:
-    """Eigenvalues of the symmetrized operator S = W^{1/2} K W^{1/2}."""
-    rw = _sqrt_weights(kernel.weights)
-    return np.linalg.eigvalsh(kernel.entries * rw[:, None] * rw[None, :])
+    """Eigenvalues of the kernel's operator matrix."""
+    return np.linalg.eigvalsh(kernel.entries)
 
 
 # Floor on the block size of the banded interaction transform, and a kernel
@@ -141,11 +121,11 @@ BLOCK_FLOOR = 32
 
 
 def _block_bounds(kernel: DiscretizedKernel) -> list[tuple[int, int]]:
-    """[start, stop) of the diagonal blocks that make S block tridiagonal.
+    """[start, stop) of the diagonal blocks that make K block tridiagonal.
 
     Blocks hold m = max(c, BLOCK_FLOOR) points for the largest reach c of
     ``kernel.bands``, which bounds |i - j| over the nonzero entries.  So no
-    entry of S lies outside the diagonal blocks and their two neighbours;
+    entry of K lies outside the diagonal blocks and their two neighbours;
     the last block also takes the n mod m points left over, so it is ragged
     (m to 2m - 1 points).  A kernel of fewer than 4m points is one block.
     """
@@ -157,15 +137,12 @@ def _block_bounds(kernel: DiscretizedKernel) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _operator_blocks(entries, rw, bounds):
-    """The diagonal blocks of -S and the blocks below them, -S_{k+1,k}, for
-    S = W^{1/2} M W^{1/2} block tridiagonal on ``bounds``."""
-
-    def block(rows, cols):
-        (lo, hi), (clo, chi) = rows, cols
-        return entries[lo:hi, clo:chi] * (-rw[lo:hi, None] * rw[None, clo:chi])
-
-    return [block(b, b) for b in bounds], [block(b, a) for a, b in zip(bounds, bounds[1:])]
+def _operator_blocks(entries, bounds):
+    """The diagonal blocks of -K and the blocks below them, -K_{k+1,k}, for
+    K block tridiagonal on ``bounds``."""
+    diagonal = [-entries[lo:hi, lo:hi] for lo, hi in bounds]
+    below = [-entries[lo:hi, clo:chi] for (clo, chi), (lo, hi) in zip(bounds, bounds[1:])]
+    return diagonal, below
 
 
 def _block_cholesky(diagonal, below, shift, couplings=True):
@@ -216,22 +193,23 @@ def _inverse_diagonal_blocks(factors, couplings):
 
 
 def _interaction_factor(kernel: DiscretizedKernel):
-    """(rw, bounds, (factors, couplings)) of I - S, shared by both
-    interaction transforms: checks that the kernel's spectrum lies at or
-    below 1 - DELTA (else :class:`SpectrumError`).  None for a kernel over
-    no points.
+    """(bounds, (factors, couplings)) of I - K, shared by both interaction
+    transforms: checks that the kernel's spectrum lies at or below
+    1 - DELTA (else :class:`SpectrumError`).  None for a kernel over no
+    points.
 
     The spectrum check is exact, a Cholesky factorization of
-    (1 - DELTA + 1e-12) I - S, and is skipped when Gershgorin's bound
-    already proves it: every eigenvalue of S is at most its largest
-    absolute row sum, which ``smc.banded_kernel`` caps at 1 - DELTA."""
+    (1 - DELTA + 1e-12) I - K, and is skipped when Gershgorin's bound
+    already proves it: every eigenvalue of K is at most its largest
+    absolute row sum, which ``smc.banded_kernel`` caps at 1 - DELTA.  The
+    bound only decides whether the exact check runs, so its rounding moves
+    no output."""
     if len(kernel) == 0:
         return None
-    rw = _sqrt_weights(kernel.weights)
     bounds = _block_bounds(kernel)
-    diagonal, below = _operator_blocks(kernel.entries, rw, bounds)
+    diagonal, below = _operator_blocks(kernel.entries, bounds)
     ceiling = 1.0 - DELTA + 1e-12
-    gershgorin = float((rw * (np.abs(kernel.entries) @ rw)).max())
+    gershgorin = float(np.abs(kernel.entries).sum(axis=1).max())
     if gershgorin > ceiling and _block_cholesky(diagonal, below, ceiling, couplings=False) is None:
         top = float(operator_spectrum(kernel).max())
         raise SpectrumError(
@@ -241,7 +219,7 @@ def _interaction_factor(kernel: DiscretizedKernel):
     factor = _block_cholesky(diagonal, below, 1.0)
     if factor is None:  # unreachable once the domain check has passed
         raise SpectrumError("Id - K has no Cholesky factor")
-    return rw, bounds, factor
+    return bounds, factor
 
 
 def _block_inverse(n, bounds, factors, couplings) -> np.ndarray:
@@ -267,14 +245,13 @@ def interaction_kernel(kernel: DiscretizedKernel) -> np.ndarray:
     """Interaction kernel J = (Id - K)^{-1} K of a correlation kernel, as
     an exactly symmetric (N, N) array over the kernel's states.
 
-    In the symmetrized operator S = W^{1/2} K W^{1/2} this is
-    J_S = (I - S)^{-1} - I.  A banded kernel's S is block tridiagonal
-    (``_block_bounds``), so (I - S)^{-1} comes from one block Cholesky
+    This is J = (I - K)^{-1} - I.  A banded kernel is block tridiagonal
+    (``_block_bounds``), so (I - K)^{-1} comes from one block Cholesky
     factorization and a backward pass over its blocks (Takahashi, Fagan &
     Chen 1973): no eigendecomposition, and no n x n factorization once the
-    kernel spans several blocks.  Raises :class:`SpectrumError` unless the operator spectrum lies
-    at or below 1 - DELTA, with a slack of 1e-12, which holds iff
-    (1 - DELTA + 1e-12) I - S has a Cholesky factor.  I - S then has
+    kernel spans several blocks.  Raises :class:`SpectrumError` unless the
+    spectrum lies at or below 1 - DELTA, with a slack of 1e-12, which holds
+    iff (1 - DELTA + 1e-12) I - K has a Cholesky factor.  I - K then has
     condition number at most about 1/DELTA.  A kernel over no points
     gives a (0, 0) array.
     """
@@ -282,53 +259,50 @@ def interaction_kernel(kernel: DiscretizedKernel) -> np.ndarray:
     factor = _interaction_factor(kernel)
     if factor is None:
         return np.zeros((0, 0))
-    rw, bounds, (factors, couplings) = factor
+    bounds, (factors, couplings) = factor
     j = _block_inverse(n, bounds, factors, couplings)
     j.flat[:: n + 1] -= 1.0
-    for lo, hi in bounds:  # J = J_S / (rw rw^T), a block row at a time
-        j[lo:hi] /= rw[lo:hi, None] * rw[None, :]
     return j
 
 
 def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
     """diag J of :func:`interaction_kernel`, bit for bit, from the diagonal
-    blocks of (I - S)^{-1} alone: O(n m^2) for n points in blocks of m,
+    blocks of (I - K)^{-1} alone: O(n m^2) for n points in blocks of m,
     with the same checks and errors."""
     factor = _interaction_factor(kernel)
     if factor is None:
         return np.zeros(0)
-    rw, bounds, (factors, couplings) = factor
+    bounds, (factors, couplings) = factor
     jd = np.empty(len(kernel))
     for k, g_k, _ in _inverse_diagonal_blocks(factors, couplings):
         lo, hi = bounds[k]
         jd[lo:hi] = np.diagonal(g_k) - 1.0
-    return jd / (rw * rw)
+    return jd
 
 
 def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
     """Count covariance between index sets A and B under the DPP form; each
     set is given as increasing distinct indices, as ``np.nonzero`` returns.
 
-    cov = sum_{A n B} K(x,x) w - sum_{A x B} K(x,y)^2 w w; the double sum
+    cov = sum_{A n B} K(x,x) - sum_{A x B} K(x,y)^2; the double sum
     includes x == y, which is what the count algebra on atomic states
     requires.  For disjoint A, B this is minus a sum of squares, hence <= 0
     exactly.
     """
     a = np.asarray(a, dtype=int)
     b = np.asarray(b, dtype=int)
-    w = kernel.weights
     inter = np.intersect1d(a, b, assume_unique=True)
-    first = float((np.diag(kernel.entries)[inter] * w[inter]).sum()) if inter.size else 0.0
+    first = float(np.diag(kernel.entries)[inter].sum()) if inter.size else 0.0
     if a.size and b.size:
-        block = kernel.entries[np.ix_(a, b)] ** 2
-        second = float((w[a][:, None] * block * w[b][None, :]).sum())
+        second = float((kernel.entries[np.ix_(a, b)] ** 2).sum())
     else:
         second = 0.0
     return first - second
 
 
 def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]:
-    """Janossy masses of every subset of a small kernel's states (N <= 12)."""
+    """Janossy masses of every subset of a small kernel's states (N <= 12):
+    the probability that the process is exactly that subset."""
     n = len(kernel)
     if n > 12:
         raise ValueError("subset enumeration is limited to 12 points")
@@ -337,33 +311,28 @@ def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]
         raise SpectrumError(f"spectrum reaches {lam.max():.6g}; project the kernel first")
     void = float(np.prod(1.0 - lam))
     j = interaction_kernel(kernel)
-    w = kernel.weights
     out: dict[tuple[int, ...], float] = {(): void}
     for bits in range(1, 1 << n):
         idx = [i for i in range(n) if bits >> i & 1]
-        det = float(np.linalg.det(j[np.ix_(idx, idx)]))
-        out[tuple(idx)] = max(void * det * float(np.prod(w[idx])), 0.0)
+        out[tuple(idx)] = max(void * float(np.linalg.det(j[np.ix_(idx, idx)])), 0.0)
     return out
 
 
-def project_kernel(entries: np.ndarray, grid: np.ndarray) -> DiscretizedKernel:
+def project_kernel(entries: np.ndarray) -> DiscretizedKernel:
     """Clip a symmetric matrix into the valid correlation kernels.
 
-    One eigendecomposition of S = W^{1/2} M W^{1/2}, M the symmetrized
-    input and ``grid`` the vector of measure weights: a spectrum already in
-    [0, 1 - DELTA] (with a slack of 1e-12) returns M unchanged, so the map
-    is idempotent; otherwise the eigenvalues are clipped into [0, 1 - DELTA]
-    and M is rebuilt from them.
+    One eigendecomposition of M, the symmetrized input: a spectrum already
+    in [0, 1 - DELTA] (with a slack of 1e-12) returns M unchanged, so the
+    map is idempotent; otherwise the eigenvalues are clipped into
+    [0, 1 - DELTA] and M is rebuilt from them.
     """
-    w = np.asarray(grid, dtype=float)
     m = 0.5 * (np.asarray(entries, dtype=float) + np.asarray(entries, dtype=float).T)
-    rw = _sqrt_weights(w)
     hi = 1.0 - DELTA
-    lam, u = np.linalg.eigh(m * rw[:, None] * rw[None, :])
+    lam, u = np.linalg.eigh(m)
     if lam.min(initial=0.0) >= -1e-12 and lam.max(initial=0.0) <= hi + 1e-12:
-        return DiscretizedKernel(w, m)
-    m = ((u * np.clip(lam, 0.0, hi)) @ u.T) / rw[:, None] / rw[None, :]
-    return DiscretizedKernel(w, 0.5 * (m + m.T))
+        return DiscretizedKernel(m)
+    m = (u * np.clip(lam, 0.0, hi)) @ u.T
+    return DiscretizedKernel(0.5 * (m + m.T))
 
 
 def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
@@ -379,42 +348,34 @@ def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
     return float(w[0])
 
 
-def shrink_to_feasible(
-    entries: np.ndarray,
-    weights: np.ndarray,
-    bands=None,
-) -> tuple[DiscretizedKernel, float, float]:
+def shrink_to_feasible(entries: np.ndarray, bands=None) -> tuple[DiscretizedKernel, float, float]:
     """Make a symmetric matrix M a valid correlation kernel by scaling its
     off-diagonal part and leaving its diagonal alone.
 
     M must be exactly symmetric and zero outside ``bands`` (None: one full
     block); the output's construction raises ValueError on a violation that
-    the scaling keeps.  In the symmetrized operator S = W^{1/2} M W^{1/2},
-    split S into its diagonal D and off-diagonal O.  D is clipped into
-    [0, 1 - DELTA], and O loses the rows and columns of every point whose
-    diagonal was clipped or sits on a bound.  On the other points D + tO is
-    positive semidefinite iff t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and
-    has spectrum at most 1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
-    with E = (1 - DELTA) I - D, and the largest such t in [0, 1] is taken.  t
+    the scaling keeps.  Split M into its diagonal D and off-diagonal O.  D
+    is clipped into [0, 1 - DELTA], and O loses the rows and columns of
+    every point whose diagonal was clipped or sits on a bound.  On the
+    other points D + tO is positive semidefinite iff
+    t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and has spectrum at most
+    1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}), with
+    E = (1 - DELTA) I - D, and the largest such t in [0, 1] is taken.  t
     starts at min(1, -1/lambda_min), one extreme eigenvalue
     (``_extreme_eigenvalue``); a Cholesky factor of I - t E^{-1/2} O E^{-1/2}
     then certifies the ceiling at that t, and only when it does not exist is
-    lambda_max computed and t lowered to 1/lambda_max.  No iteration.  The
-    weights cancel in both matrices, so they are formed from the kernel
-    entries directly.
+    lambda_max computed and t lowered to 1/lambda_max.  No iteration.
 
-    The diagonal is kept bit for bit wherever its operator value lies in
-    [0, 1 - DELTA], so the trace is the input's; a feasible input comes back
-    unchanged.  Returns the kernel, the off-diagonal scale t and the diagonal
-    mass the clip removed, sum_i w_i (M_ii - K_ii).
+    The diagonal is kept bit for bit wherever it lies in [0, 1 - DELTA], so
+    the trace is the input's; a feasible input comes back unchanged.
+    Returns the kernel, the off-diagonal scale t and the diagonal mass the
+    clip removed, sum_i (M_ii - K_ii).
     """
-    w = np.asarray(weights, dtype=float)
     m = np.asarray(entries, dtype=float)
-    _sqrt_weights(w)  # the operator needs strictly positive weights
     mu = np.diag(m)
-    cap = (1.0 - DELTA) / w  # kernel diagonal of operator value 1 - DELTA
+    cap = 1.0 - DELTA
     diagonal = np.clip(mu, 0.0, cap)
-    clipped_mass = float(np.sum((mu - diagonal) * w))
+    clipped_mass = float(np.sum(mu - diagonal))
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     free = (mu > 0.0) & (mu < cap)
@@ -424,7 +385,7 @@ def shrink_to_feasible(
     if np.any(off):
         sub = off[np.ix_(free, free)]
         root_d = np.sqrt(mu[free])
-        root_e = np.sqrt(cap[free] - mu[free])
+        root_e = np.sqrt(cap - mu[free])
         with np.errstate(over="ignore", invalid="ignore"):
             a = sub / root_d[:, None] / root_d[None, :]
             b = sub / root_e[:, None] / root_e[None, :]
@@ -439,7 +400,7 @@ def shrink_to_feasible(
         else:
             t = 0.0  # a diagonal too close to a bound to scale against
     out = t * off + np.diag(diagonal)
-    return DiscretizedKernel(w, out, bands), t, clipped_mass
+    return DiscretizedKernel(out, bands), t, clipped_mass
 
 
 def validate_kernel(kernel: DiscretizedKernel) -> None:

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import SizeError
-from .kernels import DiscretizedKernel, all_subset_masses, measure_weights
+from .kernels import DiscretizedKernel, all_subset_masses
 
 # Exact-sum size bounds.  The joint Janossy sum is factorial in the number
 # of points; these caps keep every call comfortably under a second.
@@ -174,19 +174,28 @@ def _weight_factor(weights: np.ndarray, config: Config) -> float:
     return out
 
 
+def measure_weights(weights) -> np.ndarray:
+    """``weights`` as a float vector of finite, nonnegative masses nu({x_i})."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1:
+        raise ValueError("weights must be a vector")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and nonnegative")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Prior constructors
 # ---------------------------------------------------------------------------
 
 
 def dpp_process(kernel: DiscretizedKernel) -> FiniteProcess:
-    """Exact Janossy table of a DPP on a small grid (subset enumeration)."""
+    """Exact Janossy table of a DPP on a small grid (subset enumeration).
+
+    The kernel is an operator matrix, so its points have unit mass and the
+    Janossy densities are the configuration masses."""
     masses = all_subset_masses(kernel)
-    w = kernel.weights
-    table = {
-        cfg: mass / _weight_factor(w, cfg) for cfg, mass in masses.items() if mass > 0.0
-    }
-    return FiniteProcess(w, table)
+    return FiniteProcess(np.ones(len(kernel)), {c: m for c, m in masses.items() if m > 0.0})
 
 
 def poisson_process(weights, intensity, n_max: int = MAX_SUPPORT) -> FiniteProcess:

@@ -2,9 +2,10 @@
 birth draw of the prediction, multinomial resampling with roughening, kernel
 (re-)initialization, and the SMC-PHD step that strings them together.
 
-Particle kernels carry unit measure weights, matching the pseudocode
-convention in which kernel diagonals are per-particle masses and weighted
-integrals reduce to plain sums.
+Each particle is a state point of unit reference mass, matching the
+pseudocode convention: a particle kernel is its operator matrix, its
+diagonal holds the per-particle intensity masses, and integrals against
+it are plain sums.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def predict_states(
 def banded_kernel(
     points: np.ndarray, gamma: float, alpha: float, eta: float
 ) -> DiscretizedKernel:
-    """Correlation kernel of mass gamma on the points, each of unit weight,
-    feasible by construction.
+    """Correlation kernel of mass gamma on the points, feasible by
+    construction.
 
     K = (gamma/n) [(1 - rho) I + rho F] inside the index band
     |i - j| <= b = floor(eta * n), the kernel's one band (n, b), and zero
@@ -118,7 +119,7 @@ def banded_kernel(
     if alpha > 0.0 and b > 0 and gamma > 0.0:
         rho = min(alpha / (1.0 + alpha), ((1.0 - DELTA) * n / gamma - 1.0) / b)
         profile[1 : b + 1] = scale * rho * (1.0 - np.arange(1, b + 1) / (b + 1))
-    return DiscretizedKernel(np.ones(n), toeplitz(profile), ((n, b),))
+    return DiscretizedKernel(toeplitz(profile), ((n, b),))
 
 
 def init_particles(

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import stats
 
+from dpptrack.checks import operator_form
 from dpptrack.dpp_filter import (
     DppPhdFilter,
     FilterState,
@@ -170,7 +171,7 @@ def test_criterion_3_approximation_order():
     meas = (0, 1)
     errors = []
     for eps in (0.02, 0.01, 0.005):
-        kernel = DiscretizedKernel(weights, eps * base)
+        kernel = DiscretizedKernel(eps * operator_form(base, weights))
         prior = dpp_process(kernel)
         mu_exact = posterior_intensity_exact(prior, obs, meas)
         rho_exact = posterior_pair_exact(prior, obs, meas)
@@ -330,7 +331,7 @@ def test_criterion_7_kernel_invariants():
         particles = states
         eps = float(rng.uniform(0.01, 0.05))
         raw = eps * (np.eye(n) + 0.4 * np.exp(-np.abs(np.subtract.outer(range(n), range(n)))))
-        kernel = project_kernel(0.5 * (raw + raw.T), np.ones(n))
+        kernel = project_kernel(0.5 * (raw + raw.T))
         state = FilterState(particles, kernel)
         pred = predict(state, survival, birth, smc, window, rng)
         validate_kernel(pred.kernel)

@@ -19,6 +19,7 @@ from dpptrack.dpp_filter import (
     reconstruct_kernel_from_moments,
 )
 from dpptrack.errors import DegenerateIntensity, DegenerateVariance
+from dpptrack.checks import operator_form
 from dpptrack.harness import preset, run_single
 from dpptrack.kernels import (
     DELTA,
@@ -65,11 +66,13 @@ def small_state(n=6, seed=0, scale=0.05):
     states = rng.uniform(-50, 50, (n, 5))
     p = particles_of(states)
     raw = scale * np.eye(n) + rng.uniform(-0.01, 0.01, (n, n))
-    kernel = project_kernel(0.5 * (raw + raw.T), np.ones(n))
+    kernel = project_kernel(0.5 * (raw + raw.T))
     return FilterState(p, kernel)
 
 
 def epsilon_kernel(eps, weights=(0.9, 1.1, 1.0, 0.8)):
+    """eps times a fixed kernel on four points of masses ``weights``, in
+    operator form."""
     base = np.array(
         [
             [1.00, 0.30, 0.15, 0.05],
@@ -78,7 +81,7 @@ def epsilon_kernel(eps, weights=(0.9, 1.1, 1.0, 0.8)):
             [0.05, 0.10, 0.30, 0.95],
         ]
     )
-    return DiscretizedKernel(weights, eps * base)
+    return DiscretizedKernel(eps * operator_form(base, weights))
 
 
 def abstract_obs(p_d=0.7):
@@ -88,12 +91,13 @@ def abstract_obs(p_d=0.7):
 
 
 class TestSc:
-    # s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) w_v, which the DPP corrector
-    # forms as corrector_terms with weights J(v,v) w_v
+    # s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v), which the DPP corrector forms
+    # as corrector_terms with weights J(v,v); on a grid of point masses w_v,
+    # the weights are J(v,v) w_v
     def test_no_detection_likelihood_leaves_clutter(self):
         jd = np.array([0.2, 0.3])
         like = np.zeros((2, 2))
-        sc, per_point = corrector_terms(np.array([0.4, 0.7]), like, jd * np.ones(2))
+        sc, per_point = corrector_terms(np.array([0.4, 0.7]), like, jd)
         np.testing.assert_allclose(sc, [0.4, 0.7])
         np.testing.assert_array_equal(per_point, 0.0)
 
@@ -148,8 +152,8 @@ class TestPredict:
         # 2-source prior, 1-d Gaussian transition; region mass from the
         # quadrature of the first-moment formula vs direct MC of the
         # transition with 1e6 samples
-        src = np.array([0.0, 2.0])  # source points, of unit weight
-        kernel = DiscretizedKernel(np.ones(2), np.array([[0.3, 0.1], [0.1, 0.35]]))
+        src = np.array([0.0, 2.0])  # source points, of unit mass
+        kernel = DiscretizedKernel(np.array([[0.3, 0.1], [0.1, 0.35]]))
         p_s, sigma, drift = 0.9, 0.8, 1.0
         lo, hi = 0.5, 2.5
         nq = 800
@@ -174,10 +178,10 @@ class TestPredict:
 
     def test_reconstruction_roundtrip_identity_transition(self):
         raw = np.array([[0.3, 0.08, 0.02], [0.08, 0.25, 0.06], [0.02, 0.06, 0.33]])
-        kernel = DiscretizedKernel(np.ones(3), raw)
+        kernel = DiscretizedKernel(raw)
         ident = np.eye(3)  # transition density: unit point masses
         mu, rho = prediction_moments(kernel, 1.0, ident, np.zeros(3), np.zeros((3, 3)))
-        rebuilt = reconstruct_kernel_from_moments(mu, rho, np.ones(3))
+        rebuilt = reconstruct_kernel_from_moments(mu, rho)
         np.testing.assert_allclose(rebuilt.entries, raw, atol=1e-10)
 
 
@@ -210,7 +214,7 @@ class TestUpdate:
         n = 5
         rng = np.random.default_rng(10)
         kd = rng.uniform(0.05, 0.3, n)
-        kernel = DiscretizedKernel(np.ones(n), np.diag(kd))
+        kernel = DiscretizedKernel(np.diag(kd))
         j = interaction_kernel(kernel)
         like = rng.uniform(0.0, 1.0, (2, n))
         clutter = np.array([0.4, 0.6])
@@ -236,7 +240,7 @@ class TestUpdate:
     def test_zero_pair_denominator_raises_degenerate_intensity(self):
         # one particle explains both detections and there is no clutter, so
         # s_c(z) s_c(z') - D(z, z') = J^2 l l' - J^2 l l' is exactly 0
-        kernel = DiscretizedKernel(np.ones(1), np.array([[0.5]]))
+        kernel = DiscretizedKernel(np.array([[0.5]]))
         like = np.array([[0.3], [0.7]])
         with pytest.raises(DegenerateIntensity):
             posterior_moments(kernel, interaction_kernel(kernel), like, np.zeros(2), 0.1)
@@ -394,10 +398,9 @@ class TestCovariance:
         a = [0, 1]
         b = [0, 1]
         got = approx_count_covariance(kernel, like, clutter, 1.0, a, b)
-        w = kernel.weights
         jd = np.diag(j)
-        expect = float(np.sum(jd[a] * w[a]))
-        expect -= float(np.sum(w[a][:, None] * j[np.ix_(a, b)] ** 2 * w[b][None, :]))
+        expect = float(np.sum(jd[a]))
+        expect -= float(np.sum(j[np.ix_(a, b)] ** 2))
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_disjoint_regions_zero_cross_interaction(self):
@@ -411,7 +414,7 @@ class TestCovariance:
                 [0.0, 0.0, 0.05, 0.2],
             ]
         )
-        kernel = DiscretizedKernel(np.ones(4), block)
+        kernel = DiscretizedKernel(block)
         # likelihoods supported on one block each
         like = np.array([[0.8, 0.6, 0.0, 0.0], [0.0, 0.0, 0.7, 0.9]])
         clutter = np.array([0.3, 0.3])
@@ -449,7 +452,7 @@ class TestCorrelationEstimate:
         states[3:, 0] = states[3:, 2] = 60.0  # region B cluster
         p = particles_of(states)
         m = np.full((6, 6), 0.01) + 0.15 * np.eye(6)
-        kernel = project_kernel(m, np.ones(6))
+        kernel = project_kernel(m)
         return FilterState(p, kernel)
 
     def test_same_region_correlation_is_one(self):
@@ -465,7 +468,7 @@ class TestCorrelationEstimate:
         block = np.zeros((4, 4))
         block[:2, :2] = [[0.2, 0.05], [0.05, 0.2]]
         block[2:, 2:] = [[0.2, 0.05], [0.05, 0.2]]
-        kernel = DiscretizedKernel(np.ones(4), block)
+        kernel = DiscretizedKernel(block)
         st = FilterState(p, kernel)
         a = Region(0.0, 20.0, 0.0, 20.0)
         b = Region(50.0, 70.0, 50.0, 70.0)

@@ -22,7 +22,7 @@ from dpptrack.kernels import (
     shrink_to_feasible,
     validate_kernel,
 )
-from dpptrack.checks import ceiling_bound_kernel, spectral_interaction
+from dpptrack.checks import ceiling_bound_kernel, operator_form, spectral_interaction
 from dpptrack.likelihood import SensorModel
 from dpptrack.scenario import SensorConfig, generate_scan
 from dpptrack.smc import banded_kernel
@@ -49,16 +49,18 @@ def band_mask(n, bands):
 
 
 def random_correlation(n, seed=0, scale=0.3, weights=None):
+    """A random valid kernel; with ``weights``, of a grid of those point
+    masses, in operator form."""
     rng = np.random.default_rng(seed)
-    w = np.ones(n) if weights is None else weights
     a = rng.standard_normal((n, n)) * 0.25
     raw = scale * np.eye(n) + 0.5 * (a + a.T)
-    return project_kernel(raw, w)
+    return project_kernel(raw if weights is None else operator_form(raw, weights))
 
 
 def kernel_with_top_eigenvalue(n, top, weights, seed):
-    """Correlation kernel whose operator spectrum has its maximum at ``top``,
-    in a random eigenbasis."""
+    """Correlation kernel whose spectrum has its maximum at ``top``, in a
+    random eigenbasis: the operator form of a kernel on a grid of point
+    masses ``weights``."""
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     lam = rng.uniform(0.0, 0.9, n)
@@ -66,7 +68,7 @@ def kernel_with_top_eigenvalue(n, top, weights, seed):
     s = (u * lam) @ u.T
     rw = np.sqrt(weights)
     m = s / rw[:, None] / rw[None, :]
-    return DiscretizedKernel(weights, 0.5 * (m + m.T))
+    return DiscretizedKernel(operator_form(0.5 * (m + m.T), weights))
 
 
 @st.composite
@@ -86,18 +88,18 @@ def ceiling_bound_kernels(draw):
 
 class TestInteractionKernel:
     def test_zero_kernel_maps_to_zero(self):
-        k = DiscretizedKernel(np.ones(3), np.zeros((3, 3)))
+        k = DiscretizedKernel(np.zeros((3, 3)))
         np.testing.assert_allclose(interaction_kernel(k), 0.0, atol=1e-15)
 
     def test_diagonal_kernel_closed_form(self):
         d = np.array([0.1, 0.25, 0.4, 0.6])
-        k = DiscretizedKernel(np.ones(4), np.diag(d))
+        k = DiscretizedKernel(np.diag(d))
         j = interaction_kernel(k)
         np.testing.assert_allclose(np.diag(j), d / (1 - d), atol=1e-12)
 
     def test_two_by_two_matches_direct_inverse(self):
         m = np.array([[0.3, 0.1], [0.1, 0.3]])
-        k = DiscretizedKernel(np.ones(2), m)
+        k = DiscretizedKernel(m)
         j = interaction_kernel(k)
         direct = np.linalg.solve(np.eye(2) - m, m)
         np.testing.assert_allclose(j, direct, atol=1e-12)
@@ -105,35 +107,30 @@ class TestInteractionKernel:
     def test_commutes_with_kernel(self):
         k = random_correlation(5, seed=2, weights=[0.5, 1.5, 1.0, 0.7, 1.3])
         j = interaction_kernel(k)
-        w = np.diag(k.weights)
-        left = k.entries @ w @ j
-        right = j @ w @ k.entries
+        left = k.entries @ j
+        right = j @ k.entries
         np.testing.assert_allclose(left, right, atol=1e-10)
 
     def test_interaction_is_psd(self):
         k = random_correlation(6, seed=3)
-        lam = np.linalg.eigvalsh(interaction_kernel(k))  # unit weights: S is J itself
+        lam = np.linalg.eigvalsh(interaction_kernel(k))
         assert lam.min() > -1e-10
 
     def test_spectrum_error_raised(self):
-        k = DiscretizedKernel(np.ones(2), np.diag([0.9995, 0.5]))
+        k = DiscretizedKernel(np.diag([0.9995, 0.5]))
         with pytest.raises(SpectrumError):
             interaction_kernel(k)
 
     def test_empty_kernel_calls_no_lapack(self, capfd):
-        j = interaction_kernel(DiscretizedKernel(np.zeros(0), np.zeros((0, 0))))
+        j = interaction_kernel(DiscretizedKernel(np.zeros((0, 0))))
         assert j.shape == (0, 0)
         out, err = capfd.readouterr()
         assert out == "" and err == ""
 
     @pytest.mark.parametrize("d", [0.0, 0.3, 0.9, 1.0 - DELTA])
     def test_single_point(self, d):
-        j = interaction_kernel(DiscretizedKernel(np.ones(1), np.array([[d]])))
+        j = interaction_kernel(DiscretizedKernel(np.array([[d]])))
         assert j[0, 0] == pytest.approx(d / (1.0 - d), rel=1e-12, abs=1e-15)
-        # operator value K w: J = K / (1 - K w)
-        k = DiscretizedKernel(np.array([2.5]), np.array([[d / 2.5]]))
-        j = interaction_kernel(k)
-        assert j[0, 0] == pytest.approx(d / 2.5 / (1.0 - d), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("excess, valid", [(0.0, True), (1e-13, True), (1e-11, False)])
@@ -144,10 +141,7 @@ class TestInteractionKernel:
         top = 1.0 - DELTA + excess
         k = kernel_with_top_eigenvalue(n, top, weights, seed=29)
         assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
-        diag = DiscretizedKernel(
-            weights[:2],
-            np.diag([top, 0.5] / weights[:2]),
-        )
+        diag = DiscretizedKernel(operator_form(np.diag([top, 0.5] / weights[:2]), weights[:2]))
         for kernel in (k, diag):
             if valid:
                 assert np.all(np.isfinite(interaction_kernel(kernel)))
@@ -165,24 +159,24 @@ class TestInteractionKernel:
         np.testing.assert_array_equal(j, j.T)
 
     def test_weighted_operator_convention(self):
-        # with weights, the operator is K W; J solves (I - KW)^{-1} K
+        # on a grid of point masses w the operator is K W and its J solves
+        # (I - KW)^{-1} K; the operator form S = W^1/2 K W^1/2 carries
+        # W^1/2 J W^1/2
         w = np.array([0.5, 2.0])
         m = np.array([[0.3, 0.05], [0.05, 0.2]])
-        k = DiscretizedKernel(w, m)
-        j = interaction_kernel(k)
+        j = interaction_kernel(DiscretizedKernel(operator_form(m, w)))
         direct = np.linalg.solve(np.eye(2) - m @ np.diag(w), m)
-        np.testing.assert_allclose(j, direct, atol=1e-12)
+        np.testing.assert_allclose(j, operator_form(direct, w), atol=1e-12)
 
 
 def gershgorin_bound(kernel):
-    """The largest absolute row sum of S = W^1/2 K W^1/2."""
-    rw = np.sqrt(kernel.weights)
-    return float((rw * (np.abs(kernel.entries) @ rw)).max())
+    """The largest absolute row sum of K."""
+    return float(np.abs(kernel.entries).sum(axis=1).max())
 
 
 def check_factorizations(monkeypatch):
-    """Shifts of the block Cholesky calls that are not I - S itself, that
-    is, the domain check's (1 - DELTA + 1e-12) I - S, as they are made."""
+    """Shifts of the block Cholesky calls that are not I - K itself, that
+    is, the domain check's (1 - DELTA + 1e-12) I - K, as they are made."""
     shifts = []
     block_cholesky = kernels._block_cholesky
 
@@ -226,7 +220,7 @@ def splice(a, b):
     entries = np.zeros((total, total))
     entries[:n, :n] = a.entries
     entries[n:, n:] = b.entries
-    return DiscretizedKernel(np.concatenate([a.weights, b.weights]), entries, a.bands + b.bands)
+    return DiscretizedKernel(entries, a.bands + b.bands)
 
 
 # Block layouts of the banded transform: (points, band, births, birth band,
@@ -244,7 +238,7 @@ LAYOUTS = {
 
 
 def layout_kernel(name, seed):
-    """A weighted kernel of the named layout at its 1 - delta ceiling."""
+    """A kernel of the named layout at its 1 - delta ceiling."""
     n, band, births, birth_band, _ = LAYOUTS[name]
     rng = np.random.default_rng(seed)
     kernel, _ = ceiling_bound_kernel(rng, n, None if band is None else ((n, band),))
@@ -298,18 +292,16 @@ class TestBandedTransform:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("excess, valid", [(0.0, True), (1e-13, True), (1e-11, False)])
     def test_domain_check_boundary_on_blocks(self, weighted, excess, valid):
-        # a banded kernel scaled so that its operator spectrum tops out at
+        # a banded kernel scaled so that its spectrum tops out at
         # 1 - delta + excess: SpectrumError iff excess > 1e-12
         n = 6 * BLOCK_FLOOR + 5
         rng = np.random.default_rng(31)
         weights = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
         bands = ((n, 7),)
         raw = band_part(rng.uniform(0.0, 1.0, (n, n)), bands)
-        base = DiscretizedKernel(weights, 0.5 * (raw + raw.T), bands)
+        base = DiscretizedKernel(operator_form(0.5 * (raw + raw.T), weights), bands)
         top = 1.0 - DELTA + excess
-        k = DiscretizedKernel(
-            weights, base.entries * (top / operator_spectrum(base).max()), bands
-        )
+        k = DiscretizedKernel(base.entries * (top / operator_spectrum(base).max()), bands)
         assert len(_block_bounds(k)) == 6
         assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
         if valid:
@@ -321,9 +313,9 @@ class TestBandedTransform:
                     transform(k)
 
     def test_empty_and_non_correlation_inputs(self):
-        empty = DiscretizedKernel(np.zeros(0), np.zeros((0, 0)))
+        empty = DiscretizedKernel(np.zeros((0, 0)))
         assert interaction_diagonal(empty).shape == (0,)
-        above = DiscretizedKernel(np.ones(2), np.diag([0.9995, 0.5]))  # spectrum above 1 - delta
+        above = DiscretizedKernel(np.diag([0.9995, 0.5]))  # spectrum above 1 - delta
         with pytest.raises(SpectrumError):
             interaction_diagonal(above)
 
@@ -370,18 +362,19 @@ class TestBandedTransform:
 
 class TestCrossCovariance:
     def test_disjoint_zero_offdiagonal(self):
-        k = DiscretizedKernel(np.ones(4), np.diag([0.2, 0.3, 0.1, 0.4]))
+        k = DiscretizedKernel(np.diag([0.2, 0.3, 0.1, 0.4]))
         assert cross_covariance(k, [0, 1], [2, 3]) == 0.0
 
     def test_full_grid_diagonal_formula(self):
+        # a diagonal kernel d on point masses w, in operator form
         w = np.array([0.5, 1.5, 1.0])
         d = np.array([0.2, 0.3, 0.4])
-        k = DiscretizedKernel(w, np.diag(d))
+        k = DiscretizedKernel(operator_form(np.diag(d), w))
         expect = float(np.sum(d * w) - np.sum(d**2 * w**2))
         assert cross_covariance(k, range(3), range(3)) == pytest.approx(expect, abs=1e-14)
 
     def test_two_point_hand_value(self):
-        k = DiscretizedKernel(np.ones(2), np.array([[0.4, 0.2], [0.2, 0.4]]))
+        k = DiscretizedKernel(np.array([[0.4, 0.2], [0.2, 0.4]]))
         assert cross_covariance(k, [0], [1]) == pytest.approx(-0.04, abs=1e-15)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -397,11 +390,11 @@ class TestCrossCovariance:
 
 class TestJanossy:
     def test_empty_process(self):
-        k = DiscretizedKernel(np.ones(3), np.zeros((3, 3)))
+        k = DiscretizedKernel(np.zeros((3, 3)))
         assert all_subset_masses(k)[()] == pytest.approx(1.0)
 
     def test_diagonal_masses_sum_to_one(self):
-        k = DiscretizedKernel(np.ones(3), np.diag([0.2, 0.5, 0.7]))
+        k = DiscretizedKernel(np.diag([0.2, 0.5, 0.7]))
         total = sum(all_subset_masses(k).values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -414,6 +407,31 @@ class TestJanossy:
         k = random_correlation(4, seed=7, weights=[0.5, 2.0, 1.2, 0.8])
         total = sum(all_subset_masses(k).values())
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_masses_of_a_weighted_grid_in_operator_form(self):
+        # a kernel K on a grid of point masses w is the DPP whose subset
+        # masses are void det(J[idx]) prod w[idx], J = (I - KW)^-1 K and
+        # void = det(I - KW); its operator form S = W^1/2 K W^1/2 gives the
+        # same masses, and its interaction kernel is W^1/2 J W^1/2
+        rng = np.random.default_rng(43)
+        n = 5
+        w = rng.uniform(0.5, 2.0, n)
+        rw = np.sqrt(w)
+        s = random_correlation(n, seed=47, scale=0.4).entries
+        k = s / np.outer(rw, rw)
+        kernel = DiscretizedKernel(operator_form(k, w))
+        lam = np.linalg.eigvalsh(operator_form(k, w))
+        void = float(np.prod(1.0 - lam))
+        j = spectral_interaction(kernel) / np.outer(rw, rw)
+        masses = all_subset_masses(kernel)
+        for idx, mass in masses.items():
+            sub = list(idx)
+            expect = void * np.linalg.det(j[np.ix_(sub, sub)]) * np.prod(w[sub])
+            assert mass == pytest.approx(expect, rel=1e-9, abs=1e-15)
+        direct = np.linalg.solve(np.eye(n) - k @ np.diag(w), k)
+        np.testing.assert_allclose(
+            interaction_kernel(kernel), operator_form(direct, w), rtol=0.0, atol=1e-12
+        )
 
     @given(st.integers(min_value=0, max_value=5000))
     @settings(max_examples=10, deadline=None)
@@ -428,17 +446,17 @@ class TestJanossy:
 class TestProjectKernel:
     def test_feasible_matrix_unchanged(self):
         k = random_correlation(4, seed=13)
-        again = project_kernel(k.entries, k.weights)
+        again = project_kernel(k.entries)
         np.testing.assert_array_equal(again.entries, k.entries)
 
     def test_scalar_clip(self):
-        out = project_kernel(np.array([[1.5]]), np.ones(1))
+        out = project_kernel(np.array([[1.5]]))
         assert out.entries[0, 0] == pytest.approx(1.0 - DELTA)
 
     def test_random_symmetric_spectrum_in_range(self):
         rng = np.random.default_rng(17)
         m = rng.standard_normal((4, 4))
-        out = project_kernel(0.5 * (m + m.T), np.ones(4))
+        out = project_kernel(0.5 * (m + m.T))
         lam = operator_spectrum(out)
         assert lam.min() >= -1e-10
         assert lam.max() <= 1 - 1e-3 + 1e-10
@@ -448,8 +466,8 @@ class TestProjectKernel:
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((5, 5)) * 2.0
-        once = project_kernel(0.5 * (m + m.T), np.ones(5))
-        twice = project_kernel(once.entries, np.ones(5))
+        once = project_kernel(0.5 * (m + m.T))
+        twice = project_kernel(once.entries)
         np.testing.assert_allclose(twice.entries, once.entries, atol=1e-12)
 
 
@@ -473,8 +491,8 @@ def band_lists(draw, n=None):
 @st.composite
 def shrink_inputs(draw):
     """A symmetric matrix (diagonal in [-0.2, 1.5], off-diagonal scale up to
-    2) zeroed outside its bands, unit or random weights, and no bands, an
-    index band or a random band list."""
+    2) on unit or random point masses, in operator form and zeroed outside
+    its bands, and no bands, an index band or a random band list."""
     n = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -489,7 +507,7 @@ def shrink_inputs(draw):
         bands = draw(band_lists(n))
     else:
         bands = None
-    return np.where(band_mask(n, bands), m, 0.0), weights, bands
+    return np.where(band_mask(n, bands), operator_form(m, weights), 0.0), bands
 
 
 def eigvalsh_extreme(a, top):
@@ -502,41 +520,41 @@ class TestShrinkToFeasible:
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_valid_banded_and_diagonal_kept(self, case):
-        m, weights, bands = case
-        out, t, clipped = shrink_to_feasible(m, weights, bands)
+        m, bands = case
+        out, t, clipped = shrink_to_feasible(m, bands)
         validate_kernel(out)
         assert 0.0 <= t <= 1.0
         assert out.bands == (((len(m), len(m)),) if bands is None else bands)
         assert np.all(out.entries[~band_mask(len(m), bands)] == 0.0)
         mu = np.diag(m)
-        cap = (1.0 - DELTA) / weights
+        cap = 1.0 - DELTA
         inside = (mu >= 0.0) & (mu <= cap)
         np.testing.assert_array_equal(out.diagonal[inside], mu[inside])
         # points clipped to (or sitting on) a bound keep no off-diagonal entry
         off = out.entries.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off[~((mu > 0.0) & (mu < cap))] == 0.0)
-        assert clipped == pytest.approx(float(np.sum((mu - out.diagonal) * weights)))
+        assert clipped == pytest.approx(float(np.sum(mu - out.diagonal)))
 
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_feasible_input_is_a_fixed_point(self, case):
-        m, weights, bands = case
-        once = shrink_to_feasible(m, weights, bands)[0]
+        m, bands = case
+        once = shrink_to_feasible(m, bands)[0]
         # shrink the valid output's spectrum into [0.1, 0.6]: strictly feasible
-        inner = 0.5 * once.entries + np.diag(0.1 / weights)
-        out, t, clipped = shrink_to_feasible(inner, weights, bands)
+        inner = 0.5 * once.entries + 0.1 * np.eye(len(m))
+        out, t, clipped = shrink_to_feasible(inner, bands)
         assert t == 1.0 and clipped == 0.0
         np.testing.assert_array_equal(out.entries, inner)
 
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_scale_matches_eigvalsh_reference(self, case):
-        m, weights, bands = case
-        _, t, _ = shrink_to_feasible(m, weights, bands)
+        m, bands = case
+        _, t, _ = shrink_to_feasible(m, bands)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-            _, expect, _ = shrink_to_feasible(m, weights, bands)
+            _, expect, _ = shrink_to_feasible(m, bands)
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, band", [(60, None), (150, 9), (320, 32)])
@@ -547,10 +565,10 @@ class TestShrinkToFeasible:
         raw = rng.uniform(1.0, 2.0, (n, n))
         np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
         bands = None if band is None else ((n, band),)
-        raw = np.where(band_mask(n, bands), 0.5 * (raw + raw.T), 0.0)
-        _, t, _ = shrink_to_feasible(raw, weights, bands)
+        raw = np.where(band_mask(n, bands), operator_form(0.5 * (raw + raw.T), weights), 0.0)
+        _, t, _ = shrink_to_feasible(raw, bands)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-        _, expect, _ = shrink_to_feasible(raw, weights, bands)
+        _, expect, _ = shrink_to_feasible(raw, bands)
         assert t < 1.0
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
@@ -569,35 +587,35 @@ class TestShrinkToFeasible:
         rng = np.random.default_rng(41)
         n = 30
         kernel = banded_kernel(np.zeros((n, 5)), 3.0, 4.0, 0.2)
-        out, t, _ = shrink_to_feasible(kernel.entries, kernel.weights, kernel.bands)
+        out, t, _ = shrink_to_feasible(kernel.entries, kernel.bands)
         assert calls == [False] and t == 1.0
         np.testing.assert_array_equal(out.entries, kernel.entries)
         calls.clear()
         mu = rng.uniform(0.9, 0.99, n) * (1.0 - DELTA)
         rho = np.outer(mu, mu) * rng.uniform(0.5, 0.9, (n, n))
         entries, _ = posterior_kernel_entries(mu, 0.5 * (rho + rho.T))
-        out, t, clipped = shrink_to_feasible(entries, np.ones(n))
+        out, t, clipped = shrink_to_feasible(entries)
         assert calls == [False, True]
         assert t < 1.0 and clipped == 0.0
         validate_kernel(out)
         assert operator_spectrum(out).max() == pytest.approx(1.0 - DELTA, abs=1e-12)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-        assert t == pytest.approx(shrink_to_feasible(entries, np.ones(n))[1], rel=1e-12, abs=0.0)
+        assert t == pytest.approx(shrink_to_feasible(entries)[1], rel=1e-12, abs=0.0)
 
     def test_two_point_scale_closed_form(self):
         # diagonal (a, a), off-diagonal c: D + tO is PSD up to t = a/c and
         # below 1 - delta up to t = (1 - delta - a)/c
-        out, t, clipped = shrink_to_feasible(np.array([[0.5, 0.8], [0.8, 0.5]]), np.ones(2))
+        out, t, clipped = shrink_to_feasible(np.array([[0.5, 0.8], [0.8, 0.5]]))
         assert t == pytest.approx((1.0 - DELTA - 0.5) / 0.8, rel=1e-12)
         assert out.entries[0, 1] == pytest.approx(1.0 - DELTA - 0.5, rel=1e-12)
         np.testing.assert_array_equal(out.diagonal, [0.5, 0.5])
         assert clipped == 0.0
-        out, t, _ = shrink_to_feasible(np.array([[0.2, 0.8], [0.8, 0.45]]), np.ones(2))
+        out, t, _ = shrink_to_feasible(np.array([[0.2, 0.8], [0.8, 0.45]]))
         assert t == pytest.approx(0.3 / 0.8, rel=1e-12)  # sqrt(0.2 * 0.45) / 0.8
 
     def test_diagonal_above_ceiling_clipped(self):
         m = np.array([[1.06, 0.1, 0.05], [0.1, 0.3, 0.02], [0.05, 0.02, 0.2]])
-        out, t, clipped = shrink_to_feasible(m, np.ones(3))
+        out, t, clipped = shrink_to_feasible(m)
         np.testing.assert_array_equal(out.diagonal, [1.0 - DELTA, 0.3, 0.2])
         assert out.entries[0, 1] == out.entries[0, 2] == 0.0
         assert t == 1.0 and out.entries[1, 2] == 0.02
@@ -608,17 +626,17 @@ class TestShrinkToFeasible:
         # construction sees either violation; none is repaired
         m = np.array([[0.3, 0.1, 0.0], [0.1, 0.3, 0.1], [0.0, 0.1, 0.3]])
         bands = ((3, 1),)
-        out, t, _ = shrink_to_feasible(m, np.ones(3), bands)
+        out, t, _ = shrink_to_feasible(m, bands)
         assert t == 1.0
         np.testing.assert_array_equal(out.entries, m)
         asymmetric = m.copy()
         asymmetric[0, 1] = 0.11
         with pytest.raises(ValueError, match="exactly symmetric"):
-            shrink_to_feasible(asymmetric, np.ones(3), bands)
+            shrink_to_feasible(asymmetric, bands)
         wide = m.copy()
         wide[0, 2] = wide[2, 0] = 0.05
         with pytest.raises(ValueError, match="outside its bands"):
-            shrink_to_feasible(wide, np.ones(3), bands)
+            shrink_to_feasible(wide, bands)
 
     def test_no_eigendecomposition_for_diagonal_input(self, monkeypatch):
         def forbidden(*_args, **_kwargs):
@@ -626,25 +644,24 @@ class TestShrinkToFeasible:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", forbidden)
-        out, t, _ = shrink_to_feasible(np.diag([0.2, 0.4, 0.0]), np.ones(3))
+        out, t, _ = shrink_to_feasible(np.diag([0.2, 0.4, 0.0]))
         np.testing.assert_array_equal(out.diagonal, [0.2, 0.4, 0.0])
         assert t == 1.0
 
 
 class TestBands:
     def test_kernel_constructor_rejects_band_violation(self):
-        w = np.ones(4)
         m = np.full((4, 4), 0.1)
         with pytest.raises(ValueError, match="outside its bands"):
-            DiscretizedKernel(w, m, bands=index_bands(4, 0.25))
+            DiscretizedKernel(m, bands=index_bands(4, 0.25))
         with pytest.raises(ValueError, match="outside its bands"):
-            DiscretizedKernel(w, m, bands=((2, 1), (2, 1)))
+            DiscretizedKernel(m, bands=((2, 1), (2, 1)))
         with pytest.raises(ValueError, match="tile"):
-            DiscretizedKernel(w, m, bands=((3, 3),))
+            DiscretizedKernel(m, bands=((3, 3),))
         with pytest.raises(ValueError, match="tile"):
-            DiscretizedKernel(w, m, bands=((4, -1),))
-        assert DiscretizedKernel(w, m, bands=((4, 3),)).bands == ((4, 3),)
-        assert DiscretizedKernel(w, m).bands == ((4, 4),)
+            DiscretizedKernel(m, bands=((4, -1),))
+        assert DiscretizedKernel(m, bands=((4, 3),)).bands == ((4, 3),)
+        assert DiscretizedKernel(m).bands == ((4, 4),)
 
     @given(st.none() | band_lists(), st.integers(min_value=1, max_value=600), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -652,32 +669,29 @@ class TestBands:
         # every band reading against the explicit mask of the same bands
         n = n if bands is None else sum(p for p, _ in bands)
         mask = band_mask(n, bands)
-        kernel = DiscretizedKernel(np.ones(n), np.zeros((n, n)), bands)
+        kernel = DiscretizedKernel(np.zeros((n, n)), bands)
         assert _block_bounds(kernel) == argmax_block_bounds(n, None if bands is None else mask)
         assert band_pairs(kernel.bands) == np.count_nonzero(np.triu(mask, 1))
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((n, n))
         np.testing.assert_array_equal(band_part(m, kernel.bands), np.where(mask, m, 0.0))
         inside = np.where(mask, m + m.T, 0.0)
-        DiscretizedKernel(np.ones(n), inside, bands)
+        DiscretizedKernel(inside, bands)
         outside = np.argwhere(np.triu(~mask))
         if len(outside):  # the first entry outside a band, next to one
             i, j = outside[np.argmin(outside[:, 1] - outside[:, 0])]
             inside[i, j] = inside[j, i] = 1.0
             with pytest.raises(ValueError, match="outside its bands"):
-                DiscretizedKernel(np.ones(n), inside, bands)
+                DiscretizedKernel(inside, bands)
         with pytest.raises(ValueError, match="tile"):
-            DiscretizedKernel(np.ones(n), np.zeros((n, n)), kernel.bands + ((1, 0),))
+            DiscretizedKernel(np.zeros((n, n)), kernel.bands + ((1, 0),))
         with pytest.raises(ValueError, match="tile"):
-            DiscretizedKernel(np.ones(n + 1), np.zeros((n + 1, n + 1)), kernel.bands)
+            DiscretizedKernel(np.zeros((n + 1, n + 1)), kernel.bands)
 
-    @pytest.mark.parametrize(
-        "weights", [[1.0, -0.5], [1.0, np.nan], [1.0, np.inf], [1.0, 1.0, 1.0], np.ones((2, 1))]
-    )
-    def test_kernel_constructor_rejects_bad_weights(self, weights):
-        # one finite, nonnegative weight per row
-        with pytest.raises(ValueError, match="weight"):
-            DiscretizedKernel(weights, np.full((2, 2), 0.1))
+    @pytest.mark.parametrize("entries", [np.full((2, 3), 0.1), np.full(2, 0.1), np.float64(0.1)])
+    def test_kernel_constructor_rejects_non_square_entries(self, entries):
+        with pytest.raises(ValueError, match="square"):
+            DiscretizedKernel(entries)
 
 
 def test_twelve_point_masses_sum_to_one():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpptrack.checks import operator_form
 from dpptrack.errors import SizeError
 from dpptrack.kernels import project_kernel
 from dpptrack.oracle import (
@@ -75,7 +76,7 @@ class TestFiniteProcess:
         rng = np.random.default_rng(4)
         w = rng.uniform(0.5, 1.5, 4)
         raw = 0.35 * np.eye(4) + rng.uniform(-0.08, 0.08, (4, 4))
-        kernel = project_kernel(0.5 * (raw + raw.T), w)
+        kernel = project_kernel(operator_form(0.5 * (raw + raw.T), w))
         fp = dpp_process(kernel)
         assert fp.total_mass() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(fp.intensity(), kernel.diagonal, atol=1e-10)
@@ -195,7 +196,7 @@ class TestCorrectors:
         rng = np.random.default_rng(11)
         w = rng.uniform(0.6, 1.4, 3)
         raw = 0.3 * np.eye(3) + rng.uniform(-0.05, 0.05, (3, 3))
-        kernel = project_kernel(0.5 * (raw + raw.T), w)
+        kernel = project_kernel(operator_form(0.5 * (raw + raw.T), w))
         prior = dpp_process(kernel)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
@@ -300,7 +301,7 @@ class TestPosteriorCovariance:
         rng = np.random.default_rng(19)
         w = rng.uniform(0.6, 1.4, 3)
         raw = 0.3 * np.eye(3) + rng.uniform(-0.06, 0.06, (3, 3))
-        kernel = project_kernel(0.5 * (raw + raw.T), w)
+        kernel = project_kernel(operator_form(0.5 * (raw + raw.T), w))
         prior = dpp_process(kernel)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
