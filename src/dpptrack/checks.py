@@ -25,6 +25,8 @@ from .oracle import (
 
 
 def _random_case(rng: np.random.Generator):
+    """A random simple prior on 2-4 points, its density table drawn on a
+    grid of random point masses and folded into configuration masses."""
     g = int(rng.integers(2, 5))
     z = int(rng.integers(1, 4))
     weights = rng.uniform(0.5, 1.5, g)
@@ -38,17 +40,17 @@ def _random_case(rng: np.random.Generator):
     for bits in range(1 << g):
         cfg = tuple(i for i in range(g) if bits >> i & 1)
         if len(cfg) <= support:
-            table[cfg] = float(rng.uniform(0.05, 1.0))
-    prior = FiniteProcess(weights, table).normalized()
+            table[cfg] = float(rng.uniform(0.05, 1.0)) * float(np.prod(weights[list(cfg)]))
+    prior = FiniteProcess(g, table).normalized()
     meas = tuple(int(v) for v in rng.choice(z, size=min(z, 2), replace=False))
     return prior, obs, meas
 
 
 def check_poisson_reduction(tol: float = 1e-10) -> tuple[bool, str]:
-    # unit-intensity Poisson prior w.r.t. a small reference measure, so the
-    # truncated table is exact to far below the tolerance
-    w = np.array([0.12, 0.10, 0.08])
-    prior = poisson_process(w, 1.0, n_max=12)
+    # small intensity masses, so the truncated table is exact to far below
+    # the tolerance
+    lam = np.array([0.12, 0.10, 0.08])
+    prior = poisson_process(lam, n_max=12)
     obs = ObservationModel(
         p_d=np.full(3, 0.7),
         l_d=np.array([[0.9, 0.3, 0.1], [0.2, 0.5, 0.8]]),
@@ -56,30 +58,29 @@ def check_poisson_reduction(tol: float = 1e-10) -> tuple[bool, str]:
     )
     meas = (0, 1)
     jz = measurement_janossy(prior, obs, meas)
-    s = obs.l_c + obs.l_tilde @ w
-    closed = float(np.exp(-0.7 * w.sum()) * np.prod(s))
+    s = obs.l_c + obs.l_tilde @ lam
+    closed = float(np.exp(-0.7 * lam.sum()) * np.prod(s))
     errs = [abs(jz - closed) / closed]
-    # corrector ratios are identically one in the Poisson case
+    # the corrector ratios are lambda_x and lambda_x lambda_y in the Poisson case
     for x in range(3):
-        errs.append(abs(corrector_upsilon1(prior, obs, meas, x) / jz - 1.0))
+        errs.append(abs(corrector_upsilon1(prior, obs, meas, x) / (jz * lam[x]) - 1.0))
         for y in range(3):
-            errs.append(abs(corrector_upsilon2(prior, obs, meas, x, y) / jz - 1.0))
+            u2 = corrector_upsilon2(prior, obs, meas, x, y)
+            errs.append(abs(u2 / (jz * lam[x] * lam[y]) - 1.0))
+    # classical posterior intensity lambda (q_d + sum_z l~(z) / s(z)), per lambda
     mu = posterior_intensity_exact(prior, obs, meas)
     classical = obs.q_d + (obs.l_tilde / s[:, None]).sum(axis=0)
-    errs.append(float(np.max(np.abs(mu - classical))))
-    # classical posterior covariance over overlapping domains
-    a, b = (0, 1), (1, 2)
-    lt = obs.l_tilde
-    cov_closed = 0.3 * w[1]
-    for pos, z in enumerate(meas):
-        cov_closed += lt[z, 1] * w[1] / s[z]
-        cov_closed -= (
-            (lt[z, 0] * w[0] + lt[z, 1] * w[1])
-            * (lt[z, 1] * w[1] + lt[z, 2] * w[2])
-            / s[z] ** 2
-        )
-    cov = posterior_covariance_exact(prior, obs, meas, a, b)
-    errs.append(abs(cov - cov_closed))
+    errs.append(float(np.max(np.abs(mu / lam - classical))))
+    # classical posterior covariance over overlapping and disjoint domain pairs
+    lt = obs.l_tilde * lam
+    for a, b in [((0, 1), (1, 2)), ((0,), (2,)), ((0, 1, 2), (0, 1, 2))]:
+        a, b = list(a), list(b)
+        inter = sorted(set(a) & set(b))
+        closed = float(np.sum(obs.q_d[inter] * lam[inter]))
+        for z in meas:
+            ia, ib, ii = lt[z, a].sum(), lt[z, b].sum(), lt[z, inter].sum()
+            closed += ii / s[z] - ia * ib / s[z] ** 2
+        errs.append(abs(posterior_covariance_exact(prior, obs, meas, a, b) - closed))
     worst = max(errs)
     return worst < tol, f"poisson reduction: worst deviation {worst:.2e} (tol {tol:g})"
 
@@ -92,7 +93,7 @@ def check_oracle_equivalence(cases: int = 5, tol: float = 1e-9) -> tuple[bool, s
         post = enumerate_posterior(prior, obs, meas)
         mu = posterior_intensity_exact(prior, obs, meas)
         worst = max(worst, float(np.max(np.abs(mu - post.intensity()))))
-        everything = range(len(prior.weights))
+        everything = range(prior.points)
         cov = posterior_covariance_exact(prior, obs, meas, everything, everything)
         worst = max(worst, abs(cov - post.count_covariance(everything, everything)))
     return worst < tol, f"oracle equivalence: worst deviation {worst:.2e} over {cases} cases"

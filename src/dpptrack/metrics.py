@@ -96,15 +96,14 @@ def _nearest(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def good_estimate_stats(
     scan,
     estimates: np.ndarray,
-    truth_positions: dict[int, np.ndarray] | tuple,
+    truth_positions: tuple,
 ) -> tuple[Optional[float], Optional[float]]:
     """Fraction of target-originated measurements beaten by their estimate,
     and the mean relative distance improvement.
 
-    ``truth_positions`` holds the position of each live target, either as
-    a dict from target id to (x, y) or as a pair (ids, positions) of a
-    sequence of target ids and an (n, 2) array.  Target ids are
-    nonnegative; a scan links clutter to -1.
+    ``truth_positions`` is the pair (ids, positions) of the live targets: a
+    sequence of target ids and an (n, 2) array of their positions.  Target
+    ids are nonnegative; a scan links clutter to -1.
 
     A measurement is beaten when its associated (nearest) estimate is
     strictly closer to the originating target than the measurement itself.
@@ -113,8 +112,6 @@ def good_estimate_stats(
     """
     if scan.truth_links is None:
         return None, None
-    if isinstance(truth_positions, dict):
-        truth_positions = list(truth_positions), list(truth_positions.values())
     ids, positions = truth_positions
     # match[i, j]: measurement i came from target ids[j]
     match = scan.truth_links[:, None] == np.asarray(ids, dtype=int)

@@ -1,10 +1,14 @@
 """Exact posterior inference for point processes on small discrete spaces.
 
-A prior is a Janossy table over point configurations of a small grid
-(configurations are multisets, so truncated Poisson priors are represented
-exactly alongside simple processes such as DPPs).  Measurements live on a
-second small grid with per-point clutter intensity and a detection
-likelihood matrix.  Two independent routes to the posterior are provided:
+A prior is a table of configuration probabilities on a small grid of
+unit-mass points (configurations are multisets, so truncated Poisson priors
+are represented exactly alongside simple processes such as DPPs).  On a
+grid that table is the Janossy measure with respect to counting measure,
+so every state-side quantity here is a mass, in the convention of the
+filter's kernels: intensity, pair moment and Upsilon terms.  Measurements
+live on a second small grid with per-point clutter intensity and a
+detection likelihood matrix.  Two independent routes to the posterior are
+provided:
 
 * the corrector-term route: measurement Janossy values and the Upsilon
   functionals combine into posterior intensity, pair moment and covariance;
@@ -46,7 +50,7 @@ class ObservationModel:
 
     p_d[x] is the detection probability at state point x; l_d[z, x] is the
     detection likelihood density of measurement point z given x (w.r.t. the
-    measurement grid's reference weights); l_c[z] is the clutter intensity.
+    measurement grid's reference measure); l_c[z] is the clutter intensity.
     """
 
     p_d: np.ndarray  # (G,)
@@ -76,112 +80,76 @@ class ObservationModel:
 
 @dataclass(frozen=True)
 class FiniteProcess:
-    """Point process given by an exhaustive Janossy table on a small grid of
-    points with measure ``weights``.
+    """Point process given by an exhaustive probability table on a grid of
+    ``points`` unit-mass points.
 
-    ``janossy`` maps a sorted index multiset to its Janossy density value
-    (weights not folded in); absent keys are zero.  The probability of a
-    configuration with multiplicities m_i is
-
-        j(config) * prod_i w_i^{m_i} / m_i!
+    ``table`` maps a sorted index multiset to the probability of that
+    configuration (before ``normalized``, to any finite nonnegative mass);
+    absent keys are zero.  On a grid, a Janossy measure with respect to
+    counting measure is this table, so every moment below is a mass.
     """
 
-    weights: np.ndarray  # (G,)
-    janossy: Mapping[Config, float]
+    points: int
+    table: Mapping[Config, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", measure_weights(self.weights))
+        points = int(self.points)
         table = {}
-        for key, val in self.janossy.items():
+        for key, val in self.table.items():
             key = tuple(sorted(int(i) for i in key))
-            if key and (min(key) < 0 or max(key) >= len(self.weights)):
+            if key and (key[0] < 0 or key[-1] >= points):
                 raise ValueError(f"configuration {key} outside grid")
-            if val < 0:
-                raise ValueError("Janossy densities must be nonnegative")
+            if not (val >= 0 and math.isfinite(val)):
+                raise ValueError(f"probability {val} of {key} is not finite and nonnegative")
             if val != 0.0:
                 table[key] = float(val)
-        object.__setattr__(self, "janossy", table)
-
-    # -- masses -----------------------------------------------------------
-
-    def config_mass(self, config: Config) -> float:
-        dens = self.janossy.get(tuple(sorted(config)), 0.0)
-        return dens * _weight_factor(self.weights, config)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "table", table)
 
     def total_mass(self) -> float:
-        return math.fsum(self.config_mass(c) for c in self.janossy)
+        return math.fsum(self.table.values())
 
     @property
     def support_size(self) -> int:
-        return max((len(c) for c in self.janossy), default=0)
+        return max((len(c) for c in self.table), default=0)
 
     def normalized(self) -> "FiniteProcess":
         z = self.total_mass()
         if z <= 0:
             raise ValueError("process has zero total mass")
-        return FiniteProcess(self.weights, {c: v / z for c, v in self.janossy.items()})
+        return FiniteProcess(self.points, {c: p / z for c, p in self.table.items()})
 
     # -- moments ----------------------------------------------------------
 
     def intensity(self) -> np.ndarray:
-        """First moment density: E[multiplicity at x] / w_x."""
-        mu = np.zeros(len(self.weights))
-        for cfg in self.janossy:
-            p = self.config_mass(cfg)
+        """First moment: E[multiplicity at x]."""
+        mu = np.zeros(self.points)
+        for cfg, p in self.table.items():
             for i in cfg:
                 mu[i] += p
-        return mu / self.weights
+        return mu
 
-    def pair_factorial(self, zero_diagonal: bool = True) -> np.ndarray:
-        """Second factorial moment density E[m_i (m_j - delta_ij)] / (w_i w_j)."""
-        g = len(self.weights)
-        rho = np.zeros((g, g))
-        for cfg in self.janossy:
-            p = self.config_mass(cfg)
-            counts = np.bincount(np.asarray(cfg, dtype=int), minlength=g) if cfg else np.zeros(g)
-            block = np.outer(counts, counts) - np.diag(counts)
-            rho += p * block
-        rho /= np.outer(self.weights, self.weights)
-        if zero_diagonal:
-            np.fill_diagonal(rho, 0.0)
+    def pair_factorial(self) -> np.ndarray:
+        """Second factorial moment E[m_i m_j] off the diagonal; the diagonal
+        is reported as zero."""
+        rho = np.zeros((self.points, self.points))
+        for cfg, p in self.table.items():
+            counts = np.bincount(np.asarray(cfg, dtype=int), minlength=self.points)
+            rho += p * np.outer(counts, counts)
+        np.fill_diagonal(rho, 0.0)
         return rho
 
     def count_covariance(self, a: Iterable[int], b: Iterable[int]) -> float:
         """Covariance of the point counts in index sets A and B."""
         a, b = set(a), set(b)
         ea = eb = eab = 0.0
-        for cfg in self.janossy:
-            p = self.config_mass(cfg)
+        for cfg, p in self.table.items():
             na = sum(1 for i in cfg if i in a)
             nb = sum(1 for i in cfg if i in b)
             ea += p * na
             eb += p * nb
             eab += p * na * nb
         return eab - ea * eb
-
-    def mean_count(self) -> float:
-        return math.fsum(self.config_mass(c) * len(c) for c in self.janossy)
-
-
-def _weight_factor(weights: np.ndarray, config: Config) -> float:
-    """prod w_i^{m_i} / m_i! for the multiset's multiplicities."""
-    out = 1.0
-    mult: dict[int, int] = {}
-    for i in config:
-        mult[i] = mult.get(i, 0) + 1
-    for i, m in mult.items():
-        out *= weights[i] ** m / math.factorial(m)
-    return out
-
-
-def measure_weights(weights) -> np.ndarray:
-    """``weights`` as a float vector of finite, nonnegative masses nu({x_i})."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("weights must be a vector")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -190,57 +158,37 @@ def measure_weights(weights) -> np.ndarray:
 
 
 def dpp_process(kernel: DiscretizedKernel) -> FiniteProcess:
-    """Exact Janossy table of a DPP on a small grid (subset enumeration).
-
-    The kernel is an operator matrix, so its points have unit mass and the
-    Janossy densities are the configuration masses."""
+    """Exact probability table of a DPP on a small grid (subset enumeration)."""
     masses = all_subset_masses(kernel)
-    return FiniteProcess(np.ones(len(kernel)), {c: m for c, m in masses.items() if m > 0.0})
+    return FiniteProcess(len(kernel), {c: m for c, m in masses.items() if m > 0.0})
 
 
-def poisson_process(weights, intensity, n_max: int = MAX_SUPPORT) -> FiniteProcess:
-    """Truncated Poisson process with the given intensity density on the
-    points of measure ``weights``.
+def poisson_process(intensity, n_max: int = MAX_SUPPORT) -> FiniteProcess:
+    """Poisson process with intensity masses ``intensity``, one per grid
+    point, truncated at n_max points.
 
-    The exact table has j(config) = exp(-nu(Lambda-weighted intensity)) *
-    prod intensity(x_i) on every multiset; truncation at n_max leaves a
-    total-mass deficit of order (mass)^{n_max+1}/(n_max+1)!, so keep the
-    total intensity mass small when 1e-10 identities are asserted.
+    P(config) = exp(-sum lambda) prod_i lambda_i^{m_i} / m_i! on every
+    multiset; truncation leaves a total-mass deficit of order
+    (sum lambda)^{n_max+1}/(n_max+1)!, so keep the total small when 1e-10
+    identities are asserted.
     """
-    lam = np.broadcast_to(np.asarray(intensity, dtype=float), (len(weights),))
-    total = float((lam * weights).sum())
-    base = math.exp(-total)
+    lam = np.asarray(intensity, dtype=float)
     table: dict[Config, float] = {}
-    points = list(range(len(weights)))
 
-    def rec(start: int, cfg: tuple[int, ...], dens: float):
-        table[cfg] = dens
+    def rec(start: int, cfg: Config, p: float):
+        table[cfg] = p
         if len(cfg) == n_max:
             return
-        for i in points[start:]:
-            rec(i, cfg + (i,), dens * lam[i])
+        for i in range(start, len(lam)):
+            rec(i, cfg + (i,), p * lam[i] / (cfg.count(i) + 1))
 
-    rec(0, (), base)
-    return FiniteProcess(weights, table)
-
-
-def single_config_process(weights, config: Config) -> FiniteProcess:
-    """Point mass on exactly one configuration."""
-    cfg = tuple(sorted(config))
-    dens = 1.0 / _weight_factor(weights, cfg)
-    return FiniteProcess(weights, {cfg: dens})
+    rec(0, (), math.exp(-float(lam.sum())))
+    return FiniteProcess(len(lam), table)
 
 
 # ---------------------------------------------------------------------------
 # Observation likelihood core
 # ---------------------------------------------------------------------------
-
-
-def _check_meas(meas) -> tuple[int, ...]:
-    meas = tuple(int(z) for z in meas)
-    if len(meas) > MAX_MEASUREMENTS:
-        raise SizeError(f"at most {MAX_MEASUREMENTS} measurements supported, got {len(meas)}")
-    return meas
 
 
 def observation_likelihood(instances: Config, obs: ObservationModel, meas: Config) -> float:
@@ -318,9 +266,7 @@ class _Session:
     def __init__(self, prior: FiniteProcess, obs: ObservationModel):
         self.prior = prior
         self.obs = obs
-        self.weights = prior.weights
         self._g: dict = {}
-        self._wf: dict = {}
 
     def like(self, cfg: Config, meas: Config) -> float:
         key = (cfg, meas)
@@ -330,110 +276,76 @@ class _Session:
             self._g[key] = val
         return val
 
-    def wfactor(self, cfg: Config) -> float:
-        val = self._wf.get(cfg)
-        if val is None:
-            val = _weight_factor(self.weights, cfg)
-            self._wf[cfg] = val
-        return val
+    def ups(self, meas: Config, points: tuple[int, ...] = ()) -> float:
+        """Upsilon over the appended ``points``: the sum over configurations
+        c of P(c) times the number of ordered ways to pick ``points`` from c
+        times the observation factorization of what c leaves."""
+        terms = []
+        for cfg, p in self.prior.table.items():
+            rest = list(cfg)
+            for x in points:
+                k = rest.count(x)
+                if k == 0:
+                    break
+                p *= k
+                rest.remove(x)
+            else:
+                terms.append(p * self.like(tuple(rest), meas))
+        return math.fsum(terms)
 
-    def jxi(self, meas: Config) -> float:
-        return math.fsum(
-            dens * self.wfactor(cfg) * self.like(cfg, meas)
-            for cfg, dens in self.prior.janossy.items()
+
+def _check(prior: FiniteProcess, obs: ObservationModel, meas) -> Config:
+    """The measurement list as a tuple, once the problem is within the
+    exact-sum bounds and prior and observation model share one grid."""
+    meas = tuple(int(z) for z in meas)
+    if len(meas) > MAX_MEASUREMENTS:
+        raise SizeError(f"at most {MAX_MEASUREMENTS} measurements supported, got {len(meas)}")
+    if prior.points != len(obs.p_d):
+        raise ValueError(
+            f"prior on {prior.points} points, observation model on {len(obs.p_d)}"
         )
-
-    def ups1(self, meas: Config, x: int) -> float:
-        terms = []
-        for key, dens in self.prior.janossy.items():
-            m_cfg = _remove_once(key, (x,))
-            if m_cfg is None:
-                continue
-            terms.append(dens * self.wfactor(m_cfg) * self.like(m_cfg, meas))
-        return math.fsum(terms)
-
-    def ups2(self, meas: Config, x: int, y: int) -> float:
-        terms = []
-        for key, dens in self.prior.janossy.items():
-            m_cfg = _remove_once(key, (x, y))
-            if m_cfg is None:
-                continue
-            terms.append(dens * self.wfactor(m_cfg) * self.like(m_cfg, meas))
-        return math.fsum(terms)
+    support = prior.support_size
+    if support > MAX_SUPPORT:
+        raise SizeError(f"prior support {support} exceeds the exact-sum bound {MAX_SUPPORT}")
+    return meas
 
 
 def joint_janossy(prior: FiniteProcess, obs: ObservationModel, states, meas) -> float:
-    """Joint Janossy density of (states, measurement list).
+    """P(states) times the observation factorization of (states, meas): on a
+    simple configuration, the joint Janossy density of the states (counting
+    measure) and the measurement list.
 
-    Equals j_prior(states) times the observation factorization above.  The
-    combinatorial coefficient is q_d^{n-|S|} per association term (the
+    The combinatorial coefficient is q_d^{n-|S|} per association term (the
     version under which the conditional table normalizes to one).
     """
     states = tuple(int(x) for x in states)
-    meas = _check_meas(meas)
+    meas = _check(prior, obs, meas)
     if len(states) > MAX_POINTS:
         raise SizeError(f"at most {MAX_POINTS} state points supported, got {len(states)}")
-    dens = prior.janossy.get(tuple(sorted(states)), 0.0)
-    if dens == 0.0:
+    p = prior.table.get(tuple(sorted(states)), 0.0)
+    if p == 0.0:
         return 0.0
-    return dens * observation_likelihood(states, obs, meas)
+    return p * observation_likelihood(states, obs, meas)
 
 
-def measurement_janossy(
-    prior: FiniteProcess, obs: ObservationModel, meas, n_max: int | None = None
-) -> float:
+def measurement_janossy(prior: FiniteProcess, obs: ObservationModel, meas) -> float:
     """Janossy density of the measurement process at the given points."""
-    meas = _check_meas(meas)
-    _check_support(prior, meas, n_max)
-    return _Session(prior, obs).jxi(meas)
+    return _Session(prior, obs).ups(_check(prior, obs, meas))
 
 
-def _check_support(prior: FiniteProcess, meas, n_max) -> None:
-    support = prior.support_size
-    if n_max is not None and support > n_max:
-        raise SizeError(f"prior support {support} exceeds n_max={n_max}")
-    if support > MAX_SUPPORT:
-        raise SizeError(f"prior support {support} exceeds the exact-sum bound {MAX_SUPPORT}")
-
-
-def _remove_once(cfg: Config, points: tuple[int, ...]) -> Config | None:
-    """Remove one instance of each requested point; None if short on any."""
-    out = list(cfg)
-    for p in points:
-        try:
-            out.remove(p)
-        except ValueError:
-            return None
-    return tuple(out)
-
-
-def corrector_upsilon1(
-    prior: FiniteProcess, obs: ObservationModel, meas, x: int, n_max: int | None = None
-) -> float:
-    """Upsilon^(1)(x): measurement-Janossy-like sum over (p+1)-point tables.
-
-    The integration configurations M run over everything the (p+1)-point
-    table supports: each table key containing x contributes its density at
-    that key times the observation factorization of M = key minus one
-    instance of x.
-    """
-    meas = _check_meas(meas)
-    _check_support(prior, meas, n_max)
-    return _Session(prior, obs).ups1(meas, int(x))
+def corrector_upsilon1(prior: FiniteProcess, obs: ObservationModel, meas, x: int) -> float:
+    """Upsilon^(1)(x): each configuration with m_x > 0 points at x
+    contributes m_x P(config) times the observation factorization of the
+    configuration less one point at x."""
+    return _Session(prior, obs).ups(_check(prior, obs, meas), (int(x),))
 
 
 def corrector_upsilon2(
-    prior: FiniteProcess,
-    obs: ObservationModel,
-    meas,
-    x: int,
-    y: int,
-    n_max: int | None = None,
+    prior: FiniteProcess, obs: ObservationModel, meas, x: int, y: int
 ) -> float:
-    """Upsilon^(2)(x, y): as Upsilon^(1) with two appended points."""
-    meas = _check_meas(meas)
-    _check_support(prior, meas, n_max)
-    return _Session(prior, obs).ups2(meas, int(x), int(y))
+    """Upsilon^(2)(x, y): as Upsilon^(1) with two appended points, picked
+    in order (m_x m_y ways, or m_x (m_x - 1) when x = y)."""
+    return _Session(prior, obs).ups(_check(prior, obs, meas), (int(x), int(y)))
 
 
 def _drop(meas: tuple[int, ...], pos: int) -> tuple[int, ...]:
@@ -444,74 +356,52 @@ def _drop2(meas: tuple[int, ...], p1: int, p2: int) -> tuple[int, ...]:
     return tuple(meas[i] for i in range(len(meas)) if i not in (p1, p2))
 
 
-def posterior_intensity_exact(
-    prior: FiniteProcess, obs: ObservationModel, meas, n_max: int | None = None
-) -> np.ndarray:
-    """Posterior first moment density via the corrector-term expansion.
+def posterior_intensity_exact(prior: FiniteProcess, obs: ObservationModel, meas) -> np.ndarray:
+    """Posterior first moment via the corrector-term expansion.
 
     q_d(x) Upsilon^(1)_{z_{1:m}}(x) + sum_z l~_d(z|x) Upsilon^(1)_{z_{1:m} \\ z}(x),
     normalized by the measurement Janossy density.
     """
-    meas = _check_meas(meas)
-    _check_support(prior, meas, n_max)
+    meas = _check(prior, obs, meas)
     ses = _Session(prior, obs)
-    jz = ses.jxi(meas)
-    g = len(prior.weights)
+    jz = ses.ups(meas)
     qd, lt = obs.q_d, obs.l_tilde
-    mu = np.zeros(g)
-    for x in range(g):
-        val = [qd[x] * ses.ups1(meas, x)]
+    mu = np.zeros(prior.points)
+    for x in range(prior.points):
+        val = [qd[x] * ses.ups(meas, (x,))]
         for pos in range(len(meas)):
-            val.append(lt[meas[pos], x] * ses.ups1(_drop(meas, pos), x))
+            val.append(lt[meas[pos], x] * ses.ups(_drop(meas, pos), (x,)))
         mu[x] = math.fsum(val) / jz
     return mu
 
 
-def posterior_pair_exact(
-    prior: FiniteProcess,
-    obs: ObservationModel,
-    meas,
-    n_max: int | None = None,
-    zero_diagonal: bool = True,
-) -> np.ndarray:
-    """Posterior second factorial moment density via the corrector terms.
-
-    The reported matrix has a zero diagonal (the display convention for the
-    pair moment); pass zero_diagonal=False to keep the factorial diagonal,
-    which non-simple priors need for covariance assembly.
-    """
-    meas = _check_meas(meas)
-    _check_support(prior, meas, n_max)
+def posterior_pair_exact(prior: FiniteProcess, obs: ObservationModel, meas) -> np.ndarray:
+    """Posterior second factorial moment via the corrector terms, with a zero
+    diagonal (the display convention for the pair moment)."""
+    meas = _check(prior, obs, meas)
     ses = _Session(prior, obs)
-    jz = ses.jxi(meas)
-    g = len(prior.weights)
+    jz = ses.ups(meas)
+    g = prior.points
     qd, lt = obs.q_d, obs.l_tilde
     rho = np.zeros((g, g))
     for x in range(g):
-        for y in range(x, g):
-            terms = [qd[x] * qd[y] * ses.ups2(meas, x, y)]
+        for y in range(x + 1, g):
+            terms = [qd[x] * qd[y] * ses.ups(meas, (x, y))]
             for pos in range(len(meas)):
-                u2 = ses.ups2(_drop(meas, pos), x, y)
+                u2 = ses.ups(_drop(meas, pos), (x, y))
                 terms.append((qd[y] * lt[meas[pos], x] + qd[x] * lt[meas[pos], y]) * u2)
             for p1 in range(len(meas)):
                 for p2 in range(len(meas)):
                     if p1 == p2:
                         continue
-                    u2 = ses.ups2(_drop2(meas, p1, p2), x, y)
+                    u2 = ses.ups(_drop2(meas, p1, p2), (x, y))
                     terms.append(lt[meas[p1], x] * lt[meas[p2], y] * u2)
             rho[x, y] = rho[y, x] = math.fsum(terms) / jz
-    if zero_diagonal:
-        np.fill_diagonal(rho, 0.0)
     return rho
 
 
 def posterior_covariance_exact(
-    prior: FiniteProcess,
-    obs: ObservationModel,
-    meas,
-    a: Iterable[int],
-    b: Iterable[int],
-    n_max: int | None = None,
+    prior: FiniteProcess, obs: ObservationModel, meas, a: Iterable[int], b: Iterable[int]
 ) -> float:
     """Posterior count covariance over index sets A and B.
 
@@ -522,58 +412,45 @@ def posterior_covariance_exact(
     first-order corrector of the opposite variable (the printed source drops
     to a second-order corrector there, which fails the Bayes cross-check).
     """
-    meas = _check_meas(meas)
+    meas = _check(prior, obs, meas)
     a = sorted(set(int(i) for i in a))
     b = sorted(set(int(i) for i in b))
     inter = sorted(set(a) & set(b))
-    w = prior.weights
     qd, lt = obs.q_d, obs.l_tilde
-    _check_support(prior, meas, n_max)
     ses = _Session(prior, obs)
-    jz = ses.jxi(meas)
+    jz = ses.ups(meas)
     m = len(meas)
 
     def l1(mm, x):
-        return ses.ups1(mm, x) / jz
+        return ses.ups(mm, (x,)) / jz
 
     def l2(mm, x, y):
-        return ses.ups2(mm, x, y) / jz
+        return ses.ups(mm, (x, y)) / jz
 
     terms = []
     # q_d intersection intensity
     for x in inter:
-        terms.append(qd[x] * l1(meas, x) * w[x])
+        terms.append(qd[x] * l1(meas, x))
     # q_d^2 (l2 - l1 l1) over A x B
     l1_full = {x: l1(meas, x) for x in set(a) | set(b)}
     for x in a:
         for y in b:
-            terms.append(
-                qd[x] * qd[y] * (l2(meas, x, y) - l1_full[x] * l1_full[y]) * w[x] * w[y]
-            )
+            terms.append(qd[x] * qd[y] * (l2(meas, x, y) - l1_full[x] * l1_full[y]))
     for pos in range(m):
         z = meas[pos]
         rest = _drop(meas, pos)
         l1_rest = {x: l1(rest, x) for x in set(a) | set(b)}
-        l2_rest = {}
-        for x in a:
-            for y in b:
-                l2_rest[(x, y)] = l2(rest, x, y)
         # single-detection cross terms against the miss branch
         for x in a:
             for y in b:
-                terms.append(
-                    qd[y] * lt[z, x]
-                    * (l2_rest[(x, y)] - l1_rest[x] * l1_full[y]) * w[x] * w[y]
-                )
-                terms.append(
-                    qd[x] * lt[z, y]
-                    * (l2_rest[(x, y)] - l1_full[x] * l1_rest[y]) * w[x] * w[y]
-                )
+                l2_rest = l2(rest, x, y)
+                terms.append(qd[y] * lt[z, x] * (l2_rest - l1_rest[x] * l1_full[y]))
+                terms.append(qd[x] * lt[z, y] * (l2_rest - l1_full[x] * l1_rest[y]))
         # z = z' diagonal correction
         for x in inter:
-            terms.append(lt[z, x] * l1_rest[x] * w[x])
-        sa = math.fsum(lt[z, x] * l1_rest[x] * w[x] for x in a)
-        sb = math.fsum(lt[z, y] * l1_rest[y] * w[y] for y in b)
+            terms.append(lt[z, x] * l1_rest[x])
+        sa = math.fsum(lt[z, x] * l1_rest[x] for x in a)
+        sb = math.fsum(lt[z, y] * l1_rest[y] for y in b)
         terms.append(-sa * sb)
     # z != z' pair terms
     for p1 in range(m):
@@ -588,8 +465,7 @@ def posterior_covariance_exact(
                 l1x = l1(rest1, x)
                 for y in b:
                     terms.append(
-                        lt[z1, x] * lt[z2, y]
-                        * (l2(rest12, x, y) - l1x * l1(rest2, y)) * w[x] * w[y]
+                        lt[z1, x] * lt[z2, y] * (l2(rest12, x, y) - l1x * l1(rest2, y))
                     )
     return math.fsum(terms)
 
@@ -597,21 +473,19 @@ def posterior_covariance_exact(
 def enumerate_posterior(prior: FiniteProcess, obs: ObservationModel, meas) -> FiniteProcess:
     """Independent Bayes oracle: weight every configuration and normalize.
 
-    posterior_janossy(config) = prior_janossy(config) * observation
-    factorization / measurement Janossy.  Its moments are the ground truth
-    for the corrector-term route.
+    P(config | meas) = P(config) * observation factorization / measurement
+    Janossy.  Its moments are the ground truth for the corrector-term route.
     """
-    meas = _check_meas(meas)
-    if len(prior.weights) > MAX_ENUM_GRID:
+    meas = _check(prior, obs, meas)
+    if prior.points > MAX_ENUM_GRID:
         raise SizeError(f"enumerate_posterior limited to {MAX_ENUM_GRID} grid points")
     if len(meas) > MAX_ENUM_MEAS:
         raise SizeError(f"enumerate_posterior limited to {MAX_ENUM_MEAS} measurements")
-    _check_support(prior, meas, None)
     table = {}
-    for cfg, dens in prior.janossy.items():
+    for cfg, p in prior.table.items():
         like = observation_likelihood(cfg, obs, meas)
         if like > 0.0:
-            table[cfg] = dens * like
+            table[cfg] = p * like
     if not table:
         raise ValueError("measurements have zero likelihood under the prior")
-    return FiniteProcess(prior.weights, table).normalized()
+    return FiniteProcess(prior.points, table).normalized()

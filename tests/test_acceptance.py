@@ -66,8 +66,8 @@ def report(num, ok, detail):
 def test_criterion_1_poisson_reduction():
     t0 = time.perf_counter()
     tol = 1e-10
-    w = np.array([0.12, 0.10, 0.08])
-    prior = poisson_process(w, 1.0, n_max=12)
+    lam = np.array([0.12, 0.10, 0.08])
+    prior = poisson_process(lam, n_max=12)
     obs = ObservationModel(
         p_d=np.full(3, 0.7),
         l_d=np.array([[0.9, 0.3, 0.1], [0.2, 0.5, 0.8]]),
@@ -76,25 +76,27 @@ def test_criterion_1_poisson_reduction():
     meas = (0, 1)
     jz = measurement_janossy(prior, obs, meas)
     worst = 0.0
-    # corrector ratios l1 and l2 are identically one
+    # corrector ratios l1 and l2 are lambda_x and lambda_x lambda_y
     for x in range(3):
-        worst = max(worst, abs(corrector_upsilon1(prior, obs, meas, x) / jz - 1.0))
+        u1 = corrector_upsilon1(prior, obs, meas, x)
+        worst = max(worst, abs(u1 / (jz * lam[x]) - 1.0))
         for y in range(3):
-            worst = max(worst, abs(corrector_upsilon2(prior, obs, meas, x, y) / jz - 1.0))
-    # classical first-moment corrector
-    s = obs.l_c + obs.l_tilde @ w
+            u2 = corrector_upsilon2(prior, obs, meas, x, y)
+            worst = max(worst, abs(u2 / (jz * lam[x] * lam[y]) - 1.0))
+    # classical first-moment corrector, per unit of prior intensity
+    s = obs.l_c + obs.l_tilde @ lam
     classical = obs.q_d + (obs.l_tilde / s[:, None]).sum(axis=0)
     mu = posterior_intensity_exact(prior, obs, meas)
-    worst = max(worst, float(np.max(np.abs(mu - classical))))
+    worst = max(worst, float(np.max(np.abs(mu / lam - classical))))
     # classical covariance over overlapping and disjoint domain pairs
     lt = obs.l_tilde
     for a, b in [((0, 1), (1, 2)), ((0,), (2,)), ((0, 1, 2), (0, 1, 2))]:
         inter = sorted(set(a) & set(b))
-        closed = float(np.sum(obs.q_d[list(inter)] * w[list(inter)])) if inter else 0.0
+        closed = float(np.sum(obs.q_d[list(inter)] * lam[list(inter)])) if inter else 0.0
         for z in meas:
-            ia = float(np.sum(lt[z, list(a)] * w[list(a)]))
-            ib = float(np.sum(lt[z, list(b)] * w[list(b)]))
-            ii = float(np.sum(lt[z, inter] * w[inter])) if inter else 0.0
+            ia = float(np.sum(lt[z, list(a)] * lam[list(a)]))
+            ib = float(np.sum(lt[z, list(b)] * lam[list(b)]))
+            ii = float(np.sum(lt[z, inter] * lam[inter])) if inter else 0.0
             closed += ii / s[z] - ia * ib / s[z] ** 2
         got = posterior_covariance_exact(prior, obs, meas, a, b)
         worst = max(worst, abs(got - closed))
@@ -122,8 +124,9 @@ def test_criterion_2_oracle_equivalence():
         table = {}
         for n in range(support + 1):
             for cfg in itertools.combinations(range(g), n):
-                table[cfg] = float(rng.uniform(0.05, 1.0))
-        prior = FiniteProcess(weights, table).normalized()
+                # a density on points of mass `weights`, folded into a mass
+                table[cfg] = float(rng.uniform(0.05, 1.0)) * float(np.prod(weights[list(cfg)]))
+        prior = FiniteProcess(g, table).normalized()
         obs = ObservationModel(
             p_d=rng.uniform(0.3, 0.9, g),
             l_d=rng.uniform(0.05, 1.0, (z, g)),

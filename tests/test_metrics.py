@@ -253,6 +253,11 @@ class TestOmat:
         assert omat(x, y) > 1e-3
 
 
+def id_position_pair(truth):
+    """The (ids, positions) pair of a dict from target id to position."""
+    return list(truth), list(truth.values())
+
+
 class TestGoodEstimateStats:
     def scan_with_links(self, detections_xy, links):
         det = np.column_stack(
@@ -268,7 +273,7 @@ class TestGoodEstimateStats:
         meas_xy = np.array([[11.0, 10.5], [-19.0, 5.5]])
         scan = self.scan_with_links(meas_xy, [0, 1])
         est = np.array([truth[0], truth[1]])
-        ratio, gain = good_estimate_stats(scan, est, truth)
+        ratio, gain = good_estimate_stats(scan, est, id_position_pair(truth))
         assert ratio == 1.0
         assert gain > 0.0
 
@@ -276,7 +281,7 @@ class TestGoodEstimateStats:
         truth = {0: np.array([10.0, 10.0])}
         meas_xy = np.array([[12.0, 10.0]])
         scan = self.scan_with_links(meas_xy, [0])
-        ratio, gain = good_estimate_stats(scan, meas_xy, truth)
+        ratio, gain = good_estimate_stats(scan, meas_xy, id_position_pair(truth))
         assert ratio == 0.0
         assert gain == pytest.approx(0.0, abs=1e-12)
 
@@ -289,7 +294,7 @@ class TestGoodEstimateStats:
         meas_xy = np.array([[2.0, 0.0], [33.0, 0.0], [0.0, 27.0]])
         est = np.array([[1.0, 0.0], [34.0, 0.0], [0.0, 29.0]])
         scan = self.scan_with_links(meas_xy, [0, 1, 2])
-        ratio, gain = good_estimate_stats(scan, est, truth)
+        ratio, gain = good_estimate_stats(scan, est, id_position_pair(truth))
         # improvements: 2->1 (good), 3->4 (worse), 3->1 gain (good)
         assert ratio == pytest.approx(2.0 / 3.0)
         expect_gain = ((2 - 1) / 2 + (3 - 4) / 3 + (3 - 1) / 3) / 3
@@ -301,12 +306,13 @@ class TestGoodEstimateStats:
         truth = {0: np.array([1.5, 0.0])}
         scan = self.scan_with_links(np.array([[0.0, 0.0]]), [0])
         est = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert good_estimate_stats(scan, est, truth) == (1.0, pytest.approx(2.0 / 3.0))
-        assert good_estimate_stats(scan, est[::-1], truth) == (0.0, pytest.approx(-2.0 / 3.0))
+        pair = id_position_pair(truth)
+        assert good_estimate_stats(scan, est, pair) == (1.0, pytest.approx(2.0 / 3.0))
+        assert good_estimate_stats(scan, est[::-1], pair) == (0.0, pytest.approx(-2.0 / 3.0))
 
     def test_missing_when_all_clutter(self):
         scan = self.scan_with_links(np.array([[5.0, 5.0]]), [-1])
-        ratio, gain = good_estimate_stats(scan, np.array([[0.0, 0.0]]), {})
+        ratio, gain = good_estimate_stats(scan, np.array([[0.0, 0.0]]), ([], np.zeros((0, 2))))
         assert ratio is None and gain is None
 
     @given(st.integers(0, 12), st.integers(0, 6), st.integers(0, 2**32 - 1))
@@ -321,7 +327,8 @@ class TestGoodEstimateStats:
             # a target exactly at its measurement: zero distance, zero gain
             truth[int(links[on_target[0]])] = scan.cartesian()[on_target[0]]
         est = rng.uniform(-50, 50, (n_est, 2))
-        assert good_estimate_stats(scan, est, truth) == loop_good_estimate_stats(scan, est, truth)
+        got = good_estimate_stats(scan, est, id_position_pair(truth))
+        assert got == loop_good_estimate_stats(scan, est, truth)
 
     def test_id_position_pair_matches_loop_reference(self):
         # the (ids, positions) form the harness passes
@@ -343,11 +350,11 @@ class TestGoodEstimateStats:
         meas_xy = np.array([[12.0, 9.0], [-6.0, 22.0]])
         est = np.array([[11.0, 10.0], [-5.5, 21.0]])
         scan = self.scan_with_links(meas_xy, [0, 1])
-        r0, g0 = good_estimate_stats(scan, est, truth)
+        r0, g0 = good_estimate_stats(scan, est, id_position_pair(truth))
         shift = np.array([123.0, -45.0])
         truth2 = {k: v + shift for k, v in truth.items()}
         scan2 = self.scan_with_links(meas_xy + shift, [0, 1])
-        r1, g1 = good_estimate_stats(scan2, est + shift, truth2)
+        r1, g1 = good_estimate_stats(scan2, est + shift, id_position_pair(truth2))
         assert r0 == r1
         assert g0 == pytest.approx(g1, rel=1e-9)
 

@@ -22,24 +22,25 @@ from dpptrack.oracle import (
     posterior_covariance_exact,
     posterior_intensity_exact,
     posterior_pair_exact,
-    single_config_process,
 )
 
 
 def small_grid(weights=(0.7, 1.3, 0.9)):
-    """The measure weights of a small oracle grid."""
+    """The point masses of a small weighted grid."""
     return np.asarray(weights, dtype=float)
 
 
 def random_simple_prior(weights, rng, support=None):
+    """A random simple prior: a density table drawn on points of mass
+    ``weights``, folded into configuration masses and normalized."""
     n = len(weights)
     support = n if support is None else support
     table = {}
     for bits in range(1 << n):
         cfg = tuple(i for i in range(n) if bits >> i & 1)
         if len(cfg) <= support:
-            table[cfg] = float(rng.uniform(0.05, 1.0))
-    return FiniteProcess(weights, table).normalized()
+            table[cfg] = float(rng.uniform(0.05, 1.0)) * float(np.prod(weights[list(cfg)]))
+    return FiniteProcess(n, table).normalized()
 
 
 def random_obs(g, z, rng):
@@ -50,27 +51,35 @@ def random_obs(g, z, rng):
     )
 
 
-def unit_poisson(weights=(0.12, 0.1, 0.08), n_max=12):
-    w = small_grid(weights)
-    return w, poisson_process(w, 1.0, n_max=n_max)
+def small_poisson(intensity=(0.12, 0.1, 0.08), n_max=12):
+    lam = np.asarray(intensity, dtype=float)
+    return lam, poisson_process(lam, n_max=n_max)
 
 
 class TestFiniteProcess:
     def test_poisson_table_normalizes(self):
-        _, prior = unit_poisson()
+        _, prior = small_poisson()
         assert prior.total_mass() == pytest.approx(1.0, abs=1e-12)
 
-    def test_poisson_intensity_is_one(self):
-        _, prior = unit_poisson()
-        np.testing.assert_allclose(prior.intensity(), 1.0, atol=1e-12)
+    def test_poisson_intensity_is_its_masses(self):
+        lam, prior = small_poisson()
+        np.testing.assert_allclose(prior.intensity() / lam, 1.0, atol=1e-12)
+
+    def test_poisson_multiset_probability(self):
+        # P({0, 0, 1}) = exp(-sum lambda) lambda_0^2 / 2! lambda_1
+        lam, prior = small_poisson()
+        expect = math.exp(-lam.sum()) * lam[0] ** 2 / 2 * lam[1]
+        assert prior.table[(0, 0, 1)] == pytest.approx(expect, rel=1e-14)
 
     def test_single_config_moments(self):
-        w = small_grid()
-        fp = single_config_process(w, (0, 2))
-        np.testing.assert_allclose(
-            fp.intensity(), [1 / w[0], 0.0, 1 / w[2]], atol=1e-14
-        )
-        assert fp.total_mass() == pytest.approx(1.0)
+        fp = FiniteProcess(3, {(0, 2): 1.0})
+        np.testing.assert_array_equal(fp.intensity(), [1.0, 0.0, 1.0])
+        assert fp.total_mass() == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_rejects_a_probability_that_is_not_finite_and_nonnegative(self, bad):
+        with pytest.raises(ValueError, match="not finite and nonnegative"):
+            FiniteProcess(2, {(0,): bad, (): 0.5})
 
     def test_dpp_process_matches_kernel_moments(self):
         rng = np.random.default_rng(4)
@@ -92,7 +101,7 @@ class TestJointJanossy:
         prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
         states = (0, 2)
-        expect = prior.janossy[(0, 2)] * obs.q_d[0] * obs.q_d[2]
+        expect = prior.table[(0, 2)] * obs.q_d[0] * obs.q_d[2]
         assert joint_janossy(prior, obs, states, ()) == pytest.approx(expect, rel=1e-12)
 
     def test_no_targets_all_clutter(self):
@@ -100,7 +109,7 @@ class TestJointJanossy:
         rng = np.random.default_rng(1)
         prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
-        expect = prior.janossy[()] * obs.l_c[0] * obs.l_c[1]
+        expect = prior.table[()] * obs.l_c[0] * obs.l_c[1]
         assert joint_janossy(prior, obs, (), (0, 1)) == pytest.approx(expect, rel=1e-12)
 
     def test_one_target_one_measurement_hand_expansion(self):
@@ -108,7 +117,7 @@ class TestJointJanossy:
         rng = np.random.default_rng(2)
         prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
-        j1 = prior.janossy[(1,)]
+        j1 = prior.table[(1,)]
         expect = obs.q_d[1] * obs.l_c[0] * j1 + obs.l_tilde[0, 1] * j1
         assert joint_janossy(prior, obs, (1,), (0,)) == pytest.approx(expect, rel=1e-12)
 
@@ -123,14 +132,14 @@ class TestJointJanossy:
 
 class TestMeasurementJanossy:
     def test_poisson_closed_form(self):
-        w, prior = unit_poisson()
+        lam, prior = small_poisson()
         rng = np.random.default_rng(5)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
         p_d = obs.p_d
-        s = obs.l_c + obs.l_tilde @ w
-        # constant p_d would give exp(-p_d nu); per-point uses the weighted sum
-        closed = math.exp(-float(p_d @ w)) * float(np.prod(s))
+        s = obs.l_c + obs.l_tilde @ lam
+        # the detected mass is p_d weighted by the intensity masses
+        closed = math.exp(-float(p_d @ lam)) * float(np.prod(s))
         got = measurement_janossy(prior, obs, meas)
         assert got == pytest.approx(closed, rel=1e-10)
 
@@ -139,10 +148,7 @@ class TestMeasurementJanossy:
         rng = np.random.default_rng(6)
         prior = random_simple_prior(w, rng)
         obs = random_obs(3, 1, rng)
-        expect = sum(
-            prior.config_mass(cfg) * float(np.prod(obs.q_d[list(cfg)]))
-            for cfg in prior.janossy
-        )
+        expect = sum(p * float(np.prod(obs.q_d[list(cfg)])) for cfg, p in prior.table.items())
         assert measurement_janossy(prior, obs, ()) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_enumeration_normalizer(self):
@@ -153,42 +159,46 @@ class TestMeasurementJanossy:
         meas = (1,)
         # the enumeration route normalizes by the same quantity
         total = sum(
-            prior.config_mass(cfg) * observation_likelihood(cfg, obs, meas)
-            for cfg in prior.janossy
+            p * observation_likelihood(cfg, obs, meas) for cfg, p in prior.table.items()
         )
         assert measurement_janossy(prior, obs, meas) == pytest.approx(total, rel=1e-12)
 
-    def test_n_max_guard(self):
-        w = small_grid()
-        rng = np.random.default_rng(8)
-        prior = random_simple_prior(w, rng)
-        obs = random_obs(3, 1, rng)
-        with pytest.raises(SizeError):
-            measurement_janossy(prior, obs, (0,), n_max=1)
+    def test_support_bound_guard(self):
+        prior = poisson_process([0.1], n_max=13)
+        obs = random_obs(1, 1, np.random.default_rng(8))
+        with pytest.raises(SizeError, match="exceeds the exact-sum bound 12"):
+            measurement_janossy(prior, obs, (0,))
+
+    def test_prior_and_model_on_different_grids(self):
+        prior = random_simple_prior(small_grid(), np.random.default_rng(8))
+        obs = random_obs(2, 1, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="prior on 3 points, observation model on 2"):
+            posterior_intensity_exact(prior, obs, (0,))
 
 
 class TestCorrectors:
-    def test_poisson_upsilon_equals_measurement_janossy(self):
-        w, prior = unit_poisson()
+    def test_poisson_upsilon_is_intensity_times_measurement_janossy(self):
+        lam, prior = small_poisson()
         rng = np.random.default_rng(9)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
         jz = measurement_janossy(prior, obs, meas)
         for x in range(3):
-            assert corrector_upsilon1(prior, obs, meas, x) == pytest.approx(jz, rel=1e-10)
+            assert corrector_upsilon1(prior, obs, meas, x) == pytest.approx(
+                lam[x] * jz, rel=1e-10
+            )
             for y in range(3):
                 assert corrector_upsilon2(prior, obs, meas, x, y) == pytest.approx(
-                    jz, rel=1e-10
+                    lam[x] * lam[y] * jz, rel=1e-10
                 )
 
     def test_single_configuration_prior(self):
-        w = small_grid()
-        prior = single_config_process(w, (1,))
+        prior = FiniteProcess(3, {(1,): 1.0})
         rng = np.random.default_rng(10)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
         # only the empty integration configuration contributes
-        expect = prior.janossy[(1,)] * obs.l_c[0] * obs.l_c[1]
+        expect = obs.l_c[0] * obs.l_c[1]
         assert corrector_upsilon1(prior, obs, meas, 1) == pytest.approx(expect, rel=1e-12)
         assert corrector_upsilon1(prior, obs, meas, 0) == 0.0
 
@@ -207,14 +217,14 @@ class TestCorrectors:
 
 class TestPosteriorMoments:
     def test_poisson_intensity_classical_form(self):
-        w, prior = unit_poisson()
+        lam, prior = small_poisson()
         rng = np.random.default_rng(12)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
-        s = obs.l_c + obs.l_tilde @ w
+        s = obs.l_c + obs.l_tilde @ lam
         classical = obs.q_d + (obs.l_tilde / s[:, None]).sum(axis=0)
         mu = posterior_intensity_exact(prior, obs, meas)
-        np.testing.assert_allclose(mu, classical, atol=1e-10)
+        np.testing.assert_allclose(mu / lam, classical, atol=1e-10)
 
     def test_no_detection_probability_keeps_prior(self):
         w = small_grid()
@@ -227,11 +237,11 @@ class TestPosteriorMoments:
         np.testing.assert_allclose(mu, prior.intensity(), atol=1e-12)
 
     def test_poisson_pair_closed_form(self):
-        w, prior = unit_poisson()
+        lam, prior = small_poisson()
         rng = np.random.default_rng(14)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
-        s = obs.l_c + obs.l_tilde @ w
+        s = obs.l_c + obs.l_tilde @ lam
         lt = obs.l_tilde
         qd = obs.q_d
         rho = posterior_pair_exact(prior, obs, meas)
@@ -248,12 +258,10 @@ class TestPosteriorMoments:
                         if p1 == p2:
                             continue
                         expect += lt[z1, x] * lt[z2, y] / (s[z1] * s[z2])
-                assert rho[x, y] == pytest.approx(expect, rel=1e-10)
+                assert rho[x, y] == pytest.approx(lam[x] * lam[y] * expect, rel=1e-10)
 
     def test_at_most_one_point_prior_has_zero_pair(self):
-        w = small_grid()
-        table = {(): 0.4, (0,): 0.3 / w[0], (2,): 0.3 / w[2]}
-        prior = FiniteProcess(w, table)
+        prior = FiniteProcess(3, {(): 0.4, (0,): 0.3, (2,): 0.3})
         rng = np.random.default_rng(15)
         obs = random_obs(3, 2, rng)
         rho = posterior_pair_exact(prior, obs, (0, 1))
@@ -270,19 +278,19 @@ class TestPosteriorMoments:
 
 class TestPosteriorCovariance:
     def test_poisson_covariance_closed_form(self):
-        w, prior = unit_poisson()
+        lam, prior = small_poisson()
         rng = np.random.default_rng(17)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
         lt = obs.l_tilde
-        s = obs.l_c + lt @ w
+        s = obs.l_c + lt @ lam
         for a, b in [((0, 1), (1, 2)), ((0,), (1, 2)), ((0, 1, 2), (0, 1, 2))]:
             inter = sorted(set(a) & set(b))
-            closed = float(np.sum(obs.q_d[list(inter)] * w[list(inter)])) if inter else 0.0
+            closed = float(np.sum(obs.q_d[list(inter)] * lam[list(inter)])) if inter else 0.0
             for z in meas:
-                ia = float(np.sum(lt[z, list(a)] * w[list(a)]))
-                ib = float(np.sum(lt[z, list(b)] * w[list(b)]))
-                ii = float(np.sum(lt[z, inter] * w[inter])) if inter else 0.0
+                ia = float(np.sum(lt[z, list(a)] * lam[list(a)]))
+                ib = float(np.sum(lt[z, list(b)] * lam[list(b)]))
+                ii = float(np.sum(lt[z, inter] * lam[inter])) if inter else 0.0
                 closed += ii / s[z] - ia * ib / s[z] ** 2
             got = posterior_covariance_exact(prior, obs, meas, a, b)
             assert got == pytest.approx(closed, abs=1e-10)
@@ -313,16 +321,15 @@ class TestPosteriorCovariance:
 
 class TestEnumeratePosterior:
     def test_empty_only_prior(self):
-        w = small_grid()
-        prior = FiniteProcess(w, {(): 1.0})
+        prior = FiniteProcess(3, {(): 1.0})
         rng = np.random.default_rng(20)
         obs = random_obs(3, 2, rng)
         post = enumerate_posterior(prior, obs, (0,))
-        assert post.janossy.keys() == {()}
+        assert post.table.keys() == {()}
         assert post.total_mass() == pytest.approx(1.0)
 
     def test_poisson_posterior_matches_formula_route(self):
-        w, prior = unit_poisson(n_max=10)
+        _, prior = small_poisson(n_max=10)
         rng = np.random.default_rng(21)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
@@ -352,12 +359,12 @@ class TestEnumeratePosterior:
         meas = (0, 2)
         post = enumerate_posterior(prior, obs, meas)
         mu = posterior_intensity_exact(prior, obs, meas)
-        assert float(mu @ w) == pytest.approx(post.mean_count(), abs=1e-9)
+        mean_count = sum(p * len(cfg) for cfg, p in post.table.items())
+        assert float(mu.sum()) == pytest.approx(mean_count, abs=1e-9)
 
     def test_size_limits(self):
         rng = np.random.default_rng(24)
-        w = np.ones(7)
-        prior = FiniteProcess(w, {(): 1.0})
+        prior = FiniteProcess(7, {(): 1.0})
         obs = random_obs(7, 1, rng)
         with pytest.raises(SizeError):
             enumerate_posterior(prior, obs, (0,))
@@ -366,13 +373,23 @@ class TestEnumeratePosterior:
 @given(st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=30, deadline=None)
 def test_bayes_consistency_property(seed):
-    """Corrector-term route equals the enumeration route on random priors."""
+    """Corrector-term route equals the enumeration route on random simple and
+    Poisson (multiset) priors, also where some point is detected with
+    certainty (p_d = 1, the explicit-product branch of
+    observation_likelihood)."""
     rng = np.random.default_rng(seed)
     g = int(rng.integers(2, 5))
     z = int(rng.integers(1, 4))
     w = rng.uniform(0.5, 1.5, g)
-    prior = random_simple_prior(w, rng, support=min(g, 3))
+    if rng.uniform() < 0.5:
+        prior = random_simple_prior(w, rng, support=min(g, 3))
+    else:
+        prior = poisson_process(rng.uniform(0.05, 0.5, g), n_max=4)
     obs = random_obs(g, z, rng)
+    if rng.uniform() < 0.5:
+        p_d = obs.p_d.copy()
+        p_d[rng.integers(g)] = 1.0
+        obs = ObservationModel(p_d, obs.l_d, obs.l_c)
     m = int(rng.integers(0, min(z, 3) + 1))
     meas = tuple(int(v) for v in rng.choice(z, size=m, replace=False))
     post = enumerate_posterior(prior, obs, meas)
