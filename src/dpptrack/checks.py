@@ -7,20 +7,18 @@ more cases) in the pytest suite.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from .kernels import DELTA, band_part, interaction_kernel, shrink_to_feasible
 from .oracle import (
+    ExactPosterior,
     FiniteProcess,
     ObservationModel,
     dpp_process,
     enumerate_posterior,
-    measurement_janossy,
     poisson_process,
-    posterior_covariance_exact,
-    posterior_intensity_exact,
-    corrector_upsilon1,
-    corrector_upsilon2,
 )
 
 
@@ -57,18 +55,16 @@ def check_poisson_reduction(tol: float = 1e-10) -> tuple[bool, str]:
         l_c=np.array([0.25, 0.45]),
     )
     meas = (0, 1)
-    jz = measurement_janossy(prior, obs, meas)
+    exact = ExactPosterior(prior, obs, meas)
+    jz, u1, u2 = exact.upsilon()
     s = obs.l_c + obs.l_tilde @ lam
     closed = float(np.exp(-0.7 * lam.sum()) * np.prod(s))
     errs = [abs(jz - closed) / closed]
     # the corrector ratios are lambda_x and lambda_x lambda_y in the Poisson case
-    for x in range(3):
-        errs.append(abs(corrector_upsilon1(prior, obs, meas, x) / (jz * lam[x]) - 1.0))
-        for y in range(3):
-            u2 = corrector_upsilon2(prior, obs, meas, x, y)
-            errs.append(abs(u2 / (jz * lam[x] * lam[y]) - 1.0))
+    errs += list(np.abs(u1 / (jz * lam) - 1.0))
+    errs += list(np.abs(u2 / (jz * np.outer(lam, lam)) - 1.0).ravel())
     # classical posterior intensity lambda (q_d + sum_z l~(z) / s(z)), per lambda
-    mu = posterior_intensity_exact(prior, obs, meas)
+    mu = exact.intensity()
     classical = obs.q_d + (obs.l_tilde / s[:, None]).sum(axis=0)
     errs.append(float(np.max(np.abs(mu / lam - classical))))
     # classical posterior covariance over overlapping and disjoint domain pairs
@@ -80,7 +76,7 @@ def check_poisson_reduction(tol: float = 1e-10) -> tuple[bool, str]:
         for z in meas:
             ia, ib, ii = lt[z, a].sum(), lt[z, b].sum(), lt[z, inter].sum()
             closed += ii / s[z] - ia * ib / s[z] ** 2
-        errs.append(abs(posterior_covariance_exact(prior, obs, meas, a, b) - closed))
+        errs.append(abs(exact.covariance(a, b) - closed))
     worst = max(errs)
     return worst < tol, f"poisson reduction: worst deviation {worst:.2e} (tol {tol:g})"
 
@@ -91,10 +87,10 @@ def check_oracle_equivalence(cases: int = 5, tol: float = 1e-9) -> tuple[bool, s
     for _ in range(cases):
         prior, obs, meas = _random_case(rng)
         post = enumerate_posterior(prior, obs, meas)
-        mu = posterior_intensity_exact(prior, obs, meas)
-        worst = max(worst, float(np.max(np.abs(mu - post.intensity()))))
+        exact = ExactPosterior(prior, obs, meas)
+        worst = max(worst, float(np.max(np.abs(exact.intensity() - post.intensity()))))
         everything = range(prior.points)
-        cov = posterior_covariance_exact(prior, obs, meas, everything, everything)
+        cov = exact.covariance(everything, everything)
         worst = max(worst, abs(cov - post.count_covariance(everything, everything)))
     return worst < tol, f"oracle equivalence: worst deviation {worst:.2e} over {cases} cases"
 
@@ -168,7 +164,9 @@ ALL_CHECKS = (
 def run_all(verbose_print=print) -> bool:
     ok = True
     for check in ALL_CHECKS:
+        t0 = time.perf_counter()
         passed, msg = check()
-        verbose_print(f"{'PASS' if passed else 'FAIL'}  {msg}")
+        elapsed = time.perf_counter() - t0
+        verbose_print(f"{'PASS' if passed else 'FAIL'}  {msg}, {elapsed:.2f}s")
         ok = ok and passed
     return ok

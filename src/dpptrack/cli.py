@@ -39,21 +39,25 @@ def main(argv=None) -> int:
         return 0 if run_all() else 1
 
     # run
+    from .errors import ConfigError, UnknownPreset
     from .harness import load_config, preset, run_experiment
 
-    if args.config:
-        cfg = load_config(args.config)
-    elif args.preset:
-        cfg = preset(args.preset, full=args.full)
-    else:
-        print("error: provide --config or --preset", file=sys.stderr)
+    try:
+        if args.config:
+            cfg = load_config(args.config)
+        elif args.preset:
+            cfg = preset(args.preset, full=args.full)
+        else:
+            raise ConfigError("provide --config or --preset")
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.runs is not None:
+            cfg = replace(cfg, mc_runs=args.runs)
+        if args.filter is not None:
+            cfg = replace(cfg, filter=args.filter)
+    except (ConfigError, UnknownPreset, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.runs is not None:
-        cfg = replace(cfg, mc_runs=args.runs)
-    if args.filter is not None:
-        cfg = replace(cfg, filter=args.filter)
     result = run_experiment(cfg, out_dir=args.out, threads=args.threads)
     print(
         f"{cfg.name}: {cfg.mc_runs} runs x {cfg.steps} steps -> {result.out_dir} "

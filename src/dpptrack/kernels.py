@@ -308,7 +308,7 @@ def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]
         raise ValueError("subset enumeration is limited to 12 points")
     lam = operator_spectrum(kernel)
     if lam.max(initial=0.0) > 1.0 - DELTA + 1e-12:
-        raise SpectrumError(f"spectrum reaches {lam.max():.6g}; project the kernel first")
+        raise SpectrumError(f"spectrum reaches {lam.max():.6g}; make the kernel valid first")
     void = float(np.prod(1.0 - lam))
     j = interaction_kernel(kernel)
     out: dict[tuple[int, ...], float] = {(): void}

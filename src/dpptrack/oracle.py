@@ -10,21 +10,25 @@ live on a second small grid with per-point clutter intensity and a
 detection likelihood matrix.  Two independent routes to the posterior are
 provided:
 
-* the corrector-term route: measurement Janossy values and the Upsilon
-  functionals combine into posterior intensity, pair moment and covariance;
-* the enumeration route: every (configuration, detected subset, injective
-  association) triple is weighted and normalized into a posterior table
-  whose empirical moments are the ground truth.
+* the corrector-term route: ``ExactPosterior``, made once per problem,
+  evaluates each observation factor once per configuration and
+  measurement sub-list, keeps the Upsilon arrays, and reads the posterior
+  intensity, pair moment and count covariance from them;
+* the enumeration route: ``enumerate_posterior`` weights every
+  configuration by its own observation factor and normalizes the table;
+  its moments (``FiniteProcess``, from the configuration count matrix) are
+  the ground truth.
 
 Everything is an exact finite sum; there is no truncation once the prior's
-support is finite.  Probabilities are carried in linear scale with
-compensated (math.fsum) summation.
+support is finite.  Probabilities are carried in linear scale, and every
+Upsilon entry and covariance is a compensated (math.fsum) sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Mapping
 
@@ -61,6 +65,8 @@ class ObservationModel:
         object.__setattr__(self, "p_d", np.asarray(self.p_d, dtype=float))
         object.__setattr__(self, "l_d", np.asarray(self.l_d, dtype=float))
         object.__setattr__(self, "l_c", np.asarray(self.l_c, dtype=float))
+        if not all(np.isfinite(v).all() for v in (self.p_d, self.l_d, self.l_c)):
+            raise ValueError("p_d, likelihoods and clutter must be finite")
         if np.any(self.p_d < 0) or np.any(self.p_d > 1):
             raise ValueError("p_d must lie in [0, 1]")
         if np.any(self.l_d < 0) or np.any(self.l_c < 0):
@@ -91,6 +97,9 @@ class FiniteProcess:
 
     points: int
     table: Mapping[Config, float]
+    # from ``table``: count matrix C (configurations x points), probabilities p
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = int(self.points)
@@ -103,8 +112,13 @@ class FiniteProcess:
                 raise ValueError(f"probability {val} of {key} is not finite and nonnegative")
             if val != 0.0:
                 table[key] = float(val)
+        counts = np.zeros((len(table), points), dtype=int)
+        for row, cfg in zip(counts, table):
+            np.add.at(row, list(cfg), 1)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "probs", np.array(list(table.values()), dtype=float))
 
     def total_mass(self) -> float:
         return math.fsum(self.table.values())
@@ -119,42 +133,23 @@ class FiniteProcess:
             raise ValueError("process has zero total mass")
         return FiniteProcess(self.points, {c: p / z for c, p in self.table.items()})
 
-    # -- moments ----------------------------------------------------------
-
     def intensity(self) -> np.ndarray:
-        """First moment: E[multiplicity at x]."""
-        mu = np.zeros(self.points)
-        for cfg, p in self.table.items():
-            for i in cfg:
-                mu[i] += p
-        return mu
+        """First moment E[multiplicity at x]: C^T p."""
+        return self.counts.T @ self.probs
 
     def pair_factorial(self) -> np.ndarray:
-        """Second factorial moment E[m_i m_j] off the diagonal; the diagonal
-        is reported as zero."""
-        rho = np.zeros((self.points, self.points))
-        for cfg, p in self.table.items():
-            counts = np.bincount(np.asarray(cfg, dtype=int), minlength=self.points)
-            rho += p * np.outer(counts, counts)
+        """Second factorial moment E[m_i m_j] off the diagonal, the
+        off-diagonal of C^T diag(p) C; the diagonal is reported as zero."""
+        rho = self.counts.T @ (self.probs[:, None] * self.counts)
         np.fill_diagonal(rho, 0.0)
         return rho
 
     def count_covariance(self, a: Iterable[int], b: Iterable[int]) -> float:
-        """Covariance of the point counts in index sets A and B."""
-        a, b = set(a), set(b)
-        ea = eb = eab = 0.0
-        for cfg, p in self.table.items():
-            na = sum(1 for i in cfg if i in a)
-            nb = sum(1 for i in cfg if i in b)
-            ea += p * na
-            eb += p * nb
-            eab += p * na * nb
-        return eab - ea * eb
-
-
-# ---------------------------------------------------------------------------
-# Prior constructors
-# ---------------------------------------------------------------------------
+        """Covariance of the point counts in index sets A and B (off-grid indices count none)."""
+        grid = np.arange(self.points)
+        na, nb = self.counts @ np.isin(grid, list(a)), self.counts @ np.isin(grid, list(b))
+        p = self.probs
+        return float(p @ (na * nb) - (p @ na) * (p @ nb))
 
 
 def dpp_process(kernel: DiscretizedKernel) -> FiniteProcess:
@@ -186,11 +181,6 @@ def poisson_process(intensity, n_max: int = MAX_SUPPORT) -> FiniteProcess:
     return FiniteProcess(len(lam), table)
 
 
-# ---------------------------------------------------------------------------
-# Observation likelihood core
-# ---------------------------------------------------------------------------
-
-
 def observation_likelihood(instances: Config, obs: ObservationModel, meas: Config) -> float:
     """Miss/detection/clutter factorization of one configuration.
 
@@ -208,34 +198,21 @@ def observation_likelihood(instances: Config, obs: ObservationModel, meas: Confi
     n, m = len(instances), len(meas)
     if n > MAX_SUPPORT:
         raise SizeError(f"configuration of {n} points exceeds the exact-sum bound {MAX_SUPPORT}")
-    qd = obs.q_d
-    lt = obs.l_tilde
-    lc = obs.l_c
+    qd, lt, lc = obs.q_d, obs.l_tilde, obs.l_c
     q_inst = [float(qd[u]) for u in instances]
-    q_all = 1.0
-    for q in q_inst:
-        q_all *= q
-    clutter_all = 1.0
-    for z in meas:
-        clutter_all *= lc[z]
-    total = [q_all * clutter_all]  # S = empty term
+    q_all = math.prod(q_inst, start=1.0)
+    total = [q_all * math.prod((lc[z] for z in meas), start=1.0)]  # S = empty term
     if n == 0 or m == 0:
         return total[0]
     # detection likelihood over a residual miss product; when every q_d is
     # positive the residual is q_all divided by the assigned factors,
     # otherwise fall back to explicit products
     fast = min(q_inst) > 0.0
-    ratios = None
     if fast:
-        ratios = [
-            [float(lt[z, instances[i]]) / q_inst[i] for i in range(n)] for z in meas
-        ]
+        ratios = [[float(lt[z, instances[i]]) / q_inst[i] for i in range(n)] for z in meas]
     for k in range(1, min(n, m) + 1):
         for s_slots in combinations(range(m), k):
-            clut = 1.0
-            for j in range(m):
-                if j not in s_slots:
-                    clut *= lc[meas[j]]
+            clut = math.prod((lc[meas[j]] for j in range(m) if j not in s_slots), start=1.0)
             acc = 0.0
             if fast:
                 rows = [ratios[slot] for slot in s_slots]
@@ -260,50 +237,28 @@ def observation_likelihood(instances: Config, obs: ObservationModel, meas: Confi
     return math.fsum(total)
 
 
-class _Session:
-    """Memoizes the observation factorization per (configuration, meas)."""
+def _fsum0(terms: np.ndarray) -> np.ndarray:
+    """math.fsum along the first axis: one compensated sum per entry."""
+    cols = terms.reshape(len(terms), -1).T.tolist()
+    return np.array([math.fsum(col) for col in cols]).reshape(terms.shape[1:])
 
-    def __init__(self, prior: FiniteProcess, obs: ObservationModel):
-        self.prior = prior
-        self.obs = obs
-        self._g: dict = {}
 
-    def like(self, cfg: Config, meas: Config) -> float:
-        key = (cfg, meas)
-        val = self._g.get(key)
-        if val is None:
-            val = observation_likelihood(cfg, self.obs, meas)
-            self._g[key] = val
-        return val
-
-    def ups(self, meas: Config, points: tuple[int, ...] = ()) -> float:
-        """Upsilon over the appended ``points``: the sum over configurations
-        c of P(c) times the number of ordered ways to pick ``points`` from c
-        times the observation factorization of what c leaves."""
-        terms = []
-        for cfg, p in self.prior.table.items():
-            rest = list(cfg)
-            for x in points:
-                k = rest.count(x)
-                if k == 0:
-                    break
-                p *= k
-                rest.remove(x)
-            else:
-                terms.append(p * self.like(tuple(rest), meas))
-        return math.fsum(terms)
+def _remove(cfg: Config, x: int) -> Config:
+    i = cfg.index(x)
+    return cfg[:i] + cfg[i + 1 :]
 
 
 def _check(prior: FiniteProcess, obs: ObservationModel, meas) -> Config:
     """The measurement list as a tuple, once the problem is within the
-    exact-sum bounds and prior and observation model share one grid."""
+    exact-sum bounds, every measurement index lies on the measurement grid
+    and prior and observation model share one grid."""
     meas = tuple(int(z) for z in meas)
     if len(meas) > MAX_MEASUREMENTS:
         raise SizeError(f"at most {MAX_MEASUREMENTS} measurements supported, got {len(meas)}")
+    if any(not 0 <= z < len(obs.l_c) for z in meas):
+        raise ValueError(f"measurements {meas} outside the grid of {len(obs.l_c)} points")
     if prior.points != len(obs.p_d):
-        raise ValueError(
-            f"prior on {prior.points} points, observation model on {len(obs.p_d)}"
-        )
+        raise ValueError(f"prior on {prior.points} points, observation model on {len(obs.p_d)}")
     support = prior.support_size
     if support > MAX_SUPPORT:
         raise SizeError(f"prior support {support} exceeds the exact-sum bound {MAX_SUPPORT}")
@@ -328,146 +283,140 @@ def joint_janossy(prior: FiniteProcess, obs: ObservationModel, states, meas) -> 
     return p * observation_likelihood(states, obs, meas)
 
 
-def measurement_janossy(prior: FiniteProcess, obs: ObservationModel, meas) -> float:
-    """Janossy density of the measurement process at the given points."""
-    return _Session(prior, obs).ups(_check(prior, obs, meas))
+class ExactPosterior:
+    """The corrector-term route for one (prior, observation model,
+    measurement list) problem.
 
+    For each sub-list M' of the measurements, the observation factor
+    g(c, M') is evaluated once per configuration c (the prior's support and
+    every configuration one or two points less), and three Upsilon arrays
+    are kept:
 
-def corrector_upsilon1(prior: FiniteProcess, obs: ObservationModel, meas, x: int) -> float:
-    """Upsilon^(1)(x): each configuration with m_x > 0 points at x
-    contributes m_x P(config) times the observation factorization of the
-    configuration less one point at x."""
-    return _Session(prior, obs).ups(_check(prior, obs, meas), (int(x),))
+        u0       = sum_c P(c) g(c, M')                    (a Janossy value)
+        u1[x]    = sum_c P(c) m_x(c) g(c - x, M')
+        u2[x, y] = sum_c P(c) m_x(c) m_y(c - x) g(c - x - y, M')
 
-
-def corrector_upsilon2(
-    prior: FiniteProcess, obs: ObservationModel, meas, x: int, y: int
-) -> float:
-    """Upsilon^(2)(x, y): as Upsilon^(1) with two appended points, picked
-    in order (m_x m_y ways, or m_x (m_x - 1) when x = y)."""
-    return _Session(prior, obs).ups(_check(prior, obs, meas), (int(x), int(y)))
-
-
-def _drop(meas: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    return meas[:pos] + meas[pos + 1 :]
-
-
-def _drop2(meas: tuple[int, ...], p1: int, p2: int) -> tuple[int, ...]:
-    return tuple(meas[i] for i in range(len(meas)) if i not in (p1, p2))
-
-
-def posterior_intensity_exact(prior: FiniteProcess, obs: ObservationModel, meas) -> np.ndarray:
-    """Posterior first moment via the corrector-term expansion.
-
-    q_d(x) Upsilon^(1)_{z_{1:m}}(x) + sum_z l~_d(z|x) Upsilon^(1)_{z_{1:m} \\ z}(x),
-    normalized by the measurement Janossy density.
+    where m_x(c) is the multiplicity of x in c.  The posterior moments are
+    array formulas over these arrays.
     """
-    meas = _check(prior, obs, meas)
-    ses = _Session(prior, obs)
-    jz = ses.ups(meas)
-    qd, lt = obs.q_d, obs.l_tilde
-    mu = np.zeros(prior.points)
-    for x in range(prior.points):
-        val = [qd[x] * ses.ups(meas, (x,))]
-        for pos in range(len(meas)):
-            val.append(lt[meas[pos], x] * ses.ups(_drop(meas, pos), (x,)))
-        mu[x] = math.fsum(val) / jz
-    return mu
 
+    def __init__(self, prior: FiniteProcess, obs: ObservationModel, meas):
+        self.meas = _check(prior, obs, meas)
+        self.prior, self.obs = prior, obs
+        counts = prior.counts
+        n, g = counts.shape
+        # _less_x[r, x] (_less_xy[r, x, y]) indexes in _configs the r-th
+        # configuration less x (less x and then y); -1 where that point is
+        # absent, and there the weight below is zero
+        index = {c: r for r, c in enumerate(prior.table)}
+        self._less_x = np.full((n, g), -1)
+        self._less_xy = np.full((n, g, g), -1)
+        for r, cfg in enumerate(prior.table):
+            for x in set(cfg):
+                cx = _remove(cfg, x)
+                self._less_x[r, x] = index.setdefault(cx, len(index))
+                for y in set(cx):
+                    self._less_xy[r, x, y] = index.setdefault(_remove(cx, y), len(index))
+        self._configs = list(index)
+        self._w1 = prior.probs[:, None] * counts
+        self._w2 = self._w1[:, :, None] * (counts[:, None, :] - np.eye(g, dtype=int))
+        self._memo: dict[Config, tuple[float, np.ndarray, np.ndarray]] = {}
 
-def posterior_pair_exact(prior: FiniteProcess, obs: ObservationModel, meas) -> np.ndarray:
-    """Posterior second factorial moment via the corrector terms, with a zero
-    diagonal (the display convention for the pair moment)."""
-    meas = _check(prior, obs, meas)
-    ses = _Session(prior, obs)
-    jz = ses.ups(meas)
-    g = prior.points
-    qd, lt = obs.q_d, obs.l_tilde
-    rho = np.zeros((g, g))
-    for x in range(g):
-        for y in range(x + 1, g):
-            terms = [qd[x] * qd[y] * ses.ups(meas, (x, y))]
-            for pos in range(len(meas)):
-                u2 = ses.ups(_drop(meas, pos), (x, y))
-                terms.append((qd[y] * lt[meas[pos], x] + qd[x] * lt[meas[pos], y]) * u2)
-            for p1 in range(len(meas)):
-                for p2 in range(len(meas)):
-                    if p1 == p2:
-                        continue
-                    u2 = ses.ups(_drop2(meas, p1, p2), (x, y))
-                    terms.append(lt[meas[p1], x] * lt[meas[p2], y] * u2)
-            rho[x, y] = rho[y, x] = math.fsum(terms) / jz
-    return rho
+    def upsilon(self, meas=None) -> tuple[float, np.ndarray, np.ndarray]:
+        """(u0, u1, u2) of a sub-list of the measurement list (default: the
+        whole list)."""
+        key = self.meas if meas is None else tuple(int(z) for z in meas)
+        if Counter(key) - Counter(self.meas):
+            raise ValueError(f"{key} is not a sub-list of the measurements {self.meas}")
+        if key not in self._memo:
+            g = np.array([observation_likelihood(c, self.obs, key) for c in self._configs])
+            probs = self.prior.probs
+            self._memo[key] = (
+                math.fsum((probs * g[: len(probs)]).tolist()),
+                _fsum0(self._w1 * g[self._less_x]),
+                _fsum0(self._w2 * g[self._less_xy]),
+            )
+        return self._memo[key]
 
+    @property
+    def janossy(self) -> float:
+        """Janossy density of the measurement process at the measurements."""
+        return self.upsilon()[0]
 
-def posterior_covariance_exact(
-    prior: FiniteProcess, obs: ObservationModel, meas, a: Iterable[int], b: Iterable[int]
-) -> float:
-    """Posterior count covariance over index sets A and B.
+    def _without(self, *positions: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """Upsilon arrays of the measurement list less the given positions."""
+        return self.upsilon(z for i, z in enumerate(self.meas) if i not in positions)
 
-    Assembled term by term from the corrector expansion: the intersection
-    intensity term, the q_d^2 pair-vs-product term, the single-measurement
-    cross terms, the z = z' diagonal correction, and the z != z' pair term.
-    The subtracted products in the single-measurement cross terms use the
-    first-order corrector of the opposite variable (the printed source drops
-    to a second-order corrector there, which fails the Bayes cross-check).
-    """
-    meas = _check(prior, obs, meas)
-    a = sorted(set(int(i) for i in a))
-    b = sorted(set(int(i) for i in b))
-    inter = sorted(set(a) & set(b))
-    qd, lt = obs.q_d, obs.l_tilde
-    ses = _Session(prior, obs)
-    jz = ses.ups(meas)
-    m = len(meas)
+    def _normalizer(self) -> float:
+        if self.janossy == 0.0:
+            raise ValueError("measurements have zero likelihood under the prior")
+        return self.janossy
 
-    def l1(mm, x):
-        return ses.ups(mm, (x,)) / jz
+    def intensity(self) -> np.ndarray:
+        """Posterior first moment via the corrector-term expansion.
 
-    def l2(mm, x, y):
-        return ses.ups(mm, (x, y)) / jz
+        q_d(x) Upsilon^(1)_{z_{1:m}}(x) + sum_z l~_d(z|x) Upsilon^(1)_{z_{1:m} \\ z}(x),
+        normalized by the measurement Janossy density.
+        """
+        qd, lt = self.obs.q_d, self.obs.l_tilde
+        terms = [qd * self.upsilon()[1]]
+        terms += [lt[z] * self._without(p)[1] for p, z in enumerate(self.meas)]
+        return _fsum0(np.array(terms)) / self._normalizer()
 
-    terms = []
-    # q_d intersection intensity
-    for x in inter:
-        terms.append(qd[x] * l1(meas, x))
-    # q_d^2 (l2 - l1 l1) over A x B
-    l1_full = {x: l1(meas, x) for x in set(a) | set(b)}
-    for x in a:
-        for y in b:
-            terms.append(qd[x] * qd[y] * (l2(meas, x, y) - l1_full[x] * l1_full[y]))
-    for pos in range(m):
-        z = meas[pos]
-        rest = _drop(meas, pos)
-        l1_rest = {x: l1(rest, x) for x in set(a) | set(b)}
-        # single-detection cross terms against the miss branch
-        for x in a:
-            for y in b:
-                l2_rest = l2(rest, x, y)
-                terms.append(qd[y] * lt[z, x] * (l2_rest - l1_rest[x] * l1_full[y]))
-                terms.append(qd[x] * lt[z, y] * (l2_rest - l1_full[x] * l1_rest[y]))
-        # z = z' diagonal correction
-        for x in inter:
-            terms.append(lt[z, x] * l1_rest[x])
-        sa = math.fsum(lt[z, x] * l1_rest[x] for x in a)
-        sb = math.fsum(lt[z, y] * l1_rest[y] for y in b)
-        terms.append(-sa * sb)
-    # z != z' pair terms
-    for p1 in range(m):
-        for p2 in range(m):
-            if p1 == p2:
-                continue
-            z1, z2 = meas[p1], meas[p2]
-            rest1 = _drop(meas, p1)
-            rest2 = _drop(meas, p2)
-            rest12 = _drop2(meas, p1, p2)
-            for x in a:
-                l1x = l1(rest1, x)
-                for y in b:
-                    terms.append(
-                        lt[z1, x] * lt[z2, y] * (l2(rest12, x, y) - l1x * l1(rest2, y))
-                    )
-    return math.fsum(terms)
+    def pair(self) -> np.ndarray:
+        """Posterior second factorial moment via the corrector terms, with a
+        zero diagonal (the display convention for the pair moment)."""
+        qd, lt, meas = self.obs.q_d, self.obs.l_tilde, self.meas
+        terms = [np.outer(qd, qd) * self.upsilon()[2]]
+        for p, z in enumerate(meas):
+            terms.append((np.outer(lt[z], qd) + np.outer(qd, lt[z])) * self._without(p)[2])
+        for (p1, z1), (p2, z2) in permutations(enumerate(meas), 2):
+            terms.append(np.outer(lt[z1], lt[z2]) * self._without(p1, p2)[2])
+        rho = np.triu(_fsum0(np.array(terms)), 1) / self._normalizer()
+        return rho + rho.T
+
+    def covariance(self, a: Iterable[int], b: Iterable[int]) -> float:
+        """Posterior count covariance over index sets A and B.
+
+        Assembled from the corrector expansion: the intersection intensity,
+        the q_d^2 pair-vs-product, the single-measurement cross terms, the
+        z = z' diagonal correction and the z != z' pair terms.  The cross
+        terms subtract products with the first-order corrector of the
+        opposite variable (the printed source drops to a second-order
+        corrector there, which fails the Bayes cross-check).
+        """
+        grid = np.arange(self.prior.points)
+        a, b = grid[np.isin(grid, list(a))], grid[np.isin(grid, list(b))]
+        both = np.intersect1d(a, b)
+        ab = np.ix_(a, b)
+        qd, lt, meas = self.obs.q_d, self.obs.l_tilde, self.meas
+        jz = self._normalizer()
+
+        def ratios(*positions):
+            _, u1, u2 = self._without(*positions)
+            return u1 / jz, u2 / jz
+
+        l1, l2 = ratios()
+        singles = [ratios(p)[0] for p in range(len(meas))]
+        terms = [
+            qd[both] * l1[both],
+            np.outer(qd[a], qd[b]) * (l2[ab] - np.outer(l1[a], l1[b])),
+        ]
+        for p, z in enumerate(meas):
+            r1, r2 = singles[p], ratios(p)[1]
+            # single-detection cross terms against the miss branch
+            terms.append(np.outer(lt[z, a], qd[b]) * (r2[ab] - np.outer(r1[a], l1[b])))
+            terms.append(np.outer(qd[a], lt[z, b]) * (r2[ab] - np.outer(l1[a], r1[b])))
+            # z = z' diagonal correction
+            terms.append(lt[z, both] * r1[both])
+            sa = math.fsum((lt[z, a] * r1[a]).tolist())
+            sb = math.fsum((lt[z, b] * r1[b]).tolist())
+            terms.append(np.array([-sa * sb]))
+        # z != z' pair terms
+        for (p1, z1), (p2, z2) in permutations(enumerate(meas), 2):
+            dev = ratios(p1, p2)[1][ab] - np.outer(singles[p1][a], singles[p2][b])
+            terms.append(np.outer(lt[z1, a], lt[z2, b]) * dev)
+        return math.fsum(np.concatenate([t.ravel() for t in terms]).tolist())
 
 
 def enumerate_posterior(prior: FiniteProcess, obs: ObservationModel, meas) -> FiniteProcess:

@@ -29,17 +29,12 @@ from dpptrack.kernels import (
 from dpptrack.likelihood import SensorModel
 from dpptrack.metrics import omat, ospa
 from dpptrack.oracle import (
+    ExactPosterior,
     FiniteProcess,
     ObservationModel,
-    corrector_upsilon1,
-    corrector_upsilon2,
     dpp_process,
     enumerate_posterior,
-    measurement_janossy,
     poisson_process,
-    posterior_covariance_exact,
-    posterior_intensity_exact,
-    posterior_pair_exact,
 )
 from dpptrack.ppp_filter import BirthScheme, PppPhdFilter, SurvivalModel
 from dpptrack.scenario import (
@@ -74,19 +69,15 @@ def test_criterion_1_poisson_reduction():
         l_c=np.array([0.25, 0.45]),
     )
     meas = (0, 1)
-    jz = measurement_janossy(prior, obs, meas)
-    worst = 0.0
+    exact = ExactPosterior(prior, obs, meas)
+    jz, u1, u2 = exact.upsilon()
     # corrector ratios l1 and l2 are lambda_x and lambda_x lambda_y
-    for x in range(3):
-        u1 = corrector_upsilon1(prior, obs, meas, x)
-        worst = max(worst, abs(u1 / (jz * lam[x]) - 1.0))
-        for y in range(3):
-            u2 = corrector_upsilon2(prior, obs, meas, x, y)
-            worst = max(worst, abs(u2 / (jz * lam[x] * lam[y]) - 1.0))
+    worst = float(np.max(np.abs(u1 / (jz * lam) - 1.0)))
+    worst = max(worst, float(np.max(np.abs(u2 / (jz * np.outer(lam, lam)) - 1.0))))
     # classical first-moment corrector, per unit of prior intensity
     s = obs.l_c + obs.l_tilde @ lam
     classical = obs.q_d + (obs.l_tilde / s[:, None]).sum(axis=0)
-    mu = posterior_intensity_exact(prior, obs, meas)
+    mu = exact.intensity()
     worst = max(worst, float(np.max(np.abs(mu / lam - classical))))
     # classical covariance over overlapping and disjoint domain pairs
     lt = obs.l_tilde
@@ -98,7 +89,7 @@ def test_criterion_1_poisson_reduction():
             ib = float(np.sum(lt[z, list(b)] * lam[list(b)]))
             ii = float(np.sum(lt[z, inter] * lam[inter])) if inter else 0.0
             closed += ii / s[z] - ia * ib / s[z] ** 2
-        got = posterior_covariance_exact(prior, obs, meas, a, b)
+        got = exact.covariance(a, b)
         worst = max(worst, abs(got - closed))
     elapsed = time.perf_counter() - t0
     report(
@@ -135,13 +126,12 @@ def test_criterion_2_oracle_equivalence():
         m = int(rng.integers(0, min(z, 3) + 1))
         meas = tuple(int(v) for v in rng.choice(z, size=m, replace=False))
         post = enumerate_posterior(prior, obs, meas)
-        mu = posterior_intensity_exact(prior, obs, meas)
-        worst = max(worst, float(np.max(np.abs(mu - post.intensity()))))
-        rho = posterior_pair_exact(prior, obs, meas)
-        worst = max(worst, float(np.max(np.abs(rho - post.pair_factorial()))))
+        exact = ExactPosterior(prior, obs, meas)
+        worst = max(worst, float(np.max(np.abs(exact.intensity() - post.intensity()))))
+        worst = max(worst, float(np.max(np.abs(exact.pair() - post.pair_factorial()))))
         a = [i for i in range(g) if rng.uniform() < 0.5]
         b = [i for i in range(g) if rng.uniform() < 0.5]
-        cov = posterior_covariance_exact(prior, obs, meas, a, b)
+        cov = exact.covariance(a, b)
         worst = max(worst, abs(cov - post.count_covariance(a, b)))
     elapsed = time.perf_counter() - t0
     report(
@@ -175,9 +165,8 @@ def test_criterion_3_approximation_order():
     errors = []
     for eps in (0.02, 0.01, 0.005):
         kernel = DiscretizedKernel(eps * operator_form(base, weights))
-        prior = dpp_process(kernel)
-        mu_exact = posterior_intensity_exact(prior, obs, meas)
-        rho_exact = posterior_pair_exact(prior, obs, meas)
+        exact = ExactPosterior(dpp_process(kernel), obs, meas)
+        mu_exact, rho_exact = exact.intensity(), exact.pair()
         j = interaction_kernel(kernel)
         like = obs.l_tilde[list(meas), :]
         mu_ap, rho_ap = posterior_moments(kernel, j, like, obs.l_c[list(meas)], 1 - p_d)

@@ -30,13 +30,7 @@ from dpptrack.kernels import (
     validate_kernel,
 )
 from dpptrack.likelihood import SensorModel
-from dpptrack.oracle import (
-    ObservationModel,
-    dpp_process,
-    posterior_covariance_exact,
-    posterior_intensity_exact,
-    posterior_pair_exact,
-)
+from dpptrack.oracle import ExactPosterior, ObservationModel, dpp_process
 from dpptrack.ppp_filter import (
     BirthScheme,
     PppPhdFilter,
@@ -252,9 +246,8 @@ class TestUpdate:
         errors = []
         for eps in (0.02, 0.01, 0.005):
             kernel = epsilon_kernel(eps)
-            prior = dpp_process(kernel)
-            mu_exact = posterior_intensity_exact(prior, obs, meas)
-            rho_exact = posterior_pair_exact(prior, obs, meas)
+            exact = ExactPosterior(dpp_process(kernel), obs, meas)
+            mu_exact, rho_exact = exact.intensity(), exact.pair()
             j = interaction_kernel(kernel)
             like = obs.l_tilde[list(meas), :]
             clutter = obs.l_c[list(meas)]
@@ -432,8 +425,7 @@ class TestCovariance:
         errors = []
         for eps in (0.02, 0.01, 0.005):
             kernel = epsilon_kernel(eps)
-            prior = dpp_process(kernel)
-            exact = posterior_covariance_exact(prior, obs, meas, a, b)
+            exact = ExactPosterior(dpp_process(kernel), obs, meas).covariance(a, b)
             like = obs.l_tilde[list(meas), :]
             clutter = obs.l_c[list(meas)]
             approx = approx_count_covariance(kernel, like, clutter, q_d, a, b)

@@ -313,3 +313,27 @@ class TestCli:
 
     def test_run_requires_source(self, capsys):
         assert cli_main(["run", "--out", "/tmp/nowhere"]) == 2
+        assert capsys.readouterr().err == "error: provide --config or --preset\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--preset", "spooky", "--runs", "0"], "mc_runs must be >= 1"),
+            (["--preset", "nosuch"], "unknown preset 'nosuch'"),
+            (["--config", "missing.ini"], "No such file or directory"),
+        ],
+    )
+    def test_config_errors_exit_2_without_a_traceback(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert cli_main(["run", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_a_failing_run_still_raises(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ConfigError("raised inside the run")
+
+        monkeypatch.setattr(harness, "run_experiment", broken)
+        with pytest.raises(ConfigError, match="raised inside the run"):
+            cli_main(["run", "--preset", "spooky", "--out", str(tmp_path / "out")])

@@ -8,20 +8,16 @@ from hypothesis import strategies as st
 from dpptrack.checks import operator_form
 from dpptrack.errors import SizeError
 from dpptrack.kernels import project_kernel
+from dpptrack import oracle
 from dpptrack.oracle import (
+    ExactPosterior,
     FiniteProcess,
     ObservationModel,
-    corrector_upsilon1,
-    corrector_upsilon2,
     dpp_process,
     enumerate_posterior,
     joint_janossy,
-    measurement_janossy,
     observation_likelihood,
     poisson_process,
-    posterior_covariance_exact,
-    posterior_intensity_exact,
-    posterior_pair_exact,
 )
 
 
@@ -140,7 +136,7 @@ class TestMeasurementJanossy:
         s = obs.l_c + obs.l_tilde @ lam
         # the detected mass is p_d weighted by the intensity masses
         closed = math.exp(-float(p_d @ lam)) * float(np.prod(s))
-        got = measurement_janossy(prior, obs, meas)
+        got = ExactPosterior(prior, obs, meas).janossy
         assert got == pytest.approx(closed, rel=1e-10)
 
     def test_empty_measurement_set_is_miss_probability(self):
@@ -149,7 +145,7 @@ class TestMeasurementJanossy:
         prior = random_simple_prior(w, rng)
         obs = random_obs(3, 1, rng)
         expect = sum(p * float(np.prod(obs.q_d[list(cfg)])) for cfg, p in prior.table.items())
-        assert measurement_janossy(prior, obs, ()) == pytest.approx(expect, rel=1e-12)
+        assert ExactPosterior(prior, obs, ()).janossy == pytest.approx(expect, rel=1e-12)
 
     def test_matches_enumeration_normalizer(self):
         w = np.array([1.1, 0.9])
@@ -161,36 +157,30 @@ class TestMeasurementJanossy:
         total = sum(
             p * observation_likelihood(cfg, obs, meas) for cfg, p in prior.table.items()
         )
-        assert measurement_janossy(prior, obs, meas) == pytest.approx(total, rel=1e-12)
+        assert ExactPosterior(prior, obs, meas).janossy == pytest.approx(total, rel=1e-12)
 
     def test_support_bound_guard(self):
         prior = poisson_process([0.1], n_max=13)
         obs = random_obs(1, 1, np.random.default_rng(8))
         with pytest.raises(SizeError, match="exceeds the exact-sum bound 12"):
-            measurement_janossy(prior, obs, (0,))
+            ExactPosterior(prior, obs, (0,))
 
     def test_prior_and_model_on_different_grids(self):
         prior = random_simple_prior(small_grid(), np.random.default_rng(8))
         obs = random_obs(2, 1, np.random.default_rng(8))
         with pytest.raises(ValueError, match="prior on 3 points, observation model on 2"):
-            posterior_intensity_exact(prior, obs, (0,))
+            ExactPosterior(prior, obs, (0,))
 
 
 class TestCorrectors:
-    def test_poisson_upsilon_is_intensity_times_measurement_janossy(self):
+    def test_poisson_upsilon_is_intensity_times_janossy(self):
         lam, prior = small_poisson()
         rng = np.random.default_rng(9)
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
-        jz = measurement_janossy(prior, obs, meas)
-        for x in range(3):
-            assert corrector_upsilon1(prior, obs, meas, x) == pytest.approx(
-                lam[x] * jz, rel=1e-10
-            )
-            for y in range(3):
-                assert corrector_upsilon2(prior, obs, meas, x, y) == pytest.approx(
-                    lam[x] * lam[y] * jz, rel=1e-10
-                )
+        jz, u1, u2 = ExactPosterior(prior, obs, meas).upsilon()
+        np.testing.assert_allclose(u1, lam * jz, rtol=1e-10)
+        np.testing.assert_allclose(u2, np.outer(lam, lam) * jz, rtol=1e-10)
 
     def test_single_configuration_prior(self):
         prior = FiniteProcess(3, {(1,): 1.0})
@@ -199,8 +189,9 @@ class TestCorrectors:
         meas = (0, 1)
         # only the empty integration configuration contributes
         expect = obs.l_c[0] * obs.l_c[1]
-        assert corrector_upsilon1(prior, obs, meas, 1) == pytest.approx(expect, rel=1e-12)
-        assert corrector_upsilon1(prior, obs, meas, 0) == 0.0
+        u1 = ExactPosterior(prior, obs, meas).upsilon()[1]
+        assert u1[1] == pytest.approx(expect, rel=1e-12)
+        assert u1[0] == 0.0
 
     def test_dpp_prior_against_enumeration(self):
         rng = np.random.default_rng(11)
@@ -211,7 +202,7 @@ class TestCorrectors:
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
         post = enumerate_posterior(prior, obs, meas)
-        mu = posterior_intensity_exact(prior, obs, meas)
+        mu = ExactPosterior(prior, obs, meas).intensity()
         np.testing.assert_allclose(mu, post.intensity(), atol=1e-10)
 
 
@@ -223,7 +214,7 @@ class TestPosteriorMoments:
         meas = (0, 1)
         s = obs.l_c + obs.l_tilde @ lam
         classical = obs.q_d + (obs.l_tilde / s[:, None]).sum(axis=0)
-        mu = posterior_intensity_exact(prior, obs, meas)
+        mu = ExactPosterior(prior, obs, meas).intensity()
         np.testing.assert_allclose(mu / lam, classical, atol=1e-10)
 
     def test_no_detection_probability_keeps_prior(self):
@@ -233,7 +224,7 @@ class TestPosteriorMoments:
         obs = ObservationModel(
             p_d=np.zeros(3), l_d=rng.uniform(0.1, 1.0, (2, 3)), l_c=np.array([0.5, 0.4])
         )
-        mu = posterior_intensity_exact(prior, obs, (0, 1))
+        mu = ExactPosterior(prior, obs, (0, 1)).intensity()
         np.testing.assert_allclose(mu, prior.intensity(), atol=1e-12)
 
     def test_poisson_pair_closed_form(self):
@@ -244,7 +235,7 @@ class TestPosteriorMoments:
         s = obs.l_c + obs.l_tilde @ lam
         lt = obs.l_tilde
         qd = obs.q_d
-        rho = posterior_pair_exact(prior, obs, meas)
+        rho = ExactPosterior(prior, obs, meas).pair()
         for x in range(3):
             for y in range(3):
                 if x == y:
@@ -264,7 +255,7 @@ class TestPosteriorMoments:
         prior = FiniteProcess(3, {(): 0.4, (0,): 0.3, (2,): 0.3})
         rng = np.random.default_rng(15)
         obs = random_obs(3, 2, rng)
-        rho = posterior_pair_exact(prior, obs, (0, 1))
+        rho = ExactPosterior(prior, obs, (0, 1)).pair()
         np.testing.assert_allclose(rho, 0.0, atol=1e-14)
 
     def test_pair_symmetry_exact(self):
@@ -272,7 +263,7 @@ class TestPosteriorMoments:
         rng = np.random.default_rng(16)
         prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
-        rho = posterior_pair_exact(prior, obs, (0, 1))
+        rho = ExactPosterior(prior, obs, (0, 1)).pair()
         np.testing.assert_array_equal(rho, rho.T)
 
 
@@ -284,6 +275,7 @@ class TestPosteriorCovariance:
         meas = (0, 1)
         lt = obs.l_tilde
         s = obs.l_c + lt @ lam
+        exact = ExactPosterior(prior, obs, meas)
         for a, b in [((0, 1), (1, 2)), ((0,), (1, 2)), ((0, 1, 2), (0, 1, 2))]:
             inter = sorted(set(a) & set(b))
             closed = float(np.sum(obs.q_d[list(inter)] * lam[list(inter)])) if inter else 0.0
@@ -292,7 +284,7 @@ class TestPosteriorCovariance:
                 ib = float(np.sum(lt[z, list(b)] * lam[list(b)]))
                 ii = float(np.sum(lt[z, inter] * lam[inter])) if inter else 0.0
                 closed += ii / s[z] - ia * ib / s[z] ** 2
-            got = posterior_covariance_exact(prior, obs, meas, a, b)
+            got = exact.covariance(a, b)
             assert got == pytest.approx(closed, abs=1e-10)
 
     def test_prior_covariance_recovered_without_information(self):
@@ -302,7 +294,7 @@ class TestPosteriorCovariance:
         obs = ObservationModel(
             p_d=np.zeros(3), l_d=rng.uniform(0.1, 1.0, (1, 3)), l_c=np.array([0.5])
         )
-        got = posterior_covariance_exact(prior, obs, (), (0, 1), (1, 2))
+        got = ExactPosterior(prior, obs, ()).covariance((0, 1), (1, 2))
         assert got == pytest.approx(prior.count_covariance((0, 1), (1, 2)), abs=1e-12)
 
     def test_variance_matches_enumeration(self):
@@ -315,7 +307,7 @@ class TestPosteriorCovariance:
         meas = (0, 1)
         post = enumerate_posterior(prior, obs, meas)
         full = tuple(range(3))
-        got = posterior_covariance_exact(prior, obs, meas, full, full)
+        got = ExactPosterior(prior, obs, meas).covariance(full, full)
         assert got == pytest.approx(post.count_covariance(full, full), abs=1e-10)
 
 
@@ -334,7 +326,7 @@ class TestEnumeratePosterior:
         obs = random_obs(3, 2, rng)
         meas = (0, 1)
         post = enumerate_posterior(prior, obs, meas)
-        mu = posterior_intensity_exact(prior, obs, meas)
+        mu = ExactPosterior(prior, obs, meas).intensity()
         np.testing.assert_allclose(mu, post.intensity(), atol=1e-9)
 
     def test_random_prior_two_routes_agree(self):
@@ -344,12 +336,9 @@ class TestEnumeratePosterior:
         obs = random_obs(4, 2, rng)
         meas = (0, 1)
         post = enumerate_posterior(prior, obs, meas)
-        np.testing.assert_allclose(
-            posterior_intensity_exact(prior, obs, meas), post.intensity(), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            posterior_pair_exact(prior, obs, meas), post.pair_factorial(), atol=1e-10
-        )
+        exact = ExactPosterior(prior, obs, meas)
+        np.testing.assert_allclose(exact.intensity(), post.intensity(), atol=1e-10)
+        np.testing.assert_allclose(exact.pair(), post.pair_factorial(), atol=1e-10)
 
     def test_total_count_identity(self):
         rng = np.random.default_rng(23)
@@ -358,7 +347,7 @@ class TestEnumeratePosterior:
         obs = random_obs(4, 3, rng)
         meas = (0, 2)
         post = enumerate_posterior(prior, obs, meas)
-        mu = posterior_intensity_exact(prior, obs, meas)
+        mu = ExactPosterior(prior, obs, meas).intensity()
         mean_count = sum(p * len(cfg) for cfg, p in post.table.items())
         assert float(mu.sum()) == pytest.approx(mean_count, abs=1e-9)
 
@@ -391,12 +380,99 @@ def test_bayes_consistency_property(seed):
         p_d[rng.integers(g)] = 1.0
         obs = ObservationModel(p_d, obs.l_d, obs.l_c)
     m = int(rng.integers(0, min(z, 3) + 1))
-    meas = tuple(int(v) for v in rng.choice(z, size=m, replace=False))
+    meas = [int(v) for v in rng.choice(z, size=m, replace=False)]
+    if m and rng.uniform() < 0.3:
+        meas.insert(int(rng.integers(m + 1)), meas[0])  # a repeated point
     post = enumerate_posterior(prior, obs, meas)
-    np.testing.assert_allclose(
-        posterior_intensity_exact(prior, obs, meas), post.intensity(), atol=1e-9
-    )
-    a = [i for i in range(g) if rng.uniform() < 0.6]
-    b = [i for i in range(g) if rng.uniform() < 0.6]
-    got = posterior_covariance_exact(prior, obs, meas, a, b)
+    exact = ExactPosterior(prior, obs, meas)
+    np.testing.assert_allclose(exact.intensity(), post.intensity(), atol=1e-9)
+    np.testing.assert_allclose(exact.pair(), post.pair_factorial(), atol=1e-9)
+    # index sets as unsorted lists with repeats, sometimes empty
+    a = [int(i) for i in rng.integers(0, g, size=rng.integers(0, g + 2))]
+    b = [int(i) for i in rng.integers(0, g, size=rng.integers(0, g + 2))]
+    got = exact.covariance(a, b)
     assert got == pytest.approx(post.count_covariance(a, b), abs=1e-9)
+
+
+def test_each_observation_factor_is_evaluated_once(monkeypatch):
+    """Criterion 1's Poisson problem: 455 configurations, and four
+    measurement sub-lists of (0, 1), so at most 455 x 4 factor evaluations
+    for every moment, and none when the moments are asked for again."""
+    lam, prior = small_poisson()
+    obs = ObservationModel(
+        p_d=np.full(3, 0.7),
+        l_d=np.array([[0.9, 0.3, 0.1], [0.2, 0.5, 0.8]]),
+        l_c=np.array([0.25, 0.45]),
+    )
+    calls = []
+    real = oracle.observation_likelihood
+
+    def counting(instances, obs, meas):
+        calls.append((instances, meas))
+        return real(instances, obs, meas)
+
+    monkeypatch.setattr(oracle, "observation_likelihood", counting)
+    exact = ExactPosterior(prior, obs, (0, 1))
+
+    def moments():
+        exact.intensity()
+        exact.pair()
+        for a, b in [((0, 1), (1, 2)), ((0,), (2,)), ((0, 1, 2), (0, 1, 2))]:
+            exact.covariance(a, b)
+
+    moments()
+    assert len(prior.table) == 455
+    assert len(calls) <= 455 * 4
+    assert len(set(calls)) == len(calls)
+    first = len(calls)
+    moments()
+    assert len(calls) == first
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["p_d", "l_d", "l_c"])
+    def test_observation_model_rejects_non_finite_entries(self, field, bad):
+        arrays = dict(p_d=np.array([0.5, 0.7]), l_d=np.full((1, 2), 0.4), l_c=np.array([0.3]))
+        arrays[field] = arrays[field].copy()
+        arrays[field].flat[0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            ObservationModel(**arrays)
+
+    @pytest.mark.parametrize("meas", [(-1,), (2,), (0, 2)])
+    def test_measurement_index_outside_the_grid(self, meas):
+        prior = FiniteProcess(2, {(): 0.5, (0,): 0.3, (1,): 0.2})
+        obs = random_obs(2, 2, np.random.default_rng(25))
+        for call in (
+            lambda: ExactPosterior(prior, obs, meas),
+            lambda: joint_janossy(prior, obs, (0,), meas),
+            lambda: enumerate_posterior(prior, obs, meas),
+        ):
+            with pytest.raises(ValueError, match="outside the grid of 2 points"):
+                call()
+
+    def test_moments_of_a_measurement_with_zero_likelihood_raise(self):
+        prior = FiniteProcess(1, {(): 1.0})
+        obs = ObservationModel(p_d=[0.5], l_d=[[0.4]], l_c=[0.0])
+        exact = ExactPosterior(prior, obs, (0,))
+        assert exact.janossy == 0.0
+        for moment in (exact.intensity, exact.pair, lambda: exact.covariance([0], [0])):
+            with pytest.raises(ValueError, match="zero likelihood"):
+                moment()
+
+    def test_index_sets_off_the_grid_count_no_points(self):
+        prior = random_simple_prior(small_grid(), np.random.default_rng(27))
+        obs = random_obs(3, 2, np.random.default_rng(27))
+        exact = ExactPosterior(prior, obs, (0, 1))
+        post = enumerate_posterior(prior, obs, (0, 1))
+        assert exact.covariance([1, 0, 5, -1, 0], [2, -3]) == exact.covariance([0, 1], [2])
+        assert post.count_covariance([1, 0, 5, -1, 0], [2, -3]) == post.count_covariance(
+            [0, 1], [2]
+        )
+
+    def test_upsilon_of_a_list_that_is_not_a_sub_list(self):
+        prior = FiniteProcess(2, {(): 0.5, (0,): 0.5})
+        exact = ExactPosterior(prior, random_obs(2, 2, np.random.default_rng(26)), (0, 1))
+        assert exact.upsilon((1,))[0] > 0.0
+        with pytest.raises(ValueError, match="not a sub-list"):
+            exact.upsilon((1, 1))
