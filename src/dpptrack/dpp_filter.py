@@ -40,10 +40,9 @@ from .kernels import (
     shrink_to_feasible,
 )
 from .likelihood import SensorModel
-from .ppp_filter import SurvivalModel, corrector_terms, poisson_weight_update
+from .ppp_filter import SurvivalModel, corrector_terms
 from .scenario import Region, Scan, Window
 from .smc import (
-    BirthScheme,
     SmcConfig,
     banded_kernel,
     init_particles,
@@ -155,10 +154,7 @@ def posterior_kernel_entries(
 
 
 def dpp_update(
-    state: FilterState,
-    scan: Scan,
-    sensor: SensorModel,
-    poisson_equivalent: bool = False,
+    state: FilterState, scan: Scan, sensor: SensorModel
 ) -> tuple[FilterState, UpdateDiagnostics]:
     """One measurement update; returns the posterior state.
 
@@ -166,21 +162,9 @@ def dpp_update(
     (clipped at 1 - kernels.DELTA), so its trace is the posterior count; its
     off-diagonal is scaled into the valid kernels by ``shrink_to_feasible``,
     whose scale and clipped mass are recorded in the diagnostics.
-
-    With ``poisson_equivalent`` the interaction transform is the identity
-    (J := K, exact in the vanishing-interaction limit) and the diagonal is
-    updated through the classical Poisson corrector, which makes a
-    zero-off-diagonal run reproduce the PPP filter bit for bit.
     """
     like = sensor.tilde_matrix(scan.detections, state.particles)
     clutter = sensor.clutter_density(scan.detections)
-    if poisson_equivalent:
-        # identity interaction transform and the classical corrector; no
-        # spectral clipping, so the diagonal stays bit-identical to the
-        # Poisson filter's weight trajectory
-        mu = poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
-        new_kernel = DiscretizedKernel(np.diag(mu), state.kernel.bands)
-        return FilterState(state.particles, new_kernel), UpdateDiagnostics()
     bands = state.kernel.bands
     j = interaction_kernel(state.kernel)
     mu, rho = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
@@ -195,12 +179,7 @@ def dpp_update(
     return FilterState(state.particles, new_kernel), diag
 
 
-def posterior_diagonal(
-    state: FilterState,
-    scan: Scan,
-    sensor: SensorModel,
-    poisson_equivalent: bool = False,
-) -> np.ndarray:
+def posterior_diagonal(state: FilterState, scan: Scan, sensor: SensorModel) -> np.ndarray:
     """Posterior intensity per particle without assembling off-diagonals.
 
     The per-step pipeline resamples on the posterior diagonal and then
@@ -209,8 +188,6 @@ def posterior_diagonal(
     """
     like = sensor.tilde_matrix(scan.detections, state.particles)
     clutter = sensor.clutter_density(scan.detections)
-    if poisson_equivalent:
-        return poisson_weight_update(state.kernel.diagonal, like, clutter, sensor.q_d)
     jd = interaction_diagonal(state.kernel)
     per_point = corrector_terms(clutter, like, jd)[1]
     return sensor.q_d * state.kernel.diagonal + jd * per_point
@@ -219,7 +196,6 @@ def posterior_diagonal(
 def predict(
     state: FilterState,
     survival: SurvivalModel,
-    birth: BirthScheme,
     smc: SmcConfig,
     window: Window,
     rng: np.random.Generator,
@@ -232,7 +208,7 @@ def predict(
     is valid by construction.
     """
     particles, born, mass = predict_states(
-        state.particles, state.intensity, survival, birth, window, rng
+        state.particles, state.intensity, survival, smc.birth_per_target, window, rng
     )
     n = len(particles)
     entries = np.zeros((n + len(born),) * 2)
@@ -255,33 +231,24 @@ class DppStepRecord:
 class DppPhdFilter:
     """Stateful filter: ``smc.phd_step`` on the dense banded kernel.
 
-    Per step: predict (move + p_s scaling + adaptive birth), resample by the
-    posterior diagonal with roughening, rebuild the banded kernel on the
-    resampled particles, and update it against the scan.  With
-    ``poisson_equivalent`` (which needs alpha = 0) the kernel stays diagonal
-    and the update is the classical Poisson corrector, so the filter
-    reproduces PppPhdFilter bit for bit.
+    Per step: predict (move + p_s scaling + births by ``smc.birth_count``),
+    resample by the posterior diagonal with roughening, rebuild the banded
+    kernel on the resampled particles, and update it against the scan.
     """
 
     def __init__(
         self,
         smc: SmcConfig,
         survival: SurvivalModel,
-        birth: BirthScheme,
         sensor: SensorModel,
         window: Window,
         rng: np.random.Generator,
-        poisson_equivalent: bool = False,
     ):
-        if poisson_equivalent and smc.alpha != 0.0:
-            raise ValueError("poisson_equivalent mode requires alpha = 0")
         self.smc = smc
         self.survival = survival
-        self.birth = birth
         self.sensor = sensor
         self.window = window
         self.rng = rng
-        self.poisson_equivalent = poisson_equivalent
         self.state = FilterState(*init_particles(smc, window, rng))
 
     def step(self, scan: Scan) -> DppStepRecord:
@@ -291,21 +258,20 @@ class DppPhdFilter:
     # the dense-kernel half of smc.phd_step
 
     def predicted(self) -> FilterState:
-        return predict(self.state, self.survival, self.birth, self.smc, self.window, self.rng)
+        return predict(self.state, self.survival, self.smc, self.window, self.rng)
 
     def posterior_intensity(self, pred: FilterState, scan: Scan) -> np.ndarray:
         # the resampler only consumes the diagonal; the full posterior
         # kernel is computed after the rebuild
-        return posterior_diagonal(pred, scan, self.sensor, self.poisson_equivalent)
+        return posterior_diagonal(pred, scan, self.sensor)
 
     def rebuilt(self, states: np.ndarray, gamma: float) -> FilterState:
-        # alpha = 0 in poisson_equivalent mode, so this is diagonal there
         return FilterState(states, rebuild_kernel(states, self.smc, gamma))
 
     def updated(
         self, state: FilterState, scan: Scan
     ) -> tuple[FilterState, UpdateDiagnostics]:
-        return dpp_update(state, scan, self.sensor, self.poisson_equivalent)
+        return dpp_update(state, scan, self.sensor)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .scenario import (
     TruthSimulator,
     Window,
 )
-from .smc import BirthScheme, SmcConfig
+from .smc import SmcConfig
 
 PRESET_NAMES = ("spooky", "death", "birth", "repulsion-bias", "good-ratio")
 
@@ -79,10 +79,14 @@ class ExperimentConfig:
             raise ConfigError("mc_runs must be >= 1")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.filter not in ("dpp", "ppp", "both"):
             raise ConfigError(f"filter must be dpp, ppp or both, got {self.filter!r}")
         if not (0.0 <= self.p_s <= 1.0):
             raise ConfigError("p_s must lie in [0, 1]")
+        if not (0.0 < self.ospa_c < math.inf and 1.0 <= self.ospa_p < math.inf):
+            raise ConfigError("ospa_c must be finite and > 0, ospa_p finite and >= 1")
 
 
 @dataclass
@@ -337,28 +341,15 @@ def _initial_truth(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarra
 
 def _make_filters(cfg: ExperimentConfig, run: int, sensor_model: SensorModel) -> dict:
     survival = SurvivalModel(cfg.p_s, cfg.filter_dynamics)
-    # adaptive birth mass, and one target's worth of births when it floors to 0
-    birth = BirthScheme(cfg.smc.birth_per_target, min_particles=cfg.smc.birth_per_target)
-    filters = {}
-    if cfg.filter in ("dpp", "both"):
-        filters["dpp"] = DppPhdFilter(
-            cfg.smc,
-            survival,
-            birth,
-            sensor_model,
-            cfg.sensor.window,
-            stream(cfg.seed, run, "filter-dpp"),
+    names = ("dpp", "ppp") if cfg.filter == "both" else (cfg.filter,)
+    classes = {"dpp": DppPhdFilter, "ppp": PppPhdFilter}
+    return {
+        name: classes[name](
+            cfg.smc, survival, sensor_model, cfg.sensor.window,
+            stream(cfg.seed, run, f"filter-{name}"),
         )
-    if cfg.filter in ("ppp", "both"):
-        filters["ppp"] = PppPhdFilter(
-            cfg.smc,
-            survival,
-            birth,
-            sensor_model,
-            cfg.sensor.window,
-            stream(cfg.seed, run, "filter-ppp"),
-        )
-    return filters
+        for name in names
+    }
 
 
 def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:

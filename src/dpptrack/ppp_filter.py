@@ -2,8 +2,9 @@
 
 Particles carry intensity weights whose sum is the expected target count.
 Each step runs the SMC-PHD pipeline shared with the determinantal filter
-(``smc.phd_step``) on this O(N) weight-vector representation, so only the
-weight update differs between the two.
+(``smc.phd_step``) on this O(N) weight-vector representation, with the
+same births (``smc.birth_count``), so only the weight update differs
+between the two.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import DegenerateIntensity
 from .likelihood import SensorModel
 from .scenario import DynamicsConfig, Scan, Window
-from .smc import BirthScheme, SmcConfig, phd_step, predict_states
+from .smc import SmcConfig, phd_step, predict_states
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,16 @@ class WeightedParticles:
 def ppp_predict(
     p: WeightedParticles,
     survival: SurvivalModel,
-    birth: BirthScheme,
+    birth_per_target: int,
     window: Window,
     rng: np.random.Generator,
 ) -> WeightedParticles:
     """Move the particles and draw the births (``smc.predict_states``),
     scale the weights by p_s and append the births, each of weight birth
     mass / count."""
-    states, born, mass = predict_states(p.states, p.weights, survival, birth, window, rng)
+    states, born, mass = predict_states(
+        p.states, p.weights, survival, birth_per_target, window, rng
+    )
     weights = p.weights * survival.p_s
     if len(born):
         states = np.vstack([states, born])
@@ -113,10 +116,15 @@ def poisson_weight_update(
     return weights * (q_d + corrector_terms(clutter, like, weights)[1])
 
 
-def ppp_update(p: WeightedParticles, scan: Scan, sensor: SensorModel) -> WeightedParticles:
+def posterior_weights(p: WeightedParticles, scan: Scan, sensor: SensorModel) -> np.ndarray:
+    """The classical corrector's weights of p against the scan."""
     like = sensor.tilde_matrix(scan.detections, p.states)
     clutter = sensor.clutter_density(scan.detections)
-    return WeightedParticles(p.states, poisson_weight_update(p.weights, like, clutter, sensor.q_d))
+    return poisson_weight_update(p.weights, like, clutter, sensor.q_d)
+
+
+def ppp_update(p: WeightedParticles, scan: Scan, sensor: SensorModel) -> WeightedParticles:
+    return WeightedParticles(p.states, posterior_weights(p, scan, sensor))
 
 
 @dataclass
@@ -132,14 +140,12 @@ class PppPhdFilter:
         self,
         smc: SmcConfig,
         survival: SurvivalModel,
-        birth: BirthScheme,
         sensor: SensorModel,
         window: Window,
         rng: np.random.Generator,
     ):
         self.smc = smc
         self.survival = survival
-        self.birth = birth
         self.sensor = sensor
         self.window = window
         self.rng = rng
@@ -152,10 +158,12 @@ class PppPhdFilter:
     # the weight-vector half of smc.phd_step
 
     def predicted(self) -> WeightedParticles:
-        return ppp_predict(self.state, self.survival, self.birth, self.window, self.rng)
+        return ppp_predict(
+            self.state, self.survival, self.smc.birth_per_target, self.window, self.rng
+        )
 
     def posterior_intensity(self, pred: WeightedParticles, scan: Scan) -> np.ndarray:
-        return ppp_update(pred, scan, self.sensor).weights
+        return posterior_weights(pred, scan, self.sensor)
 
     def rebuilt(self, states: np.ndarray, gamma: float) -> WeightedParticles:
         size = len(states)

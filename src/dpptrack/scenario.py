@@ -26,10 +26,11 @@ class DynamicsConfig:
     zeta_y: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if min(self.sigma_vx, self.sigma_vy, self.sigma_vtheta) < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        # chained comparisons with math.inf refuse NaN and infinities too
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and positive")
+        if not all(0.0 <= s < math.inf for s in (self.sigma_vx, self.sigma_vy, self.sigma_vtheta)):
+            raise ValueError("sigma_vx, sigma_vy and sigma_vtheta must be finite and nonnegative")
 
 
 def turn_transitions(theta: np.ndarray, tau: float) -> np.ndarray:
@@ -185,8 +186,11 @@ class SensorConfig:
     def __post_init__(self):
         if not (0.0 <= self.p_d <= 1.0):
             raise ValueError("p_d must lie in [0, 1]")
-        if min(self.sigma_range, self.sigma_bearing, self.clutter_mean) < 0:
-            raise ValueError("sensor parameters must be nonnegative")
+        # the likelihood divides by both sigmas
+        if not (0.0 < self.sigma_range < math.inf and 0.0 < self.sigma_bearing < math.inf):
+            raise ValueError("sigma_range and sigma_bearing must be finite and positive")
+        if not 0.0 <= self.clutter_mean < math.inf:
+            raise ValueError("clutter_mean must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

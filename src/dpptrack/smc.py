@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -26,7 +25,7 @@ from .scenario import Scan, Window, step_dynamics
 class SmcConfig:
     n_init: int = 800                # N_{Phi,0}
     resample_per_target: int = 30    # P_p
-    birth_per_target: int = 10       # P_b
+    birth_per_target: int = 10       # P_b, birth particles per target (birth_count)
     cap: int = 1000                  # hard particle cap
     roughening_scale: float = 0.05   # jitter s.d. fraction of domain extent
     alpha: float = 4.0               # band strength rho = alpha / (1 + alpha)
@@ -38,39 +37,32 @@ class SmcConfig:
             raise ValueError("particle counts must be positive")
         if not (0.0 < self.band_eta < 1.0):
             raise ValueError("band_eta must lie in (0, 1)")
-        if self.roughening_scale < 0 or self.alpha < 0 or self.gamma0 <= 0:
-            raise ValueError("roughening_scale, alpha must be >= 0 and gamma0 > 0")
+        if not (
+            0.0 <= self.roughening_scale < math.inf
+            and 0.0 <= self.alpha < math.inf
+            and 0.0 < self.gamma0 < math.inf
+        ):
+            raise ValueError(
+                "roughening_scale and alpha must be finite and >= 0, gamma0 finite and > 0"
+            )
 
 
-@dataclass(frozen=True)
-class BirthScheme:
-    """How birth particles are injected each step.
+def birth_count(per_target: int, gamma: float) -> tuple[int, float]:
+    """(number of birth particles, total birth mass) at predicted count gamma.
 
-    mass None means the adaptive pseudocode rule (birth mass equals the
-    predicted count); a float fixes the per-step birth mass.  When the
-    floored target count is zero, min_particles are injected instead so the
+    The birth mass is gamma, on per_target particles per whole target; when
+    gamma floors to 0, one target's worth of particles carries it, so the
     filter cannot die out.
     """
-
-    particles_per_target: int
-    mass: Optional[float] = None
-    min_particles: int = 0
-
-
-def birth_count(scheme: BirthScheme, gamma: float) -> tuple[int, float]:
-    """(number of birth particles, total birth mass) for the current step."""
-    mass = gamma if scheme.mass is None else scheme.mass
-    n = scheme.particles_per_target * int(math.floor(mass))
-    if n == 0:
-        n = max(scheme.min_particles, 0)
-    return n, mass
+    n = per_target * int(math.floor(gamma))
+    return n or per_target, gamma
 
 
 def predict_states(
     states: np.ndarray,
     intensity: np.ndarray,
     survival,
-    birth: BirthScheme,
+    birth_per_target: int,
     window: Window,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -81,7 +73,7 @@ def predict_states(
     total birth mass)."""
     if len(states):
         states = step_dynamics(states, survival.dynamics, rng)
-    n, mass = birth_count(birth, float(np.sum(survival.p_s * intensity)))
+    n, mass = birth_count(birth_per_target, float(np.sum(survival.p_s * intensity)))
     return states, window.sample_states(n, rng), mass
 
 

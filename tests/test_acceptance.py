@@ -13,7 +13,6 @@ from scipy import stats
 
 from dpptrack.checks import operator_form
 from dpptrack.dpp_filter import (
-    DppPhdFilter,
     FilterState,
     dpp_update,
     posterior_moments,
@@ -36,7 +35,7 @@ from dpptrack.oracle import (
     enumerate_posterior,
     poisson_process,
 )
-from dpptrack.ppp_filter import BirthScheme, PppPhdFilter, SurvivalModel
+from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel
 from dpptrack.scenario import (
     DynamicsConfig,
     EventSchedule,
@@ -198,13 +197,11 @@ def test_criterion_4_poisson_limit_equivalence():
         n_init=200, resample_per_target=15, birth_per_target=10, cap=400,
         roughening_scale=0.01, alpha=0.0, gamma0=2.0,
     )
+    from test_dpp_filter import PoissonLimitFilter
+
     survival = SurvivalModel(0.98, DynamicsConfig())
-    birth = BirthScheme(10, mass=None, min_particles=10)
-    dpp = DppPhdFilter(
-        smc, survival, birth, sensor, window, stream(5, 0, "filter-dpp"),
-        poisson_equivalent=True,
-    )
-    ppp = PppPhdFilter(smc, survival, birth, sensor, window, stream(5, 0, "filter-dpp"))
+    dpp = PoissonLimitFilter(smc, survival, sensor, window, stream(5, 0, "filter-dpp"))
+    ppp = PppPhdFilter(smc, survival, sensor, window, stream(5, 0, "filter-dpp"))
     sim = TruthSimulator(
         window.sample_states(4, stream(5, 0, "truth-init")),
         DynamicsConfig(),
@@ -310,7 +307,6 @@ def test_criterion_7_kernel_invariants():
         n_init=10, resample_per_target=5, birth_per_target=3, cap=40,
         roughening_scale=0.01, alpha=1.0, band_eta=0.3, gamma0=0.5,
     )
-    birth = BirthScheme(3, mass=0.2, min_particles=3)
     cycles = 10_000
     clamps = 0
     offdiag = 0
@@ -325,7 +321,7 @@ def test_criterion_7_kernel_invariants():
         raw = eps * (np.eye(n) + 0.4 * np.exp(-np.abs(np.subtract.outer(range(n), range(n)))))
         kernel = project_kernel(0.5 * (raw + raw.T))
         state = FilterState(particles, kernel)
-        pred = predict(state, survival, birth, smc, window, rng)
+        pred = predict(state, survival, smc, window, rng)
         validate_kernel(pred.kernel)
         assert len(pred.particles) == len(pred.kernel)
         truth = np.zeros((2, 5))

@@ -8,6 +8,7 @@ from dpptrack import dpp_filter, kernels
 from dpptrack.dpp_filter import (
     DppPhdFilter,
     FilterState,
+    UpdateDiagnostics,
     approx_count_covariance,
     correlation_estimate,
     dpp_update,
@@ -32,10 +33,10 @@ from dpptrack.kernels import (
 from dpptrack.likelihood import SensorModel
 from dpptrack.oracle import ExactPosterior, ObservationModel, dpp_process
 from dpptrack.ppp_filter import (
-    BirthScheme,
     PppPhdFilter,
     SurvivalModel,
     corrector_terms,
+    poisson_weight_update,
 )
 from dpptrack.scenario import (
     DynamicsConfig,
@@ -125,22 +126,20 @@ class TestPredict:
         states = st.particles.copy()
         states[:, 1] = states[:, 3] = states[:, 4] = 0.0
         st = FilterState(particles_of(states), st.kernel)
-        out = predict(
-            st, SurvivalModel(1.0, QUIET), BirthScheme(5, mass=0.0), SmcConfig(),
-            WINDOW, np.random.default_rng(0),
-        )
-        np.testing.assert_array_equal(out.kernel.entries, st.kernel.entries)
-        np.testing.assert_array_equal(out.particles, states)
+        out = predict(st, SurvivalModel(1.0, QUIET), SmcConfig(), WINDOW, np.random.default_rng(0))
+        # the survivors' block; the births follow it
+        n = len(states)
+        np.testing.assert_array_equal(out.kernel.entries[:n, :n], st.kernel.entries)
+        np.testing.assert_array_equal(out.particles[:n], states)
 
     def test_zero_survival_leaves_birth_only(self):
+        # nothing survives, so one target's worth of births carries zero mass
         st = small_state(seed=5)
-        out = predict(
-            st, SurvivalModel(0.0, QUIET), BirthScheme(5, mass=2.0), SmcConfig(alpha=0.0),
-            WINDOW, np.random.default_rng(1),
-        )
+        smc = SmcConfig(alpha=0.0)
+        out = predict(st, SurvivalModel(0.0, QUIET), smc, WINDOW, np.random.default_rng(1))
         n_old = len(st.particles)
-        assert np.all(out.kernel.entries[:n_old, :n_old] == 0.0)
-        assert out.gamma == pytest.approx(2.0)
+        assert len(out.particles) == n_old + smc.birth_per_target
+        assert np.all(out.kernel.entries == 0.0)
 
     def test_prediction_quadrature_against_monte_carlo(self):
         # 2-source prior, 1-d Gaussian transition; region mass from the
@@ -480,6 +479,31 @@ class TestCorrelationEstimate:
             correlation_estimate(st, a, empty)
 
 
+class PoissonLimitFilter(DppPhdFilter):
+    """DppPhdFilter in the vanishing-interaction limit, where J = K: both
+    updates are the classical Poisson corrector on the kernel diagonal, and
+    the posterior kernel is diagonal.  With alpha = 0 the predicted and
+    rebuilt kernels are diagonal too, so a run reproduces PppPhdFilter bit
+    for bit through the production predict, resample and rebuild."""
+
+    def __init__(self, smc, *args):
+        if smc.alpha != 0.0:
+            raise ValueError("the Poisson limit needs alpha = 0")
+        super().__init__(smc, *args)
+
+    def poisson_diagonal(self, state, scan):
+        like = self.sensor.tilde_matrix(scan.detections, state.particles)
+        clutter = self.sensor.clutter_density(scan.detections)
+        return poisson_weight_update(state.kernel.diagonal, like, clutter, self.sensor.q_d)
+
+    def posterior_intensity(self, pred, scan):
+        return self.poisson_diagonal(pred, scan)
+
+    def updated(self, state, scan):
+        kernel = DiscretizedKernel(np.diag(self.poisson_diagonal(state, scan)), state.kernel.bands)
+        return FilterState(state.particles, kernel), UpdateDiagnostics()
+
+
 class TestPoissonLimit:
     def test_zero_offdiagonal_matches_ppp_bitwise(self):
         smc = SmcConfig(
@@ -489,14 +513,8 @@ class TestPoissonLimit:
         sensor_cfg = SensorConfig(p_d=0.9, clutter_mean=1.0, window=WINDOW)
         sensor = SensorModel(sensor_cfg)
         survival = SurvivalModel(1.0, DynamicsConfig())
-        birth = BirthScheme(10, mass=None, min_particles=10)
-        dpp = DppPhdFilter(
-            smc, survival, birth, sensor, WINDOW, np.random.default_rng(42),
-            poisson_equivalent=True,
-        )
-        ppp = PppPhdFilter(
-            smc, survival, birth, sensor, WINDOW, np.random.default_rng(42)
-        )
+        dpp = PoissonLimitFilter(smc, survival, sensor, WINDOW, np.random.default_rng(42))
+        ppp = PppPhdFilter(smc, survival, sensor, WINDOW, np.random.default_rng(42))
         rng_truth = np.random.default_rng(7)
         truth = rng_truth.uniform(-60, 60, (3, 5))
         scan_rng = np.random.default_rng(8)
@@ -510,15 +528,6 @@ class TestPoissonLimit:
                 rec_d.state.kernel.diagonal, rec_p.particles.weights
             )
 
-    def test_poisson_equivalent_requires_zero_alpha(self):
-        smc = SmcConfig(alpha=4.0)
-        sensor = SensorModel(SensorConfig(window=WINDOW))
-        with pytest.raises(ValueError):
-            DppPhdFilter(
-                smc, SurvivalModel(1.0, QUIET), BirthScheme(10), sensor, WINDOW,
-                np.random.default_rng(0), poisson_equivalent=True,
-            )
-
 
 def test_filter_steps_keep_kernel_valid():
     smc = SmcConfig(
@@ -528,8 +537,7 @@ def test_filter_steps_keep_kernel_valid():
     sensor_cfg = SensorConfig(p_d=0.9, clutter_mean=1.0, window=WINDOW)
     sensor = SensorModel(sensor_cfg)
     filt = DppPhdFilter(
-        smc, SurvivalModel(1.0, DynamicsConfig()), BirthScheme(5, mass=0.5, min_particles=5),
-        sensor, WINDOW, np.random.default_rng(3),
+        smc, SurvivalModel(1.0, DynamicsConfig()), sensor, WINDOW, np.random.default_rng(3)
     )
     truth = np.array([[20.0, 0.1, 20.0, -0.1, 0.0], [-30.0, 0.0, -10.0, 0.2, 0.0]])
     scan_rng = np.random.default_rng(4)

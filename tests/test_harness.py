@@ -1,3 +1,5 @@
+import configparser
+import io
 import math
 from dataclasses import fields, replace
 
@@ -131,6 +133,56 @@ class TestConfigRoundtrip:
             tiny_config(runs=0)
         with pytest.raises(ConfigError):
             replace(tiny_config(), filter="bogus")
+
+
+# (INI section, field, value) that would crash a run part-way: a zero sigma
+# divides by zero in the likelihood, NaN passes every < check, and a bad
+# OSPA cutoff or order fails only at the first scored step.
+BAD_FIELDS = [
+    ("sensor", "sigma_range", 0.0),
+    ("sensor", "sigma_bearing", 0.0),
+    ("sensor", "sigma_range", math.nan),
+    ("sensor", "sigma_bearing", math.inf),
+    ("sensor", "clutter_mean", math.nan),
+    ("dynamics", "tau", math.nan),
+    ("dynamics", "sigma_vx", math.nan),
+    ("filter_dynamics", "sigma_vtheta", math.inf),
+    ("smc", "alpha", math.nan),
+    ("smc", "gamma0", math.nan),
+    ("smc", "roughening_scale", math.nan),
+    ("smc", "gamma0", math.inf),
+    ("experiment", "seed", -1),
+    ("experiment", "ospa_c", 0.0),
+    ("experiment", "ospa_c", math.nan),
+    ("experiment", "ospa_c", math.inf),
+    ("experiment", "ospa_p", 0.5),
+    ("experiment", "ospa_p", math.nan),
+]
+
+
+bad_fields = pytest.mark.parametrize(
+    "section, name, value", BAD_FIELDS, ids=[f"{s}.{n}={v!r}" for s, n, v in BAD_FIELDS]
+)
+
+
+class TestRangeChecks:
+    @bad_fields
+    def test_refused_when_built(self, section, name, value):
+        cfg = preset("spooky")
+        owner = cfg if section == "experiment" else getattr(cfg, section)
+        error = ConfigError if section == "experiment" else ValueError
+        with pytest.raises(error, match=name):
+            replace(owner, **{name: value})
+
+    @bad_fields
+    def test_refused_from_ini(self, section, name, value):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(config_to_ini(preset("spooky")))
+        cp[section][name] = repr(value)
+        buf = io.StringIO()
+        cp.write(buf)
+        with pytest.raises(ConfigError, match=name):
+            config_from_ini(buf.getvalue())
 
 
 class TestPresets:
@@ -321,6 +373,7 @@ class TestCli:
             (["--preset", "spooky", "--runs", "0"], "mc_runs must be >= 1"),
             (["--preset", "nosuch"], "unknown preset 'nosuch'"),
             (["--config", "missing.ini"], "No such file or directory"),
+            (["--preset", "spooky", "--runs", "1", "--seed", "-1"], "seed must be >= 0"),
         ],
     )
     def test_config_errors_exit_2_without_a_traceback(self, tmp_path, capsys, args, message):

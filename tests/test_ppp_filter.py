@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dpptrack.likelihood import SensorModel
 from dpptrack.ppp_filter import (
-    BirthScheme,
     PppPhdFilter,
     SurvivalModel,
     WeightedParticles,
@@ -23,7 +22,7 @@ from dpptrack.scenario import (
     Window,
     generate_scan,
 )
-from dpptrack.smc import SmcConfig, birth_count
+from dpptrack.smc import SmcConfig
 
 WINDOW = Window(Region(-100.0, 100.0, -100.0, 100.0))
 QUIET = DynamicsConfig(sigma_vx=0.0, sigma_vy=0.0, sigma_vtheta=0.0)
@@ -35,36 +34,28 @@ def cloud(n, seed=0):
 
 
 class TestPredict:
-    def test_unit_survival_no_birth_preserves_mass(self):
+    def test_unit_survival_preserves_survivor_mass(self):
+        # the births carry the predicted count again, so the total doubles
         p = cloud(20)
-        out = ppp_predict(
-            p, SurvivalModel(1.0, QUIET), BirthScheme(5, mass=0.0), WINDOW,
-            np.random.default_rng(1),
-        )
-        assert out.gamma == pytest.approx(p.gamma)
+        out = ppp_predict(p, SurvivalModel(1.0, QUIET), 5, WINDOW, np.random.default_rng(1))
+        np.testing.assert_array_equal(out.weights[:20], p.weights)
+        assert out.gamma == pytest.approx(2.0 * p.gamma)
 
     def test_zero_survival_leaves_birth_mass(self):
+        # nothing survives, so the births carry zero mass on one target's
+        # worth of particles
         p = cloud(20)
-        out = ppp_predict(
-            p, SurvivalModel(0.0, QUIET), BirthScheme(5, mass=2.0), WINDOW,
-            np.random.default_rng(2),
-        )
-        assert out.gamma == pytest.approx(2.0)
+        out = ppp_predict(p, SurvivalModel(0.0, QUIET), 5, WINDOW, np.random.default_rng(2))
+        assert len(out) == 20 + 5
+        assert out.gamma == 0.0
 
     def test_half_survival_plus_birth(self):
         rng = np.random.default_rng(3)
         p = WeightedParticles(rng.uniform(-10, 10, (8, 5)), np.full(8, 0.5))  # mass 4
-        out = ppp_predict(
-            p, SurvivalModel(0.5, QUIET), BirthScheme(5, mass=2.0), WINDOW,
-            np.random.default_rng(4),
-        )
+        out = ppp_predict(p, SurvivalModel(0.5, QUIET), 5, WINDOW, np.random.default_rng(4))
+        # survivors keep 2, and 5 * floor(2) births carry 2 more
+        assert len(out) == 8 + 10
         assert out.gamma == pytest.approx(4.0)
-
-    def test_adaptive_birth_count(self):
-        n, mass = birth_count(BirthScheme(10, mass=None), 3.4)
-        assert (n, mass) == (30, 3.4)
-        n, mass = birth_count(BirthScheme(10, mass=None, min_particles=10), 0.7)
-        assert (n, mass) == (10, 0.7)
 
 
 class TestUpdate:
@@ -130,8 +121,7 @@ def test_filter_runs_and_tracks_mass():
     sensor = SensorModel(sensor_cfg)
     rng = np.random.default_rng(0)
     filt = PppPhdFilter(
-        smc, SurvivalModel(1.0, DynamicsConfig()), BirthScheme(10, mass=0.2, min_particles=10),
-        sensor, WINDOW, np.random.default_rng(1),
+        smc, SurvivalModel(1.0, DynamicsConfig()), sensor, WINDOW, np.random.default_rng(1)
     )
     truth = np.array([[20.0, 0.2, 30.0, -0.1, 0.0], [-40.0, 0.0, 10.0, 0.3, 0.0]])
     scan_rng = np.random.default_rng(2)

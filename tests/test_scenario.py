@@ -160,8 +160,10 @@ class TestScan:
         assert len(scan) == 0
 
     def test_exact_polar_detection(self):
+        # the likelihood divides by the sigmas, so they cannot be 0
         sensor = SensorConfig(
-            sigma_range=0.0, sigma_bearing=0.0, p_d=1.0, clutter_mean=0.0, window=self.window()
+            sigma_range=1e-12, sigma_bearing=1e-12, p_d=1.0, clutter_mean=0.0,
+            window=self.window(),
         )
         scan = generate_scan(
             np.array([[3.0, 0, 4.0, 0, 0]]), [7], sensor, frozenset(), np.random.default_rng(0)

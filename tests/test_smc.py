@@ -14,9 +14,9 @@ from dpptrack.likelihood import SensorModel
 from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel, WeightedParticles, ppp_predict
 from dpptrack.scenario import DynamicsConfig, Region, Scan, SensorConfig, Window
 from dpptrack.smc import (
-    BirthScheme,
     SmcConfig,
     banded_kernel,
+    birth_count,
     init_particles,
     predict_states,
     rebuild_kernel,
@@ -162,57 +162,83 @@ class TestPredictBirths:
         )
         self.state = FilterState(*init_particles(self.cfg, WINDOW, np.random.default_rng(0)))
         self.survival = SurvivalModel(1.0, DynamicsConfig())
-        self.birth = BirthScheme(self.cfg.birth_per_target)
 
-    def births(self, gamma, birth, seed):
+    def births(self, gamma, seed):
         """Birth states and mass of predict_states at surviving mass gamma,
         which sits on one particle so that the sum is exact."""
         intensity = np.zeros(len(self.state.particles))
         intensity[0] = gamma
         _, born, mass = predict_states(
-            self.state.particles, intensity, self.survival, birth, WINDOW,
-            np.random.default_rng(seed),
+            self.state.particles, intensity, self.survival, self.cfg.birth_per_target,
+            WINDOW, np.random.default_rng(seed),
         )
         return born, mass
 
-    def predicted(self, mass, seed):
+    def prior(self, gamma):
+        """The particles with their kernel rebuilt at mass gamma (the sum of
+        the 40 diagonal entries is exactly gamma for the masses used here)."""
+        particles = self.state.particles
+        return FilterState(particles, rebuild_kernel(particles, self.cfg, gamma))
+
+    def predicted(self, gamma, seed):
+        """predict at unit survival from mass gamma, which the births carry too."""
         return predict(
-            self.state, self.survival, BirthScheme(10, mass=mass), self.cfg, WINDOW,
-            np.random.default_rng(seed),
+            self.prior(gamma), self.survival, self.cfg, WINDOW, np.random.default_rng(seed)
         )
 
-    def test_gamma_below_one_no_minimum_injects_nothing(self):
-        born, mass = self.births(0.9, self.birth, 1)
-        assert len(born) == 0 and mass == 0.9
-        pred = self.predicted(0.9, 1)
-        np.testing.assert_array_equal(pred.kernel.entries, self.state.kernel.entries)
-        assert pred.kernel.bands == self.state.kernel.bands
-
     def test_gamma_three_gives_thirty_particles(self):
-        born, mass = self.births(3.0, self.birth, 2)
+        born, mass = self.births(3.0, 2)
         assert born.shape == (30, 5) and mass == 3.0
         pred = self.predicted(3.0, 2)
         assert len(pred.particles) == 40 + 30
-        assert pred.gamma == pytest.approx(self.state.gamma + 3.0, rel=1e-12)
+        assert pred.gamma == pytest.approx(3.0 + 3.0, rel=1e-12)
         validate_kernel(pred.kernel)
 
     def test_minimum_override(self):
-        born, _ = self.births(
-            0.5, BirthScheme(self.cfg.birth_per_target, min_particles=10), 3
-        )
-        assert len(born) == 10
+        # below one target the floored count is 0; one target's worth of
+        # particles carries the mass instead
+        born, mass = self.births(0.5, 3)
+        assert len(born) == 10 and mass == 0.5
+        pred = self.predicted(0.5, 3)
+        assert len(pred.particles) == 40 + 10
+        assert pred.gamma == pytest.approx(1.0, rel=1e-12)
+        validate_kernel(pred.kernel)
 
     def test_cross_block_zero(self):
         pred = self.predicted(2.0, 4)
         n_old = len(self.state.particles)
         assert np.all(pred.kernel.entries[:n_old, n_old:] == 0.0)
         np.testing.assert_array_equal(
-            pred.kernel.entries[:n_old, :n_old], self.state.kernel.entries
+            pred.kernel.entries[:n_old, :n_old], self.prior(2.0).kernel.entries
         )
 
     def test_kernel_dimension_tracks_particles(self):
         pred = self.predicted(4.0, 5)
         assert len(pred.particles) == len(pred.kernel) == 40 + 40
+
+
+def reference_birth_count(per_target, gamma):
+    """The birth rule written out as a scheme with an adaptive mass and a
+    minimum particle count of per_target."""
+    mass = gamma
+    n = per_target * int(math.floor(mass))
+    if n == 0:
+        n = max(per_target, 0)
+    return n, mass
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=0.0, max_value=50.0)
+    | st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    | st.integers(min_value=0, max_value=50).map(float)
+    | st.sampled_from([0.9999999999999999, 2.9999999999999996, 3.0000000000000004]),
+)
+@settings(max_examples=300, deadline=None)
+def test_birth_count_matches_the_reference_rule(per_target, gamma):
+    n, mass = birth_count(per_target, gamma)
+    assert (n, mass) == reference_birth_count(per_target, gamma)
+    assert n >= per_target and mass == gamma
 
 
 def test_ppp_and_dpp_predictions_move_and_birth_alike():
@@ -222,14 +248,11 @@ def test_ppp_and_dpp_predictions_move_and_birth_alike():
     states = np.random.default_rng(8).uniform(-50.0, 50.0, (60, 5))
     kernel = banded_kernel(states, 3.7, cfg.alpha, cfg.band_eta)
     survival = SurvivalModel(0.9, DynamicsConfig())
-    birth = BirthScheme(10)
     ppp = ppp_predict(
-        WeightedParticles(states, kernel.diagonal), survival, birth, WINDOW,
+        WeightedParticles(states, kernel.diagonal), survival, cfg.birth_per_target, WINDOW,
         np.random.default_rng(9),
     )
-    dpp = predict(
-        FilterState(states, kernel), survival, birth, cfg, WINDOW, np.random.default_rng(9)
-    )
+    dpp = predict(FilterState(states, kernel), survival, cfg, WINDOW, np.random.default_rng(9))
     assert len(ppp) == 60 + 30
     np.testing.assert_array_equal(ppp.states, dpp.particles)
     np.testing.assert_array_equal(ppp.weights, dpp.intensity)
@@ -289,13 +312,13 @@ def test_kernel_constructors_make_no_eigendecomposition(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("eigendecomposition called")
 
-    cfg = SmcConfig(n_init=300, birth_per_target=10, gamma0=2.0, alpha=4.0, band_eta=0.1)
+    # surviving mass 0.9 * 3.5 = 3.15 gives 30 births
+    cfg = SmcConfig(n_init=300, birth_per_target=10, gamma0=3.5, alpha=4.0, band_eta=0.1)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     state = FilterState(*init_particles(cfg, WINDOW, np.random.default_rng(0)))
     pred = predict(
-        state, SurvivalModel(0.9, DynamicsConfig()), BirthScheme(cfg.birth_per_target, mass=3.0),
-        cfg, WINDOW, np.random.default_rng(1),
+        state, SurvivalModel(0.9, DynamicsConfig()), cfg, WINDOW, np.random.default_rng(1)
     )
     kernel = pred.kernel
     rebuilt = rebuild_kernel(pred.particles, cfg, 6.5)
@@ -357,8 +380,8 @@ def test_unexplained_detection_raises_degenerate_intensity(filter_cls):
                      p_d=1.0, clutter_mean=0.0, window=window)
     )
     smc = SmcConfig(n_init=60, resample_per_target=10, birth_per_target=10, cap=100)
-    filt = filter_cls(smc, SurvivalModel(1.0, DynamicsConfig()), BirthScheme(10),
-                      sensor, window, np.random.default_rng(0))
+    filt = filter_cls(smc, SurvivalModel(1.0, DynamicsConfig()), sensor, window,
+                      np.random.default_rng(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no 0/0 before the raise
         with pytest.raises(DegenerateIntensity, match="detection 0"):
@@ -367,13 +390,14 @@ def test_unexplained_detection_raises_degenerate_intensity(filter_cls):
 
 @pytest.mark.parametrize("filter_cls", [PppPhdFilter, DppPhdFilter])
 def test_nearly_empty_filter_keeps_its_cloud(filter_cls):
-    # posterior count 0.8 * q_d < 1 gives resample size 0: the predicted
-    # particles stay and carry the posterior intensity
+    # the births carry the prior count 0.8 again, and the posterior count
+    # (0.8 + 0.8) * q_d < 1 gives resample size 0: the predicted particles
+    # stay and carry the posterior intensity
     sensor = SensorModel(SensorConfig(p_d=0.5, clutter_mean=1.0, window=WINDOW))
     smc = SmcConfig(n_init=40, gamma0=0.8, alpha=0.0)
-    filt = filter_cls(smc, SurvivalModel(1.0, DynamicsConfig()), BirthScheme(10, mass=0.0),
-                      sensor, WINDOW, np.random.default_rng(0))
+    filt = filter_cls(smc, SurvivalModel(1.0, DynamicsConfig()), sensor, WINDOW,
+                      np.random.default_rng(0))
     rec = filt.step(Scan(1, np.zeros((0, 2))))
-    assert rec.gamma == pytest.approx(0.4)
+    assert rec.gamma == pytest.approx(0.8)
     particles = rec.particles if filter_cls is PppPhdFilter else rec.state.particles
-    assert len(particles) == 40
+    assert len(particles) == 40 + smc.birth_per_target

@@ -2,8 +2,8 @@
 
 ``benchmark/tracing.py`` patches functions by module and name; a rename or
 a dropped import in the package would leave a layer's spans empty, so a
-short traced experiment must still record the prediction of both filters
-and the filter-side motion.
+short traced experiment must still record the prediction of both filters,
+the filter-side motion, and both filters' weight updates.
 """
 
 import importlib.util
@@ -34,3 +34,6 @@ def test_tracer_records_both_predictions_and_the_filter_motion(tmp_path):
     assert metrics["dpp_filter.predict.calls"] > 0
     assert metrics["ppp_filter.ppp_predict.calls"] > 0
     assert metrics["scenario.step_dynamics.rows_filter"] > 0
+    assert metrics["dpp_filter.posterior_diagonal.calls"] > 0
+    assert metrics["dpp_filter.dpp_update.calls"] > 0
+    assert metrics["ppp_filter.poisson_weight_update.calls"] > 0
