@@ -38,21 +38,12 @@ from .scenario import (
     Region,
     SensorConfig,
     TruthSimulator,
+    TruthSpec,
     Window,
 )
 from .smc import SmcConfig
 
 PRESET_NAMES = ("spooky", "death", "birth", "repulsion-bias", "good-ratio")
-
-
-@dataclass(frozen=True)
-class TruthSpec:
-    """Initial target layout: (region, count) groups plus placement style."""
-
-    groups: tuple[tuple[Region, int], ...]
-    placement: str = "central"  # "central" or "uniform"
-    spread: float = 15.0
-    speed: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -276,7 +267,7 @@ def preset(name: str, full: bool = False) -> ExperimentConfig:
                 gamma0=float(n_targets),
             ),
             p_s=1.0,
-            notes="sweep zeta in {0,4,8} via scripts/run_repulsion_bias.py;"
+            notes="sweep zeta in {0,4,8} via scripts/sweep_zeta.py --preset repulsion-bias;"
             " desk scale: 4 targets, 30 runs (source: 10 targets, 200 runs,"
             " 1000 particles, 100 per target)",
         )
@@ -313,30 +304,13 @@ def preset(name: str, full: bool = False) -> ExperimentConfig:
             gamma0=3.0,
         ),
         p_s=1.0,
-        notes="sweep zeta via scripts/run_good_ratio.py; p_d=1, no clutter",
+        notes="sweep zeta via scripts/sweep_zeta.py --preset good-ratio; p_d=1, no clutter",
     )
 
 
 # ---------------------------------------------------------------------------
 # Single run
 # ---------------------------------------------------------------------------
-
-
-def _initial_truth(cfg: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    rows = []
-    for region, count in cfg.truth.groups:
-        states = np.zeros((count, 5))
-        if cfg.truth.placement == "central":
-            cx, cy = region.center
-            states[:, 0] = cx + rng.uniform(-cfg.truth.spread, cfg.truth.spread, count)
-            states[:, 2] = cy + rng.uniform(-cfg.truth.spread, cfg.truth.spread, count)
-        else:
-            states[:, 0] = rng.uniform(region.x_min, region.x_max, count)
-            states[:, 2] = rng.uniform(region.y_min, region.y_max, count)
-        states[:, 1] = rng.uniform(-cfg.truth.speed, cfg.truth.speed, count)
-        states[:, 3] = rng.uniform(-cfg.truth.speed, cfg.truth.speed, count)
-        rows.append(states)
-    return np.vstack(rows)
 
 
 def _make_filters(cfg: ExperimentConfig, run: int, sensor_model: SensorModel) -> dict:
@@ -354,9 +328,8 @@ def _make_filters(cfg: ExperimentConfig, run: int, sensor_model: SensorModel) ->
 
 def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
     """One Monte Carlo run; all randomness comes from (seed, run) streams."""
-    rng_init = stream(cfg.seed, run, "truth-init")
     sim = TruthSimulator(
-        _initial_truth(cfg, rng_init),
+        cfg.truth.initial_states(stream(cfg.seed, run, "truth-init")),
         cfg.dynamics,
         cfg.sensor,
         cfg.schedule,
@@ -364,21 +337,16 @@ def run_single(cfg: ExperimentConfig, run: int) -> RunRecord:
         stream(cfg.seed, run, "scan"),
         stream(cfg.seed, run, "events"),
     )
-    sensor_model = SensorModel(cfg.sensor)
-    filters = _make_filters(cfg, run, sensor_model)
+    filters = _make_filters(cfg, run, SensorModel(sim.sensor))
     extract_rngs = {name: stream(cfg.seed, run, f"extract-{name}") for name in filters}
     rec = RunRecord(rows=[], updates=[])
-    current_sensor = cfg.sensor
     for t in range(1, cfg.steps + 1):
-        if t in cfg.schedule.clutter_changes:
-            current_sensor = replace(
-                current_sensor, clutter_mean=float(cfg.schedule.clutter_changes[t])
-            )
-            sim.sensor = current_sensor
-            sensor_model = SensorModel(current_sensor)
+        sensor = sim.sensor
+        states, ids, scan = sim.step()
+        if sim.sensor is not sensor:  # the schedule changed the clutter mean
+            sensor_model = SensorModel(sim.sensor)
             for f in filters.values():
                 f.sensor = sensor_model
-        states, ids, scan = sim.step()
         truth_xy = states[:, [0, 2]] if states.size else np.zeros((0, 2))
         for name, filt in filters.items():
             step_rec = filt.step(scan)
@@ -728,23 +696,33 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
 
 # Keys older configs wrote, each with the one value the filters implement.
-_FIXED_KEYS = (
-    ("experiment", "double_update", "true"),
-    ("experiment", "birth_mass", "adaptive"),
-    ("experiment", "min_birth_particles", "-1"),
-    ("smc", "resample_mode", "multinomial"),
-    ("dynamics", "repulsion_norm", "state"),
-    ("filter_dynamics", "repulsion_norm", "state"),
-)
+_FIXED_KEYS = {
+    ("experiment", "double_update"): "true",
+    ("experiment", "birth_mass"): "adaptive",
+    ("experiment", "min_birth_particles"): "-1",
+    ("smc", "resample_mode"): "multinomial",
+    ("dynamics", "repulsion_norm"): "state",
+    ("filter_dynamics", "repulsion_norm"): "state",
+}
+
+
+def _check_keys(cp: configparser.ConfigParser, cfg: ExperimentConfig) -> None:
+    """Refuse every key the reader did not use, i.e. that the echo of the
+    config it read does not write, other than a _FIXED_KEYS key at its value."""
+    echo = configparser.ConfigParser(interpolation=None)
+    echo.read_string(config_to_ini(cfg))
+    for section in cp.sections():
+        for key, value in cp[section].items():
+            only = _FIXED_KEYS.get((section, key))
+            if only is None and not echo.has_option(section, key):
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            if only is not None and value.lower() != only:
+                raise ConfigError(f"{key} = {value!r} is not supported; the only value is {only}")
 
 
 def config_from_ini(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_string(text)
-    for section, key, only in _FIXED_KEYS:
-        value = cp.get(section, key, fallback=only)
-        if value.lower() != only:
-            raise ConfigError(f"{key} = {value!r} is not supported; the only value is {only}")
     try:
         sen = cp["sensor"]
         window = Window(_parse_region(sen["window"]))  # its velocity and turn defaults
@@ -761,7 +739,7 @@ def config_from_ini(text: str) -> ExperimentConfig:
         domains = None
         if cp.has_section("domains"):
             domains = (_parse_region(cp["domains"]["a"]), _parse_region(cp["domains"]["b"]))
-        return _read_config(
+        cfg = _read_config(
             ExperimentConfig,
             cp["experiment"],
             name="custom",
@@ -776,6 +754,8 @@ def config_from_ini(text: str) -> ExperimentConfig:
         )
     except (KeyError, ValueError) as e:
         raise ConfigError(f"bad experiment config: {e}") from e
+    _check_keys(cp, cfg)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

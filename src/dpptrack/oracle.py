@@ -37,9 +37,8 @@ import numpy as np
 from .errors import SizeError
 from .kernels import DiscretizedKernel, all_subset_masses
 
-# Exact-sum size bounds.  The joint Janossy sum is factorial in the number
-# of points; these caps keep every call comfortably under a second.
-MAX_POINTS = 8       # configuration size for joint_janossy
+# Exact-sum size bounds.  The observation factorization is factorial in the
+# number of points; these caps keep every call comfortably under a second.
 MAX_SUPPORT = 12     # prior support size for the Upsilon sums
 MAX_MEASUREMENTS = 6
 MAX_ENUM_GRID = 6    # grid size for enumerate_posterior
@@ -263,24 +262,6 @@ def _check(prior: FiniteProcess, obs: ObservationModel, meas) -> Config:
     if support > MAX_SUPPORT:
         raise SizeError(f"prior support {support} exceeds the exact-sum bound {MAX_SUPPORT}")
     return meas
-
-
-def joint_janossy(prior: FiniteProcess, obs: ObservationModel, states, meas) -> float:
-    """P(states) times the observation factorization of (states, meas): on a
-    simple configuration, the joint Janossy density of the states (counting
-    measure) and the measurement list.
-
-    The combinatorial coefficient is q_d^{n-|S|} per association term (the
-    version under which the conditional table normalizes to one).
-    """
-    states = tuple(int(x) for x in states)
-    meas = _check(prior, obs, meas)
-    if len(states) > MAX_POINTS:
-        raise SizeError(f"at most {MAX_POINTS} state points supported, got {len(states)}")
-    p = prior.table.get(tuple(sorted(states)), 0.0)
-    if p == 0.0:
-        return 0.0
-    return p * observation_likelihood(states, obs, meas)
 
 
 class ExactPosterior:

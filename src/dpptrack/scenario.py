@@ -8,7 +8,7 @@ Target states are 5-vectors (x, xdot, y, ydot, theta) in SI units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,8 @@ class DynamicsConfig:
             raise ValueError("tau must be finite and positive")
         if not all(0.0 <= s < math.inf for s in (self.sigma_vx, self.sigma_vy, self.sigma_vtheta)):
             raise ValueError("sigma_vx, sigma_vy and sigma_vtheta must be finite and nonnegative")
+        if not all(-math.inf < z < math.inf for z in (self.zeta_x, self.zeta_y)):
+            raise ValueError("zeta_x and zeta_y must be finite")
 
 
 def turn_transitions(theta: np.ndarray, tau: float) -> np.ndarray:
@@ -114,6 +116,11 @@ def step_dynamics(
 # ---------------------------------------------------------------------------
 
 
+def _finite_ranges(*ranges) -> bool:
+    """Whether every (low, high) pair is finite with low <= high."""
+    return all(-math.inf < low <= high < math.inf for low, high in ranges)
+
+
 @dataclass(frozen=True)
 class Region:
     """Axis-aligned position rectangle."""
@@ -122,6 +129,10 @@ class Region:
     x_max: float
     y_min: float
     y_max: float
+
+    def __post_init__(self):
+        if not _finite_ranges((self.x_min, self.x_max), (self.y_min, self.y_max)):
+            raise ValueError("region bounds must be finite, with x_min <= x_max and y_min <= y_max")
 
     def contains_states(self, states: np.ndarray) -> np.ndarray:
         return (
@@ -149,6 +160,10 @@ class Window:
     speed_max: float = 5.0
     turn_min: float = -0.2
     turn_max: float = 0.2
+
+    def __post_init__(self):
+        if not _finite_ranges((self.speed_min, self.speed_max), (self.turn_min, self.turn_max)):
+            raise ValueError("window speed and turn bounds must be finite, with min <= max")
 
     def sample_states(self, count: int, rng: np.random.Generator) -> np.ndarray:
         r = self.region
@@ -274,8 +289,49 @@ def generate_scan(
 
 
 # ---------------------------------------------------------------------------
-# Scripted events
+# Truth layout and scripted events
 # ---------------------------------------------------------------------------
+
+def place_targets(
+    region: Region, count: int, placement: str, spread: float, speed: float, rng
+) -> np.ndarray:
+    """``count`` new target states: within +-spread of the region's center
+    ("central") or uniform over it ("uniform"), both velocity components
+    uniform in +-speed, no turn rate.  Draws x, y, vx, vy in that order."""
+    out = np.zeros((count, 5))
+    if placement == "central":
+        cx, cy = region.center
+        out[:, 0] = cx + rng.uniform(-spread, spread, count)
+        out[:, 2] = cy + rng.uniform(-spread, spread, count)
+    else:
+        out[:, 0] = rng.uniform(region.x_min, region.x_max, count)
+        out[:, 2] = rng.uniform(region.y_min, region.y_max, count)
+    out[:, 1] = rng.uniform(-speed, speed, count)
+    out[:, 3] = rng.uniform(-speed, speed, count)
+    return out
+
+
+@dataclass(frozen=True)
+class TruthSpec:
+    """Initial target layout: (region, count) groups plus placement style."""
+
+    groups: tuple[tuple[Region, int], ...]
+    placement: str = "central"  # "central" or "uniform"
+    spread: float = 15.0
+    speed: float = 1.0
+
+    def __post_init__(self):
+        if self.placement not in ("central", "uniform"):
+            raise ValueError(f"placement must be central or uniform, got {self.placement!r}")
+        if not (0.0 <= self.spread < math.inf and 0.0 <= self.speed < math.inf):
+            raise ValueError("spread and speed must be finite and nonnegative")
+        if not all(count >= 0 for _region, count in self.groups):
+            raise ValueError("group counts must be nonnegative")
+
+    def initial_states(self, rng: np.random.Generator) -> np.ndarray:
+        """The initial targets, group by group, drawn from ``rng``."""
+        args = (self.placement, self.spread, self.speed, rng)
+        return np.vstack([np.zeros((0, 5))] + [place_targets(r, n, *args) for r, n in self.groups])
 
 
 @dataclass(frozen=True)
@@ -285,7 +341,8 @@ class EventSchedule:
     miss_region + miss_cycle force every target inside the region to be
     misdetected at steps that are multiples of the cycle; deaths/births map
     a step index to a count of targets removed (uniformly at random) or
-    spawned near the birth region's center.
+    spawned near the birth region's center; clutter_changes map a step
+    index to the clutter mean from that step on.
     """
 
     miss_region: Optional[Region] = None
@@ -296,37 +353,23 @@ class EventSchedule:
     birth_spread: float = 15.0
     clutter_changes: dict[int, float] = field(default_factory=dict)  # step -> new clutter mean
 
-
-@dataclass(frozen=True)
-class StepEvents:
-    miss_active: bool
-    n_deaths: int
-    n_births: int
-
-
-def scripted_events(schedule: EventSchedule, t: int, n_alive: int) -> StepEvents:
-    """Resolve the schedule at step t; validates against the alive count."""
-    miss = (
-        schedule.miss_region is not None
-        and schedule.miss_cycle > 0
-        and t > 0
-        and t % schedule.miss_cycle == 0
-    )
-    deaths = int(schedule.deaths.get(t, 0))
-    births = int(schedule.births.get(t, 0))
-    if deaths < 0 or births < 0:
-        raise ScheduleError(f"negative event count at step {t}")
-    if deaths > n_alive:
-        raise ScheduleError(f"step {t} kills {deaths} targets but only {n_alive} alive")
-    return StepEvents(miss, deaths, births)
+    def __post_init__(self):
+        if not all(n >= 0 for n in (*self.deaths.values(), *self.births.values())):
+            raise ValueError("deaths and births must be nonnegative counts")
+        if not all(0.0 <= c < math.inf for c in self.clutter_changes.values()):
+            raise ValueError("clutter_changes means must be finite and nonnegative")
+        if not (self.miss_cycle >= 0 and 0.0 <= self.birth_spread < math.inf):
+            raise ValueError("miss_cycle must be >= 0, birth_spread finite and nonnegative")
 
 
 class TruthSimulator:
     """Steps ground truth forward and emits scans.
 
-    Owns the target id bookkeeping; deaths pick uniformly among the living,
-    births spawn near the birth region's center with small uniform spread
-    and mild initial velocities.
+    Owns the target id bookkeeping and resolves the whole event schedule:
+    clutter changes replace ``sensor``, deaths pick uniformly among the
+    living, births are placed centrally in the birth region (the window
+    when it has none) at ``birth_spread`` with velocities in +-1 m/s, and
+    forced misses blind the targets inside the miss region.
     """
 
     def __init__(
@@ -350,40 +393,33 @@ class TruthSimulator:
         self.rng_events = rng_events
         self.t = 0
 
-    def _spawn(self, count: int) -> np.ndarray:
-        region = self.schedule.birth_region or self.sensor.window.region
-        cx, cy = region.center
-        spread = self.schedule.birth_spread
-        out = np.zeros((count, 5))
-        out[:, 0] = cx + self.rng_events.uniform(-spread, spread, count)
-        out[:, 2] = cy + self.rng_events.uniform(-spread, spread, count)
-        out[:, 1] = self.rng_events.uniform(-1.0, 1.0, count)
-        out[:, 3] = self.rng_events.uniform(-1.0, 1.0, count)
-        return out
-
     def step(self) -> tuple[np.ndarray, list, Scan]:
         """Advance one step; returns (states, ids, scan) at the new time."""
         self.t += 1
+        t, sched = self.t, self.schedule
         if self.states.shape[0]:
             self.states = step_dynamics(self.states, self.dynamics, self.rng_motion)
-        ev = scripted_events(self.schedule, self.t, self.states.shape[0])
-        if ev.n_deaths:
-            doomed = self.rng_events.choice(
-                self.states.shape[0], size=ev.n_deaths, replace=False
-            )
+        if t in sched.clutter_changes:
+            self.sensor = replace(self.sensor, clutter_mean=float(sched.clutter_changes[t]))
+        n_deaths = int(sched.deaths.get(t, 0))
+        if n_deaths > len(self.ids):
+            raise ScheduleError(f"step {t} kills {n_deaths} targets but only {len(self.ids)} alive")
+        if n_deaths:
+            doomed = self.rng_events.choice(self.states.shape[0], size=n_deaths, replace=False)
             keep = np.setdiff1d(np.arange(self.states.shape[0]), doomed)
             self.states = self.states[keep]
             self.ids = [self.ids[i] for i in keep]
-        if ev.n_births:
-            born = self._spawn(ev.n_births)
+        n_births = int(sched.births.get(t, 0))
+        if n_births:
+            region = sched.birth_region or self.sensor.window.region
+            born = place_targets(
+                region, n_births, "central", sched.birth_spread, 1.0, self.rng_events
+            )
             self.states = np.vstack([self.states, born]) if self.states.size else born
-            self.ids.extend(range(self._next_id, self._next_id + ev.n_births))
-            self._next_id += ev.n_births
-        forced = frozenset()
-        if ev.miss_active and self.states.shape[0]:
-            inside = self.schedule.miss_region.contains_states(self.states)
-            forced = frozenset(tid for tid, flag in zip(self.ids, inside) if flag)
-        scan = generate_scan(
-            self.states, self.ids, self.sensor, forced, self.rng_scan, time=self.t
-        )
+            self.ids.extend(range(self._next_id, self._next_id + n_births))
+            self._next_id += n_births
+        miss = sched.miss_region is not None and sched.miss_cycle > 0 and t % sched.miss_cycle == 0
+        inside = sched.miss_region.contains_states(self.states) if miss else ()
+        forced = frozenset(tid for tid, flag in zip(self.ids, inside) if flag)
+        scan = generate_scan(self.states, self.ids, self.sensor, forced, self.rng_scan, time=t)
         return self.states.copy(), list(self.ids), scan

@@ -185,6 +185,77 @@ class TestRangeChecks:
             config_from_ini(buf.getvalue())
 
 
+# (INI section, key, text, message) of truth, window and schedule values
+# that used to fail only part-way through a run, or never
+BAD_LAYOUT = [
+    ("dynamics", "zeta_x", "nan", "zeta_x"),
+    ("filter_dynamics", "zeta_y", "inf", "zeta_x"),
+    ("sensor", "window", "175.0 -25.0 -25.0 175.0", "region bounds"),
+    ("sensor", "window", "nan 175.0 -25.0 175.0", "region bounds"),
+    ("sensor", "speed", "2.0 -2.0", "speed and turn"),
+    ("sensor", "turn", "0.2 nan", "speed and turn"),
+    ("truth", "groups", "0.0 50.0 0.0 50.0:-1", "group counts"),
+    ("truth", "placement", "centre", "placement"),
+    ("truth", "spread", "nan", "spread and speed"),
+    ("truth", "speed", "-1.0", "spread and speed"),
+    ("schedule", "miss_region", "150.0 100.0 100.0 150.0", "region bounds"),
+    ("schedule", "miss_cycle", "-1", "miss_cycle"),
+    ("schedule", "deaths", "9:-1", "deaths and births"),
+    ("schedule", "births", "3:-2", "deaths and births"),
+    ("schedule", "clutter_changes", "10:-1.0", "clutter_changes"),
+    ("schedule", "clutter_changes", "10:nan", "clutter_changes"),
+    ("schedule", "birth_spread", "nan", "birth_spread"),
+    ("domains", "a", "0.0 50.0 50.0 0.0", "region bounds"),
+]
+
+
+class TestLayoutChecks:
+    @pytest.mark.parametrize(
+        "schedule",
+        [dict(clutter_changes={10: -1.0}), dict(deaths={9: -1})],
+        ids=["clutter_changes", "deaths"],
+    )
+    def test_death_schedule_refused_when_built(self, schedule):
+        cfg = replace(preset("death"), filter="ppp", mc_runs=1, steps=12)
+        with pytest.raises(ValueError):
+            replace(cfg, schedule=replace(cfg.schedule, **schedule))
+
+    @pytest.mark.parametrize(
+        "section, key, text, message",
+        BAD_LAYOUT,
+        ids=[f"{s}.{k}={t}" for s, k, t, _m in BAD_LAYOUT],
+    )
+    def test_refused_from_ini(self, section, key, text, message):
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(config_to_ini(preset("spooky")))
+        cp[section][key] = text
+        buf = io.StringIO()
+        cp.write(buf)
+        with pytest.raises(ConfigError, match=message):
+            config_from_ini(buf.getvalue())
+
+
+class TestUnknownKeys:
+    def test_misspelled_key_is_refused(self):
+        text = config_to_ini(preset("spooky"))
+        assert text.count("birth_per_target = 10\n") == 1
+        bad = text.replace("birth_per_target = 10\n", "birth_per_targt = 3\n")
+        with pytest.raises(ConfigError, match=r"unknown key 'birth_per_targt' in \[smc\]"):
+            config_from_ini(bad)
+
+    def test_unknown_section_is_refused(self):
+        text = config_to_ini(preset("spooky")) + "[smcc]\nalpha = 0.0\n"
+        with pytest.raises(ConfigError, match=r"unknown key 'alpha' in \[smcc\]"):
+            config_from_ini(text)
+
+    @pytest.mark.parametrize("section", ["experiment", "sensor", "truth", "domains"])
+    def test_a_key_of_another_section_is_refused(self, section):
+        text = config_to_ini(preset("spooky"))
+        bad = text.replace(f"[{section}]\n", f"[{section}]\ncap = 500\n")
+        with pytest.raises(ConfigError, match=rf"unknown key 'cap' in \[{section}\]"):
+            config_from_ini(bad)
+
+
 class TestPresets:
     def test_all_presets_construct(self):
         for name in ("spooky", "death", "birth", "repulsion-bias", "good-ratio"):

@@ -15,7 +15,6 @@ from dpptrack.oracle import (
     ObservationModel,
     dpp_process,
     enumerate_posterior,
-    joint_janossy,
     observation_likelihood,
     poisson_process,
 )
@@ -91,14 +90,17 @@ class TestFiniteProcess:
 
 
 class TestJointJanossy:
+    """P(c) g(c, M): the joint Janossy value of a configuration and a
+    measurement list."""
+
     def test_no_measurements_reduces_to_miss_product(self):
         w = small_grid()
         rng = np.random.default_rng(0)
         prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
-        states = (0, 2)
         expect = prior.table[(0, 2)] * obs.q_d[0] * obs.q_d[2]
-        assert joint_janossy(prior, obs, states, ()) == pytest.approx(expect, rel=1e-12)
+        got = prior.table[(0, 2)] * observation_likelihood((0, 2), obs, ())
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_no_targets_all_clutter(self):
         w = small_grid()
@@ -106,7 +108,8 @@ class TestJointJanossy:
         prior = random_simple_prior(w, rng)
         obs = random_obs(3, 2, rng)
         expect = prior.table[()] * obs.l_c[0] * obs.l_c[1]
-        assert joint_janossy(prior, obs, (), (0, 1)) == pytest.approx(expect, rel=1e-12)
+        got = prior.table[()] * observation_likelihood((), obs, (0, 1))
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_one_target_one_measurement_hand_expansion(self):
         w = small_grid()
@@ -115,15 +118,8 @@ class TestJointJanossy:
         obs = random_obs(3, 2, rng)
         j1 = prior.table[(1,)]
         expect = obs.q_d[1] * obs.l_c[0] * j1 + obs.l_tilde[0, 1] * j1
-        assert joint_janossy(prior, obs, (1,), (0,)) == pytest.approx(expect, rel=1e-12)
-
-    def test_size_error(self):
-        w = small_grid()
-        rng = np.random.default_rng(3)
-        prior = random_simple_prior(w, rng)
-        obs = random_obs(3, 2, rng)
-        with pytest.raises(SizeError):
-            joint_janossy(prior, obs, tuple([0] * 9), (0,))
+        got = prior.table[(1,)] * observation_likelihood((1,), obs, (0,))
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 class TestMeasurementJanossy:
@@ -445,7 +441,6 @@ class TestInputChecks:
         obs = random_obs(2, 2, np.random.default_rng(25))
         for call in (
             lambda: ExactPosterior(prior, obs, meas),
-            lambda: joint_janossy(prior, obs, (0,), meas),
             lambda: enumerate_posterior(prior, obs, meas),
         ):
             with pytest.raises(ValueError, match="outside the grid of 2 points"):

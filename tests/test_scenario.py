@@ -14,10 +14,11 @@ from dpptrack.scenario import (
     Scan,
     SensorConfig,
     TruthSimulator,
+    TruthSpec,
     Window,
     generate_scan,
+    place_targets,
     repulsion_term,
-    scripted_events,
     step_dynamics,
     noise_gain,
     to_polar,
@@ -212,42 +213,66 @@ class TestScan:
         assert wrap_angle(-math.pi - 0.1) == pytest.approx(math.pi - 0.1)
 
 
+def simulator(schedule, n0=15, seed=0, p_d=0.9, clutter_mean=1.0):
+    window = Window(Region(0.0, 100.0, 0.0, 100.0))
+    sensor = SensorConfig(p_d=p_d, clutter_mean=clutter_mean, window=window)
+    states = window.sample_states(n0, np.random.default_rng(seed))
+    return TruthSimulator(
+        states,
+        DynamicsConfig(),
+        sensor,
+        schedule,
+        stream(1, 0, "truth-motion"),
+        stream(1, 0, "scan"),
+        stream(1, 0, "events"),
+    )
+
+
 class TestSchedule:
     def test_spooky_cycle_flags(self):
-        sched = EventSchedule(miss_region=Region(0, 1, 0, 1), miss_cycle=10)
-        active = [t for t in range(1, 51) if scripted_events(sched, t, 5).miss_active]
-        assert active == [10, 20, 30, 40, 50]
+        # every target stays inside the miss region, so a scan is empty
+        # exactly at the forced-miss steps
+        everywhere = Region(-1e6, 1e6, -1e6, 1e6)
+        sim = simulator(
+            EventSchedule(miss_region=everywhere, miss_cycle=10), n0=5, p_d=1.0, clutter_mean=0.0
+        )
+        blind = [sim.t for _ in range(50) if len(sim.step()[2]) == 0]
+        assert blind == [10, 20, 30, 40, 50]
 
     def test_death_count_validated(self):
-        sched = EventSchedule(deaths={9: 10})
-        ev = scripted_events(sched, 9, 15)
-        assert ev.n_deaths == 10
-        with pytest.raises(ScheduleError):
-            scripted_events(sched, 9, 5)
+        sim = simulator(EventSchedule(deaths={9: 10}), n0=15)
+        for _ in range(9):
+            _, ids, _ = sim.step()
+        assert len(ids) == 5
+        sim = simulator(EventSchedule(deaths={9: 10}), n0=5)
+        for _ in range(8):
+            sim.step()
+        with pytest.raises(ScheduleError, match="step 9 kills 10 targets but only 5 alive"):
+            sim.step()
 
     def test_empty_schedule_noop(self):
-        ev = scripted_events(EventSchedule(), 3, 4)
-        assert (ev.miss_active, ev.n_deaths, ev.n_births) == (False, 0, 0)
+        sim = simulator(EventSchedule(), n0=4)
+        sensor = sim.sensor
+        for _ in range(5):
+            _, ids, _ = sim.step()
+        assert ids == [0, 1, 2, 3]
+        assert sim.sensor is sensor
+        # no event drew from the events stream
+        assert sim.rng_events.random() == stream(1, 0, "events").random()
+
+    def test_clutter_change_applies_at_its_step(self):
+        sim = simulator(EventSchedule(clutter_changes={2: 0.0}), n0=3, clutter_mean=50.0)
+        _, _, scan1 = sim.step()
+        assert -1 in scan1.truth_links
+        _, _, scan2 = sim.step()
+        assert -1 not in scan2.truth_links
+        assert sim.sensor.clutter_mean == 0.0
+        assert len(sim.step()[2]) <= 3  # the change lasts
 
 
 class TestTruthSimulator:
-    def make(self, schedule, n0=15, seed=0):
-        window = Window(Region(0.0, 100.0, 0.0, 100.0))
-        sensor = SensorConfig(p_d=0.9, clutter_mean=1.0, window=window)
-        rng = np.random.default_rng(seed)
-        states = window.sample_states(n0, rng)
-        return TruthSimulator(
-            states,
-            DynamicsConfig(),
-            sensor,
-            schedule,
-            stream(1, 0, "truth-motion"),
-            stream(1, 0, "scan"),
-            stream(1, 0, "events"),
-        )
-
     def test_deaths_reduce_population(self):
-        sim = self.make(EventSchedule(deaths={9: 10}))
+        sim = simulator(EventSchedule(deaths={9: 10}))
         counts = {}
         for _ in range(12):
             states, ids, _ = sim.step()
@@ -257,25 +282,94 @@ class TestTruthSimulator:
         assert counts[12] == 5
 
     def test_births_extend_population_with_new_ids(self):
-        sim = self.make(EventSchedule(births={10: 9}), n0=1)
+        sim = simulator(EventSchedule(births={10: 9}), n0=1)
         for _ in range(10):
             states, ids, _ = sim.step()
         assert len(ids) == 10
         assert len(set(ids)) == 10
 
+    def test_births_are_placed_centrally_from_the_events_stream(self):
+        birth_region = Region(40.0, 60.0, 10.0, 30.0)
+        sim = simulator(EventSchedule(births={1: 4}, birth_region=birth_region, birth_spread=5.0))
+        states, ids, _ = sim.step()
+        expect = place_targets(birth_region, 4, "central", 5.0, 1.0, stream(1, 0, "events"))
+        np.testing.assert_array_equal(states[-4:], expect)
+        assert ids[-4:] == [15, 16, 17, 18]
+
     def test_miss_region_blinds_targets_inside(self):
         region = Region(0.0, 100.0, 0.0, 100.0)
-        sim = self.make(
-            EventSchedule(miss_region=region, miss_cycle=2), n0=10, seed=3
-        )
-        sim.sensor = SensorConfig(
-            p_d=1.0, clutter_mean=0.0, window=sim.sensor.window
+        sim = simulator(
+            EventSchedule(miss_region=region, miss_cycle=2), n0=10, seed=3, p_d=1.0,
+            clutter_mean=0.0,
         )
         _, ids1, scan1 = sim.step()  # t = 1, no forced miss
         _, ids2, scan2 = sim.step()  # t = 2, all inside blinded
         inside2 = region.contains_states(sim.states)
         assert len(scan2) == int((~inside2).sum())
         assert len(scan1) == len(ids1)
+
+
+class TestPlacement:
+    REGION = Region(100.0, 140.0, -20.0, 0.0)
+
+    def test_draws_x_y_vx_vy_in_order(self):
+        for placement in ("central", "uniform"):
+            got = place_targets(self.REGION, 3, placement, 4.0, 0.5, np.random.default_rng(7))
+            rng = np.random.default_rng(7)
+            if placement == "central":
+                x = 120.0 + rng.uniform(-4.0, 4.0, 3)
+                y = -10.0 + rng.uniform(-4.0, 4.0, 3)
+            else:
+                x = rng.uniform(100.0, 140.0, 3)
+                y = rng.uniform(-20.0, 0.0, 3)
+            vx, vy = rng.uniform(-0.5, 0.5, 3), rng.uniform(-0.5, 0.5, 3)
+            np.testing.assert_array_equal(got, np.column_stack([x, vx, y, vy, np.zeros(3)]))
+
+    def test_initial_states_place_each_group_in_turn(self):
+        other = Region(0.0, 10.0, 0.0, 10.0)
+        spec = TruthSpec(groups=((self.REGION, 2), (other, 0), (other, 3)), placement="uniform")
+        rng = np.random.default_rng(8)
+        expect = np.vstack(
+            [place_targets(r, n, "uniform", 15.0, 1.0, rng) for r, n in spec.groups]
+        )
+        np.testing.assert_array_equal(spec.initial_states(np.random.default_rng(8)), expect)
+        assert TruthSpec(groups=()).initial_states(rng).shape == (0, 5)
+
+
+REGION = Region(0.0, 50.0, 0.0, 50.0)
+
+# (label, message, build) of values that used to crash a run part-way, or
+# that a run silently misread
+BAD_VALUES = [
+    ("zeta_x nan", "zeta_x", lambda: DynamicsConfig(zeta_x=math.nan)),
+    ("zeta_y inf", "zeta_x", lambda: DynamicsConfig(zeta_y=math.inf)),
+    ("inverted window region", "region bounds", lambda: Region(175.0, -25.0, -25.0, 175.0)),
+    ("inverted y bounds", "region bounds", lambda: Region(0.0, 1.0, 1.0, 0.0)),
+    ("nan bound", "region bounds", lambda: Region(math.nan, 1.0, 0.0, 1.0)),
+    ("infinite bound", "region bounds", lambda: Region(0.0, math.inf, 0.0, 1.0)),
+    ("inverted speed", "speed and turn", lambda: Window(REGION, speed_min=2.0, speed_max=-2.0)),
+    ("inverted turn", "speed and turn", lambda: Window(REGION, turn_min=0.3)),
+    ("nan speed", "speed and turn", lambda: Window(REGION, speed_max=math.nan)),
+    ("placement centre", "placement", lambda: TruthSpec(((REGION, 2),), placement="centre")),
+    ("nan spread", "spread and speed", lambda: TruthSpec(((REGION, 2),), spread=math.nan)),
+    ("negative speed", "spread and speed", lambda: TruthSpec(((REGION, 2),), speed=-1.0)),
+    ("negative group", "group counts", lambda: TruthSpec(((REGION, 2), (REGION, -1)))),
+    ("negative deaths", "deaths and births", lambda: EventSchedule(deaths={9: -1})),
+    ("negative births", "deaths and births", lambda: EventSchedule(births={3: -2})),
+    ("negative clutter", "clutter_changes", lambda: EventSchedule(clutter_changes={10: -1.0})),
+    ("nan clutter", "clutter_changes", lambda: EventSchedule(clutter_changes={10: math.nan})),
+    ("negative miss_cycle", "miss_cycle", lambda: EventSchedule(miss_cycle=-1)),
+    ("nan birth_spread", "birth_spread", lambda: EventSchedule(birth_spread=math.nan)),
+    ("negative birth_spread", "birth_spread", lambda: EventSchedule(birth_spread=-1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "message, build", [v[1:] for v in BAD_VALUES], ids=[v[0] for v in BAD_VALUES]
+)
+def test_bad_truth_window_and_schedule_values_are_refused_when_built(message, build):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_polar_transform_vectorized():

@@ -37,3 +37,5 @@ def test_tracer_records_both_predictions_and_the_filter_motion(tmp_path):
     assert metrics["dpp_filter.posterior_diagonal.calls"] > 0
     assert metrics["dpp_filter.dpp_update.calls"] > 0
     assert metrics["ppp_filter.poisson_weight_update.calls"] > 0
+    assert metrics["scenario.TruthSimulator.step.calls"] > 0
+    assert metrics["scenario.step_dynamics.rows_truth"] > 0
