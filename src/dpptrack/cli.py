@@ -14,8 +14,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a Monte Carlo tracking experiment")
-    run.add_argument("--config", help="experiment config file (INI format)")
-    run.add_argument("--preset", help="named preset: spooky, death, birth, repulsion-bias, good-ratio")
+    source = run.add_mutually_exclusive_group()
+    source.add_argument("--config", help="experiment config file (INI format)")
+    source.add_argument(
+        "--preset", help="named preset: spooky, death, birth, repulsion-bias, good-ratio"
+    )
     run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument("--runs", type=int, help="override the Monte Carlo run count")
     run.add_argument("--filter", choices=["dpp", "ppp", "both"], help="override filter choice")
@@ -43,6 +46,10 @@ def main(argv=None) -> int:
     from .harness import load_config, preset, run_experiment
 
     try:
+        if args.full and not args.preset:
+            raise ConfigError("--full needs --preset")
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
         if args.config:
             cfg = load_config(args.config)
         elif args.preset:

@@ -91,219 +91,113 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
+def _experiment(
+    name: str, *, seed: int, filter: str, steps: int, mc_runs: int, region: Region,
+    sigma_range: float, p_d: float, clutter_mean: float, groups: tuple, placement: str,
+    n_init: int, resample_per_target: int, birth_per_target: int, cap: int, gamma0: float,
+    spread: float = 15.0, schedule: EventSchedule = EventSchedule(), zeta: float = 0.0,
+    domains: Optional[tuple[Region, Region]] = None, notes: str = "",
+) -> ExperimentConfig:
+    """A preset: what it sets, on the setup all presets share.  That is the
+    default motion model with repulsion zeta in the truth only, a window over
+    ``region`` with velocities in +-2 m/s and turn rates in +-pi, bearing
+    noise pi, the SMC kernel parameters (roughening 0.01, alpha 4, band_eta
+    0.1), p_s = 1 and initial target velocities in +-0.5 m/s."""
+    window = Window(region, -2.0, 2.0, -math.pi, math.pi)
+    return ExperimentConfig(
+        name=name, steps=steps, mc_runs=mc_runs, seed=seed, filter=filter,
+        dynamics=DynamicsConfig(zeta_x=zeta, zeta_y=zeta), filter_dynamics=DynamicsConfig(),
+        sensor=SensorConfig(sigma_range, math.pi, p_d, clutter_mean, window),
+        truth=TruthSpec(groups, placement, spread, speed=0.5), schedule=schedule,
+        smc=SmcConfig(
+            n_init, resample_per_target, birth_per_target, cap,
+            roughening_scale=0.01, alpha=4.0, band_eta=0.1, gamma0=gamma0,
+        ),
+        p_s=1.0, domains=domains, notes=notes,
+    )
+
+
 def preset(name: str, full: bool = False) -> ExperimentConfig:
     """Named experiment setups.
 
     Desk scale keeps the source experiments' sensor noise, detection and
     kernel parameters but shrinks run counts, particle budgets and the
     spatial layout so a full preset fits in minutes on two cores; --full
-    restores the large-scale budgets (slow).
+    restores the large-scale budgets (slow).  A preset states only what
+    differs from ``_experiment``'s shared setup, as pick(desk, full) where
+    the scales differ.
     """
     if name not in PRESET_NAMES:
         raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    truth_dyn = DynamicsConfig(sigma_vx=1.0, sigma_vy=1.0, sigma_vtheta=math.pi)
-    filt_dyn = truth_dyn
+
+    def pick(desk, paper):
+        return paper if full else desk
 
     if name == "spooky":
-        if full:
-            a = Region(0.0, 150.0, 0.0, 150.0)
-            b = Region(300.0, 450.0, 300.0, 450.0)
-            window = Window(Region(-75.0, 525.0, -75.0, 525.0), -2.0, 2.0, -math.pi, math.pi)
-        else:
-            # domains sit in disjoint range bands from the sensor at the origin
-            a = Region(0.0, 50.0, 0.0, 50.0)
-            b = Region(100.0, 150.0, 100.0, 150.0)
-            window = Window(Region(-25.0, 175.0, -25.0, 175.0), -2.0, 2.0, -math.pi, math.pi)
-        sensor = SensorConfig(
-            sigma_range=math.sqrt(2.0),
-            sigma_bearing=math.pi,
-            p_d=0.9,
-            clutter_mean=10.0 if full else 4.0,
-            window=window,
-        )
-        n_per = 10 if full else 3
-        return ExperimentConfig(
-            name="spooky",
-            steps=50 if full else 30,
-            mc_runs=100 if full else 20,
-            seed=20170401,
-            filter="dpp",
-            dynamics=truth_dyn,
-            filter_dynamics=filt_dyn,
-            sensor=sensor,
-            truth=TruthSpec(
-                groups=((a, n_per), (b, n_per)),
-                placement="central",
-                spread=30.0 if full else 12.0,
-                speed=0.5,
-            ),
-            schedule=EventSchedule(miss_region=b, miss_cycle=10),
-            smc=SmcConfig(
-                n_init=800 if full else 300,
-                resample_per_target=30 if full else 20,
-                birth_per_target=10,
-                cap=1000 if full else 500,
-                roughening_scale=0.01,
-                alpha=4.0,
-                band_eta=0.1,
-                gamma0=2.0,
-            ),
-            p_s=1.0,
-            domains=(a, b),
-            notes=(
+        # domains in disjoint range bands from the sensor at the origin;
+        # --full triples the layout
+        k = pick(1.0, 3.0)
+        a = Region(0.0, 50.0 * k, 0.0, 50.0 * k)
+        b = Region(100.0 * k, 150.0 * k, 100.0 * k, 150.0 * k)
+        n = pick(3, 10)
+        return _experiment(
+            name, seed=20170401, filter="dpp", steps=pick(30, 50), mc_runs=pick(20, 100),
+            region=Region(-25.0 * k, 175.0 * k, -25.0 * k, 175.0 * k),
+            sigma_range=math.sqrt(2.0), p_d=0.9, clutter_mean=pick(4.0, 10.0),
+            groups=((a, n), (b, n)), placement="central", spread=pick(12.0, 30.0),
+            schedule=EventSchedule(miss_region=b, miss_cycle=10), domains=(a, b),
+            n_init=pick(300, 800), resample_per_target=pick(20, 30), birth_per_target=10,
+            cap=pick(500, 1000), gamma0=2.0,
+            notes=pick(
                 "desk scale: 3 targets/domain on a 200 m window, 30 steps, 20 runs,"
                 " 300 init particles, P_p=20 (source: 10/domain, 150 m domains,"
-                " 50 steps, 100 runs, 800 particles, P_p=30)"
-                if not full
-                else "full-scale budgets"
+                " 50 steps, 100 runs, 800 particles, P_p=30)",
+                "full-scale budgets",
             ),
         )
 
-    if name == "death":
+    if name in ("death", "birth"):
         dom = Region(0.0, 100.0, 0.0, 100.0)
-        window = Window(Region(-50.0, 150.0, -50.0, 150.0), -2.0, 2.0, -math.pi, math.pi)
-        sensor = SensorConfig(
-            sigma_range=math.sqrt(2.0),
-            sigma_bearing=math.pi,
-            p_d=0.95,
-            clutter_mean=1.0,
-            window=window,
+        shared = dict(
+            filter="both", region=Region(-50.0, 150.0, -50.0, 150.0), sigma_range=math.sqrt(2.0),
+            resample_per_target=pick(20, 50), cap=pick(500, 1000), gamma0=0.2,
         )
-        return ExperimentConfig(
-            name="death",
-            steps=15,
-            mc_runs=200 if full else 10,
-            seed=20170402,
-            filter="both",
-            dynamics=truth_dyn,
-            filter_dynamics=filt_dyn,
-            sensor=sensor,
-            truth=TruthSpec(groups=((dom, 15),), placement="uniform", speed=0.5),
-            schedule=EventSchedule(deaths={9: 10}, clutter_changes={10: 0.3}),
-            smc=SmcConfig(
-                n_init=6000 if full else 600,
-                resample_per_target=50 if full else 20,
-                birth_per_target=60 if full else 20,
-                cap=1000 if full else 500,
-                roughening_scale=0.01,
-                alpha=4.0,
-                band_eta=0.1,
-                gamma0=0.2,
-            ),
-            p_s=1.0,
-            notes="desk scale: 600 init particles, P_p=20, 10 runs"
-            " (source: 6000 particles, P_p=50, P_b=40-60, 200-300 runs)"
-            if not full
-            else "",
-        )
-
-    if name == "birth":
-        dom = Region(0.0, 100.0, 0.0, 100.0)
-        window = Window(Region(-50.0, 150.0, -50.0, 150.0), -2.0, 2.0, -math.pi, math.pi)
-        sensor = SensorConfig(
-            sigma_range=math.sqrt(2.0),
-            sigma_bearing=math.pi,
-            p_d=0.9,
-            clutter_mean=0.05,
-            window=window,
-        )
-        return ExperimentConfig(
-            name="birth",
-            steps=45,
-            mc_runs=100 if full else 10,
-            seed=20170403,
-            filter="both",
-            dynamics=truth_dyn,
-            filter_dynamics=filt_dyn,
-            sensor=sensor,
-            truth=TruthSpec(groups=((dom, 1),), placement="central", spread=10.0, speed=0.5),
+        if name == "death":
+            return _experiment(
+                name, seed=20170402, steps=15, mc_runs=pick(10, 200), p_d=0.95,
+                clutter_mean=1.0, groups=((dom, 15),), placement="uniform",
+                schedule=EventSchedule(deaths={9: 10}, clutter_changes={10: 0.3}),
+                n_init=pick(600, 6000), birth_per_target=pick(20, 60), **shared,
+                notes=pick("desk scale: 600 init particles, P_p=20, 10 runs (source: 6000"
+                           " particles, P_p=50, P_b=40-60, 200-300 runs)", ""),
+            )
+        return _experiment(
+            name, seed=20170403, steps=45, mc_runs=pick(10, 100), p_d=0.9, clutter_mean=0.05,
+            groups=((dom, 1),), placement="central", spread=10.0,
             schedule=EventSchedule(births={10: 9}, birth_region=dom, clutter_changes={10: 5.0}),
-            smc=SmcConfig(
-                n_init=300,
-                resample_per_target=50 if full else 20,
-                birth_per_target=15,
-                cap=1000 if full else 500,
-                roughening_scale=0.01,
-                alpha=4.0,
-                band_eta=0.1,
-                gamma0=0.2,
-            ),
-            p_s=1.0,
-            notes="desk scale: 10 runs, P_p=20 (source: 100-400 runs, P_p=40-50)"
-            if not full
-            else "",
+            n_init=300, birth_per_target=15, **shared,
+            notes=pick("desk scale: 10 runs, P_p=20 (source: 100-400 runs, P_p=40-50)", ""),
         )
 
+    # the repulsion presets: a PPP filter against a truth repelling at zeta = 8
+    shared = dict(filter="ppp", sigma_range=2.0 * math.sqrt(2.0), placement="uniform", zeta=8.0)
     if name == "repulsion-bias":
-        dom = Region(-50.0, 50.0, -50.0, 50.0)
-        window = Window(Region(-150.0, 150.0, -150.0, 150.0), -2.0, 2.0, -math.pi, math.pi)
-        sensor = SensorConfig(
-            sigma_range=2.0 * math.sqrt(2.0),
-            sigma_bearing=math.pi,
-            p_d=0.95,
-            clutter_mean=1.0,
-            window=window,
-        )
-        n_targets = 10 if full else 4
-        return ExperimentConfig(
-            name="repulsion-bias",
-            steps=20,
-            mc_runs=200 if full else 30,
-            seed=20170404,
-            filter="ppp",
-            dynamics=replace(truth_dyn, zeta_x=8.0, zeta_y=8.0),
-            filter_dynamics=filt_dyn,
-            sensor=sensor,
-            truth=TruthSpec(groups=((dom, n_targets),), placement="uniform", speed=0.5),
-            schedule=EventSchedule(),
-            smc=SmcConfig(
-                n_init=1000 if full else 400,
-                resample_per_target=100 if full else 30,
-                birth_per_target=100 if full else 30,
-                cap=1000,
-                roughening_scale=0.01,
-                alpha=4.0,
-                band_eta=0.1,
-                gamma0=float(n_targets),
-            ),
-            p_s=1.0,
+        n = pick(4, 10)
+        return _experiment(
+            name, seed=20170404, steps=20, mc_runs=pick(30, 200),
+            region=Region(-150.0, 150.0, -150.0, 150.0), p_d=0.95, clutter_mean=1.0,
+            groups=((Region(-50.0, 50.0, -50.0, 50.0), n),), n_init=pick(400, 1000),
+            resample_per_target=pick(30, 100), birth_per_target=pick(30, 100), cap=1000,
+            gamma0=float(n), **shared,
             notes="sweep zeta in {0,4,8} via scripts/sweep_zeta.py --preset repulsion-bias;"
             " desk scale: 4 targets, 30 runs (source: 10 targets, 200 runs,"
             " 1000 particles, 100 per target)",
         )
-
-    # good-ratio
-    dom = Region(-30.0, 30.0, -30.0, 30.0)
-    window = Window(Region(-100.0, 100.0, -100.0, 100.0), -2.0, 2.0, -math.pi, math.pi)
-    sensor = SensorConfig(
-        sigma_range=2.0 * math.sqrt(2.0),
-        sigma_bearing=math.pi,
-        p_d=1.0,
-        clutter_mean=0.0,
-        window=window,
-    )
-    return ExperimentConfig(
-        name="good-ratio",
-        steps=15,
-        mc_runs=100 if full else 20,
-        seed=20170405,
-        filter="ppp",
-        dynamics=replace(truth_dyn, zeta_x=8.0, zeta_y=8.0),
-        filter_dynamics=filt_dyn,
-        sensor=sensor,
-        truth=TruthSpec(groups=((dom, 3),), placement="uniform", speed=0.5),
-        schedule=EventSchedule(),
-        smc=SmcConfig(
-            n_init=400,
-            resample_per_target=30,
-            birth_per_target=30,
-            cap=1000,
-            roughening_scale=0.01,
-            alpha=4.0,
-            band_eta=0.1,
-            gamma0=3.0,
-        ),
-        p_s=1.0,
+    return _experiment(
+        name, seed=20170405, steps=15, mc_runs=pick(20, 100),
+        region=Region(-100.0, 100.0, -100.0, 100.0), p_d=1.0, clutter_mean=0.0,
+        groups=((Region(-30.0, 30.0, -30.0, 30.0), 3),), n_init=400,
+        resample_per_target=30, birth_per_target=30, cap=1000, gamma0=3.0, **shared,
         notes="sweep zeta via scripts/sweep_zeta.py --preset good-ratio; p_d=1, no clutter",
     )
 

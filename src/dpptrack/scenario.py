@@ -206,6 +206,8 @@ class SensorConfig:
             raise ValueError("sigma_range and sigma_bearing must be finite and positive")
         if not 0.0 <= self.clutter_mean < math.inf:
             raise ValueError("clutter_mean must be finite and nonnegative")
+        if self.window.region.area == 0.0:  # the clutter density divides by it
+            raise ValueError("the window region must have a positive area")
 
 
 @dataclass(frozen=True)
@@ -360,6 +362,12 @@ class EventSchedule:
             raise ValueError("clutter_changes means must be finite and nonnegative")
         if not (self.miss_cycle >= 0 and 0.0 <= self.birth_spread < math.inf):
             raise ValueError("miss_cycle must be >= 0, birth_spread finite and nonnegative")
+        if (self.miss_region is None) != (self.miss_cycle == 0):
+            raise ValueError("miss_region and a miss_cycle > 0 must be set together")
+        # the simulator's first step is 1; a step past the run never comes,
+        # which lets callers shorten a run with replace(cfg, steps=n)
+        if not all(t >= 1 for t in (*self.deaths, *self.births, *self.clutter_changes)):
+            raise ValueError("event steps must be >= 1, the first step")
 
 
 class TruthSimulator:
@@ -418,7 +426,7 @@ class TruthSimulator:
             self.states = np.vstack([self.states, born]) if self.states.size else born
             self.ids.extend(range(self._next_id, self._next_id + n_births))
             self._next_id += n_births
-        miss = sched.miss_region is not None and sched.miss_cycle > 0 and t % sched.miss_cycle == 0
+        miss = sched.miss_cycle > 0 and t % sched.miss_cycle == 0
         inside = sched.miss_region.contains_states(self.states) if miss else ()
         forced = frozenset(tid for tid, flag in zip(self.ids, inside) if flag)
         scan = generate_scan(self.states, self.ids, self.sensor, forced, self.rng_scan, time=t)

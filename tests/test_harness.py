@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import io
 import math
 from dataclasses import fields, replace
@@ -206,14 +207,19 @@ BAD_LAYOUT = [
     ("schedule", "clutter_changes", "10:nan", "clutter_changes"),
     ("schedule", "birth_spread", "nan", "birth_spread"),
     ("domains", "a", "0.0 50.0 50.0 0.0", "region bounds"),
+    ("sensor", "window", "-50.0 150.0 10.0 10.0", "positive area"),
+    ("schedule", "deaths", "0:10;40:3", "event steps"),
+    ("schedule", "clutter_changes", "0:1.0", "event steps"),
+    ("schedule", "miss_region", "", "set together"),
+    ("schedule", "miss_cycle", "0", "set together"),
 ]
 
 
 class TestLayoutChecks:
     @pytest.mark.parametrize(
         "schedule",
-        [dict(clutter_changes={10: -1.0}), dict(deaths={9: -1})],
-        ids=["clutter_changes", "deaths"],
+        [dict(clutter_changes={10: -1.0}), dict(deaths={9: -1}), dict(deaths={0: 10, 40: 3})],
+        ids=["clutter_changes", "deaths", "deaths at step 0"],
     )
     def test_death_schedule_refused_when_built(self, schedule):
         cfg = replace(preset("death"), filter="ppp", mc_runs=1, steps=12)
@@ -256,7 +262,27 @@ class TestUnknownKeys:
             config_from_ini(bad)
 
 
+# sha256[:16] of each preset's config echo, (desk, full).  A change that
+# moves a preset on purpose updates its digests here.
+ECHO_DIGESTS = {
+    "spooky": ("de2ee9bc42b864b5", "9227b89dcdc64dcc"),
+    "death": ("56380b7e2f68edeb", "1f92df80d3f4b54c"),
+    "birth": ("1a1fd6d08d9f02ed", "d3b401f609d1dfda"),
+    "repulsion-bias": ("62bee0814fb2f5c8", "e801c2e53b8bbbc4"),
+    "good-ratio": ("ab2df5f0311c5a82", "4b9521741fcb0b14"),
+}
+
+
 class TestPresets:
+    @pytest.mark.parametrize(
+        "name, full",
+        [(name, full) for name in PRESET_NAMES for full in (False, True)],
+        ids=[f"{name}-{scale}" for name in PRESET_NAMES for scale in ("desk", "full")],
+    )
+    def test_config_echo_is_pinned(self, name, full):
+        echo = config_to_ini(preset(name, full))
+        assert hashlib.sha256(echo.encode()).hexdigest()[:16] == ECHO_DIGESTS[name][full]
+
     def test_all_presets_construct(self):
         for name in ("spooky", "death", "birth", "repulsion-bias", "good-ratio"):
             cfg = preset(name)
@@ -445,6 +471,8 @@ class TestCli:
             (["--preset", "nosuch"], "unknown preset 'nosuch'"),
             (["--config", "missing.ini"], "No such file or directory"),
             (["--preset", "spooky", "--runs", "1", "--seed", "-1"], "seed must be >= 0"),
+            (["--config", "missing.ini", "--full"], "--full needs --preset"),
+            (["--config", "missing.ini", "--threads", "0"], "--threads must be >= 1"),
         ],
     )
     def test_config_errors_exit_2_without_a_traceback(self, tmp_path, capsys, args, message):
@@ -452,6 +480,16 @@ class TestCli:
         assert cli_main(["run", *args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_config_and_preset_exclude_each_other(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(config_to_ini(tiny_config()))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(path), "--preset", "spooky", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument --config" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_failing_run_still_raises(self, tmp_path, monkeypatch):

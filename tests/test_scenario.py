@@ -361,6 +361,23 @@ BAD_VALUES = [
     ("negative miss_cycle", "miss_cycle", lambda: EventSchedule(miss_cycle=-1)),
     ("nan birth_spread", "birth_spread", lambda: EventSchedule(birth_spread=math.nan)),
     ("negative birth_spread", "birth_spread", lambda: EventSchedule(birth_spread=-1.0)),
+    # the clutter density divides by the window area
+    (
+        "flat window",
+        "positive area",
+        lambda: SensorConfig(window=Window(Region(-50.0, 150.0, 10.0, 10.0))),
+    ),
+    (
+        "thin window",
+        "positive area",
+        lambda: SensorConfig(window=Window(Region(5.0, 5.0, 0.0, 1.0))),
+    ),
+    # events that never fire: the first step is 1, and a miss needs both
+    ("deaths at step 0", "event steps", lambda: EventSchedule(deaths={0: 10, 40: 3})),
+    ("births at step 0", "event steps", lambda: EventSchedule(births={0: 2})),
+    ("clutter at step -1", "event steps", lambda: EventSchedule(clutter_changes={-1: 1.0})),
+    ("miss_cycle alone", "set together", lambda: EventSchedule(miss_cycle=2)),
+    ("miss_region alone", "set together", lambda: EventSchedule(miss_region=REGION)),
 ]
 
 
