@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .kernels import DELTA, band_part, interaction_kernel, shrink_to_feasible
+from .kernels import DELTA, DiscretizedKernel, interaction_kernel, shrink_to_feasible
 from .oracle import (
     ExactPosterior,
     FiniteProcess,
@@ -100,7 +100,7 @@ def check_dpp_normalization(tol: float = 1e-8) -> tuple[bool, str]:
     weights = rng.uniform(0.5, 1.5, 4)
     raw = rng.uniform(-0.2, 0.2, (4, 4))
     raw = 0.3 * np.eye(4) + 0.5 * (raw + raw.T)
-    kernel = shrink_to_feasible(operator_form(raw, weights))[0]
+    kernel = shrink_to_feasible(DiscretizedKernel.from_dense(operator_form(raw, weights)))[0]
     fp = dpp_process(kernel)
     total = fp.total_mass()
     return abs(total - 1.0) < tol, f"dpp janossy normalization: total mass {total:.12f}"
@@ -117,14 +117,15 @@ def operator_form(m: np.ndarray, weights) -> np.ndarray:
 def spectral_interaction(kernel) -> np.ndarray:
     """J by its spectral definition, the reference for the Cholesky
     transform: K = U diag(lam) U^T and J = U diag(lam / (1 - lam)) U^T."""
-    lam, u = np.linalg.eigh(kernel.entries)
+    lam, u = np.linalg.eigh(kernel.to_dense())
     return (u * (lam / (1.0 - lam))) @ u.T
 
 
-def ceiling_bound_kernel(rng: np.random.Generator, n: int, bands=None):
-    """A ``shrink_to_feasible`` output on n points, from the kernel of a
-    grid of random point masses in operator form, whose spectrum sits at
-    the 1 - delta ceiling.  The diagonal is 0.6-0.99 of 1 - delta and the
+def ceiling_bound_kernel(rng: np.random.Generator, n: int, width=None):
+    """A ``shrink_to_feasible`` output on n points in one band of
+    bandwidth ``width`` (None: full width), from the kernel of a grid of
+    random point masses in operator form, whose spectrum sits at the
+    1 - delta ceiling.  The diagonal is 0.6-0.99 of 1 - delta and the
     off-diagonal entries are at least 0.5, so the Perron root of
     E^-1/2 O E^-1/2 exceeds 1 and the one of D^-1/2 O D^-1/2: the ceiling
     sets the off-diagonal scale t < 1, which is returned with the kernel."""
@@ -133,9 +134,10 @@ def ceiling_bound_kernel(rng: np.random.Generator, n: int, bands=None):
     raw = 0.5 * (raw + raw.T)
     np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
     raw = operator_form(raw, weights)
-    if bands is not None:
-        raw = band_part(raw, bands)
-    kernel, t, _ = shrink_to_feasible(raw, bands)
+    if width is not None:
+        raw[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > width] = 0.0
+    bands = ((n, n if width is None else width),)
+    kernel, t, _ = shrink_to_feasible(DiscretizedKernel.from_dense(raw, bands))
     return kernel, t
 
 

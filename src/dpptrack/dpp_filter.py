@@ -24,6 +24,7 @@ valid by construction (``smc.banded_kernel``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,10 +34,10 @@ from .errors import DegenerateIntensity, DegenerateVariance
 from .kernels import (
     DiscretizedKernel,
     band_pairs,
-    band_part,
     cross_covariance,
     interaction_diagonal,
     interaction_kernel,
+    pair_index,
     shrink_to_feasible,
 )
 from .likelihood import SensorModel
@@ -91,6 +92,17 @@ def pair_denominators(j2: np.ndarray, like: np.ndarray, sc: np.ndarray) -> np.nd
     return np.outer(sc, sc) - like @ j2 @ like.T
 
 
+@functools.lru_cache(maxsize=4)
+def band_pairs_both_ways(bands) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols), each (2, P): row 0 the P index pairs i > j inside
+    ``bands`` (``kernels.pair_index``), row 1 the same pairs mirrored.
+    Read-only, as it is cached for the two calls of an update."""
+    rows, cols = pair_index(bands)
+    rows, cols = np.stack([rows, cols]), np.stack([cols, rows])
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def posterior_moments(
     kernel: DiscretizedKernel,
     j: np.ndarray,
@@ -99,7 +111,10 @@ def posterior_moments(
     q_d: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First moment and pair factorial moment of the approximate posterior,
-    from the correlation kernel and its interaction kernel ``j``.
+    from the correlation kernel and its interaction kernel ``j``.  The pair
+    moment is given on the kernel's bands, at the index pairs of
+    ``band_pairs_both_ways`` (both ways, since the moment is symmetric only
+    up to roundoff).
 
     Raises DegenerateIntensity when a pair denominator
     s_c(z) s_c(z') - D(z, z') is not positive (it is 0 when one particle
@@ -108,7 +123,9 @@ def posterior_moments(
     kd = kernel.diagonal
     jd = np.diag(j).copy()  # contiguous: like @ a strided view rounds differently
     j2 = j**2
-    pair_j = np.outer(jd, jd) - j2
+    rows, cols = band_pairs_both_ways(kernel.bands)
+    at = rows * len(jd) + cols
+    pair_j = jd[rows] * jd[cols] - np.take(j2, at)
     np.clip(pair_j, 0.0, None, out=pair_j)  # PSD minors; negatives are roundoff
     sc, per_point = corrector_terms(clutter, like, jd)
     mu = q_d * kd + jd * per_point
@@ -124,33 +141,31 @@ def posterior_moments(
     if not np.all(np.isfinite(inv)):
         raise DegenerateIntensity("pair denominator inverse is not finite")
     cross = like.T @ inv @ like
-    factor = q_d**2 + q_d * (per_point[:, None] + per_point[None, :]) + cross
+    factor = q_d**2 + q_d * (per_point[rows] + per_point[cols]) + np.take(cross, at)
     rho = pair_j * factor
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(rho))):
         raise DegenerateIntensity("posterior moments are not finite")
-    np.fill_diagonal(rho, 0.0)
     return mu, rho
 
 
 def posterior_kernel_entries(
-    mu: np.ndarray, rho: np.ndarray, bands=None
-) -> tuple[np.ndarray, int]:
-    """Assemble the posterior kernel: mu on the diagonal, sqrt(mu mu - rho)
-    off it on the pairs inside the kernel ``bands`` (None allows every
-    pair), and zero elsewhere; ``rho`` has a zero diagonal.
+    mu: np.ndarray, rho: np.ndarray, bands
+) -> tuple[DiscretizedKernel, int]:
+    """Assemble the posterior kernel: mu on the diagonal and sqrt(mu mu - rho)
+    off it on the pairs inside ``bands``, with ``rho`` at the pairs of
+    ``band_pairs_both_ways(bands)``; the two ways are averaged.
 
     A negative radicand means the approximation lost the interaction at that
-    pair; it is clamped to zero.  Returns the entries, exactly symmetric as
-    ``shrink_to_feasible`` takes them, and the number of clamped pairs.
+    pair; it is clamped to zero.  Returns the kernel, whose spectrum
+    ``shrink_to_feasible`` then makes valid, and the number of clamped
+    pairs (each counted once when both of its ways are negative).
     """
-    sq = np.outer(mu, mu) - rho
-    if bands is not None:
-        sq = band_part(sq, bands)
-    clamped = int((sq < 0).sum()) // 2  # the diagonal radicand mu^2 is never negative
+    rows, cols = band_pairs_both_ways(bands)
+    sq = mu[rows] * mu[cols] - rho
+    clamped = int((sq < 0).sum()) // 2
     np.clip(sq, 0.0, None, out=sq)
-    entries = np.sqrt(sq)
-    np.fill_diagonal(entries, mu)
-    return 0.5 * (entries + entries.T), clamped
+    root = np.sqrt(sq)
+    return DiscretizedKernel.from_pairs(mu, 0.5 * (root[0] + root[1]), bands), clamped
 
 
 def dpp_update(
@@ -168,8 +183,8 @@ def dpp_update(
     bands = state.kernel.bands
     j = interaction_kernel(state.kernel)
     mu, rho = posterior_moments(state.kernel, j, like, clutter, sensor.q_d)
-    entries, clamped = posterior_kernel_entries(mu, rho, bands)
-    new_kernel, scale, clipped = shrink_to_feasible(entries, bands)
+    raw, clamped = posterior_kernel_entries(mu, rho, bands)
+    new_kernel, scale, clipped = shrink_to_feasible(raw)
     diag = UpdateDiagnostics(
         clamp_events=clamped,
         offdiag_entries=band_pairs(bands),
@@ -202,23 +217,18 @@ def predict(
 ) -> FilterState:
     """Prediction step on the moved and born particles of
     ``smc.predict_states``: the SMC realization of the prediction moment
-    formulas.  The survivors' block is p_s times the previous posterior
-    kernel, and the births' block is ``banded_kernel`` at the birth mass in
-    a band of their own; the cross-blocks are zero, so the predicted kernel
-    is valid by construction.
+    formulas.  The survivors' bands are p_s times the previous posterior
+    kernel's, and the births' block is ``banded_kernel`` at the birth mass
+    in a band of their own; the cross-blocks are zero, so the predicted
+    kernel is valid by construction.
     """
     particles, born, mass = predict_states(
         state.particles, state.intensity, survival, smc.birth_per_target, window, rng
     )
-    n = len(particles)
-    entries = np.zeros((n + len(born),) * 2)
-    np.multiply(survival.p_s, state.kernel.entries, out=entries[:n, :n])
-    bands = state.kernel.bands
+    arrays = tuple(survival.p_s * a for a in state.kernel.arrays)
     if len(born):
-        births = banded_kernel(born, mass, smc.alpha, smc.band_eta)
-        entries[n:, n:] = births.entries
-        bands = bands + births.bands
-    return FilterState(np.vstack([particles, born]), DiscretizedKernel(entries, bands))
+        arrays += banded_kernel(born, mass, smc.alpha, smc.band_eta).arrays
+    return FilterState(np.vstack([particles, born]), DiscretizedKernel(arrays))
 
 
 @dataclass
@@ -229,7 +239,7 @@ class DppStepRecord:
 
 
 class DppPhdFilter:
-    """Stateful filter: ``smc.phd_step`` on the dense banded kernel.
+    """Stateful filter: ``smc.phd_step`` on the banded kernel.
 
     Per step: predict (move + p_s scaling + births by ``smc.birth_count``),
     resample by the posterior diagonal with roughening, rebuild the banded
@@ -255,7 +265,7 @@ class DppPhdFilter:
         self.state, diag = phd_step(self, scan)
         return DppStepRecord(self.state.gamma, self.state, diag)
 
-    # the dense-kernel half of smc.phd_step
+    # the kernel half of smc.phd_step
 
     def predicted(self) -> FilterState:
         return predict(self.state, self.survival, self.smc, self.window, self.rng)
@@ -374,7 +384,7 @@ def prediction_moments(
     kd = kernel.diagonal
     surv = p_s * transition @ kd
     mu = np.asarray(birth_intensity, dtype=float) + surv
-    pair_prior = np.outer(kd, kd) - kernel.entries**2
+    pair_prior = np.outer(kd, kd) - kernel.to_dense() ** 2
     rho_surv = p_s**2 * transition @ pair_prior @ transition.T
     rho = (
         rho_surv
@@ -387,7 +397,10 @@ def prediction_moments(
 
 
 def reconstruct_kernel_from_moments(mu: np.ndarray, rho: np.ndarray) -> DiscretizedKernel:
-    """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho), made
-    valid by the filter's own map, ``shrink_to_feasible``."""
-    entries = posterior_kernel_entries(np.asarray(mu, dtype=float), rho)[0]
-    return shrink_to_feasible(entries)[0]
+    """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho) from the
+    dense pair moment ``rho``, on every pair, made valid by the filter's own
+    map, ``shrink_to_feasible``."""
+    bands = ((len(mu), len(mu)),)
+    rows, cols = band_pairs_both_ways(bands)
+    raw = posterior_kernel_entries(np.asarray(mu, dtype=float), rho[rows, cols], bands)[0]
+    return shrink_to_feasible(raw)[0]

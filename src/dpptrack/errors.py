@@ -9,6 +9,10 @@ class SpectrumError(DppTrackError):
     """A correlation kernel has operator spectrum outside [0, 1 - delta)."""
 
 
+class NonFiniteKernel(DppTrackError, ValueError):
+    """A kernel entry is NaN or infinite."""
+
+
 class SizeError(DppTrackError):
     """An exact combinatorial evaluation would exceed its size bounds."""
 

@@ -17,6 +17,7 @@ import hashlib
 import io
 import math
 import os
+import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
@@ -467,6 +468,14 @@ def build_id(config_text: str) -> str:
     return hashlib.sha1((config_text + __version__).encode()).hexdigest()[:12]
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size, in MB, of this process or of its largest
+    finished child (the pool workers): the larger ru_maxrss of
+    RUSAGE_SELF and RUSAGE_CHILDREN, which Linux reports in KiB."""
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    return max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0
+
+
 def _write_meta(path, result: ExperimentResult) -> None:
     cfg = result.config
     echo = config_to_ini(cfg)
@@ -486,6 +495,7 @@ def _write_meta(path, result: ExperimentResult) -> None:
         fh.write(f"clipped diagonal mass = {result.clipped_mass:.6g}\n")
         fh.write(f"wall seconds = {result.wall_seconds:.3f}\n")
         fh.write(f"openblas libraries pinned = {len(_blas_thread_controls())}\n")
+        fh.write(f"peak rss mb = {peak_rss_mb():.1f}\n")
         fh.write("\n# config echo\n")
         fh.write(echo)
 

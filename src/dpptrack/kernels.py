@@ -9,24 +9,33 @@ kernel matrix needs no folding.  The states never enter the algebra.  The
 interaction kernel J = (Id - K)^{-1} K (the L-ensemble of K; Macchi 1975)
 is an intermediate of the filter update and is a plain (N, N) array.
 
-Kernels are stored dense, with their support as a list of index bands:
-the matrix is block diagonal, one block per band, and each block is zero
-beyond its band's bandwidth from the diagonal.  Only this module reads the
-bands.  The interaction transform uses them: K is block tridiagonal, and J
-comes from a block Cholesky factorization of I - K (``interaction_kernel``),
-or only its diagonal from the diagonal blocks of (I - K)^{-1}
-(``interaction_diagonal``).
+A kernel is stored as its bands alone: K is block diagonal, one block per
+band, each block zero beyond its band's reach c from the diagonal, and each
+band is one (c + 1, points) array in LAPACK lower band storage (Anderson et
+al., *LAPACK Users' Guide*): row k holds the k-th subdiagonal.  Symmetry and
+the zeros outside the bands hold by construction, and only this module
+reads the layout; other modules scale band arrays, append them, or go
+through ``pair_index`` and ``DiscretizedKernel.from_pairs``.  The
+interaction transform gathers its blocks from the bands: K is block
+tridiagonal, and J comes from a block Cholesky factorization of I - K
+(``interaction_kernel``), or only its diagonal from the diagonal blocks of
+(I - K)^{-1} (``interaction_diagonal``; Takahashi, Fagan & Chen 1973).
+
+The arrays of N x N or block size that the module forms are LAPACK or BLAS
+inputs and outputs: J, the blocks of the factorization, and the free-point
+matrices of ``shrink_to_feasible``.  ``DiscretizedKernel.from_dense`` and
+``to_dense`` convert dense matrices for tests, the oracle and the checks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import SpectrumError
+from .errors import NonFiniteKernel, SpectrumError
 
 # Spectral margin: correlation spectra are clipped into [0, 1 - DELTA] so
 # that (Id - K)^{-1} stays well conditioned (condition number <= 1/DELTA).
@@ -38,85 +47,180 @@ DELTA = 1e-3
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _past_end(rows: int, points: int) -> np.ndarray:
+    """(rows, points) mask of the cells of a band array that lie past the
+    band's end: row k, column j >= points - k.  Read-only, as it is cached."""
+    mask = np.arange(points) >= points - np.arange(rows)[:, None]
+    mask.flags.writeable = False
+    return mask
+
+
+@functools.lru_cache(maxsize=16)
+def _below_inside(rows: int, points: int) -> np.ndarray:
+    """(rows - 1, points) mask of the cells of a band array's rows 1.. that
+    lie inside the band: the index pairs i > j, in storage order."""
+    mask = ~_past_end(rows, points)[1:]
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class DiscretizedKernel:
     """Correlation kernel: the symmetric (N, N) operator matrix of a DPP on
-    N states.  Its diagonal is the intensity mass per state, so its trace
-    is the expected count; the masses of a weighted grid are folded in
-    (S = W^{1/2} K W^{1/2}) before the kernel is built.
+    N states, stored as its bands.  Its diagonal is the intensity mass per
+    state, so its trace is the expected count; the masses of a weighted
+    grid are folded in (S = W^{1/2} K W^{1/2}) before the kernel is built.
 
-    ``bands`` is the support: (points, bandwidth) pairs, one per diagonal
-    block in order, whose points sum to N.  An entry may be nonzero only
-    inside a block and at most its bandwidth from the diagonal; None means
-    one block of full width.  ``smc.banded_kernel`` makes one band, births
-    append theirs, and operations that keep the sparsity pattern pass the
-    bands on.  Cheap structural invariants (symmetry, the bands tile N, no
-    entry outside them) are enforced at construction; spectral invariants
-    are checked by :func:`validate_kernel`.  Kernels are built valid
-    (``smc.banded_kernel``) or made valid by :func:`shrink_to_feasible`.
+    ``arrays`` holds one (c + 1, points) array per diagonal block, in
+    order, whose points sum to N: row k, column j is K(lo + j + k, lo + j)
+    for the block starting at lo, and reach c < points bounds |i - j| over
+    its nonzero entries.  The cells past the band's end (j + k >= points)
+    are zero.  ``bands`` reads the (points, reach) pairs back.
+    ``smc.banded_kernel`` makes one band, births append theirs, and
+    operations that keep the sparsity pattern keep the bands.  Construction
+    checks the shapes, that every entry is finite (:class:`NonFiniteKernel`)
+    and the zero cells, in O(N c); spectral invariants are checked by
+    :func:`validate_kernel`.  Kernels are built valid (``smc.banded_kernel``)
+    or made valid by :func:`shrink_to_feasible`.
     """
 
-    entries: np.ndarray  # (N, N)
-    bands: Optional[tuple[tuple[int, int], ...]] = None
+    arrays: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
+        arrays = tuple(np.asarray(a, dtype=float) for a in self.arrays)
+        for a in arrays:
+            if a.ndim != 2 or not 1 <= a.shape[0] <= max(a.shape[1], 1):
+                raise ValueError("each band must be a (reach + 1, points) array, reach < points")
+            if not np.isfinite(a).all():
+                raise NonFiniteKernel("kernel entries must be finite")
+            if a[_past_end(*a.shape)].any():
+                raise ValueError("band array has nonzero cells past the band's end")
+        object.__setattr__(self, "arrays", arrays)
+
+    @classmethod
+    def from_dense(cls, entries, bands=None) -> "DiscretizedKernel":
+        """The kernel of a dense (N, N) matrix, whose support ``bands`` is
+        given as (points, bandwidth) pairs (None: one block of full width).
+        The one validating conversion: raises ValueError unless the matrix
+        is square, finite (:class:`NonFiniteKernel`), exactly symmetric and
+        zero outside the bands, which must tile its points."""
+        m = np.asarray(entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("kernel entries must be a square matrix")
-        n = len(m)
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteKernel("kernel entries must be finite")
         if not np.array_equal(m, m.T):
             raise ValueError("kernel entries must be exactly symmetric")
-        bands = ((n, n),) if self.bands is None else tuple(self.bands)
+        n = len(m)
+        bands = ((n, n),) if bands is None else tuple((int(p), int(b)) for p, b in bands)
         if sum(p for p, _ in bands) != n or any(min(p, b) < 0 for p, b in bands):
             raise ValueError("bands must tile the kernel's points")
-        for lo, hi, reach in _reaches(bands):  # the upper half, by symmetry
-            if np.any(m[lo:hi, hi:]) or np.any(np.triu(m[lo:hi, lo:hi], reach + 1)):
-                raise ValueError("kernel has nonzero entries outside its bands")
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "bands", bands)
+        rows, cols = pair_index(bands)
+        outside = np.ones((n, n), dtype=bool)
+        outside[rows, cols] = outside[cols, rows] = False
+        np.fill_diagonal(outside, False)
+        if np.any(m[outside]):
+            raise ValueError("kernel has nonzero entries outside its bands")
+        return cls.from_pairs(np.diag(m), m[rows, cols], bands)
+
+    @classmethod
+    def from_pairs(cls, diagonal, lower, bands) -> "DiscretizedKernel":
+        """The kernel with ``diagonal`` and, at the index pairs i > j of
+        ``pair_index(bands)``, the entries ``lower``; ``bands`` are
+        (points, bandwidth) pairs."""
+        arrays, used = [], 0
+        for lo, hi, reach in _reaches(bands):
+            a = np.zeros((reach + 1, hi - lo))
+            a[0] = diagonal[lo:hi]
+            count = _band_pairs(hi - lo, reach)
+            a[1:][_below_inside(reach + 1, hi - lo)] = lower[used : used + count]
+            used += count
+            arrays.append(a)
+        return cls(tuple(arrays))
+
+    @classmethod
+    def from_profile(cls, profile, points: int) -> "DiscretizedKernel":
+        """The one-band Toeplitz kernel on ``points`` states whose k-th
+        diagonal is profile[k], for reach len(profile) - 1."""
+        profile = np.asarray(profile, dtype=float)[:, None]
+        return cls((np.where(_past_end(len(profile), points), 0.0, profile),))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(a.shape[1] for a in self.arrays)
+
+    @property
+    def bands(self) -> tuple[tuple[int, int], ...]:
+        """(points, reach) per band."""
+        return tuple((a.shape[1], a.shape[0] - 1) for a in self.arrays)
 
     @property
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.entries).copy()
+        return np.concatenate([a[0] for a in self.arrays]) if self.arrays else np.zeros(0)
+
+    def lower(self) -> np.ndarray:
+        """The entries at the index pairs i > j of ``pair_index(bands)``."""
+        parts = [a[1:][_below_inside(*a.shape)] for a in self.arrays]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def to_dense(self) -> np.ndarray:
+        """The (N, N) matrix, for tests, the oracle and the checks."""
+        n = len(self)
+        out = np.zeros((n, n))
+        rows, cols = pair_index(self.bands)
+        out[rows, cols] = out[cols, rows] = self.lower()
+        np.fill_diagonal(out, self.diagonal)
+        return out
 
 
 def _reaches(bands):
     """(start, stop, reach) per band: its [start, stop) index range and the
-    largest |i - j| it allows there, min(bandwidth, points - 1)."""
+    largest |i - j| it allows there, min(bandwidth, points - 1), or 0 for a
+    band of no points."""
     start = 0
     for points, width in bands:
-        yield start, start + points, min(width, points - 1)
+        yield start, start + points, max(min(width, points - 1), 0)
         start += points
 
 
-def band_part(m: np.ndarray, bands) -> np.ndarray:
-    """A copy of the (N, N) matrix ``m`` with every entry outside ``bands``
-    set to zero; the entries inside are kept bit for bit."""
-    out = np.zeros_like(m)
-    for lo, hi, reach in _reaches(bands):
-        out[lo:hi, lo:hi] = np.triu(np.tril(m[lo:hi, lo:hi], reach), -reach)
-    return out
+def _band_pairs(points: int, reach: int) -> int:
+    return reach * points - reach * (reach + 1) // 2
 
 
 def band_pairs(bands) -> int:
     """Number of index pairs i < j inside ``bands``: sum c s - c (c + 1) / 2
     over bands of s points and reach c."""
-    return sum(c * (hi - lo) - c * (c + 1) // 2 for lo, hi, c in _reaches(bands))
+    return sum(_band_pairs(hi - lo, c) for lo, hi, c in _reaches(bands))
+
+
+@functools.lru_cache(maxsize=4)
+def pair_index(bands) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the index pairs i > j inside ``bands``, in the order
+    that ``DiscretizedKernel.lower`` and ``from_pairs`` use.  Read-only, as
+    it is cached: one update reads the pairs of one band list several
+    times."""
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for lo, hi, reach in _reaches(bands):
+        k, j = np.nonzero(_below_inside(reach + 1, hi - lo))
+        rows.append(lo + j + k + 1)
+        cols.append(lo + j)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def operator_spectrum(kernel: DiscretizedKernel) -> np.ndarray:
     """Eigenvalues of the kernel's operator matrix."""
-    return np.linalg.eigvalsh(kernel.entries)
+    return np.linalg.eigvalsh(kernel.to_dense())
 
 
 # Floor on the block size of the banded interaction transform, and a kernel
-# of fewer than 4 blocks is one dense block: with one BLAS thread, blocks of
-# 32 beat 40 and 48 on the 80-340 point kernels of a spooky DPP run, and
+# of fewer than 4 blocks is one block: with one BLAS thread, blocks of 32
+# beat 40 and 48 on the 80-340 point kernels of a spooky DPP run, and
 # splitting a kernel of fewer than about 130 points costs more per-call
-# overhead than its O(n^3) factorization saves.
+# overhead than its O(n^3) factorization saves.  The blocks are gathered
+# from the band arrays; they, J and the free-point matrices of
+# ``shrink_to_feasible`` are the only arrays of block or N x N size here.
 BLOCK_FLOOR = 32
 
 
@@ -137,18 +241,70 @@ def _block_bounds(kernel: DiscretizedKernel) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _operator_blocks(entries, bounds):
+def _lower_band(kernel: DiscretizedKernel) -> np.ndarray:
+    """The kernel's band arrays side by side, (c + 2, N + c + 1) for the
+    largest reach c: G[k, j] = K(j + k, j) for j < N, zero across the ends
+    of the bands, in the last row, which stands for every pair farther
+    apart than c, and in the c + 1 columns past N."""
+    reach = max((len(a) for a in kernel.arrays), default=1) - 1
+    g = np.zeros((reach + 2, len(kernel) + reach + 1))
+    lo = 0
+    for a in kernel.arrays:
+        g[: len(a), lo : lo + a.shape[1]] = a
+        lo += a.shape[1]
+    return g
+
+
+def _gershgorin(g: np.ndarray) -> float:
+    """max_i sum_j |K(i, j)|, from the ``_lower_band`` array g: its column i
+    holds the entries right of the diagonal in row i, and the entries left
+    of it are g[k, i - k], read by skewing |g| one column per row (the
+    zero columns past N take the wrap)."""
+    a = np.abs(g[:-1])
+    rows, width = a.shape
+    n = width - rows
+    skewed = a.ravel()[: rows * (width - 1)].reshape(rows, width - 1)
+    return float((a[:, :n].sum(axis=0) + skewed[1:, :n].sum(axis=0)).max(initial=0.0))
+
+
+def _upper_rows(cells: np.ndarray, width: int) -> np.ndarray:
+    """Per band array of the stack ``cells`` (..., at most width + 1 rows,
+    width columns), a (width + 1, width) matrix M with the cells at flat
+    index j (width + 1) + k: cell [k, j] lands at M[j, j + k] when
+    j + k < width, else at M[j + 1, j + k - width]."""
+    lead = cells.shape[:-2]
+    flat = np.zeros(lead + ((width + 1) * width,))
+    flat.reshape(lead + (width, width + 1))[..., : cells.shape[-2]] = np.swapaxes(cells, -1, -2)
+    return flat.reshape(lead + (width + 1, width))
+
+
+def _operator_blocks(g: np.ndarray, bounds):
     """The diagonal blocks of -K and the blocks below them, -K_{k+1,k}, for
-    K block tridiagonal on ``bounds``."""
-    diagonal = [-entries[lo:hi, lo:hi] for lo, hi in bounds]
-    below = [-entries[lo:hi, clo:chi] for (clo, chi), (lo, hi) in zip(bounds, bounds[1:])]
-    return diagonal, below
+    K block tridiagonal on ``bounds`` (``_block_bounds``: blocks of m >= the
+    largest reach points, and a ragged last one), from the ``_lower_band``
+    array g.  Each block's columns of g are laid out by ``_upper_rows``,
+    all m-point blocks at once: the cells inside a block give the lower
+    triangle of its diagonal block, and the cells past its end, which wrap
+    into the strictly upper triangle there, the block below it.  LAPACK
+    dpotrf reads the lower triangle alone, so that upper triangle stays."""
+    lo, hi = bounds[-1]
+    last = _upper_rows(g[:-1, lo:hi], hi - lo)[: hi - lo]  # nothing lies past the last block
+    np.negative(last, out=last)
+    if len(bounds) == 1:
+        return [last.T], []
+    m = bounds[0][1] - bounds[0][0]
+    laid = _upper_rows(g[:-1, :lo].reshape(len(g) - 1, -1, m).swapaxes(0, 1), m)
+    np.negative(laid, out=laid)
+    diagonal = list(laid[:, :m].swapaxes(1, 2))
+    below = list(np.tril(laid[:, 1:]).swapaxes(1, 2))
+    below[-1] = np.concatenate([below[-1], np.zeros((hi - lo - m, m))])
+    return diagonal + [last.T], below
 
 
 def _block_cholesky(diagonal, below, shift, couplings=True):
     """Block Cholesky factorization of the block tridiagonal A = shift I + B
-    from the blocks of B (``_operator_blocks``); only block-sized arrays
-    are formed.
+    from the blocks of B (``_operator_blocks``), of whose diagonal blocks
+    only the lower triangles are read; only block-sized arrays are formed.
 
     Returns (L, Y): the lower Cholesky factors L_k of the Schur complements
     of A's diagonal blocks and, with ``couplings``, Y_k = L_k^{-T} L_{k+1,k}^T
@@ -157,7 +313,7 @@ def _block_cholesky(diagonal, below, shift, couplings=True):
     """
     factors, ys = [], []
     for k, d in enumerate(diagonal):
-        a = d.copy()
+        a = d.copy(order="K")  # a Fortran-ordered block is factored in place
         a.flat[:: a.shape[0] + 1] += shift
         if k:
             lc = blas.dtrsm(1.0, factors[-1], below[k - 1], side=1, lower=1, trans_a=1)
@@ -171,6 +327,15 @@ def _block_cholesky(diagonal, below, shift, couplings=True):
             raise ValueError(f"LAPACK dpotrf failed with info={info}")
         factors.append(factor)
     return factors, ys
+
+
+@functools.lru_cache(maxsize=8)
+def _lower_triangle(size: int) -> np.ndarray:
+    """np.tri(size) as a read-only mask, cached: every block of the
+    transform mirrors its inverse by it."""
+    mask = np.tri(size, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _inverse_diagonal_blocks(factors, couplings):
@@ -188,7 +353,7 @@ def _inverse_diagonal_blocks(factors, couplings):
         else:
             z = couplings[k] @ g_next
             h += z @ couplings[k].T
-        g_next = np.where(np.tri(len(h), dtype=bool), h, h.T)  # h's lower triangle, mirrored
+        g_next = np.where(_lower_triangle(len(h)), h, h.T)  # h's lower triangle, mirrored
         yield k, g_next, z
 
 
@@ -207,9 +372,10 @@ def _interaction_factor(kernel: DiscretizedKernel):
     if len(kernel) == 0:
         return None
     bounds = _block_bounds(kernel)
-    diagonal, below = _operator_blocks(kernel.entries, bounds)
+    g = _lower_band(kernel)
+    diagonal, below = _operator_blocks(g, bounds)
     ceiling = 1.0 - DELTA + 1e-12
-    gershgorin = float(np.abs(kernel.entries).sum(axis=1).max())
+    gershgorin = _gershgorin(g)
     if gershgorin > ceiling and _block_cholesky(diagonal, below, ceiling, couplings=False) is None:
         top = float(operator_spectrum(kernel).max())
         raise SpectrumError(
@@ -291,13 +457,17 @@ def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
     """
     a = np.asarray(a, dtype=int)
     b = np.asarray(b, dtype=int)
+    diagonal = kernel.diagonal
     inter = np.intersect1d(a, b, assume_unique=True)
-    first = float(np.diag(kernel.entries)[inter].sum()) if inter.size else 0.0
-    if a.size and b.size:
-        second = float((kernel.entries[np.ix_(a, b)] ** 2).sum())
-    else:
-        second = 0.0
-    return first - second
+    first = float(diagonal[inter].sum()) if inter.size else 0.0
+    if not (a.size and b.size):
+        return first
+    # K over A x B, zeros included, so that its sum of squares rounds as
+    # the dense block's does
+    g = _lower_band(kernel)
+    lag = np.minimum(np.abs(np.subtract.outer(a, b)), len(g) - 1)
+    block = np.take(g, lag * g.shape[1] + np.minimum.outer(a, b))
+    return first - float((block**2).sum())
 
 
 def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]:
@@ -330,9 +500,9 @@ def project_kernel(entries: np.ndarray) -> DiscretizedKernel:
     hi = 1.0 - DELTA
     lam, u = np.linalg.eigh(m)
     if lam.min(initial=0.0) >= -1e-12 and lam.max(initial=0.0) <= hi + 1e-12:
-        return DiscretizedKernel(m)
+        return DiscretizedKernel.from_dense(m)
     m = (u * np.clip(lam, 0.0, hi)) @ u.T
-    return DiscretizedKernel(0.5 * (m + m.T))
+    return DiscretizedKernel.from_dense(0.5 * (m + m.T))
 
 
 def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
@@ -348,48 +518,59 @@ def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
     return float(w[0])
 
 
-def shrink_to_feasible(entries: np.ndarray, bands=None) -> tuple[DiscretizedKernel, float, float]:
-    """Make a symmetric matrix M a valid correlation kernel by scaling its
-    off-diagonal part and leaving its diagonal alone.
+def shrink_to_feasible(kernel: DiscretizedKernel) -> tuple[DiscretizedKernel, float, float]:
+    """Make a kernel matrix M a valid correlation kernel by scaling its
+    off-diagonal part and leaving its diagonal alone; M is any
+    ``DiscretizedKernel``, whose spectrum construction does not check.
 
-    M must be exactly symmetric and zero outside ``bands`` (None: one full
-    block); the output's construction raises ValueError on a violation that
-    the scaling keeps.  Split M into its diagonal D and off-diagonal O.  D
-    is clipped into [0, 1 - DELTA], and O loses the rows and columns of
-    every point whose diagonal was clipped or sits on a bound.  On the
-    other points D + tO is positive semidefinite iff
-    t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and has spectrum at most
-    1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}), with
-    E = (1 - DELTA) I - D, and the largest such t in [0, 1] is taken.  t
-    starts at min(1, -1/lambda_min), one extreme eigenvalue
-    (``_extreme_eigenvalue``); a Cholesky factor of I - t E^{-1/2} O E^{-1/2}
-    then certifies the ceiling at that t, and only when it does not exist is
-    lambda_max computed and t lowered to 1/lambda_max.  No iteration.
+    Split M into its diagonal D and off-diagonal O.  D is clipped into
+    [0, 1 - DELTA], and O loses the rows and columns of every point whose
+    diagonal was clipped or sits on a bound.  On the other points D + tO is
+    positive semidefinite iff t <= -1/lambda_min(D^{-1/2} O D^{-1/2}) and
+    has spectrum at most 1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
+    with E = (1 - DELTA) I - D, and the largest such t in [0, 1] is taken.
+    t starts at min(1, -1/lambda_min), one extreme eigenvalue
+    (``_extreme_eigenvalue``); a Cholesky factor of
+    I - t E^{-1/2} O E^{-1/2} then certifies the ceiling at that t, and
+    only when it does not exist is lambda_max computed and t lowered to
+    1/lambda_max.  No iteration.  The two scaled matrices on the free
+    points are the LAPACK inputs and the only dense arrays formed.
 
     The diagonal is kept bit for bit wherever it lies in [0, 1 - DELTA], so
-    the trace is the input's; a feasible input comes back unchanged.
-    Returns the kernel, the off-diagonal scale t and the diagonal mass the
-    clip removed, sum_i (M_ii - K_ii).
+    the trace is the input's, and the bands are kept; a feasible input
+    comes back unchanged.  Returns the kernel, the off-diagonal scale t and
+    the diagonal mass the clip removed, sum_i (M_ii - K_ii).
     """
-    m = np.asarray(entries, dtype=float)
-    mu = np.diag(m)
+    mu = kernel.diagonal
     cap = 1.0 - DELTA
     diagonal = np.clip(mu, 0.0, cap)
     clipped_mass = float(np.sum(mu - diagonal))
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
+    i, j = pair_index(kernel.bands)
+    off = kernel.lower()
     free = (mu > 0.0) & (mu < cap)
-    off[~free, :] = 0.0
-    off[:, ~free] = 0.0
+    kept = off
+    if not free.all():  # the pairs of a clipped or bound point go
+        both = free[i] & free[j]
+        off[~both] = 0.0
+        at = np.cumsum(free) - 1  # positions among the free points
+        i, j, kept = at[i[both]], at[j[both]], off[both]
     t = 1.0
-    if np.any(off):
-        sub = off[np.ix_(free, free)]
+    if kept.any():
+        sub = np.zeros((np.count_nonzero(free),) * 2)
+        sub[i, j] = sub[j, i] = kept
         root_d = np.sqrt(mu[free])
         root_e = np.sqrt(cap - mu[free])
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = sub / root_d[:, None] / root_d[None, :]
-            b = sub / root_e[:, None] / root_e[None, :]
-        if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+        try:
+            # the divisors are positive and the entries finite, so only an
+            # overflow makes a scaled entry non-finite
+            with np.errstate(over="raise"):
+                a = sub / root_d[:, None]
+                a /= root_d[None, :]
+                b = sub / root_e[:, None]
+                b /= root_e[None, :]
+        except FloatingPointError:
+            t = 0.0  # a diagonal too close to a bound to scale against
+        else:
             lowest = _extreme_eigenvalue(a, top=False)
             if lowest < 0.0:
                 t = min(t, -1.0 / lowest)
@@ -397,10 +578,7 @@ def shrink_to_feasible(entries: np.ndarray, bands=None) -> tuple[DiscretizedKern
                 highest = _extreme_eigenvalue(b, top=True)
                 if highest > 0.0:
                     t = min(t, 1.0 / highest)
-        else:
-            t = 0.0  # a diagonal too close to a bound to scale against
-    out = t * off + np.diag(diagonal)
-    return DiscretizedKernel(out, bands), t, clipped_mass
+    return DiscretizedKernel.from_pairs(diagonal, t * off, kernel.bands), t, clipped_mass
 
 
 def validate_kernel(kernel: DiscretizedKernel) -> None:

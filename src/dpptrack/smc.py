@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DegenerateIntensity, SpectrumError
 from .kernels import DELTA, DiscretizedKernel
@@ -85,7 +84,8 @@ def banded_kernel(
 
     K = (gamma/n) [(1 - rho) I + rho F] inside the index band
     |i - j| <= b = floor(eta * n), the kernel's one band (n, b), and zero
-    outside, with the triangular (Fejer) profile
+    outside, written diagonal by diagonal into the band's rows, with the
+    triangular (Fejer) profile
     F[i, j] = 1 - |i - j| / (b + 1).  F is positive semidefinite for
     every b (its symbol is the Fejer kernel, nonnegative by Herglotz/Bochner)
     and its row sums are at most 1 + b, so with
@@ -97,21 +97,25 @@ def banded_kernel(
     alpha = 0 gives the diagonal kernel; no eigendecomposition is needed.
 
     Raises SpectrumError when gamma/n lies outside [0, 1 - DELTA], where no
-    kernel with that diagonal is a valid correlation kernel.
+    kernel with that diagonal is a valid correlation kernel; on no points
+    only gamma = 0 is valid, and gives the empty kernel.
     """
     n = len(points)
     if not 0.0 <= gamma <= (1.0 - DELTA) * n:
+        diagonal = gamma / n if n else math.inf
         raise SpectrumError(
-            f"diagonal gamma/n = {gamma / n:.6g} lies outside [0, 1 - delta] (delta={DELTA:g})"
+            f"diagonal gamma/n = {diagonal:.6g} lies outside [0, 1 - delta] (delta={DELTA:g})"
         )
+    if n == 0:
+        return DiscretizedKernel.from_profile([0.0], 0)
     scale = gamma / n
     b = math.floor(eta * n)
-    profile = np.zeros(n)
+    profile = np.zeros(b + 1)
     profile[0] = scale
     if alpha > 0.0 and b > 0 and gamma > 0.0:
         rho = min(alpha / (1.0 + alpha), ((1.0 - DELTA) * n / gamma - 1.0) / b)
-        profile[1 : b + 1] = scale * rho * (1.0 - np.arange(1, b + 1) / (b + 1))
-    return DiscretizedKernel(toeplitz(profile), ((n, b),))
+        profile[1:] = scale * rho * (1.0 - np.arange(1, b + 1) / (b + 1))
+    return DiscretizedKernel.from_profile(profile, n)
 
 
 def init_particles(

@@ -10,6 +10,7 @@ from dpptrack.dpp_filter import (
     FilterState,
     UpdateDiagnostics,
     approx_count_covariance,
+    band_pairs_both_ways,
     correlation_estimate,
     dpp_update,
     posterior_diagonal,
@@ -25,6 +26,7 @@ from dpptrack.harness import preset, run_single
 from dpptrack.kernels import (
     DELTA,
     DiscretizedKernel,
+    band_pairs,
     interaction_kernel,
     operator_spectrum,
     project_kernel,
@@ -76,7 +78,13 @@ def epsilon_kernel(eps, weights=(0.9, 1.1, 1.0, 0.8)):
             [0.05, 0.10, 0.30, 0.95],
         ]
     )
-    return DiscretizedKernel(eps * operator_form(base, weights))
+    return DiscretizedKernel.from_dense(eps * operator_form(base, weights))
+
+
+def at_pairs(m, kernel):
+    """The dense (N, N) matrix m at the kernel's band pairs, as
+    ``posterior_moments`` gives the pair moment."""
+    return m[band_pairs_both_ways(kernel.bands)]
 
 
 def abstract_obs(p_d=0.7):
@@ -129,7 +137,7 @@ class TestPredict:
         out = predict(st, SurvivalModel(1.0, QUIET), SmcConfig(), WINDOW, np.random.default_rng(0))
         # the survivors' block; the births follow it
         n = len(states)
-        np.testing.assert_array_equal(out.kernel.entries[:n, :n], st.kernel.entries)
+        np.testing.assert_array_equal(out.kernel.to_dense()[:n, :n], st.kernel.to_dense())
         np.testing.assert_array_equal(out.particles[:n], states)
 
     def test_zero_survival_leaves_birth_only(self):
@@ -139,14 +147,14 @@ class TestPredict:
         out = predict(st, SurvivalModel(0.0, QUIET), smc, WINDOW, np.random.default_rng(1))
         n_old = len(st.particles)
         assert len(out.particles) == n_old + smc.birth_per_target
-        assert np.all(out.kernel.entries == 0.0)
+        assert np.all(out.kernel.to_dense() == 0.0)
 
     def test_prediction_quadrature_against_monte_carlo(self):
         # 2-source prior, 1-d Gaussian transition; region mass from the
         # quadrature of the first-moment formula vs direct MC of the
         # transition with 1e6 samples
         src = np.array([0.0, 2.0])  # source points, of unit mass
-        kernel = DiscretizedKernel(np.array([[0.3, 0.1], [0.1, 0.35]]))
+        kernel = DiscretizedKernel.from_dense(np.array([[0.3, 0.1], [0.1, 0.35]]))
         p_s, sigma, drift = 0.9, 0.8, 1.0
         lo, hi = 0.5, 2.5
         nq = 800
@@ -162,7 +170,7 @@ class TestPredict:
         draws = 1_000_000
         mc_mass = 0.05 * (hi - lo)
         se_sq = 0.0
-        for u, k_uu in zip(src, np.diag(kernel.entries)):
+        for u, k_uu in zip(src, np.diag(kernel.to_dense())):
             hits = rng.normal(u + drift, sigma, draws)
             frac = float(np.mean((hits >= lo) & (hits <= hi)))
             mc_mass += p_s * k_uu * frac
@@ -171,11 +179,11 @@ class TestPredict:
 
     def test_reconstruction_roundtrip_identity_transition(self):
         raw = np.array([[0.3, 0.08, 0.02], [0.08, 0.25, 0.06], [0.02, 0.06, 0.33]])
-        kernel = DiscretizedKernel(raw)
+        kernel = DiscretizedKernel.from_dense(raw)
         ident = np.eye(3)  # transition density: unit point masses
         mu, rho = prediction_moments(kernel, 1.0, ident, np.zeros(3), np.zeros((3, 3)))
         rebuilt = reconstruct_kernel_from_moments(mu, rho)
-        np.testing.assert_allclose(rebuilt.entries, raw, atol=1e-10)
+        np.testing.assert_allclose(rebuilt.to_dense(), raw, atol=1e-10)
 
 
 class TestUpdate:
@@ -207,7 +215,7 @@ class TestUpdate:
         n = 5
         rng = np.random.default_rng(10)
         kd = rng.uniform(0.05, 0.3, n)
-        kernel = DiscretizedKernel(np.diag(kd))
+        kernel = DiscretizedKernel.from_dense(np.diag(kd))
         j = interaction_kernel(kernel)
         like = rng.uniform(0.0, 1.0, (2, n))
         clutter = np.array([0.4, 0.6])
@@ -226,14 +234,13 @@ class TestUpdate:
         mu, rho = posterior_moments(kernel, j, np.zeros((0, 4)), np.zeros(0), q_d)
         np.testing.assert_array_equal(mu, q_d * kernel.diagonal)
         expect = q_d**2 * (np.outer(np.diag(j), np.diag(j)) - j**2)
-        off = ~np.eye(4, dtype=bool)
-        np.testing.assert_array_equal(rho[off], expect[off])
-        np.testing.assert_array_equal(np.diag(rho), 0.0)
+        assert rho.shape == (2, 6)  # every pair of the full-width kernel, both ways
+        np.testing.assert_array_equal(rho, at_pairs(expect, kernel))
 
     def test_zero_pair_denominator_raises_degenerate_intensity(self):
         # one particle explains both detections and there is no clutter, so
         # s_c(z) s_c(z') - D(z, z') = J^2 l l' - J^2 l l' is exactly 0
-        kernel = DiscretizedKernel(np.array([[0.5]]))
+        kernel = DiscretizedKernel.from_dense(np.array([[0.5]]))
         like = np.array([[0.3], [0.7]])
         with pytest.raises(DegenerateIntensity):
             posterior_moments(kernel, interaction_kernel(kernel), like, np.zeros(2), 0.1)
@@ -254,7 +261,7 @@ class TestUpdate:
             errors.append(
                 max(
                     float(np.max(np.abs(mu_ap - mu_exact))),
-                    float(np.max(np.abs(rho_ap - rho_exact))),
+                    float(np.max(np.abs(rho_ap - at_pairs(rho_exact, kernel)))),
                 )
             )
         assert 3.0 <= errors[0] / errors[1] <= 5.0
@@ -269,13 +276,16 @@ class TestUpdate:
         like = obs.l_tilde[[0, 1], :]
         clutter = obs.l_c[[0, 1]]
         mu, rho = posterior_moments(kernel, j, like, clutter, 0.3)
-        entries, _ = posterior_kernel_entries(mu, rho)
+        entries = posterior_kernel_entries(mu, rho, kernel.bands)[0].to_dense()
+        rows, cols = band_pairs_both_ways(kernel.bands)
+        dense = np.zeros((4, 4))
+        dense[rows, cols] = rho
         for i in range(4):
             assert entries[i, i] == mu[i]
             for k in range(4):
                 if i == k:
                     continue
-                val = mu[i] * mu[k] - rho[i, k]
+                val = mu[i] * mu[k] - dense[i, k]
                 assert entries[i, k] ** 2 == pytest.approx(max(val, 0.0), abs=1e-12)
 
     def test_clamps_counted_only_inside_the_bands(self):
@@ -284,12 +294,15 @@ class TestUpdate:
         # counted
         mu = np.array([0.2, 0.3, 0.4])
         rho = np.array([[0.0, 0.1, 0.1], [0.1, 0.0, 0.02], [0.1, 0.02, 0.0]])
-        entries, clamped = posterior_kernel_entries(mu, rho, ((3, 1),))
+        bands = ((3, 1),)
+        kernel, clamped = posterior_kernel_entries(mu, rho[band_pairs_both_ways(bands)], bands)
         assert clamped == 1
+        entries = kernel.to_dense()
         assert entries[0, 1] == entries[0, 2] == entries[2, 0] == 0.0
         assert entries[1, 2] == pytest.approx(np.sqrt(0.3 * 0.4 - 0.02), rel=1e-12)
         np.testing.assert_array_equal(np.diag(entries), mu)
-        assert posterior_kernel_entries(mu, rho)[1] == 2
+        every = ((3, 3),)
+        assert posterior_kernel_entries(mu, rho[band_pairs_both_ways(every)], every)[1] == 2
 
     def test_update_keeps_kernel_valid(self):
         rng = np.random.default_rng(11)
@@ -324,7 +337,7 @@ class TestUpdate:
             assert 0 <= diag.clamp_events <= diag.offdiag_entries
             count = float(np.sum(mu))
             assert out.gamma == pytest.approx(count, rel=1e-12)
-            assert float(np.trace(out.kernel.entries)) == pytest.approx(count, rel=1e-12)
+            assert float(np.trace(out.kernel.to_dense())) == pytest.approx(count, rel=1e-12)
             assert diag.clipped_mass == 0.0
             assert 0.0 <= diag.offdiag_scale <= 1.0
 
@@ -345,7 +358,7 @@ class TestUpdate:
         assert over.any()
         assert np.all(out.kernel.diagonal[over] == 1.0 - DELTA)
         np.testing.assert_array_equal(out.kernel.diagonal[~over], mu[~over])
-        off = out.kernel.entries.copy()
+        off = out.kernel.to_dense().copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off[over] == 0.0)
         assert diag.clipped_mass == pytest.approx(float(np.sum(mu[over] - (1.0 - DELTA))))
@@ -406,7 +419,7 @@ class TestCovariance:
                 [0.0, 0.0, 0.05, 0.2],
             ]
         )
-        kernel = DiscretizedKernel(block)
+        kernel = DiscretizedKernel.from_dense(block)
         # likelihoods supported on one block each
         like = np.array([[0.8, 0.6, 0.0, 0.0], [0.0, 0.0, 0.7, 0.9]])
         clutter = np.array([0.3, 0.3])
@@ -459,7 +472,7 @@ class TestCorrelationEstimate:
         block = np.zeros((4, 4))
         block[:2, :2] = [[0.2, 0.05], [0.05, 0.2]]
         block[2:, 2:] = [[0.2, 0.05], [0.05, 0.2]]
-        kernel = DiscretizedKernel(block)
+        kernel = DiscretizedKernel.from_dense(block)
         st = FilterState(p, kernel)
         a = Region(0.0, 20.0, 0.0, 20.0)
         b = Region(50.0, 70.0, 50.0, 70.0)
@@ -500,7 +513,9 @@ class PoissonLimitFilter(DppPhdFilter):
         return self.poisson_diagonal(pred, scan)
 
     def updated(self, state, scan):
-        kernel = DiscretizedKernel(np.diag(self.poisson_diagonal(state, scan)), state.kernel.bands)
+        bands = state.kernel.bands
+        off = np.zeros(band_pairs(bands))
+        kernel = DiscretizedKernel.from_pairs(self.poisson_diagonal(state, scan), off, bands)
         return FilterState(state.particles, kernel), UpdateDiagnostics()
 
 
@@ -595,7 +610,7 @@ def test_spooky_update_takes_one_extreme_eigenvalue(monkeypatch):
     def counted_update(*args, **kwargs):
         before = len(calls)
         state, diag = update(*args, **kwargs)
-        off = state.kernel.entries[~np.eye(len(state.kernel), dtype=bool)]
+        off = state.kernel.to_dense()[~np.eye(len(state.kernel), dtype=bool)]
         per_update.append((int(np.any(off != 0.0)), len(calls) - before))
         return state, diag
 

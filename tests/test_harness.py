@@ -19,6 +19,7 @@ from dpptrack.harness import (
     config_from_ini,
     config_to_ini,
     flat_fields,
+    peak_rss_mb,
     preset,
     run_experiment,
 )
@@ -331,6 +332,10 @@ class TestRunExperiment:
         # no DPP update ran, so there is no off-diagonal scale to average
         assert "mean offdiag scale = n/a\n" in meta
         assert "clipped diagonal mass = 0\n" in meta
+        # the process's peak memory, outside the config echo
+        rss = [line for line in meta.split("\n# config echo\n")[0].splitlines()
+               if line.startswith("peak rss mb = ")]
+        assert len(rss) == 1 and 0.0 < float(rss[0].split(" = ")[1]) <= peak_rss_mb() + 0.05
 
     def test_meta_aggregates_the_posterior_map(self, tmp_path, monkeypatch):
         scales, clipped = [], []

@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpptrack import kernels
-from dpptrack.dpp_filter import FilterState, posterior_diagonal, posterior_kernel_entries
-from dpptrack.errors import SpectrumError
+from dpptrack.dpp_filter import (
+    FilterState,
+    band_pairs_both_ways,
+    posterior_diagonal,
+    posterior_kernel_entries,
+)
+from dpptrack.errors import NonFiniteKernel, SpectrumError
 from dpptrack.kernels import (
     BLOCK_FLOOR,
     DELTA,
@@ -13,11 +18,11 @@ from dpptrack.kernels import (
     _block_bounds,
     all_subset_masses,
     band_pairs,
-    band_part,
     cross_covariance,
     interaction_diagonal,
     interaction_kernel,
     operator_spectrum,
+    pair_index,
     project_kernel,
     shrink_to_feasible,
     validate_kernel,
@@ -31,6 +36,18 @@ from dpptrack.smc import banded_kernel
 def index_bands(n, eta):
     """One index band |i - j| <= eta * n over n points."""
     return ((n, int(eta * n)),)
+
+
+def shrink_dense(m, bands=None):
+    """``shrink_to_feasible`` of the dense matrix m on ``bands``."""
+    return shrink_to_feasible(DiscretizedKernel.from_dense(m, bands))
+
+
+def reach_bands(bands, n):
+    """``bands`` as a kernel reads them back: (points, reach) pairs, with
+    reach min(bandwidth, points - 1); None is one band of full width."""
+    bands = ((n, n),) if bands is None else bands
+    return tuple((p, max(min(b, p - 1), 0)) for p, b in bands)
 
 
 def band_mask(n, bands):
@@ -68,7 +85,7 @@ def kernel_with_top_eigenvalue(n, top, weights, seed):
     s = (u * lam) @ u.T
     rw = np.sqrt(weights)
     m = s / rw[:, None] / rw[None, :]
-    return DiscretizedKernel(operator_form(0.5 * (m + m.T), weights))
+    return DiscretizedKernel.from_dense(operator_form(0.5 * (m + m.T), weights))
 
 
 @st.composite
@@ -77,29 +94,29 @@ def ceiling_bound_kernels(draw):
     up to 150 weighted points, with or without an index band."""
     n = draw(st.integers(min_value=2, max_value=150))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    bands = None
+    width = None
     if draw(st.booleans()):  # a band of at least one neighbour
         eta = max(draw(st.floats(min_value=0.02, max_value=0.5)), 1.0 / n)
-        bands = index_bands(n, eta)
-    kernel, t = ceiling_bound_kernel(rng, n, bands)
+        width = index_bands(n, eta)[0][1]
+    kernel, t = ceiling_bound_kernel(rng, n, width)
     assert t < 1.0
     return kernel
 
 
 class TestInteractionKernel:
     def test_zero_kernel_maps_to_zero(self):
-        k = DiscretizedKernel(np.zeros((3, 3)))
+        k = DiscretizedKernel.from_dense(np.zeros((3, 3)))
         np.testing.assert_allclose(interaction_kernel(k), 0.0, atol=1e-15)
 
     def test_diagonal_kernel_closed_form(self):
         d = np.array([0.1, 0.25, 0.4, 0.6])
-        k = DiscretizedKernel(np.diag(d))
+        k = DiscretizedKernel.from_dense(np.diag(d))
         j = interaction_kernel(k)
         np.testing.assert_allclose(np.diag(j), d / (1 - d), atol=1e-12)
 
     def test_two_by_two_matches_direct_inverse(self):
         m = np.array([[0.3, 0.1], [0.1, 0.3]])
-        k = DiscretizedKernel(m)
+        k = DiscretizedKernel.from_dense(m)
         j = interaction_kernel(k)
         direct = np.linalg.solve(np.eye(2) - m, m)
         np.testing.assert_allclose(j, direct, atol=1e-12)
@@ -107,8 +124,8 @@ class TestInteractionKernel:
     def test_commutes_with_kernel(self):
         k = random_correlation(5, seed=2, weights=[0.5, 1.5, 1.0, 0.7, 1.3])
         j = interaction_kernel(k)
-        left = k.entries @ j
-        right = j @ k.entries
+        left = k.to_dense() @ j
+        right = j @ k.to_dense()
         np.testing.assert_allclose(left, right, atol=1e-10)
 
     def test_interaction_is_psd(self):
@@ -117,19 +134,19 @@ class TestInteractionKernel:
         assert lam.min() > -1e-10
 
     def test_spectrum_error_raised(self):
-        k = DiscretizedKernel(np.diag([0.9995, 0.5]))
+        k = DiscretizedKernel.from_dense(np.diag([0.9995, 0.5]))
         with pytest.raises(SpectrumError):
             interaction_kernel(k)
 
     def test_empty_kernel_calls_no_lapack(self, capfd):
-        j = interaction_kernel(DiscretizedKernel(np.zeros((0, 0))))
+        j = interaction_kernel(DiscretizedKernel.from_dense(np.zeros((0, 0))))
         assert j.shape == (0, 0)
         out, err = capfd.readouterr()
         assert out == "" and err == ""
 
     @pytest.mark.parametrize("d", [0.0, 0.3, 0.9, 1.0 - DELTA])
     def test_single_point(self, d):
-        j = interaction_kernel(DiscretizedKernel(np.array([[d]])))
+        j = interaction_kernel(DiscretizedKernel.from_dense(np.array([[d]])))
         assert j[0, 0] == pytest.approx(d / (1.0 - d), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -141,7 +158,9 @@ class TestInteractionKernel:
         top = 1.0 - DELTA + excess
         k = kernel_with_top_eigenvalue(n, top, weights, seed=29)
         assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
-        diag = DiscretizedKernel(operator_form(np.diag([top, 0.5] / weights[:2]), weights[:2]))
+        diag = DiscretizedKernel.from_dense(
+            operator_form(np.diag([top, 0.5] / weights[:2]), weights[:2])
+        )
         for kernel in (k, diag):
             if valid:
                 assert np.all(np.isfinite(interaction_kernel(kernel)))
@@ -164,14 +183,14 @@ class TestInteractionKernel:
         # W^1/2 J W^1/2
         w = np.array([0.5, 2.0])
         m = np.array([[0.3, 0.05], [0.05, 0.2]])
-        j = interaction_kernel(DiscretizedKernel(operator_form(m, w)))
+        j = interaction_kernel(DiscretizedKernel.from_dense(operator_form(m, w)))
         direct = np.linalg.solve(np.eye(2) - m @ np.diag(w), m)
         np.testing.assert_allclose(j, operator_form(direct, w), atol=1e-12)
 
 
 def gershgorin_bound(kernel):
     """The largest absolute row sum of K."""
-    return float(np.abs(kernel.entries).sum(axis=1).max())
+    return float(np.abs(kernel.to_dense()).sum(axis=1).max())
 
 
 def check_factorizations(monkeypatch):
@@ -218,9 +237,9 @@ def splice(a, b):
     with zero cross blocks and the bands of both."""
     n, total = len(a), len(a) + len(b)
     entries = np.zeros((total, total))
-    entries[:n, :n] = a.entries
-    entries[n:, n:] = b.entries
-    return DiscretizedKernel(entries, a.bands + b.bands)
+    entries[:n, :n] = a.to_dense()
+    entries[n:, n:] = b.to_dense()
+    return DiscretizedKernel.from_dense(entries, a.bands + b.bands)
 
 
 # Block layouts of the banded transform: (points, band, births, birth band,
@@ -241,9 +260,9 @@ def layout_kernel(name, seed):
     """A kernel of the named layout at its 1 - delta ceiling."""
     n, band, births, birth_band, _ = LAYOUTS[name]
     rng = np.random.default_rng(seed)
-    kernel, _ = ceiling_bound_kernel(rng, n, None if band is None else ((n, band),))
+    kernel, _ = ceiling_bound_kernel(rng, n, band)
     if births:
-        kernel = splice(kernel, ceiling_bound_kernel(rng, births, ((births, birth_band),))[0])
+        kernel = splice(kernel, ceiling_bound_kernel(rng, births, birth_band)[0])
     return kernel
 
 
@@ -298,10 +317,11 @@ class TestBandedTransform:
         rng = np.random.default_rng(31)
         weights = rng.uniform(0.5, 2.0, n) if weighted else np.ones(n)
         bands = ((n, 7),)
-        raw = band_part(rng.uniform(0.0, 1.0, (n, n)), bands)
-        base = DiscretizedKernel(operator_form(0.5 * (raw + raw.T), weights), bands)
+        raw = np.where(band_mask(n, bands), rng.uniform(0.0, 1.0, (n, n)), 0.0)
+        base = DiscretizedKernel.from_dense(operator_form(0.5 * (raw + raw.T), weights), bands)
         top = 1.0 - DELTA + excess
-        k = DiscretizedKernel(base.entries * (top / operator_spectrum(base).max()), bands)
+        scaled = base.to_dense() * (top / operator_spectrum(base).max())
+        k = DiscretizedKernel.from_dense(scaled, bands)
         assert len(_block_bounds(k)) == 6
         assert operator_spectrum(k).max() == pytest.approx(top, abs=1e-14)
         if valid:
@@ -313,9 +333,9 @@ class TestBandedTransform:
                     transform(k)
 
     def test_empty_and_non_correlation_inputs(self):
-        empty = DiscretizedKernel(np.zeros((0, 0)))
+        empty = DiscretizedKernel.from_dense(np.zeros((0, 0)))
         assert interaction_diagonal(empty).shape == (0,)
-        above = DiscretizedKernel(np.diag([0.9995, 0.5]))  # spectrum above 1 - delta
+        above = DiscretizedKernel.from_dense(np.diag([0.9995, 0.5]))  # spectrum above 1 - delta
         with pytest.raises(SpectrumError):
             interaction_diagonal(above)
 
@@ -362,19 +382,19 @@ class TestBandedTransform:
 
 class TestCrossCovariance:
     def test_disjoint_zero_offdiagonal(self):
-        k = DiscretizedKernel(np.diag([0.2, 0.3, 0.1, 0.4]))
+        k = DiscretizedKernel.from_dense(np.diag([0.2, 0.3, 0.1, 0.4]))
         assert cross_covariance(k, [0, 1], [2, 3]) == 0.0
 
     def test_full_grid_diagonal_formula(self):
         # a diagonal kernel d on point masses w, in operator form
         w = np.array([0.5, 1.5, 1.0])
         d = np.array([0.2, 0.3, 0.4])
-        k = DiscretizedKernel(operator_form(np.diag(d), w))
+        k = DiscretizedKernel.from_dense(operator_form(np.diag(d), w))
         expect = float(np.sum(d * w) - np.sum(d**2 * w**2))
         assert cross_covariance(k, range(3), range(3)) == pytest.approx(expect, abs=1e-14)
 
     def test_two_point_hand_value(self):
-        k = DiscretizedKernel(np.array([[0.4, 0.2], [0.2, 0.4]]))
+        k = DiscretizedKernel.from_dense(np.array([[0.4, 0.2], [0.2, 0.4]]))
         assert cross_covariance(k, [0], [1]) == pytest.approx(-0.04, abs=1e-15)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -390,11 +410,11 @@ class TestCrossCovariance:
 
 class TestJanossy:
     def test_empty_process(self):
-        k = DiscretizedKernel(np.zeros((3, 3)))
+        k = DiscretizedKernel.from_dense(np.zeros((3, 3)))
         assert all_subset_masses(k)[()] == pytest.approx(1.0)
 
     def test_diagonal_masses_sum_to_one(self):
-        k = DiscretizedKernel(np.diag([0.2, 0.5, 0.7]))
+        k = DiscretizedKernel.from_dense(np.diag([0.2, 0.5, 0.7]))
         total = sum(all_subset_masses(k).values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -417,9 +437,9 @@ class TestJanossy:
         n = 5
         w = rng.uniform(0.5, 2.0, n)
         rw = np.sqrt(w)
-        s = random_correlation(n, seed=47, scale=0.4).entries
+        s = random_correlation(n, seed=47, scale=0.4).to_dense()
         k = s / np.outer(rw, rw)
-        kernel = DiscretizedKernel(operator_form(k, w))
+        kernel = DiscretizedKernel.from_dense(operator_form(k, w))
         lam = np.linalg.eigvalsh(operator_form(k, w))
         void = float(np.prod(1.0 - lam))
         j = spectral_interaction(kernel) / np.outer(rw, rw)
@@ -446,12 +466,12 @@ class TestJanossy:
 class TestProjectKernel:
     def test_feasible_matrix_unchanged(self):
         k = random_correlation(4, seed=13)
-        again = project_kernel(k.entries)
-        np.testing.assert_array_equal(again.entries, k.entries)
+        again = project_kernel(k.to_dense())
+        np.testing.assert_array_equal(again.to_dense(), k.to_dense())
 
     def test_scalar_clip(self):
         out = project_kernel(np.array([[1.5]]))
-        assert out.entries[0, 0] == pytest.approx(1.0 - DELTA)
+        assert out.to_dense()[0, 0] == pytest.approx(1.0 - DELTA)
 
     def test_random_symmetric_spectrum_in_range(self):
         rng = np.random.default_rng(17)
@@ -467,8 +487,8 @@ class TestProjectKernel:
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((5, 5)) * 2.0
         once = project_kernel(0.5 * (m + m.T))
-        twice = project_kernel(once.entries)
-        np.testing.assert_allclose(twice.entries, once.entries, atol=1e-12)
+        twice = project_kernel(once.to_dense())
+        np.testing.assert_allclose(twice.to_dense(), once.to_dense(), atol=1e-12)
 
 
 @st.composite
@@ -521,17 +541,17 @@ class TestShrinkToFeasible:
     @settings(max_examples=60, deadline=None)
     def test_valid_banded_and_diagonal_kept(self, case):
         m, bands = case
-        out, t, clipped = shrink_to_feasible(m, bands)
+        out, t, clipped = shrink_dense(m, bands)
         validate_kernel(out)
         assert 0.0 <= t <= 1.0
-        assert out.bands == (((len(m), len(m)),) if bands is None else bands)
-        assert np.all(out.entries[~band_mask(len(m), bands)] == 0.0)
+        assert out.bands == reach_bands(bands, len(m))
+        assert np.all(out.to_dense()[~band_mask(len(m), bands)] == 0.0)
         mu = np.diag(m)
         cap = 1.0 - DELTA
         inside = (mu >= 0.0) & (mu <= cap)
         np.testing.assert_array_equal(out.diagonal[inside], mu[inside])
         # points clipped to (or sitting on) a bound keep no off-diagonal entry
-        off = out.entries.copy()
+        off = out.to_dense().copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off[~((mu > 0.0) & (mu < cap))] == 0.0)
         assert clipped == pytest.approx(float(np.sum(mu - out.diagonal)))
@@ -540,21 +560,21 @@ class TestShrinkToFeasible:
     @settings(max_examples=60, deadline=None)
     def test_feasible_input_is_a_fixed_point(self, case):
         m, bands = case
-        once = shrink_to_feasible(m, bands)[0]
+        once = shrink_dense(m, bands)[0]
         # shrink the valid output's spectrum into [0.1, 0.6]: strictly feasible
-        inner = 0.5 * once.entries + 0.1 * np.eye(len(m))
-        out, t, clipped = shrink_to_feasible(inner, bands)
+        inner = 0.5 * once.to_dense() + 0.1 * np.eye(len(m))
+        out, t, clipped = shrink_dense(inner, bands)
         assert t == 1.0 and clipped == 0.0
-        np.testing.assert_array_equal(out.entries, inner)
+        np.testing.assert_array_equal(out.to_dense(), inner)
 
     @given(shrink_inputs())
     @settings(max_examples=60, deadline=None)
     def test_scale_matches_eigvalsh_reference(self, case):
         m, bands = case
-        _, t, _ = shrink_to_feasible(m, bands)
+        _, t, _ = shrink_dense(m, bands)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-            _, expect, _ = shrink_to_feasible(m, bands)
+            _, expect, _ = shrink_dense(m, bands)
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n, band", [(60, None), (150, 9), (320, 32)])
@@ -566,9 +586,9 @@ class TestShrinkToFeasible:
         np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
         bands = None if band is None else ((n, band),)
         raw = np.where(band_mask(n, bands), operator_form(0.5 * (raw + raw.T), weights), 0.0)
-        _, t, _ = shrink_to_feasible(raw, bands)
+        _, t, _ = shrink_dense(raw, bands)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-        _, expect, _ = shrink_to_feasible(raw, bands)
+        _, expect, _ = shrink_dense(raw, bands)
         assert t < 1.0
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
@@ -587,13 +607,14 @@ class TestShrinkToFeasible:
         rng = np.random.default_rng(41)
         n = 30
         kernel = banded_kernel(np.zeros((n, 5)), 3.0, 4.0, 0.2)
-        out, t, _ = shrink_to_feasible(kernel.entries, kernel.bands)
+        out, t, _ = shrink_to_feasible(kernel)
         assert calls == [False] and t == 1.0
-        np.testing.assert_array_equal(out.entries, kernel.entries)
+        np.testing.assert_array_equal(out.to_dense(), kernel.to_dense())
         calls.clear()
         mu = rng.uniform(0.9, 0.99, n) * (1.0 - DELTA)
         rho = np.outer(mu, mu) * rng.uniform(0.5, 0.9, (n, n))
-        entries, _ = posterior_kernel_entries(mu, 0.5 * (rho + rho.T))
+        pairs = band_pairs_both_ways(((n, n),))
+        entries, _ = posterior_kernel_entries(mu, 0.5 * (rho + rho.T)[pairs], ((n, n),))
         out, t, clipped = shrink_to_feasible(entries)
         assert calls == [False, True]
         assert t < 1.0 and clipped == 0.0
@@ -605,38 +626,38 @@ class TestShrinkToFeasible:
     def test_two_point_scale_closed_form(self):
         # diagonal (a, a), off-diagonal c: D + tO is PSD up to t = a/c and
         # below 1 - delta up to t = (1 - delta - a)/c
-        out, t, clipped = shrink_to_feasible(np.array([[0.5, 0.8], [0.8, 0.5]]))
+        out, t, clipped = shrink_dense(np.array([[0.5, 0.8], [0.8, 0.5]]))
         assert t == pytest.approx((1.0 - DELTA - 0.5) / 0.8, rel=1e-12)
-        assert out.entries[0, 1] == pytest.approx(1.0 - DELTA - 0.5, rel=1e-12)
+        assert out.to_dense()[0, 1] == pytest.approx(1.0 - DELTA - 0.5, rel=1e-12)
         np.testing.assert_array_equal(out.diagonal, [0.5, 0.5])
         assert clipped == 0.0
-        out, t, _ = shrink_to_feasible(np.array([[0.2, 0.8], [0.8, 0.45]]))
+        out, t, _ = shrink_dense(np.array([[0.2, 0.8], [0.8, 0.45]]))
         assert t == pytest.approx(0.3 / 0.8, rel=1e-12)  # sqrt(0.2 * 0.45) / 0.8
 
     def test_diagonal_above_ceiling_clipped(self):
         m = np.array([[1.06, 0.1, 0.05], [0.1, 0.3, 0.02], [0.05, 0.02, 0.2]])
-        out, t, clipped = shrink_to_feasible(m)
+        out, t, clipped = shrink_dense(m)
         np.testing.assert_array_equal(out.diagonal, [1.0 - DELTA, 0.3, 0.2])
-        assert out.entries[0, 1] == out.entries[0, 2] == 0.0
-        assert t == 1.0 and out.entries[1, 2] == 0.02
+        assert out.to_dense()[0, 1] == out.to_dense()[0, 2] == 0.0
+        assert t == 1.0 and out.to_dense()[1, 2] == 0.02
         assert clipped == pytest.approx(1.06 - (1.0 - DELTA), rel=1e-12)
 
     def test_asymmetric_or_out_of_band_input_raises(self):
-        # a feasible input (t = 1) comes back as it is, so the output's
-        # construction sees either violation; none is repaired
+        # a feasible input (t = 1) comes back as it is; the dense
+        # conversion rejects either violation, and none is repaired
         m = np.array([[0.3, 0.1, 0.0], [0.1, 0.3, 0.1], [0.0, 0.1, 0.3]])
         bands = ((3, 1),)
-        out, t, _ = shrink_to_feasible(m, bands)
+        out, t, _ = shrink_dense(m, bands)
         assert t == 1.0
-        np.testing.assert_array_equal(out.entries, m)
+        np.testing.assert_array_equal(out.to_dense(), m)
         asymmetric = m.copy()
         asymmetric[0, 1] = 0.11
         with pytest.raises(ValueError, match="exactly symmetric"):
-            shrink_to_feasible(asymmetric, bands)
+            shrink_dense(asymmetric, bands)
         wide = m.copy()
         wide[0, 2] = wide[2, 0] = 0.05
         with pytest.raises(ValueError, match="outside its bands"):
-            shrink_to_feasible(wide, bands)
+            shrink_dense(wide, bands)
 
     def test_no_eigendecomposition_for_diagonal_input(self, monkeypatch):
         def forbidden(*_args, **_kwargs):
@@ -644,7 +665,7 @@ class TestShrinkToFeasible:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", forbidden)
-        out, t, _ = shrink_to_feasible(np.diag([0.2, 0.4, 0.0]))
+        out, t, _ = shrink_dense(np.diag([0.2, 0.4, 0.0]))
         np.testing.assert_array_equal(out.diagonal, [0.2, 0.4, 0.0])
         assert t == 1.0
 
@@ -653,15 +674,15 @@ class TestBands:
     def test_kernel_constructor_rejects_band_violation(self):
         m = np.full((4, 4), 0.1)
         with pytest.raises(ValueError, match="outside its bands"):
-            DiscretizedKernel(m, bands=index_bands(4, 0.25))
+            DiscretizedKernel.from_dense(m, bands=index_bands(4, 0.25))
         with pytest.raises(ValueError, match="outside its bands"):
-            DiscretizedKernel(m, bands=((2, 1), (2, 1)))
+            DiscretizedKernel.from_dense(m, bands=((2, 1), (2, 1)))
         with pytest.raises(ValueError, match="tile"):
-            DiscretizedKernel(m, bands=((3, 3),))
+            DiscretizedKernel.from_dense(m, bands=((3, 3),))
         with pytest.raises(ValueError, match="tile"):
-            DiscretizedKernel(m, bands=((4, -1),))
-        assert DiscretizedKernel(m, bands=((4, 3),)).bands == ((4, 3),)
-        assert DiscretizedKernel(m).bands == ((4, 4),)
+            DiscretizedKernel.from_dense(m, bands=((4, -1),))
+        assert DiscretizedKernel.from_dense(m, bands=((4, 3),)).bands == ((4, 3),)
+        assert DiscretizedKernel.from_dense(m).bands == ((4, 3),)  # reach < points
 
     @given(st.none() | band_lists(), st.integers(min_value=1, max_value=600), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -669,29 +690,34 @@ class TestBands:
         # every band reading against the explicit mask of the same bands
         n = n if bands is None else sum(p for p, _ in bands)
         mask = band_mask(n, bands)
-        kernel = DiscretizedKernel(np.zeros((n, n)), bands)
+        kernel = DiscretizedKernel.from_dense(np.zeros((n, n)), bands)
         assert _block_bounds(kernel) == argmax_block_bounds(n, None if bands is None else mask)
         assert band_pairs(kernel.bands) == np.count_nonzero(np.triu(mask, 1))
+        rows, cols = pair_index(kernel.bands)
+        below = np.zeros((n, n), dtype=bool)
+        below[rows, cols] = True
+        assert len(rows) == band_pairs(kernel.bands)
+        np.testing.assert_array_equal(below, np.tril(mask, -1))
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((n, n))
-        np.testing.assert_array_equal(band_part(m, kernel.bands), np.where(mask, m, 0.0))
         inside = np.where(mask, m + m.T, 0.0)
-        DiscretizedKernel(inside, bands)
+        kernel = DiscretizedKernel.from_dense(inside, bands)
+        np.testing.assert_array_equal(kernel.to_dense(), inside)
         outside = np.argwhere(np.triu(~mask))
         if len(outside):  # the first entry outside a band, next to one
             i, j = outside[np.argmin(outside[:, 1] - outside[:, 0])]
             inside[i, j] = inside[j, i] = 1.0
             with pytest.raises(ValueError, match="outside its bands"):
-                DiscretizedKernel(inside, bands)
+                DiscretizedKernel.from_dense(inside, bands)
         with pytest.raises(ValueError, match="tile"):
-            DiscretizedKernel(np.zeros((n, n)), kernel.bands + ((1, 0),))
+            DiscretizedKernel.from_dense(np.zeros((n, n)), kernel.bands + ((1, 0),))
         with pytest.raises(ValueError, match="tile"):
-            DiscretizedKernel(np.zeros((n + 1, n + 1)), kernel.bands)
+            DiscretizedKernel.from_dense(np.zeros((n + 1, n + 1)), kernel.bands)
 
     @pytest.mark.parametrize("entries", [np.full((2, 3), 0.1), np.full(2, 0.1), np.float64(0.1)])
     def test_kernel_constructor_rejects_non_square_entries(self, entries):
         with pytest.raises(ValueError, match="square"):
-            DiscretizedKernel(entries)
+            DiscretizedKernel.from_dense(entries)
 
 
 def test_twelve_point_masses_sum_to_one():

@@ -84,7 +84,7 @@ class TestFiniteProcess:
         fp = dpp_process(kernel)
         assert fp.total_mass() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(fp.intensity(), kernel.diagonal, atol=1e-10)
-        pair = np.outer(kernel.diagonal, kernel.diagonal) - kernel.entries**2
+        pair = np.outer(kernel.diagonal, kernel.diagonal) - kernel.to_dense() ** 2
         np.fill_diagonal(pair, 0.0)
         np.testing.assert_allclose(fp.pair_factorial(), pair, atol=1e-10)
 

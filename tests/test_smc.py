@@ -44,7 +44,7 @@ class TestInit:
         # rho = 4/5, so lag 1 is 0.0025 * 0.8 * 80/81 and lag 81 is outside
         cfg = SmcConfig(n_init=800, gamma0=2.0, alpha=4.0, band_eta=0.1)
         _, kernel = init_particles(cfg, WINDOW, np.random.default_rng(0))
-        k = kernel.entries
+        k = kernel.to_dense()
         assert np.all(np.diag(k) == 0.0025)
         assert k[0, 1] == pytest.approx(0.0025 * 0.8 * 80 / 81, rel=1e-14)
         assert k[0, 80] == pytest.approx(0.0025 * 0.8 / 81, rel=1e-14)
@@ -61,16 +61,16 @@ class TestInit:
     def test_alpha_zero_gives_diagonal_kernel(self):
         cfg = SmcConfig(n_init=50, gamma0=2.0, alpha=0.0)
         _, kernel = init_particles(cfg, WINDOW, np.random.default_rng(1))
-        off = kernel.entries - np.diag(np.diag(kernel.entries))
-        assert np.all(off == 0.0)
-        assert np.trace(kernel.entries) == pytest.approx(2.0)
+        k = kernel.to_dense()
+        assert np.all(k - np.diag(np.diag(k)) == 0.0)
+        assert np.trace(k) == pytest.approx(2.0)
 
     def test_band_structure_enforced(self):
         cfg = SmcConfig(n_init=60, gamma0=2.0, alpha=4.0, band_eta=0.1)
         _, kernel = init_particles(cfg, WINDOW, np.random.default_rng(2))
         idx = np.arange(60)
         outside = np.abs(idx[:, None] - idx[None, :]) > 6
-        assert np.all(kernel.entries[outside] == 0.0)
+        assert np.all(kernel.to_dense()[outside] == 0.0)
 
 
 class TestResample:
@@ -207,9 +207,9 @@ class TestPredictBirths:
     def test_cross_block_zero(self):
         pred = self.predicted(2.0, 4)
         n_old = len(self.state.particles)
-        assert np.all(pred.kernel.entries[:n_old, n_old:] == 0.0)
+        assert np.all(pred.kernel.to_dense()[:n_old, n_old:] == 0.0)
         np.testing.assert_array_equal(
-            pred.kernel.entries[:n_old, :n_old], self.prior(2.0).kernel.entries
+            pred.kernel.to_dense()[:n_old, :n_old], self.prior(2.0).kernel.to_dense()
         )
 
     def test_kernel_dimension_tracks_particles(self):
@@ -274,7 +274,7 @@ class TestBandedKernel:
     def test_feasible_by_construction(self, inputs):
         n, gamma, alpha, eta = inputs
         kernel = banded_kernel(np.zeros((n, 5)), gamma, alpha, eta)
-        k = kernel.entries
+        k = kernel.to_dense()
         assert np.array_equal(k, k.T)
         assert np.all(np.diag(k) == gamma / n)
         assert math.isclose(np.trace(k), gamma, rel_tol=1e-12, abs_tol=0.0)
@@ -299,13 +299,13 @@ class TestBandedKernel:
 
     def test_zero_mass_gives_zero_block(self):
         kernel = banded_kernel(np.zeros((30, 5)), 0.0, 4.0, 0.1)
-        assert np.all(kernel.entries == 0.0)
+        assert np.all(kernel.to_dense() == 0.0)
 
     def test_gershgorin_cap_keeps_heavy_kernels_feasible(self):
         # gamma/n = 0.8 with rho = 0.8 would put the row sums far above 1
         kernel = banded_kernel(np.zeros((300, 5)), 240.0, 4.0, 0.1)
         validate_kernel(kernel)
-        assert np.trace(kernel.entries) == pytest.approx(240.0, rel=1e-12)
+        assert np.trace(kernel.to_dense()) == pytest.approx(240.0, rel=1e-12)
 
 
 def test_kernel_constructors_make_no_eigendecomposition(monkeypatch):
@@ -326,8 +326,8 @@ def test_kernel_constructors_make_no_eigendecomposition(monkeypatch):
     assert len(kernel) == 330
     # births append their index band to the survivors'
     assert kernel.bands == ((300, 30), (30, 3))
-    assert np.all(kernel.entries[:300, 300:] == 0.0)
-    assert np.all(kernel.entries[300:, 300:][~index_mask(30, 0.1)] == 0.0)
+    assert np.all(kernel.to_dense()[:300, 300:] == 0.0)
+    assert np.all(kernel.to_dense()[300:, 300:][~index_mask(30, 0.1)] == 0.0)
     validate_kernel(kernel)
     validate_kernel(rebuilt)
 
@@ -338,7 +338,7 @@ def test_rebuild_kernel_valid_and_banded():
     kernel = rebuild_kernel(particles, cfg, 6.5)
     validate_kernel(kernel)
     assert kernel.bands == ((90, 9),)
-    assert np.all(kernel.entries[~index_mask(90, 0.1)] == 0.0)
+    assert np.all(kernel.to_dense()[~index_mask(90, 0.1)] == 0.0)
 
 
 class TestResampleModes:
