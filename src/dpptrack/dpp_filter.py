@@ -12,7 +12,8 @@ J = (Id - K)^{-1} K:
                        [q_d^2 + q_d sum_z (l~(z|x)+l~(z|y))/s_c(z)
                         + sum_{z != z'} l~(z|x) l~(z'|y) / (s_c s_c' - D(z,z'))]
 * squared off-diagonal: mu(x) mu(y) - pair(x,y) on the prior kernel's
-  bands, clamped at zero (clamp events are a health diagnostic),
+  bands, once per pair x > y, clamped at zero (clamp events are a health
+  diagnostic),
 
 with s_c(z) = l_c(z) + sum_v J(v,v) l~(z|v) and D the pairwise
 interaction integral.  The posterior kernel keeps mu as its diagonal; its
@@ -24,7 +25,6 @@ valid by construction (``smc.banded_kernel``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -81,7 +81,7 @@ class FilterState:
 
 @dataclass
 class UpdateDiagnostics:
-    clamp_events: int = 0
+    clamp_events: int = 0  # band pairs whose radicand mu mu - rho was negative
     offdiag_entries: int = 0
     offdiag_scale: float = 1.0  # t of shrink_to_feasible; 1 leaves the off-diagonal as it is
     clipped_mass: float = 0.0  # posterior diagonal mass clipped at 1 - delta
@@ -90,17 +90,6 @@ class UpdateDiagnostics:
 def pair_denominators(j2: np.ndarray, like: np.ndarray, sc: np.ndarray) -> np.ndarray:
     """s_c(z) s_c(z') - sum_{u,v} J(u,v)^2 l~(z|u) l~(z'|v), from j2 = J**2."""
     return np.outer(sc, sc) - like @ j2 @ like.T
-
-
-@functools.lru_cache(maxsize=4)
-def band_pairs_both_ways(bands) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols), each (2, P): row 0 the P index pairs i > j inside
-    ``bands`` (``kernels.pair_index``), row 1 the same pairs mirrored.
-    Read-only, as it is cached for the two calls of an update."""
-    rows, cols = pair_index(bands)
-    rows, cols = np.stack([rows, cols]), np.stack([cols, rows])
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
 
 
 def posterior_moments(
@@ -112,9 +101,8 @@ def posterior_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First moment and pair factorial moment of the approximate posterior,
     from the correlation kernel and its interaction kernel ``j``.  The pair
-    moment is given on the kernel's bands, at the index pairs of
-    ``band_pairs_both_ways`` (both ways, since the moment is symmetric only
-    up to roundoff).
+    moment is given on the kernel's bands, once per pair, at the index
+    pairs i > j of ``kernels.pair_index``.
 
     Raises DegenerateIntensity when a pair denominator
     s_c(z) s_c(z') - D(z, z') is not positive (it is 0 when one particle
@@ -123,7 +111,7 @@ def posterior_moments(
     kd = kernel.diagonal
     jd = np.diag(j).copy()  # contiguous: like @ a strided view rounds differently
     j2 = j**2
-    rows, cols = band_pairs_both_ways(kernel.bands)
+    rows, cols = pair_index(kernel.bands)
     at = rows * len(jd) + cols
     pair_j = jd[rows] * jd[cols] - np.take(j2, at)
     np.clip(pair_j, 0.0, None, out=pair_j)  # PSD minors; negatives are roundoff
@@ -152,20 +140,19 @@ def posterior_kernel_entries(
     mu: np.ndarray, rho: np.ndarray, bands
 ) -> tuple[DiscretizedKernel, int]:
     """Assemble the posterior kernel: mu on the diagonal and sqrt(mu mu - rho)
-    off it on the pairs inside ``bands``, with ``rho`` at the pairs of
-    ``band_pairs_both_ways(bands)``; the two ways are averaged.
+    off it on the pairs inside ``bands``, with ``rho`` at the index pairs
+    i > j of ``pair_index(bands)``.
 
     A negative radicand means the approximation lost the interaction at that
     pair; it is clamped to zero.  Returns the kernel, whose spectrum
     ``shrink_to_feasible`` then makes valid, and the number of clamped
-    pairs (each counted once when both of its ways are negative).
+    pairs.
     """
-    rows, cols = band_pairs_both_ways(bands)
+    rows, cols = pair_index(bands)
     sq = mu[rows] * mu[cols] - rho
-    clamped = int((sq < 0).sum()) // 2
+    clamped = int(np.count_nonzero(sq < 0))
     np.clip(sq, 0.0, None, out=sq)
-    root = np.sqrt(sq)
-    return DiscretizedKernel.from_pairs(mu, 0.5 * (root[0] + root[1]), bands), clamped
+    return DiscretizedKernel.from_pairs(mu, np.sqrt(sq), bands), clamped
 
 
 def dpp_update(
@@ -401,6 +388,5 @@ def reconstruct_kernel_from_moments(mu: np.ndarray, rho: np.ndarray) -> Discreti
     dense pair moment ``rho``, on every pair, made valid by the filter's own
     map, ``shrink_to_feasible``."""
     bands = ((len(mu), len(mu)),)
-    rows, cols = band_pairs_both_ways(bands)
-    raw = posterior_kernel_entries(np.asarray(mu, dtype=float), rho[rows, cols], bands)[0]
+    raw = posterior_kernel_entries(np.asarray(mu, dtype=float), rho[pair_index(bands)], bands)[0]
     return shrink_to_feasible(raw)[0]

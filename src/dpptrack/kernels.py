@@ -22,7 +22,7 @@ tridiagonal, and J comes from a block Cholesky factorization of I - K
 (I - K)^{-1} (``interaction_diagonal``; Takahashi, Fagan & Chen 1973).
 
 The arrays of N x N or block size that the module forms are LAPACK or BLAS
-inputs and outputs: J, the blocks of the factorization, and the free-point
+inputs and outputs: J, the blocks of the factorization, and the two scaled
 matrices of ``shrink_to_feasible``.  ``DiscretizedKernel.from_dense`` and
 ``to_dense`` convert dense matrices for tests, the oracle and the checks.
 """
@@ -219,7 +219,7 @@ def operator_spectrum(kernel: DiscretizedKernel) -> np.ndarray:
 # beat 40 and 48 on the 80-340 point kernels of a spooky DPP run, and
 # splitting a kernel of fewer than about 130 points costs more per-call
 # overhead than its O(n^3) factorization saves.  The blocks are gathered
-# from the band arrays; they, J and the free-point matrices of
+# from the band arrays; they, J and the two scaled matrices of
 # ``shrink_to_feasible`` are the only arrays of block or N x N size here.
 BLOCK_FLOOR = 32
 
@@ -305,6 +305,8 @@ def _block_cholesky(diagonal, below, shift, couplings=True):
     """Block Cholesky factorization of the block tridiagonal A = shift I + B
     from the blocks of B (``_operator_blocks``), of whose diagonal blocks
     only the lower triangles are read; only block-sized arrays are formed.
+    The diagonal blocks are overwritten, a Fortran-ordered one by its
+    factor, so a caller that reads them again passes copies.
 
     Returns (L, Y): the lower Cholesky factors L_k of the Schur complements
     of A's diagonal blocks and, with ``couplings``, Y_k = L_k^{-T} L_{k+1,k}^T
@@ -312,8 +314,7 @@ def _block_cholesky(diagonal, below, shift, couplings=True):
     definite, which LAPACK dpotrf then decides exactly on one block.
     """
     factors, ys = [], []
-    for k, d in enumerate(diagonal):
-        a = d.copy(order="K")  # a Fortran-ordered block is factored in place
+    for k, a in enumerate(diagonal):
         a.flat[:: a.shape[0] + 1] += shift
         if k:
             lc = blas.dtrsm(1.0, factors[-1], below[k - 1], side=1, lower=1, trans_a=1)
@@ -373,10 +374,12 @@ def _interaction_factor(kernel: DiscretizedKernel):
         return None
     bounds = _block_bounds(kernel)
     g = _lower_band(kernel)
-    diagonal, below = _operator_blocks(g, bounds)
-    ceiling = 1.0 - DELTA + 1e-12
     gershgorin = _gershgorin(g)
-    if gershgorin > ceiling and _block_cholesky(diagonal, below, ceiling, couplings=False) is None:
+    diagonal, below = _operator_blocks(g, bounds)
+    del g  # the blocks hold all that the factorizations read
+    ceiling = 1.0 - DELTA + 1e-12
+    copies = (d.copy(order="K") for d in diagonal)  # the main factorization reads them next
+    if gershgorin > ceiling and _block_cholesky(copies, below, ceiling, couplings=False) is None:
         top = float(operator_spectrum(kernel).max())
         raise SpectrumError(
             f"correlation spectrum reaches {top:.12g} > 1 - delta (delta={DELTA:g}); "
@@ -533,8 +536,11 @@ def shrink_to_feasible(kernel: DiscretizedKernel) -> tuple[DiscretizedKernel, fl
     (``_extreme_eigenvalue``); a Cholesky factor of
     I - t E^{-1/2} O E^{-1/2} then certifies the ceiling at that t, and
     only when it does not exist is lambda_max computed and t lowered to
-    1/lambda_max.  No iteration.  The two scaled matrices on the free
-    points are the LAPACK inputs and the only dense arrays formed.
+    1/lambda_max.  No iteration.  The two scaled matrices are the LAPACK
+    inputs and the only dense arrays formed: N x N, with the scaled pairs
+    in the lower triangle, which is all dsyevr and dpotrf read, and a zero
+    row for each point that lost its pairs, which adds only a zero
+    eigenvalue and so moves neither bound on t.
 
     The diagonal is kept bit for bit wherever it lies in [0, 1 - DELTA], so
     the trace is the input's, and the bands are kept; a feasible input
@@ -548,26 +554,18 @@ def shrink_to_feasible(kernel: DiscretizedKernel) -> tuple[DiscretizedKernel, fl
     i, j = pair_index(kernel.bands)
     off = kernel.lower()
     free = (mu > 0.0) & (mu < cap)
-    kept = off
-    if not free.all():  # the pairs of a clipped or bound point go
-        both = free[i] & free[j]
-        off[~both] = 0.0
-        at = np.cumsum(free) - 1  # positions among the free points
-        i, j, kept = at[i[both]], at[j[both]], off[both]
+    off[~(free[i] & free[j])] = 0.0  # the pairs of a clipped or bound point go
     t = 1.0
-    if kept.any():
-        sub = np.zeros((np.count_nonzero(free),) * 2)
-        sub[i, j] = sub[j, i] = kept
-        root_d = np.sqrt(mu[free])
-        root_e = np.sqrt(cap - mu[free])
+    if off.any():
+        root_d = np.sqrt(np.where(free, mu, 1.0))  # a point with no pairs divides by 1
+        root_e = np.sqrt(np.where(free, cap - mu, 1.0))
+        a, b = np.zeros((2, len(mu), len(mu)))
         try:
             # the divisors are positive and the entries finite, so only an
             # overflow makes a scaled entry non-finite
             with np.errstate(over="raise"):
-                a = sub / root_d[:, None]
-                a /= root_d[None, :]
-                b = sub / root_e[:, None]
-                b /= root_e[None, :]
+                a[i, j] = off / root_d[i] / root_d[j]
+                b[i, j] = off / root_e[i] / root_e[j]
         except FloatingPointError:
             t = 0.0  # a diagonal too close to a bound to scale against
         else:

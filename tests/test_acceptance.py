@@ -14,7 +14,6 @@ from scipy import stats
 from dpptrack.checks import operator_form
 from dpptrack.dpp_filter import (
     FilterState,
-    band_pairs_both_ways,
     dpp_update,
     posterior_moments,
     predict,
@@ -23,6 +22,7 @@ from dpptrack.harness import preset, run_experiment
 from dpptrack.kernels import (
     DiscretizedKernel,
     interaction_kernel,
+    pair_index,
     project_kernel,
     validate_kernel,
 )
@@ -173,7 +173,7 @@ def test_criterion_3_approximation_order():
         errors.append(
             max(
                 float(np.max(np.abs(mu_ap - mu_exact))),
-                float(np.max(np.abs(rho_ap - rho_exact[band_pairs_both_ways(kernel.bands)]))),
+                float(np.max(np.abs(rho_ap - rho_exact[pair_index(kernel.bands)]))),
             )
         )
     r1 = errors[0] / errors[1]

@@ -16,7 +16,6 @@ from dpptrack import kernels
 from dpptrack.dpp_filter import (
     DppPhdFilter,
     FilterState,
-    band_pairs_both_ways,
     posterior_kernel_entries,
     predict,
 )
@@ -29,6 +28,7 @@ from dpptrack.kernels import (
     cross_covariance,
     interaction_diagonal,
     interaction_kernel,
+    pair_index,
     shrink_to_feasible,
 )
 from dpptrack.ppp_filter import SurvivalModel
@@ -83,30 +83,37 @@ def dense_interaction(m, bands):
     if n == 0:
         return np.zeros((0, 0)), np.zeros(0), False
     bounds = argmax_block_bounds(n, band_mask(n, bands))
-    diagonal = [-m[lo:hi, lo:hi] for lo, hi in bounds]
     below = [-m[lo:hi, clo:chi] for (clo, chi), (lo, hi) in zip(bounds, bounds[1:])]
+
+    def factor(shift, couplings=True):
+        # the factorization overwrites its diagonal blocks: each takes new ones
+        diagonal = [-m[lo:hi, lo:hi] for lo, hi in bounds]
+        return kernels._block_cholesky(diagonal, below, shift, couplings)
+
     checked = float(np.abs(m).sum(axis=1).max()) > CEILING
-    if checked and kernels._block_cholesky(diagonal, below, CEILING, couplings=False) is None:
+    if checked and factor(CEILING, couplings=False) is None:
         raise SpectrumError("spectrum above the ceiling")
     jd = np.empty(n)  # dpotri overwrites the factors: each transform factors anew
-    for k, g_k, _ in kernels._inverse_diagonal_blocks(
-        *kernels._block_cholesky(diagonal, below, 1.0)
-    ):
+    for k, g_k, _ in kernels._inverse_diagonal_blocks(*factor(1.0)):
         lo, hi = bounds[k]
         jd[lo:hi] = np.diagonal(g_k) - 1.0
-    j = kernels._block_inverse(n, bounds, *kernels._block_cholesky(diagonal, below, 1.0))
+    j = kernels._block_inverse(n, bounds, *factor(1.0))
     j.flat[:: n + 1] -= 1.0
     return j, jd, checked
 
 
 def dense_posterior_entries(mu, rho, bands):
+    """One root per pair i > j inside the bands, from rho's lower triangle,
+    mirrored; every negative radicand counts once."""
     n = len(mu)
-    sq = np.where(band_mask(n, bands), np.outer(mu, mu) - rho, 0.0)
-    clamped = int((sq < 0).sum()) // 2
+    lower = np.tril(band_mask(n, bands), -1)
+    sq = np.where(lower, np.outer(mu, mu) - rho, 0.0)
+    clamped = int((sq < 0).sum())
     np.clip(sq, 0.0, None, out=sq)
     entries = np.sqrt(sq)
+    entries += entries.T
     np.fill_diagonal(entries, mu)
-    return 0.5 * (entries + entries.T), clamped
+    return entries, clamped
 
 
 def dense_shrink(m):
@@ -121,12 +128,13 @@ def dense_shrink(m):
     off[:, ~free] = 0.0
     t = 1.0
     if np.any(off):
-        sub = off[np.ix_(free, free)]
-        root_d = np.sqrt(mu[free])
-        root_e = np.sqrt(cap - mu[free])
+        # the zeroed rows take the divisor 1; LAPACK reads the lower triangle
+        lower = np.tril(off)
+        root_d = np.sqrt(np.where(free, mu, 1.0))
+        root_e = np.sqrt(np.where(free, cap - mu, 1.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            a = sub / root_d[:, None] / root_d[None, :]
-            b = sub / root_e[:, None] / root_e[None, :]
+            a = lower / root_d[:, None] / root_d[None, :]
+            b = lower / root_e[:, None] / root_e[None, :]
         if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
             lowest = kernels._extreme_eigenvalue(a, top=False)
             if lowest < 0.0:
@@ -222,10 +230,10 @@ class TestAgainstDenseFormulas:
         rng = np.random.default_rng(seed)
         n = sum(p for p, _ in bands)
         mu = rng.uniform(0.0, 1.0, n)
-        # an asymmetric pair moment, so that both ways of each pair count
+        # an asymmetric pair moment, of which only the lower triangle is read
         rho = np.outer(mu, mu) * rng.uniform(0.5, 1.5, (n, n))
         np.fill_diagonal(rho, 0.0)
-        kernel, clamped = posterior_kernel_entries(mu, rho[band_pairs_both_ways(bands)], bands)
+        kernel, clamped = posterior_kernel_entries(mu, rho[pair_index(bands)], bands)
         entries, expect = dense_posterior_entries(mu, rho, bands)
         np.testing.assert_array_equal(kernel.to_dense(), entries)
         assert clamped == expect

@@ -10,7 +10,6 @@ from dpptrack.dpp_filter import (
     FilterState,
     UpdateDiagnostics,
     approx_count_covariance,
-    band_pairs_both_ways,
     correlation_estimate,
     dpp_update,
     posterior_diagonal,
@@ -29,6 +28,7 @@ from dpptrack.kernels import (
     band_pairs,
     interaction_kernel,
     operator_spectrum,
+    pair_index,
     project_kernel,
     validate_kernel,
 )
@@ -84,7 +84,7 @@ def epsilon_kernel(eps, weights=(0.9, 1.1, 1.0, 0.8)):
 def at_pairs(m, kernel):
     """The dense (N, N) matrix m at the kernel's band pairs, as
     ``posterior_moments`` gives the pair moment."""
-    return m[band_pairs_both_ways(kernel.bands)]
+    return m[pair_index(kernel.bands)]
 
 
 def abstract_obs(p_d=0.7):
@@ -234,7 +234,7 @@ class TestUpdate:
         mu, rho = posterior_moments(kernel, j, np.zeros((0, 4)), np.zeros(0), q_d)
         np.testing.assert_array_equal(mu, q_d * kernel.diagonal)
         expect = q_d**2 * (np.outer(np.diag(j), np.diag(j)) - j**2)
-        assert rho.shape == (2, 6)  # every pair of the full-width kernel, both ways
+        assert rho.shape == (6,)  # every pair of the full-width kernel, once
         np.testing.assert_array_equal(rho, at_pairs(expect, kernel))
 
     def test_zero_pair_denominator_raises_degenerate_intensity(self):
@@ -277,9 +277,9 @@ class TestUpdate:
         clutter = obs.l_c[[0, 1]]
         mu, rho = posterior_moments(kernel, j, like, clutter, 0.3)
         entries = posterior_kernel_entries(mu, rho, kernel.bands)[0].to_dense()
-        rows, cols = band_pairs_both_ways(kernel.bands)
+        rows, cols = pair_index(kernel.bands)
         dense = np.zeros((4, 4))
-        dense[rows, cols] = rho
+        dense[rows, cols] = dense[cols, rows] = rho
         for i in range(4):
             assert entries[i, i] == mu[i]
             for k in range(4):
@@ -295,14 +295,28 @@ class TestUpdate:
         mu = np.array([0.2, 0.3, 0.4])
         rho = np.array([[0.0, 0.1, 0.1], [0.1, 0.0, 0.02], [0.1, 0.02, 0.0]])
         bands = ((3, 1),)
-        kernel, clamped = posterior_kernel_entries(mu, rho[band_pairs_both_ways(bands)], bands)
+        kernel, clamped = posterior_kernel_entries(mu, rho[pair_index(bands)], bands)
         assert clamped == 1
         entries = kernel.to_dense()
         assert entries[0, 1] == entries[0, 2] == entries[2, 0] == 0.0
         assert entries[1, 2] == pytest.approx(np.sqrt(0.3 * 0.4 - 0.02), rel=1e-12)
         np.testing.assert_array_equal(np.diag(entries), mu)
         every = ((3, 3),)
-        assert posterior_kernel_entries(mu, rho[band_pairs_both_ways(every)], every)[1] == 2
+        assert posterior_kernel_entries(mu, rho[pair_index(every)], every)[1] == 2
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 7, 10])
+    def test_clamps_count_each_negative_pair_once(self, k):
+        # k of the 10 in-band pairs get a negative radicand mu mu - rho, the
+        # rest a positive one; each counts once
+        bands = ((5, 2), (4, 1))
+        mu = np.linspace(0.2, 0.6, 9)
+        rows, cols = pair_index(bands)
+        assert len(rows) == 10
+        negative = np.random.default_rng(k).permutation(10) < k
+        rho = mu[rows] * mu[cols] * np.where(negative, 1.5, 0.5)
+        kernel, clamped = posterior_kernel_entries(mu, rho, bands)
+        assert clamped == k
+        np.testing.assert_array_equal(kernel.lower() == 0.0, negative)
 
     def test_update_keeps_kernel_valid(self):
         rng = np.random.default_rng(11)

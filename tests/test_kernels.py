@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dpptrack import kernels
 from dpptrack.dpp_filter import (
     FilterState,
-    band_pairs_both_ways,
     posterior_diagonal,
     posterior_kernel_entries,
 )
@@ -577,6 +576,32 @@ class TestShrinkToFeasible:
             _, expect, _ = shrink_dense(m, bands)
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
+    @given(st.data(), st.integers(min_value=1, max_value=40), st.integers(0, 2**32 - 1),
+           st.floats(0.0, 2.0))
+    @settings(max_examples=80, deadline=None)
+    def test_bound_points_are_as_if_left_out(self, data, n, seed, off_scale):
+        # zeroing the rows of the clipped and bound points gives the t of the
+        # kernel restricted to its free points
+        rng = np.random.default_rng(seed)
+        bands = data.draw(band_lists(n))
+        cap = 1.0 - DELTA
+        kind = rng.integers(0, 5, n)  # free, zero, on the cap, above it, below zero
+        mu = np.choose(kind, [rng.uniform(0.05, 0.9, n), np.zeros(n), np.full(n, cap),
+                              rng.uniform(1.0, 1.5, n), rng.uniform(-0.2, -0.01, n)])
+        off = rng.uniform(-off_scale, off_scale, (n, n))
+        m = np.where(band_mask(n, bands), off + off.T, 0.0)
+        np.fill_diagonal(m, mu)
+        free = kind == 0
+        out, t, _ = shrink_dense(m, bands)
+        _, expect, _ = shrink_dense(m[np.ix_(free, free)])
+        assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
+        np.testing.assert_array_equal(out.diagonal, np.clip(mu, 0.0, cap))
+        pairs = out.to_dense()
+        np.fill_diagonal(pairs, 0.0)
+        assert not pairs[~free].any() and not pairs[:, ~free].any()
+        np.fill_diagonal(m, 0.0)
+        np.testing.assert_array_equal(pairs[np.ix_(free, free)], t * m[np.ix_(free, free)])
+
     @pytest.mark.parametrize("n, band", [(60, None), (150, 9), (320, 32)])
     def test_scale_matches_eigvalsh_reference_on_large_kernels(self, monkeypatch, n, band):
         # the ceiling_bound_kernel construction: the ceiling sets t < 1
@@ -613,7 +638,7 @@ class TestShrinkToFeasible:
         calls.clear()
         mu = rng.uniform(0.9, 0.99, n) * (1.0 - DELTA)
         rho = np.outer(mu, mu) * rng.uniform(0.5, 0.9, (n, n))
-        pairs = band_pairs_both_ways(((n, n),))
+        pairs = pair_index(((n, n),))
         entries, _ = posterior_kernel_entries(mu, 0.5 * (rho + rho.T)[pairs], ((n, n),))
         out, t, clipped = shrink_to_feasible(entries)
         assert calls == [False, True]

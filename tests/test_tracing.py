@@ -3,7 +3,8 @@
 ``benchmark/tracing.py`` patches functions by module and name; a rename or
 a dropped import in the package would leave a layer's spans empty, so a
 short traced experiment must still record the prediction of both filters,
-the filter-side motion, and both filters' weight updates.
+the filter-side motion, both filters' weight updates, the DPP posterior
+moments and a clamp share that is a fraction of the band pairs.
 """
 
 import importlib.util
@@ -36,6 +37,8 @@ def test_tracer_records_both_predictions_and_the_filter_motion(tmp_path):
     assert metrics["scenario.step_dynamics.rows_filter"] > 0
     assert metrics["dpp_filter.posterior_diagonal.calls"] > 0
     assert metrics["dpp_filter.dpp_update.calls"] > 0
+    assert metrics["dpp_filter.posterior_moments.calls"] > 0
+    assert 0.0 <= metrics["dpp_filter.clamp_frac"] <= 1.0
     assert metrics["ppp_filter.poisson_weight_update.calls"] > 0
     assert metrics["scenario.TruthSimulator.step.calls"] > 0
     assert metrics["scenario.step_dynamics.rows_truth"] > 0
