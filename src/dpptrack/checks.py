@@ -2,7 +2,8 @@
 
 Each check exercises the exact-oracle formulas against an independent
 computation and reports one PASS/FAIL line; all of them also run (with
-more cases) in the pytest suite.
+more cases) in the pytest suite, which shares this module's test rig:
+kernel builders, spectral references and ``validate_kernel``.
 """
 
 from __future__ import annotations
@@ -112,6 +113,17 @@ def operator_form(m: np.ndarray, weights) -> np.ndarray:
     when M is."""
     rw = np.sqrt(np.asarray(weights, dtype=float))
     return m * np.outer(rw, rw)
+
+
+def validate_kernel(kernel: DiscretizedKernel) -> None:
+    """Raise unless the operator spectrum lies in [0, 1 - DELTA], up to
+    roundoff (construction checks the structure)."""
+    tol = 1e-9  # roundoff allowed at the spectrum's bounds
+    lam = np.linalg.eigvalsh(kernel.to_dense())
+    if lam.min(initial=0.0) < -tol:
+        raise AssertionError(f"spectrum has negative eigenvalue {lam.min():.3e}")
+    if lam.max(initial=0.0) > 1.0 - DELTA + tol:
+        raise AssertionError(f"spectrum reaches {lam.max():.6g} > 1 - delta")
 
 
 def spectral_interaction(kernel) -> np.ndarray:

@@ -20,7 +20,8 @@ interaction integral.  The posterior kernel keeps mu as its diagonal; its
 off-diagonal is scaled by the largest factor that keeps the spectrum in
 [0, 1 - delta], and a diagonal above 1 - delta is clipped there
 (``kernels.shrink_to_feasible``).  The prior, birth and rebuilt kernels are
-valid by construction (``smc.banded_kernel``).
+valid by construction (``smc.banded_kernel``).  This is the Monte Carlo path
+alone; the paper's grid formulas are references, beside the exact oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import DegenerateIntensity, DegenerateVariance
 from .kernels import (
     DiscretizedKernel,
     band_pairs,
-    cross_covariance,
+    count_covariances,
     interaction_diagonal,
     interaction_kernel,
     pair_index,
@@ -271,122 +272,16 @@ class DppPhdFilter:
         return dpp_update(state, scan, self.sensor)
 
 
-# ---------------------------------------------------------------------------
-# Covariance / correlation estimates
-# ---------------------------------------------------------------------------
-
-
-def region_indices(particles: np.ndarray, region: Region) -> np.ndarray:
-    return np.nonzero(region.contains_states(particles))[0]
-
-
-def approx_count_covariance(
-    kernel: DiscretizedKernel,
-    like: np.ndarray,
-    clutter: np.ndarray,
-    q_d: float,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> float:
-    """Closed-form posterior count covariance over two index sets.
-
-    Evaluated from the interaction kernel of the predicted correlation
-    kernel and the scan, term by term: the miss-branch intensity and pair
-    terms, the single-measurement cross terms with their z = z' correction,
-    and the paired-measurement term (taken over A x B with its product
-    counterpart subtracted, which degenerates to the negative-correlation
-    contract for disjoint regions with no cross interaction).
-    """
-    a = np.asarray(sorted(set(int(i) for i in a)), dtype=int)
-    b = np.asarray(sorted(set(int(i) for i in b)), dtype=int)
-    if a.size == 0 or b.size == 0:
-        return 0.0
-    jm = interaction_kernel(kernel)
-    jd = np.diag(jm).copy()
-    m = like.shape[0]
-    inter = np.intersect1d(a, b)
-
-    terms = [float(q_d * np.sum(jd[inter]))]
-    jab = jm[np.ix_(a, b)]
-    terms.append(float(-(q_d**2) * np.sum(jab**2)))
-    sc = corrector_terms(clutter, like, jd)[0]
-    la, lb = like[:, a], like[:, b]
-    for z in range(m):
-        cross = (la[z][:, None] + lb[z][None, :]) * jab**2
-        terms.append(float(-q_d / sc[z] * np.sum(cross)))
-        inter_term = float(np.sum(like[z, inter] * jd[inter]))
-        sa = float(np.sum(la[z] * jd[a]))
-        sb = float(np.sum(lb[z] * jd[b]))
-        terms.append((inter_term - sa * sb / sc[z]) / sc[z])
-    denom = pair_denominators(jm**2, like, sc)
-    pair_ab = np.outer(jd[a], jd[b]) - jab**2
-    for z in range(m):
-        for z2 in range(m):
-            if z == z2:
-                continue
-            num = float(np.sum(pair_ab * np.outer(la[z], lb[z2])))
-            prod = float(np.sum(la[z] * jd[a])) * float(np.sum(lb[z2] * jd[b]))
-            terms.append(num / denom[z, z2] - prod / (sc[z] * sc[z2]))
-    return float(math.fsum(terms))
-
-
 def correlation_estimate(state: FilterState, region_a: Region, region_b: Region) -> float:
     """Cross-domain correlation: rescaled determinantal covariance.
 
     cov(A, B) / sqrt(var(A) var(B)) with all three computed from the
     posterior kernel's determinantal covariance form; clamped to [-1, 1].
     """
-    a = region_indices(state.particles, region_a)
-    b = region_indices(state.particles, region_b)
-    var_a = cross_covariance(state.kernel, a, a)
-    var_b = cross_covariance(state.kernel, b, b)
+    a, b = (np.nonzero(r.contains_states(state.particles))[0] for r in (region_a, region_b))
+    var_a, var_b, cov = count_covariances(state.kernel, a, b)
     if var_a <= 0.0 or var_b <= 0.0:
         raise DegenerateVariance(
             f"domain variances {var_a:.3e}, {var_b:.3e} must be positive"
         )
-    cov = cross_covariance(state.kernel, a, b)
     return float(np.clip(cov / math.sqrt(var_a * var_b), -1.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# Quadrature form of the prediction moments (small grids, used as an oracle
-# target for the SMC realization)
-# ---------------------------------------------------------------------------
-
-
-def prediction_moments(
-    kernel: DiscretizedKernel,
-    p_s: float,
-    transition: np.ndarray,
-    birth_intensity: np.ndarray,
-    birth_pair: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted first and second factorial moments on an explicit grid of
-    target points.
-
-    ``transition[t, u]`` is the motion density l_s(target point t | source
-    point u); the survivor terms sum it against the prior kernel, whose
-    diagonal is the source points' intensity mass.
-    """
-    kd = kernel.diagonal
-    surv = p_s * transition @ kd
-    mu = np.asarray(birth_intensity, dtype=float) + surv
-    pair_prior = np.outer(kd, kd) - kernel.to_dense() ** 2
-    rho_surv = p_s**2 * transition @ pair_prior @ transition.T
-    rho = (
-        rho_surv
-        + np.outer(birth_intensity, surv)
-        + np.outer(surv, birth_intensity)
-        + np.asarray(birth_pair, dtype=float)
-    )
-    np.fill_diagonal(rho, 0.0)
-    return mu, rho
-
-
-def reconstruct_kernel_from_moments(mu: np.ndarray, rho: np.ndarray) -> DiscretizedKernel:
-    """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho) from the
-    dense pair moment ``rho``, on every pair, made valid by the filter's own
-    map, ``shrink_to_feasible``."""
-    bands = ((len(mu), len(mu)),)
-    raw = posterior_kernel_entries(np.asarray(mu, dtype=float), rho[pair_index(bands)], bands)[0]
-    return shrink_to_feasible(raw)[0]

@@ -443,23 +443,23 @@ def _write_summary_csv(path, rows) -> None:
     groups: dict = {}
     for row in rows:
         groups.setdefault((row["filter"], row["t"]), []).append(row)
-    with open(path, "w") as fh:
-        header = ["filter", "t"]
-        for metric in CSV_COLUMNS[3:]:
-            header += [f"{metric}_mean", f"{metric}_sd"]
-        fh.write(",".join(header) + "\n")
-        for (fname, t), sel in sorted(groups.items()):
-            cells = [fname, str(t)]
-            for metric in CSV_COLUMNS[3:]:
-                vals = [r[metric] for r in sel if r[metric] is not None]
-                if vals:
-                    arr = np.asarray(vals, dtype=float)
-                    mean = float(arr.mean())
-                    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-                    cells += [repr(mean), repr(sd)]
-                else:
-                    cells += ["", ""]
-            fh.write(",".join(cells) + "\n")
+    keys = sorted(groups)
+    lines = [[fname, str(t)] for fname, t in keys]
+    header = ["filter", "t"]
+    for metric in CSV_COLUMNS[3:]:
+        header += [f"{metric}_mean", f"{metric}_sd"]
+        present = [[r[metric] for r in groups[key] if r[metric] is not None] for key in keys]
+        stats = {}
+        for size in set(map(len, present)) - {0}:
+            # one reduction over the groups with as many values: each row of
+            # the C-contiguous array reduces exactly as its own 1-D array
+            same = [i for i, vals in enumerate(present) if len(vals) == size]
+            arr = np.array([present[i] for i in same], dtype=float)
+            sd = arr.std(axis=1, ddof=1) if size > 1 else np.zeros(len(same))
+            stats.update(zip(same, zip(arr.mean(axis=1).tolist(), sd.tolist())))
+        for i, cells in enumerate(lines):
+            cells += [repr(x) for x in stats[i]] if i in stats else ["", ""]
+    Path(path).write_text("".join(",".join(cells) + "\n" for cells in [header] + lines))
 
 
 def build_id(config_text: str) -> str:

@@ -24,7 +24,8 @@ tridiagonal, and J comes from a block Cholesky factorization of I - K
 The arrays of N x N or block size that the module forms are LAPACK or BLAS
 inputs and outputs: J, the blocks of the factorization, and the two scaled
 matrices of ``shrink_to_feasible``.  ``DiscretizedKernel.from_dense`` and
-``to_dense`` convert dense matrices for tests, the oracle and the checks.
+``to_dense`` convert dense matrices for tests, the oracle and the checks;
+the oracle enumerates the subset masses of a small kernel.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class DiscretizedKernel:
     operations that keep the sparsity pattern keep the bands.  Construction
     checks the shapes, that every entry is finite (:class:`NonFiniteKernel`)
     and the zero cells, in O(N c); spectral invariants are checked by
-    :func:`validate_kernel`.  Kernels are built valid (``smc.banded_kernel``)
-    or made valid by :func:`shrink_to_feasible`.
+    ``checks.validate_kernel``, in the test rig.  Kernels are built valid
+    (``smc.banded_kernel``) or made valid by :func:`shrink_to_feasible`.
     """
 
     arrays: tuple[np.ndarray, ...]
@@ -283,10 +284,11 @@ def _operator_blocks(g: np.ndarray, bounds):
     K block tridiagonal on ``bounds`` (``_block_bounds``: blocks of m >= the
     largest reach points, and a ragged last one), from the ``_lower_band``
     array g.  Each block's columns of g are laid out by ``_upper_rows``,
-    all m-point blocks at once: the cells inside a block give the lower
-    triangle of its diagonal block, and the cells past its end, which wrap
-    into the strictly upper triangle there, the block below it.  LAPACK
-    dpotrf reads the lower triangle alone, so that upper triangle stays."""
+    all m-point blocks at once, in one array: the cells inside a block give
+    the lower triangle of its diagonal block, and the cells past its end,
+    which wrap into the strictly upper triangle there, the upper triangle
+    of the block below it.  LAPACK dpotrf reads the lower triangle alone,
+    and ``_block_cholesky`` the upper triangle of a block below."""
     lo, hi = bounds[-1]
     last = _upper_rows(g[:-1, lo:hi], hi - lo)[: hi - lo]  # nothing lies past the last block
     np.negative(last, out=last)
@@ -296,7 +298,7 @@ def _operator_blocks(g: np.ndarray, bounds):
     laid = _upper_rows(g[:-1, :lo].reshape(len(g) - 1, -1, m).swapaxes(0, 1), m)
     np.negative(laid, out=laid)
     diagonal = list(laid[:, :m].swapaxes(1, 2))
-    below = list(np.tril(laid[:, 1:]).swapaxes(1, 2))
+    below = list(laid[:, 1:].swapaxes(1, 2))
     below[-1] = np.concatenate([below[-1], np.zeros((hi - lo - m, m))])
     return diagonal + [last.T], below
 
@@ -304,20 +306,25 @@ def _operator_blocks(g: np.ndarray, bounds):
 def _block_cholesky(diagonal, below, shift, couplings=True):
     """Block Cholesky factorization of the block tridiagonal A = shift I + B
     from the blocks of B (``_operator_blocks``), of whose diagonal blocks
-    only the lower triangles are read; only block-sized arrays are formed.
-    The diagonal blocks are overwritten, a Fortran-ordered one by its
-    factor, so a caller that reads them again passes copies.
+    only the lower triangles are read, and of the blocks below them only
+    the upper ones, each before the diagonal block above it, with which it
+    may share memory.  The diagonal blocks are overwritten, a
+    Fortran-ordered one by its factor, so a caller that reads them again
+    passes copies.
 
     Returns (L, Y): the lower Cholesky factors L_k of the Schur complements
     of A's diagonal blocks and, with ``couplings``, Y_k = L_k^{-T} L_{k+1,k}^T
     for L_{k+1,k} = A_{k+1,k} L_k^{-T}; or None if A is not positive
     definite, which LAPACK dpotrf then decides exactly on one block.
     """
-    factors, ys = [], []
+    factors, ys, under = [], [], None
     for k, a in enumerate(diagonal):
+        left = under  # A_{k,k-1}
+        if k < len(below):  # its upper triangle, Fortran-ordered as dtrsm reads it
+            under = np.where(_lower_triangle(*below[k].shape[::-1]).T, below[k], 0.0)
         a.flat[:: a.shape[0] + 1] += shift
         if k:
-            lc = blas.dtrsm(1.0, factors[-1], below[k - 1], side=1, lower=1, trans_a=1)
+            lc = blas.dtrsm(1.0, factors[-1], left, side=1, lower=1, trans_a=1)
             if couplings:
                 ys.append(blas.dtrsm(1.0, factors[-1], lc.T, lower=1, trans_a=1))
             a -= lc @ lc.T
@@ -331,10 +338,11 @@ def _block_cholesky(diagonal, below, shift, couplings=True):
 
 
 @functools.lru_cache(maxsize=8)
-def _lower_triangle(size: int) -> np.ndarray:
-    """np.tri(size) as a read-only mask, cached: every block of the
-    transform mirrors its inverse by it."""
-    mask = np.tri(size, dtype=bool)
+def _lower_triangle(rows: int, cols: int) -> np.ndarray:
+    """np.tri(rows, cols) as a read-only mask, cached: the transform reads
+    every block below the diagonal through its transpose and mirrors every
+    inverse block by it."""
+    mask = np.tri(rows, cols, dtype=bool)
     mask.flags.writeable = False
     return mask
 
@@ -354,7 +362,7 @@ def _inverse_diagonal_blocks(factors, couplings):
         else:
             z = couplings[k] @ g_next
             h += z @ couplings[k].T
-        g_next = np.where(_lower_triangle(len(h)), h, h.T)  # h's lower triangle, mirrored
+        g_next = np.where(_lower_triangle(*h.shape), h, h.T)  # h's lower triangle, mirrored
         yield k, g_next, z
 
 
@@ -449,48 +457,32 @@ def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
     return jd
 
 
-def cross_covariance(kernel: DiscretizedKernel, a, b) -> float:
-    """Count covariance between index sets A and B under the DPP form; each
-    set is given as increasing distinct indices, as ``np.nonzero`` returns.
-
-    cov = sum_{A n B} K(x,x) - sum_{A x B} K(x,y)^2; the double sum
-    includes x == y, which is what the count algebra on atomic states
-    requires.  For disjoint A, B this is minus a sum of squares, hence <= 0
-    exactly.
-    """
+def count_covariances(kernel: DiscretizedKernel, a, b) -> tuple[float, float, float]:
+    """(var A, var B, cov(A, B)) of the counts in index sets A and B, each
+    given as increasing distinct indices (as ``np.nonzero`` returns), under
+    the DPP form cov(A, B) = sum_{A n B} K(x,x) - sum_{A x B} K(x,y)^2; the
+    double sum includes x == y, as the count algebra on atomic states
+    requires.  For disjoint A, B the covariance is minus a sum of squares,
+    hence <= 0 exactly."""
     a = np.asarray(a, dtype=int)
     b = np.asarray(b, dtype=int)
     diagonal = kernel.diagonal
     inter = np.intersect1d(a, b, assume_unique=True)
-    first = float(diagonal[inter].sum()) if inter.size else 0.0
-    if not (a.size and b.size):
-        return first
-    # K over A x B, zeros included, so that its sum of squares rounds as
-    # the dense block's does
+    # K over (A, B) x (A, B) in one gather, zeros included; each block's
+    # squares form a new C-contiguous array, so each sum rounds as the
+    # dense block's does
+    ab = np.concatenate([a, b])
     g = _lower_band(kernel)
-    lag = np.minimum(np.abs(np.subtract.outer(a, b)), len(g) - 1)
-    block = np.take(g, lag * g.shape[1] + np.minimum.outer(a, b))
-    return first - float((block**2).sum())
+    lag = np.minimum(np.abs(np.subtract.outer(ab, ab)), len(g) - 1)
+    block = np.take(g, lag * g.shape[1] + np.minimum.outer(ab, ab))
+    sa, sb = slice(len(a)), slice(len(a), None)
+    squares = [float((block[r, c] ** 2).sum()) for r, c in ((sa, sa), (sb, sb), (sa, sb))]
+    return tuple(float(diagonal[s].sum()) - q for s, q in zip((a, b, inter), squares))
 
 
-def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]:
-    """Janossy masses of every subset of a small kernel's states (N <= 12):
-    the probability that the process is exactly that subset."""
-    n = len(kernel)
-    if n > 12:
-        raise ValueError("subset enumeration is limited to 12 points")
-    lam = operator_spectrum(kernel)
-    if lam.max(initial=0.0) > 1.0 - DELTA + 1e-12:
-        raise SpectrumError(f"spectrum reaches {lam.max():.6g}; make the kernel valid first")
-    void = float(np.prod(1.0 - lam))
-    j = interaction_kernel(kernel)
-    out: dict[tuple[int, ...], float] = {(): void}
-    for bits in range(1, 1 << n):
-        idx = [i for i in range(n) if bits >> i & 1]
-        out[tuple(idx)] = max(void * float(np.linalg.det(j[np.ix_(idx, idx)])), 0.0)
-    return out
-
-
+# No filter calls project_kernel any more (shrink_to_feasible replaced it);
+# it stays while benchmark/tracing.py wraps it by name and test fixtures
+# build kernels with it, until ROADMAP item 1 retires both.
 def project_kernel(entries: np.ndarray) -> DiscretizedKernel:
     """Clip a symmetric matrix into the valid correlation kernels.
 
@@ -577,14 +569,3 @@ def shrink_to_feasible(kernel: DiscretizedKernel) -> tuple[DiscretizedKernel, fl
                 if highest > 0.0:
                     t = min(t, 1.0 / highest)
     return DiscretizedKernel.from_pairs(diagonal, t * off, kernel.bands), t, clipped_mass
-
-
-def validate_kernel(kernel: DiscretizedKernel) -> None:
-    """Raise unless the operator spectrum lies in [0, 1 - DELTA], up to
-    roundoff (used by test rigs; construction checks the structure)."""
-    tol = 1e-9  # roundoff allowed at the spectrum's bounds
-    lam = operator_spectrum(kernel)
-    if lam.min(initial=0.0) < -tol:
-        raise AssertionError(f"spectrum has negative eigenvalue {lam.min():.3e}")
-    if lam.max(initial=0.0) > 1.0 - DELTA + tol:
-        raise AssertionError(f"spectrum reaches {lam.max():.6g} > 1 - delta")

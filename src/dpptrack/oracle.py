@@ -22,6 +22,13 @@ provided:
 Everything is an exact finite sum; there is no truncation once the prior's
 support is finite.  Probabilities are carried in linear scale, and every
 Upsilon entry and covariance is a compensated (math.fsum) sum.
+
+Paper formulas on explicit grids close the module, as references that the
+tests check against the exact routes and the filter: the Janossy masses of
+a DPP (``all_subset_masses``, behind ``dpp_process``), the predicted
+moments (``prediction_moments``), the square-root kernel reconstruction
+(``reconstruct_kernel_from_moments``) and the approximate posterior count
+covariance (``approx_count_covariance``).  No Monte Carlo step runs them.
 """
 
 from __future__ import annotations
@@ -34,8 +41,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .dpp_filter import pair_denominators, posterior_kernel_entries
 from .errors import SizeError
-from .kernels import DiscretizedKernel, all_subset_masses
+from .kernels import (
+    DiscretizedKernel,
+    interaction_kernel,
+    operator_spectrum,
+    pair_index,
+    shrink_to_feasible,
+)
+from .ppp_filter import corrector_terms
 
 # Exact-sum size bounds.  The observation factorization is factorial in the
 # number of points; these caps keep every call comfortably under a second.
@@ -419,3 +434,95 @@ def enumerate_posterior(prior: FiniteProcess, obs: ObservationModel, meas) -> Fi
     if not table:
         raise ValueError("measurements have zero likelihood under the prior")
     return FiniteProcess(prior.points, table).normalized()
+
+
+def all_subset_masses(kernel: DiscretizedKernel) -> dict[tuple[int, ...], float]:
+    """Janossy masses of every subset of a small kernel's states (N <= 12):
+    the probability that the process is exactly that subset.  Raises
+    SpectrumError, from ``interaction_kernel``, unless the kernel is valid."""
+    n = len(kernel)
+    if n > 12:
+        raise ValueError("subset enumeration is limited to 12 points")
+    j = interaction_kernel(kernel)
+    void = float(np.prod(1.0 - operator_spectrum(kernel)))
+    out: dict[tuple[int, ...], float] = {(): void}
+    for bits in range(1, 1 << n):
+        idx = [i for i in range(n) if bits >> i & 1]
+        out[tuple(idx)] = max(void * float(np.linalg.det(j[np.ix_(idx, idx)])), 0.0)
+    return out
+
+
+def prediction_moments(
+    kernel: DiscretizedKernel,
+    p_s: float,
+    transition: np.ndarray,
+    birth_intensity: np.ndarray,
+    birth_pair: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted first and second factorial moments on an explicit grid of
+    target points.
+
+    ``transition[t, u]`` is the motion density l_s(target point t | source
+    point u); the survivor terms sum it against the prior kernel, whose
+    diagonal is the source points' intensity mass.
+    """
+    kd = kernel.diagonal
+    surv = p_s * transition @ kd
+    mu = np.asarray(birth_intensity, dtype=float) + surv
+    pair_prior = np.outer(kd, kd) - kernel.to_dense() ** 2
+    rho_surv = p_s**2 * transition @ pair_prior @ transition.T
+    rho = (
+        rho_surv
+        + np.outer(birth_intensity, surv)
+        + np.outer(surv, birth_intensity)
+        + np.asarray(birth_pair, dtype=float)
+    )
+    np.fill_diagonal(rho, 0.0)
+    return mu, rho
+
+
+def reconstruct_kernel_from_moments(mu: np.ndarray, rho: np.ndarray) -> DiscretizedKernel:
+    """Square-root kernel reconstruction K(x,y) = sqrt(mu mu - rho) from the
+    dense pair moment ``rho``, on every pair, made valid by the filter's own
+    map, ``shrink_to_feasible``."""
+    bands = ((len(mu), len(mu)),)
+    raw = posterior_kernel_entries(np.asarray(mu, dtype=float), rho[pair_index(bands)], bands)[0]
+    return shrink_to_feasible(raw)[0]
+
+
+def approx_count_covariance(
+    kernel: DiscretizedKernel,
+    like: np.ndarray,
+    clutter: np.ndarray,
+    q_d: float,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> float:
+    """Closed-form posterior count covariance over two index sets, from the
+    interaction kernel of the predicted correlation kernel and the scan:
+    the miss-branch intensity and pair terms, per detection z the cross
+    terms and their z = z' correction, and per pair z != z' the paired
+    term over A x B less its product counterpart (for disjoint regions with
+    no cross interaction this degenerates to the negative-correlation
+    contract), summed by one math.fsum."""
+    a, b = (np.unique(np.asarray(s, dtype=int)) for s in (a, b))
+    if a.size == 0 or b.size == 0:
+        return 0.0
+    jm = interaction_kernel(kernel)
+    jd = np.diag(jm).copy()
+    inter = np.intersect1d(a, b)
+    jab2 = jm[np.ix_(a, b)] ** 2
+    sc = corrector_terms(clutter, like, jd)[0]
+    la, lb = like[:, a], like[:, b]
+    sa, sb = la @ jd[a], lb @ jd[b]
+    # per detection z: the cross terms against the miss branch, and the
+    # z = z' correction
+    cross = -q_d / sc * (la @ jab2.sum(axis=1) + lb @ jab2.sum(axis=0))
+    single = (like[:, inter] @ jd[inter] - sa * sb / sc) / sc
+    # per pair z != z'
+    off = ~np.eye(len(sc), dtype=bool)
+    num = (la @ (np.outer(jd[a], jd[b]) - jab2) @ lb.T)[off]
+    denom = pair_denominators(jm**2, like, sc)[off]
+    paired = num / denom - np.outer(sa, sb)[off] / np.outer(sc, sc)[off]
+    terms = [q_d * np.sum(jd[inter]), -(q_d**2) * np.sum(jab2), *cross, *single, *paired]
+    return math.fsum(terms)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import stats
 
-from dpptrack.checks import operator_form
+from dpptrack.checks import operator_form, validate_kernel
 from dpptrack.dpp_filter import (
     FilterState,
     dpp_update,
@@ -24,7 +24,6 @@ from dpptrack.kernels import (
     interaction_kernel,
     pair_index,
     project_kernel,
-    validate_kernel,
 )
 from dpptrack.likelihood import SensorModel
 from dpptrack.metrics import omat, ospa

@@ -25,7 +25,7 @@ from dpptrack.kernels import (
     DELTA,
     DiscretizedKernel,
     band_pairs,
-    cross_covariance,
+    count_covariances,
     interaction_diagonal,
     interaction_kernel,
     pair_index,
@@ -155,6 +155,20 @@ def dense_cross_covariance(m, a, b):
     return first - second
 
 
+def gathered_cross_covariance(kernel, a, b):
+    """cov(A, B) from its own gather of K over A x B from the bands: the
+    one-pair form, called three times, that ``count_covariances`` replaces."""
+    diagonal = kernel.diagonal
+    inter = np.intersect1d(a, b, assume_unique=True)
+    first = float(diagonal[inter].sum()) if inter.size else 0.0
+    if not (a.size and b.size):
+        return first
+    g = kernels._lower_band(kernel)
+    lag = np.minimum(np.abs(np.subtract.outer(a, b)), len(g) - 1)
+    block = np.take(g, lag * g.shape[1] + np.minimum.outer(a, b))
+    return first - float((block**2).sum())
+
+
 # -- properties --------------------------------------------------------------
 
 
@@ -260,8 +274,22 @@ class TestAgainstDenseFormulas:
         side = rng.integers(0, 3, n)  # 0 -> A, 1 -> B, 2 -> neither
         a, b = np.nonzero(side == 0)[0], np.nonzero(side == 1)[0]
         for x, y in ((a, b), (a, a), (b, b), (np.nonzero(side < 2)[0], a)):
-            assert cross_covariance(kernel, x, y) == dense_cross_covariance(m, x, y)
-        assert cross_covariance(kernel, a, b) <= 0.0  # disjoint: minus a sum of squares
+            expect = tuple(dense_cross_covariance(m, *p) for p in ((x, x), (y, y), (x, y)))
+            assert count_covariances(kernel, x, y) == expect
+        assert count_covariances(kernel, a, b)[2] <= 0.0  # disjoint: minus a sum of squares
+
+    @given(layouts(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_count_covariances_are_the_three_gathers(self, bands, seed):
+        rng = np.random.default_rng(seed)
+        kernel = DiscretizedKernel.from_dense(dense_input(rng, bands), bands)
+        n = len(kernel)
+        # overlapping, nested, disjoint and empty domains, as np.nonzero gives them
+        a = np.nonzero(rng.random(n) < rng.random())[0]
+        b = np.nonzero(rng.random(n) < rng.random())[0]
+        for x, y in ((a, b), (b, a), (a, a), (a, np.union1d(a, b)), (a, b[:0])):
+            expect = tuple(gathered_cross_covariance(kernel, *p) for p in ((x, x), (y, y), (x, y)))
+            assert count_covariances(kernel, x, y) == expect
 
 
 class TestEdges:

@@ -3,24 +3,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpptrack import dpp_filter, kernels
 from dpptrack.dpp_filter import (
     DppPhdFilter,
     FilterState,
     UpdateDiagnostics,
-    approx_count_covariance,
     correlation_estimate,
     dpp_update,
     posterior_diagonal,
     posterior_kernel_entries,
     posterior_moments,
-    prediction_moments,
     predict,
-    reconstruct_kernel_from_moments,
 )
 from dpptrack.errors import DegenerateIntensity, DegenerateVariance
-from dpptrack.checks import operator_form
+from dpptrack.checks import operator_form, validate_kernel
 from dpptrack.harness import preset, run_single
 from dpptrack.kernels import (
     DELTA,
@@ -30,10 +29,16 @@ from dpptrack.kernels import (
     operator_spectrum,
     pair_index,
     project_kernel,
-    validate_kernel,
 )
 from dpptrack.likelihood import SensorModel
-from dpptrack.oracle import ExactPosterior, ObservationModel, dpp_process
+from dpptrack.oracle import (
+    ExactPosterior,
+    ObservationModel,
+    approx_count_covariance,
+    dpp_process,
+    prediction_moments,
+    reconstruct_kernel_from_moments,
+)
 from dpptrack.ppp_filter import (
     PppPhdFilter,
     SurvivalModel,
@@ -407,7 +412,53 @@ class TestUpdate:
         validate_kernel(dpp_update(st, scan, sensor)[0].kernel)
 
 
+def loop_count_covariance(kernel, like, clutter, q_d, a, b):
+    """approx_count_covariance term by term: one loop over the detections
+    z and one over the pairs z != z', each term a Python float."""
+    a, b = np.unique(np.asarray(a, dtype=int)), np.unique(np.asarray(b, dtype=int))
+    if a.size == 0 or b.size == 0:
+        return 0.0
+    jm = interaction_kernel(kernel)
+    jd = np.diag(jm).copy()
+    inter = np.intersect1d(a, b)
+    jab = jm[np.ix_(a, b)]
+    terms = [float(q_d * np.sum(jd[inter])), float(-(q_d**2) * np.sum(jab**2))]
+    sc = corrector_terms(clutter, like, jd)[0]
+    la, lb = like[:, a], like[:, b]
+    m = like.shape[0]
+    for z in range(m):
+        terms.append(float(-q_d / sc[z] * np.sum((la[z][:, None] + lb[z][None, :]) * jab**2)))
+        sa, sb = float(np.sum(la[z] * jd[a])), float(np.sum(lb[z] * jd[b]))
+        terms.append((float(np.sum(like[z, inter] * jd[inter])) - sa * sb / sc[z]) / sc[z])
+    denom = np.outer(sc, sc) - like @ jm**2 @ like.T
+    pair_ab = np.outer(jd[a], jd[b]) - jab**2
+    for z in range(m):
+        for z2 in range(m):
+            if z != z2:
+                num = float(np.sum(pair_ab * np.outer(la[z], lb[z2])))
+                prod = float(np.sum(la[z] * jd[a])) * float(np.sum(lb[z2] * jd[b]))
+                terms.append(num / denom[z, z2] - prod / (sc[z] * sc[z2]))
+    return math.fsum(terms)
+
+
 class TestCovariance:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_array_terms_match_the_loop_form(self, seed, n, m):
+        # the same terms in another summation order: equal to within the
+        # roundoff of double-precision sums over at most 12 x 12 products
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-0.05, 0.05, (n, n))
+        raw = raw + raw.T
+        np.fill_diagonal(raw, rng.uniform(0.05, 0.6, n))
+        kernel = kernels.shrink_to_feasible(DiscretizedKernel.from_dense(raw))[0]
+        like, clutter = rng.uniform(0.0, 1.0, (m, n)), rng.uniform(0.1, 1.0, m)
+        a, b = np.nonzero(rng.random(n) < 0.6)[0], np.nonzero(rng.random(n) < 0.6)[0]
+        q_d = float(rng.uniform(0.1, 0.9))
+        expect = loop_count_covariance(kernel, like, clutter, q_d, a, b)
+        got = approx_count_covariance(kernel, like, clutter, q_d, a, b)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-14)
+
     def test_no_detection_branch_reduces_to_two_terms(self):
         # q_d = 1: only the miss-branch terms survive
         kernel = epsilon_kernel(0.1)

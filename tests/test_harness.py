@@ -337,6 +337,36 @@ class TestRunExperiment:
                if line.startswith("peak rss mb = ")]
         assert len(rss) == 1 and 0.0 < float(rss[0].split(" = ")[1]) <= peak_rss_mb() + 0.05
 
+    @pytest.mark.parametrize("name", ["spooky", "birth"])
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_summary_cells_are_the_per_group_reductions(self, tmp_path, name, runs):
+        # spooky leaves corr_AB out of some DPP rows; birth also leaves out
+        # omat and good_ratio where a filter reports no estimate
+        res = run_experiment(replace(preset(name), mc_runs=runs, filter="both"), out_dir=tmp_path)
+        lines = (tmp_path / "summary.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        groups: dict = {}
+        for row in res.rows:
+            groups.setdefault((row["filter"], row["t"]), []).append(row)
+        assert len(lines) == 1 + len(groups)
+        missing = set()
+        for line, key in zip(lines[1:], sorted(groups)):
+            cells = dict(zip(header, line.split(",")))
+            assert (cells["filter"], int(cells["t"])) == key
+            for metric in harness.CSV_COLUMNS[3:]:
+                vals = [r[metric] for r in groups[key] if r[metric] is not None]
+                if len(vals) < runs:
+                    missing.add(metric)
+                expect = ["", ""]
+                if vals:
+                    arr = np.asarray(vals, dtype=float)
+                    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+                    expect = [repr(float(arr.mean())), repr(sd)]
+                assert [cells[f"{metric}_mean"], cells[f"{metric}_sd"]] == expect
+        assert {"corr_AB"} <= missing
+        if name == "birth":
+            assert {"omat", "good_ratio"} <= missing
+
     def test_meta_aggregates_the_posterior_map(self, tmp_path, monkeypatch):
         scales, clipped = [], []
         step = DppPhdFilter.step

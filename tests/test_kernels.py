@@ -15,19 +15,23 @@ from dpptrack.kernels import (
     DELTA,
     DiscretizedKernel,
     _block_bounds,
-    all_subset_masses,
     band_pairs,
-    cross_covariance,
+    count_covariances,
     interaction_diagonal,
     interaction_kernel,
     operator_spectrum,
     pair_index,
     project_kernel,
     shrink_to_feasible,
+)
+from dpptrack.checks import (
+    ceiling_bound_kernel,
+    operator_form,
+    spectral_interaction,
     validate_kernel,
 )
-from dpptrack.checks import ceiling_bound_kernel, operator_form, spectral_interaction
 from dpptrack.likelihood import SensorModel
+from dpptrack.oracle import all_subset_masses
 from dpptrack.scenario import SensorConfig, generate_scan
 from dpptrack.smc import banded_kernel
 
@@ -382,7 +386,7 @@ class TestBandedTransform:
 class TestCrossCovariance:
     def test_disjoint_zero_offdiagonal(self):
         k = DiscretizedKernel.from_dense(np.diag([0.2, 0.3, 0.1, 0.4]))
-        assert cross_covariance(k, [0, 1], [2, 3]) == 0.0
+        assert count_covariances(k, [0, 1], [2, 3])[2] == 0.0
 
     def test_full_grid_diagonal_formula(self):
         # a diagonal kernel d on point masses w, in operator form
@@ -390,11 +394,11 @@ class TestCrossCovariance:
         d = np.array([0.2, 0.3, 0.4])
         k = DiscretizedKernel.from_dense(operator_form(np.diag(d), w))
         expect = float(np.sum(d * w) - np.sum(d**2 * w**2))
-        assert cross_covariance(k, range(3), range(3)) == pytest.approx(expect, abs=1e-14)
+        assert count_covariances(k, range(3), range(3))[2] == pytest.approx(expect, abs=1e-14)
 
     def test_two_point_hand_value(self):
         k = DiscretizedKernel.from_dense(np.array([[0.4, 0.2], [0.2, 0.4]]))
-        assert cross_covariance(k, [0], [1]) == pytest.approx(-0.04, abs=1e-15)
+        assert count_covariances(k, [0], [1])[2] == pytest.approx(-0.04, abs=1e-15)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -404,7 +408,7 @@ class TestCrossCovariance:
         mask = rng.integers(0, 3, size=5)  # 0 -> A, 1 -> B, 2 -> neither
         a = [i for i in range(5) if mask[i] == 0]
         b = [i for i in range(5) if mask[i] == 1]
-        assert cross_covariance(k, a, b) <= 0.0
+        assert count_covariances(k, a, b)[2] <= 0.0
 
 
 class TestJanossy:

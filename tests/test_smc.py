@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dpptrack.dpp_filter import DppPhdFilter, FilterState, predict
 from dpptrack.errors import ConfigError, DegenerateIntensity, SpectrumError
 from dpptrack.harness import config_from_ini, config_to_ini, preset
-from dpptrack.kernels import DELTA, validate_kernel
+from dpptrack.checks import validate_kernel
+from dpptrack.kernels import DELTA
 from dpptrack.likelihood import SensorModel
 from dpptrack.ppp_filter import PppPhdFilter, SurvivalModel, WeightedParticles, ppp_predict
 from dpptrack.scenario import DynamicsConfig, Region, Scan, SensorConfig, Window
