@@ -133,14 +133,12 @@ def spectral_interaction(kernel) -> np.ndarray:
     return (u * (lam / (1.0 - lam))) @ u.T
 
 
-def ceiling_bound_kernel(rng: np.random.Generator, n: int, width=None):
-    """A ``shrink_to_feasible`` output on n points in one band of
-    bandwidth ``width`` (None: full width), from the kernel of a grid of
-    random point masses in operator form, whose spectrum sits at the
-    1 - delta ceiling.  The diagonal is 0.6-0.99 of 1 - delta and the
-    off-diagonal entries are at least 0.5, so the Perron root of
-    E^-1/2 O E^-1/2 exceeds 1 and the one of D^-1/2 O D^-1/2: the ceiling
-    sets the off-diagonal scale t < 1, which is returned with the kernel."""
+def ceiling_bound_input(rng: np.random.Generator, n: int, width=None) -> DiscretizedKernel:
+    """A kernel matrix on n points in one band of bandwidth ``width`` (None:
+    full width), of a grid of random point masses in operator form.  Its
+    diagonal is 0.6-0.99 of 1 - delta and its off-diagonal at least 0.5, so
+    the Perron root of E^-1/2 O E^-1/2 exceeds 1 and the one of D^-1/2 O D^-1/2:
+    ``shrink_to_feasible`` takes t < 1 and puts the spectrum at the ceiling."""
     weights = rng.uniform(0.5, 2.0, n)
     raw = rng.uniform(1.0, 2.0, (n, n))
     raw = 0.5 * (raw + raw.T)
@@ -148,16 +146,14 @@ def ceiling_bound_kernel(rng: np.random.Generator, n: int, width=None):
     raw = operator_form(raw, weights)
     if width is not None:
         raw[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > width] = 0.0
-    bands = ((n, n if width is None else width),)
-    kernel, t, _ = shrink_to_feasible(DiscretizedKernel.from_dense(raw, bands))
-    return kernel, t
+    return DiscretizedKernel.from_dense(raw, ((n, n if width is None else width),))
 
 
 def check_interaction_transform(rtol: float = 1e-10) -> tuple[bool, str]:
     """J = (Id - K)^{-1} K by Cholesky against its spectral definition, on a
     kernel whose spectrum sits at the 1 - delta ceiling: the case
     where the LAPACK build's rounding matters most."""
-    kernel, _ = ceiling_bound_kernel(np.random.default_rng(5), 60)
+    kernel = shrink_to_feasible(ceiling_bound_input(np.random.default_rng(5), 60))[0]
     spectral = spectral_interaction(kernel)
     err = float(np.abs(interaction_kernel(kernel) - spectral).max())
     scale = float(np.abs(spectral).max())
@@ -167,11 +163,24 @@ def check_interaction_transform(rtol: float = 1e-10) -> tuple[bool, str]:
     )
 
 
+def check_shrink_scale(rtol: float = 1e-12) -> tuple[bool, str]:
+    """shrink_to_feasible's t against t from the full spectra of the dense
+    scaled operands, on a ceiling-bound input whose points are all free."""
+    raw = ceiling_bound_input(np.random.default_rng(5), 60)
+    d, off = raw.diagonal, raw.to_dense() - np.diag(raw.diagonal)
+    lam = [np.linalg.eigvalsh(off / np.sqrt(np.outer(s, s))) for s in (d, 1.0 - DELTA - d)]
+    expect = min(1.0, -1.0 / lam[0][0], 1.0 / lam[1][-1])
+    t = shrink_to_feasible(raw)[1]
+    err = abs(t - expect) / expect
+    return t < 1.0 and err <= rtol, f"shrink scale: t {t:.6g}, off by {err:.2e} (tol {rtol:g})"
+
+
 ALL_CHECKS = (
     check_poisson_reduction,
     check_oracle_equivalence,
     check_dpp_normalization,
     check_interaction_transform,
+    check_shrink_scale,
 )
 
 

@@ -404,7 +404,7 @@ def run_experiment(
     with _one_blas_thread():
         if threads > 1 and cfg.mc_runs > 1:
             with ProcessPoolExecutor(
-                max_workers=threads, initializer=_pin_blas_threads
+                max_workers=min(threads, cfg.mc_runs), initializer=_pin_blas_threads
             ) as pool:
                 records = list(pool.map(run_single, [cfg] * len(runs), runs))
         else:

@@ -22,10 +22,9 @@ tridiagonal, and J comes from a block Cholesky factorization of I - K
 (I - K)^{-1} (``interaction_diagonal``; Takahashi, Fagan & Chen 1973).
 
 The arrays of N x N or block size that the module forms are LAPACK or BLAS
-inputs and outputs: J, the blocks of the factorization, and the two scaled
-matrices of ``shrink_to_feasible``.  ``DiscretizedKernel.from_dense`` and
-``to_dense`` convert dense matrices for tests, the oracle and the checks;
-the oracle enumerates the subset masses of a small kernel.
+inputs and outputs: J and the blocks of the factorization; spectral bounds
+take one LAPACK call per band array.  ``DiscretizedKernel.from_dense`` and
+``to_dense`` convert dense matrices for the tests, the oracle and the checks.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, eigvals_banded, lapack
 
 from .errors import NonFiniteKernel, SpectrumError
 
@@ -215,13 +214,35 @@ def operator_spectrum(kernel: DiscretizedKernel) -> np.ndarray:
     return np.linalg.eigvalsh(kernel.to_dense())
 
 
+def _extreme_eigenvalue(arrays, top: bool) -> float:
+    """The largest (``top``) or smallest eigenvalue of the block diagonal
+    matrix of the band ``arrays``: LAPACK dsbevx on that index of each band
+    of points, by bisection to abstol 2 dlamch('S'), with no eigenvectors."""
+    ends = np.concatenate([
+        eigvals_banded(a, lower=True, select="i", select_range=[a.shape[1] - 1 if top else 0] * 2)
+        for a in arrays
+        if a.shape[1]
+    ])
+    return float(ends.max() if top else ends.min())
+
+
+def _dominates(shift: float, arrays) -> bool:
+    """Whether shift I - M is positive definite, for M block diagonal with
+    the band ``arrays`` as its blocks: whether LAPACK dpbtrf finds a banded
+    Cholesky factor of every band."""
+    infos = (lapack.dpbtrf(np.r_[shift - a[:1], -a[1:]], lower=1)[1] for a in arrays)
+    info = next((i for i in infos if i), 0)  # the first failure, if any
+    if info < 0:
+        raise ValueError(f"LAPACK dpbtrf failed with info={info}")
+    return info == 0
+
+
 # Floor on the block size of the banded interaction transform, and a kernel
 # of fewer than 4 blocks is one block: with one BLAS thread, blocks of 32
 # beat 40 and 48 on the 80-340 point kernels of a spooky DPP run, and
 # splitting a kernel of fewer than about 130 points costs more per-call
 # overhead than its O(n^3) factorization saves.  The blocks are gathered
-# from the band arrays; they, J and the two scaled matrices of
-# ``shrink_to_feasible`` are the only arrays of block or N x N size here.
+# from the band arrays; they and J are the only arrays of block or N x N size.
 BLOCK_FLOOR = 32
 
 
@@ -303,36 +324,32 @@ def _operator_blocks(g: np.ndarray, bounds):
     return diagonal + [last.T], below
 
 
-def _block_cholesky(diagonal, below, shift, couplings=True):
-    """Block Cholesky factorization of the block tridiagonal A = shift I + B
-    from the blocks of B (``_operator_blocks``), of whose diagonal blocks
-    only the lower triangles are read, and of the blocks below them only
-    the upper ones, each before the diagonal block above it, with which it
-    may share memory.  The diagonal blocks are overwritten, a
-    Fortran-ordered one by its factor, so a caller that reads them again
-    passes copies.
+def _block_cholesky(diagonal, below):
+    """Block Cholesky factorization of the block tridiagonal A = I + B, that
+    is I - K, from the blocks of B = -K (``_operator_blocks``), of whose
+    diagonal blocks only the lower triangles are read, and of the blocks
+    below them only the upper ones, each before the diagonal block above
+    it, with which it may share memory.  The diagonal blocks are
+    overwritten, a Fortran-ordered one by its factor.
 
     Returns (L, Y): the lower Cholesky factors L_k of the Schur complements
-    of A's diagonal blocks and, with ``couplings``, Y_k = L_k^{-T} L_{k+1,k}^T
-    for L_{k+1,k} = A_{k+1,k} L_k^{-T}; or None if A is not positive
-    definite, which LAPACK dpotrf then decides exactly on one block.
+    of A's diagonal blocks and Y_k = L_k^{-T} L_{k+1,k}^T for
+    L_{k+1,k} = A_{k+1,k} L_k^{-T}.  Raises :class:`SpectrumError` if A is
+    not positive definite, which the domain check rules out beforehand.
     """
     factors, ys, under = [], [], None
     for k, a in enumerate(diagonal):
         left = under  # A_{k,k-1}
         if k < len(below):  # its upper triangle, Fortran-ordered as dtrsm reads it
             under = np.where(_lower_triangle(*below[k].shape[::-1]).T, below[k], 0.0)
-        a.flat[:: a.shape[0] + 1] += shift
+        a.flat[:: a.shape[0] + 1] += 1.0
         if k:
             lc = blas.dtrsm(1.0, factors[-1], left, side=1, lower=1, trans_a=1)
-            if couplings:
-                ys.append(blas.dtrsm(1.0, factors[-1], lc.T, lower=1, trans_a=1))
+            ys.append(blas.dtrsm(1.0, factors[-1], lc.T, lower=1, trans_a=1))
             a -= lc @ lc.T
         factor, info = lapack.dpotrf(a, lower=True, clean=True, overwrite_a=True)
-        if info > 0:
-            return None
-        if info < 0:
-            raise ValueError(f"LAPACK dpotrf failed with info={info}")
+        if info != 0:
+            raise SpectrumError(f"Id - K has no Cholesky factor (LAPACK dpotrf info={info})")
         factors.append(factor)
     return factors, ys
 
@@ -347,7 +364,7 @@ def _lower_triangle(rows: int, cols: int) -> np.ndarray:
     return mask
 
 
-def _inverse_diagonal_blocks(factors, couplings):
+def _inverse_diagonal_blocks(factors, ys):
     """Selected inversion (Takahashi recurrence), last block first: the
     diagonal blocks G_k of G = A^{-1} from G_k = (L_k L_k^T)^{-1} +
     Y_k G_{k+1} Y_k^T, each exactly symmetric.  Yields (k, G_k, Z_k) with
@@ -360,52 +377,47 @@ def _inverse_diagonal_blocks(factors, couplings):
         if g_next is None:
             z = None
         else:
-            z = couplings[k] @ g_next
-            h += z @ couplings[k].T
+            z = ys[k] @ g_next
+            h += z @ ys[k].T
         g_next = np.where(_lower_triangle(*h.shape), h, h.T)  # h's lower triangle, mirrored
         yield k, g_next, z
 
 
 def _interaction_factor(kernel: DiscretizedKernel):
-    """(bounds, (factors, couplings)) of I - K, shared by both interaction
+    """(bounds, (factors, ys)) of I - K, shared by both interaction
     transforms: checks that the kernel's spectrum lies at or below
     1 - DELTA (else :class:`SpectrumError`).  None for a kernel over no
     points.
 
-    The spectrum check is exact, a Cholesky factorization of
-    (1 - DELTA + 1e-12) I - K, and is skipped when Gershgorin's bound
-    already proves it: every eigenvalue of K is at most its largest
-    absolute row sum, which ``smc.banded_kernel`` caps at 1 - DELTA.  The
-    bound only decides whether the exact check runs, so its rounding moves
-    no output."""
+    The spectrum check is exact, a banded Cholesky factorization of
+    (1 - DELTA + 1e-12) I - K per band (``_dominates``), and is skipped
+    when Gershgorin's bound already proves it: every eigenvalue of K is at
+    most its largest absolute row sum, which ``smc.banded_kernel`` caps at
+    1 - DELTA.  The bound only decides whether the exact check runs, so
+    its rounding moves no output."""
     if len(kernel) == 0:
         return None
-    bounds = _block_bounds(kernel)
     g = _lower_band(kernel)
-    gershgorin = _gershgorin(g)
-    diagonal, below = _operator_blocks(g, bounds)
-    del g  # the blocks hold all that the factorizations read
     ceiling = 1.0 - DELTA + 1e-12
-    copies = (d.copy(order="K") for d in diagonal)  # the main factorization reads them next
-    if gershgorin > ceiling and _block_cholesky(copies, below, ceiling, couplings=False) is None:
-        top = float(operator_spectrum(kernel).max())
+    if _gershgorin(g) > ceiling and not _dominates(ceiling, kernel.arrays):
+        top = _extreme_eigenvalue(kernel.arrays, top=True)
         raise SpectrumError(
             f"correlation spectrum reaches {top:.12g} > 1 - delta (delta={DELTA:g}); "
             "make the kernel valid first"
         )
-    factor = _block_cholesky(diagonal, below, 1.0)
-    if factor is None:  # unreachable once the domain check has passed
-        raise SpectrumError("Id - K has no Cholesky factor")
-    return bounds, factor
+    bounds = _block_bounds(kernel)
+    diagonal, below = _operator_blocks(g, bounds)
+    del g  # the blocks hold all that the factorization reads
+    return bounds, _block_cholesky(diagonal, below)
 
 
-def _block_inverse(n, bounds, factors, couplings) -> np.ndarray:
+def _block_inverse(n, bounds, factors, ys) -> np.ndarray:
     """G = A^{-1} in full from the block factor: each diagonal block from the
     selected inversion, the strip right of it as G_{k,k+1:} = -Y_k G_{k+1,k+1:}
     (written once and mirrored below the diagonal, so G is exactly
     symmetric)."""
     g = np.empty((n, n))
-    for k, g_k, z in _inverse_diagonal_blocks(factors, couplings):
+    for k, g_k, z in _inverse_diagonal_blocks(factors, ys):
         lo, hi = bounds[k]
         g[lo:hi, lo:hi] = g_k
         if z is None:
@@ -413,7 +425,7 @@ def _block_inverse(n, bounds, factors, couplings) -> np.ndarray:
         nlo, nhi = bounds[k + 1]
         g[lo:hi, nlo:nhi] = -z
         if nhi < n:
-            g[lo:hi, nhi:] = -(couplings[k] @ g[nlo:nhi, nhi:])
+            g[lo:hi, nhi:] = -(ys[k] @ g[nlo:nhi, nhi:])
         g[nlo:, lo:hi] = g[lo:hi, nlo:].T
     return g
 
@@ -436,8 +448,8 @@ def interaction_kernel(kernel: DiscretizedKernel) -> np.ndarray:
     factor = _interaction_factor(kernel)
     if factor is None:
         return np.zeros((0, 0))
-    bounds, (factors, couplings) = factor
-    j = _block_inverse(n, bounds, factors, couplings)
+    bounds, (factors, ys) = factor
+    j = _block_inverse(n, bounds, factors, ys)
     j.flat[:: n + 1] -= 1.0
     return j
 
@@ -449,9 +461,9 @@ def interaction_diagonal(kernel: DiscretizedKernel) -> np.ndarray:
     factor = _interaction_factor(kernel)
     if factor is None:
         return np.zeros(0)
-    bounds, (factors, couplings) = factor
+    bounds, (factors, ys) = factor
     jd = np.empty(len(kernel))
-    for k, g_k, _ in _inverse_diagonal_blocks(factors, couplings):
+    for k, g_k, _ in _inverse_diagonal_blocks(factors, ys):
         lo, hi = bounds[k]
         jd[lo:hi] = np.diagonal(g_k) - 1.0
     return jd
@@ -500,19 +512,6 @@ def project_kernel(entries: np.ndarray) -> DiscretizedKernel:
     return DiscretizedKernel.from_dense(0.5 * (m + m.T))
 
 
-def _extreme_eigenvalue(a: np.ndarray, top: bool) -> float:
-    """The largest (``top``) or smallest eigenvalue of a symmetric matrix
-    alone, by LAPACK dsyevr on that one index (tridiagonal reduction, then
-    bisection to full accuracy); no eigenvectors are formed."""
-    k = a.shape[0] if top else 1
-    w, _, _, _, info = lapack.dsyevr(
-        a, compute_v=0, range="I", lower=1, il=k, iu=k, abstol=2.0 * lapack.dlamch("S")
-    )
-    if info != 0:
-        raise ValueError(f"LAPACK dsyevr failed with info={info}")
-    return float(w[0])
-
-
 def shrink_to_feasible(kernel: DiscretizedKernel) -> tuple[DiscretizedKernel, float, float]:
     """Make a kernel matrix M a valid correlation kernel by scaling its
     off-diagonal part and leaving its diagonal alone; M is any
@@ -525,14 +524,13 @@ def shrink_to_feasible(kernel: DiscretizedKernel) -> tuple[DiscretizedKernel, fl
     has spectrum at most 1 - DELTA iff t <= 1/lambda_max(E^{-1/2} O E^{-1/2}),
     with E = (1 - DELTA) I - D, and the largest such t in [0, 1] is taken.
     t starts at min(1, -1/lambda_min), one extreme eigenvalue
-    (``_extreme_eigenvalue``); a Cholesky factor of
-    I - t E^{-1/2} O E^{-1/2} then certifies the ceiling at that t, and
-    only when it does not exist is lambda_max computed and t lowered to
-    1/lambda_max.  No iteration.  The two scaled matrices are the LAPACK
-    inputs and the only dense arrays formed: N x N, with the scaled pairs
-    in the lower triangle, which is all dsyevr and dpotrf read, and a zero
-    row for each point that lost its pairs, which adds only a zero
-    eigenvalue and so moves neither bound on t.
+    (``_extreme_eigenvalue``); a banded Cholesky factor of
+    I - t E^{-1/2} O E^{-1/2} (``_dominates``) then certifies the ceiling
+    at that t, and only when it does not exist is lambda_max computed and
+    t lowered to 1/lambda_max.  No iteration.  The two scaled operands are
+    band arrays on the kernel's bands, with a zero diagonal and a zero row
+    for each point that lost its pairs, which adds only a zero eigenvalue
+    and so moves neither bound on t; no N x N array is formed.
 
     The diagonal is kept bit for bit wherever it lies in [0, 1 - DELTA], so
     the trace is the input's, and the bands are kept; a feasible input
@@ -549,22 +547,20 @@ def shrink_to_feasible(kernel: DiscretizedKernel) -> tuple[DiscretizedKernel, fl
     off[~(free[i] & free[j])] = 0.0  # the pairs of a clipped or bound point go
     t = 1.0
     if off.any():
-        root_d = np.sqrt(np.where(free, mu, 1.0))  # a point with no pairs divides by 1
-        root_e = np.sqrt(np.where(free, cap - mu, 1.0))
-        a, b = np.zeros((2, len(mu), len(mu)))
+        roots = np.sqrt(np.where(free, [mu, cap - mu], 1.0))  # a point with no pairs divides by 1
         try:
             # the divisors are positive and the entries finite, so only an
             # overflow makes a scaled entry non-finite
             with np.errstate(over="raise"):
-                a[i, j] = off / root_d[i] / root_d[j]
-                b[i, j] = off / root_e[i] / root_e[j]
+                a, b = (off / r[i] / r[j] for r in roots)  # the scaled pairs
+            a, b = (DiscretizedKernel.from_pairs(0.0 * mu, x, kernel.bands).arrays for x in (a, b))
         except FloatingPointError:
             t = 0.0  # a diagonal too close to a bound to scale against
         else:
             lowest = _extreme_eigenvalue(a, top=False)
             if lowest < 0.0:
                 t = min(t, -1.0 / lowest)
-            if _block_cholesky([-t * b], [], 1.0, couplings=False) is None:
+            if not _dominates(1.0, [t * x for x in b]):
                 highest = _extreme_eigenvalue(b, top=True)
                 if highest > 0.0:
                     t = min(t, 1.0 / highest)

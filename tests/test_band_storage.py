@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
@@ -78,26 +78,27 @@ def dense_banded_kernel(n, gamma, alpha, eta):
 
 def dense_interaction(m, bands):
     """(J, diag J, whether the exact check ran) by slicing the blocks from
-    the dense matrix and taking Gershgorin's bound from its rows."""
+    the dense matrix, taking Gershgorin's bound from its rows and the
+    domain check from its full spectrum."""
     n = len(m)
     if n == 0:
         return np.zeros((0, 0)), np.zeros(0), False
     bounds = argmax_block_bounds(n, band_mask(n, bands))
     below = [-m[lo:hi, clo:chi] for (clo, chi), (lo, hi) in zip(bounds, bounds[1:])]
 
-    def factor(shift, couplings=True):
+    def factor():
         # the factorization overwrites its diagonal blocks: each takes new ones
         diagonal = [-m[lo:hi, lo:hi] for lo, hi in bounds]
-        return kernels._block_cholesky(diagonal, below, shift, couplings)
+        return kernels._block_cholesky(diagonal, below)
 
     checked = float(np.abs(m).sum(axis=1).max()) > CEILING
-    if checked and factor(CEILING, couplings=False) is None:
+    if checked and np.linalg.eigvalsh(m).max() > CEILING:
         raise SpectrumError("spectrum above the ceiling")
     jd = np.empty(n)  # dpotri overwrites the factors: each transform factors anew
-    for k, g_k, _ in kernels._inverse_diagonal_blocks(*factor(1.0)):
+    for k, g_k, _ in kernels._inverse_diagonal_blocks(*factor()):
         lo, hi = bounds[k]
         jd[lo:hi] = np.diagonal(g_k) - 1.0
-    j = kernels._block_inverse(n, bounds, *factor(1.0))
+    j = kernels._block_inverse(n, bounds, *factor())
     j.flat[:: n + 1] -= 1.0
     return j, jd, checked
 
@@ -117,6 +118,9 @@ def dense_posterior_entries(mu, rho, bands):
 
 
 def dense_shrink(m):
+    """(off-diagonal kept, clipped diagonal, t, clipped mass): the pairs of
+    every clipped or bound point zeroed, and t from the full spectra of the
+    two dense scaled operands, or 0 when a scaled entry overflows."""
     mu = np.diag(m)
     cap = 1.0 - DELTA
     diagonal = np.clip(mu, 0.0, cap)
@@ -128,24 +132,16 @@ def dense_shrink(m):
     off[:, ~free] = 0.0
     t = 1.0
     if np.any(off):
-        # the zeroed rows take the divisor 1; LAPACK reads the lower triangle
-        lower = np.tril(off)
-        root_d = np.sqrt(np.where(free, mu, 1.0))
-        root_e = np.sqrt(np.where(free, cap - mu, 1.0))
+        # the zeroed rows take the divisor 1 and add only zero eigenvalues
+        roots = np.sqrt(np.where(free, mu, 1.0)), np.sqrt(np.where(free, cap - mu, 1.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            a = lower / root_d[:, None] / root_d[None, :]
-            b = lower / root_e[:, None] / root_e[None, :]
+            a, b = (off / r[:, None] / r[None, :] for r in roots)
         if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
-            lowest = kernels._extreme_eigenvalue(a, top=False)
-            if lowest < 0.0:
-                t = min(t, -1.0 / lowest)
-            if kernels._block_cholesky([-t * b], [], 1.0, couplings=False) is None:
-                highest = kernels._extreme_eigenvalue(b, top=True)
-                if highest > 0.0:
-                    t = min(t, 1.0 / highest)
+            lowest, highest = float(np.linalg.eigvalsh(a)[0]), float(np.linalg.eigvalsh(b)[-1])
+            t = min([t] + [1.0 / x for x in (-lowest, highest) if x > 0.0])
         else:
             t = 0.0
-    return t * off + np.diag(diagonal), t, clipped_mass
+    return off, diagonal, t, clipped_mass
 
 
 def dense_cross_covariance(m, a, b):
@@ -215,11 +211,11 @@ class TestAgainstDenseFormulas:
                 m *= (level if path == "exact" else 1.0 + level) * (1.0 - DELTA) / top
         kernel = DiscretizedKernel.from_dense(m, bands)
         checked = []
-        block_cholesky = kernels._block_cholesky
+        dominates = kernels._dominates
 
-        def recorded(diagonal, below, shift, couplings=True):
-            checked.append(shift != 1.0)
-            return block_cholesky(diagonal, below, shift, couplings)
+        def recorded(shift, arrays):
+            checked.append(shift)
+            return dominates(shift, arrays)
 
         try:
             j, jd, expect_checked = dense_interaction(m, bands)
@@ -231,12 +227,13 @@ class TestAgainstDenseFormulas:
             return
         assert path != "spectrum error" or not len(m)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_block_cholesky", recorded)
+            mp.setattr(kernels, "_dominates", recorded)
             np.testing.assert_array_equal(interaction_kernel(kernel), j)
             np.testing.assert_array_equal(interaction_diagonal(kernel), jd)
-        assert any(checked) == expect_checked
+        # one certificate per transform, at the ceiling, or none
+        assert checked == ([CEILING] * 2 if expect_checked else [])
         if path == "gershgorin":
-            assert not any(checked)
+            assert not checked
 
     @given(layouts(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -253,15 +250,19 @@ class TestAgainstDenseFormulas:
         assert clamped == expect
 
     @given(layouts(max_points=60), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
+    @example(bands=((4, 4), (0, 0)), seed=1, off_scale=1.0)  # a band of no points
+    @example(bands=((0, 2), (6, 0), (7, 3), (5, 0)), seed=2, off_scale=2.0)  # and of reach 0
     @settings(max_examples=40, deadline=None)
     def test_shrink_to_feasible(self, bands, seed, off_scale):
         rng = np.random.default_rng(seed)
         m = dense_input(rng, bands, off_scale)
         np.fill_diagonal(m, rng.uniform(-0.2, 1.5, len(m)))
         out, t, clipped = shrink_to_feasible(DiscretizedKernel.from_dense(m, bands))
-        entries, expect_t, expect_clipped = dense_shrink(m)
-        assert t == expect_t and clipped == expect_clipped
-        np.testing.assert_array_equal(out.to_dense(), entries)
+        off, diagonal, expect_t, expect_clipped = dense_shrink(m)
+        assert t == pytest.approx(expect_t, rel=1e-12, abs=0.0)
+        assert clipped == expect_clipped
+        # given t, the diagonal, the clip and the zeroed pairs bit for bit
+        np.testing.assert_array_equal(out.to_dense(), t * off + np.diag(diagonal))
 
     @given(layouts(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

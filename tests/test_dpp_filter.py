@@ -631,8 +631,8 @@ def test_filter_steps_keep_kernel_valid():
 def test_spooky_step_eigh_budget(monkeypatch):
     # the prior, birth and rebuilt kernels need no eigendecomposition, both
     # interaction transforms are Cholesky factorizations and
-    # shrink_to_feasible takes its extreme eigenvalues from LAPACK dsyevr,
-    # so a step makes no numpy eigh-family call
+    # shrink_to_feasible takes its extreme eigenvalues from LAPACK dsbevx
+    # on the band arrays, so a step makes no numpy eigh-family call
     calls = []
 
     def counted(fn):
@@ -659,15 +659,16 @@ def test_spooky_step_eigh_budget(monkeypatch):
 
 
 def test_spooky_update_takes_one_extreme_eigenvalue(monkeypatch):
-    # shrink_to_feasible's Cholesky certificate holds on every spooky
-    # update, so lambda_max is never computed: one dsyevr per update whose
-    # kernel has an off-diagonal, none for a diagonal one
+    # shrink_to_feasible's banded Cholesky certificate holds on every
+    # spooky update, so lambda_max is never computed: one lambda_min (one
+    # dsbevx per band) per update whose kernel has an off-diagonal, none
+    # for a diagonal one
     calls = []
     extreme = kernels._extreme_eigenvalue
 
-    def counted(a, top):
+    def counted(arrays, top):
         calls.append(top)
-        return extreme(a, top)
+        return extreme(arrays, top)
 
     per_update = []  # (wanted, made) extreme-eigenvalue calls
     update = dpp_filter.dpp_update

@@ -412,6 +412,31 @@ class TestRunExperiment:
         assert a == b == c
         assert blas_thread_counts() == before
 
+    @pytest.mark.parametrize("runs, threads, workers", [(2, 8, 2), (3, 2, 2), (1, 8, None)])
+    def test_pool_starts_no_idle_worker(self, monkeypatch, runs, threads, workers):
+        # a stand-in executor that maps in this process: it records the pool
+        # size, and the rows come out in run order as from a real pool
+        sizes = []
+
+        class InProcess:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        cfg = tiny_config(runs=runs)
+        serial = run_experiment(cfg).rows
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcess)
+        assert run_experiment(cfg, threads=threads).rows == serial
+        assert sizes == ([] if workers is None else [workers])
+
     def test_scoring_never_feeds_back_into_the_filters(self, monkeypatch):
         cfg = replace(preset("spooky"), filter="both", mc_runs=2, steps=12)
         scored = run_experiment(cfg).rows
@@ -469,7 +494,7 @@ class TestCli:
         assert cli_main(["oracle-check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert "interaction transform" in out
+        assert "interaction transform" in out and "shrink scale" in out
 
     def test_interaction_check_catches_a_perturbed_transform(self, monkeypatch):
         from dpptrack import checks
@@ -482,6 +507,19 @@ class TestCli:
         monkeypatch.setattr(checks, "interaction_kernel", perturbed)
         passed, msg = checks.check_interaction_transform()
         assert not passed and "interaction transform" in msg
+
+    def test_shrink_check_catches_a_perturbed_scale(self, monkeypatch):
+        from dpptrack import checks
+
+        exact = checks.shrink_to_feasible
+
+        def perturbed(kernel):
+            out, t, clipped = exact(kernel)
+            return out, t * (1.0 + 1e-11), clipped
+
+        monkeypatch.setattr(checks, "shrink_to_feasible", perturbed)
+        passed, msg = checks.check_shrink_scale()
+        assert not passed and "shrink scale" in msg
 
     def test_run_with_config_file(self, tmp_path, capsys):
         cfg = tiny_config()

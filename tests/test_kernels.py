@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from dpptrack.kernels import (
     shrink_to_feasible,
 )
 from dpptrack.checks import (
-    ceiling_bound_kernel,
+    ceiling_bound_input,
     operator_form,
     spectral_interaction,
     validate_kernel,
@@ -101,7 +103,7 @@ def ceiling_bound_kernels(draw):
     if draw(st.booleans()):  # a band of at least one neighbour
         eta = max(draw(st.floats(min_value=0.02, max_value=0.5)), 1.0 / n)
         width = index_bands(n, eta)[0][1]
-    kernel, t = ceiling_bound_kernel(rng, n, width)
+    kernel, t, _ = shrink_to_feasible(ceiling_bound_input(rng, n, width))
     assert t < 1.0
     return kernel
 
@@ -197,17 +199,17 @@ def gershgorin_bound(kernel):
 
 
 def check_factorizations(monkeypatch):
-    """Shifts of the block Cholesky calls that are not I - K itself, that
-    is, the domain check's (1 - DELTA + 1e-12) I - K, as they are made."""
+    """Shifts of the banded Cholesky certificates (``kernels._dominates``),
+    that is, the domain check's (1 - DELTA + 1e-12) I - K, as they are
+    made."""
     shifts = []
-    block_cholesky = kernels._block_cholesky
+    dominates = kernels._dominates
 
-    def recorded(diagonal, below, shift, couplings=True):
-        if shift != 1.0:
-            shifts.append(shift)
-        return block_cholesky(diagonal, below, shift, couplings)
+    def recorded(shift, arrays):
+        shifts.append(shift)
+        return dominates(shift, arrays)
 
-    monkeypatch.setattr(kernels, "_block_cholesky", recorded)
+    monkeypatch.setattr(kernels, "_dominates", recorded)
     return shifts
 
 
@@ -263,9 +265,9 @@ def layout_kernel(name, seed):
     """A kernel of the named layout at its 1 - delta ceiling."""
     n, band, births, birth_band, _ = LAYOUTS[name]
     rng = np.random.default_rng(seed)
-    kernel, _ = ceiling_bound_kernel(rng, n, band)
+    kernel = shrink_to_feasible(ceiling_bound_input(rng, n, band))[0]
     if births:
-        kernel = splice(kernel, ceiling_bound_kernel(rng, births, birth_band)[0])
+        kernel = splice(kernel, shrink_to_feasible(ceiling_bound_input(rng, births, birth_band))[0])
     return kernel
 
 
@@ -533,10 +535,11 @@ def shrink_inputs(draw):
     return np.where(band_mask(n, bands), operator_form(m, weights), 0.0), bands
 
 
-def eigvalsh_extreme(a, top):
-    """Reference for kernels._extreme_eigenvalue from the full spectrum."""
-    lam = np.linalg.eigvalsh(a)
-    return float(lam[-1] if top else lam[0])
+def eigvalsh_extreme(arrays, top):
+    """Reference for kernels._extreme_eigenvalue from the full spectrum of
+    each band array."""
+    lam = np.concatenate([operator_spectrum(DiscretizedKernel((a,))) for a in arrays])
+    return float(lam.max() if top else lam.min())
 
 
 class TestShrinkToFeasible:
@@ -608,16 +611,11 @@ class TestShrinkToFeasible:
 
     @pytest.mark.parametrize("n, band", [(60, None), (150, 9), (320, 32)])
     def test_scale_matches_eigvalsh_reference_on_large_kernels(self, monkeypatch, n, band):
-        # the ceiling_bound_kernel construction: the ceiling sets t < 1
-        rng = np.random.default_rng(n)
-        weights = rng.uniform(0.5, 2.0, n)
-        raw = rng.uniform(1.0, 2.0, (n, n))
-        np.fill_diagonal(raw, rng.uniform(0.6, 0.99, n) * (1.0 - DELTA) / weights)
-        bands = None if band is None else ((n, band),)
-        raw = np.where(band_mask(n, bands), operator_form(0.5 * (raw + raw.T), weights), 0.0)
-        _, t, _ = shrink_dense(raw, bands)
+        # the ceiling sets t < 1
+        raw = ceiling_bound_input(np.random.default_rng(n), n, band)
+        _, t, _ = shrink_to_feasible(raw)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
-        _, expect, _ = shrink_dense(raw, bands)
+        _, expect, _ = shrink_to_feasible(raw)
         assert t < 1.0
         assert t == pytest.approx(expect, rel=1e-12, abs=0.0)
 
@@ -628,9 +626,9 @@ class TestShrinkToFeasible:
         calls = []
         extreme = kernels._extreme_eigenvalue
 
-        def counted(a, top):
+        def counted(arrays, top):
             calls.append(top)
-            return extreme(a, top)
+            return extreme(arrays, top)
 
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", counted)
         rng = np.random.default_rng(41)
@@ -651,6 +649,42 @@ class TestShrinkToFeasible:
         assert operator_spectrum(out).max() == pytest.approx(1.0 - DELTA, abs=1e-12)
         monkeypatch.setattr(kernels, "_extreme_eigenvalue", eigvalsh_extreme)
         assert t == pytest.approx(shrink_to_feasible(entries)[1], rel=1e-12, abs=0.0)
+
+    def test_certificate_at_the_lowered_scale(self, monkeypatch):
+        # diagonal (0.2, 0.2), pair 0.9: lambda_min sets t = 0.2 / 0.9, at
+        # which the ceiling certificate holds (t 0.9 / 0.799 < 1) although it
+        # fails at t = 1, so lambda_max is not computed
+        calls = []
+        extreme = kernels._extreme_eigenvalue
+
+        def counted(arrays, top):
+            calls.append(top)
+            return extreme(arrays, top)
+
+        monkeypatch.setattr(kernels, "_extreme_eigenvalue", counted)
+        _, t, _ = shrink_dense(np.array([[0.2, 0.9], [0.9, 0.2]]))
+        assert calls == [False] and t == pytest.approx(0.2 / 0.9, rel=1e-12)
+
+    def test_peak_memory_below_one_dense_matrix(self):
+        # the scaled operands are band arrays: one call with every path
+        # (lambda_min, a failed certificate, lambda_max) on 840 points of
+        # reach 80 peaks well below one (N, N) float64 array
+        n = 840
+        kernel = DiscretizedKernel.from_profile(np.r_[0.5, np.full(80, 0.05)], n)
+        tracemalloc.start()
+        try:
+            out, t, _ = shrink_to_feasible(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < t < 1.0 and out.bands == ((n, 80),)
+        assert peak < 8 * n * n
+
+    def test_overflowing_scale_takes_zero(self):
+        # a diagonal at the smallest subnormal: the scaled pair overflows
+        out, t, clipped = shrink_dense(np.array([[5e-324, 0.1], [0.1, 5e-324]]))
+        assert t == 0.0 and clipped == 0.0
+        np.testing.assert_array_equal(out.to_dense(), np.diag([5e-324, 5e-324]))
 
     def test_two_point_scale_closed_form(self):
         # diagonal (a, a), off-diagonal c: D + tO is PSD up to t = a/c and
